@@ -14,11 +14,12 @@ from typing import Optional
 import numpy as np
 
 from . import formats
-from .errors import AmfpmcError, ParseError
+from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError
 from .graph import HOLDOUT, RETROSPECTIVE
 from .model import Hyperparameters, export_embeddings, predict_batch
 from .phrases import InteractionSentence, build_vocabulary, extract_phrase, load_stoplist, load_verb_forms
 from .pipeline import (
+    DEFAULT_TEST_PAIR_CAP,
     attach_targets,
     grid_search,
     holdout_evaluate,
@@ -124,6 +125,8 @@ def cmd_train(args) -> int:
     labeled = attach_targets(items, graph, args.alpha)
     hp = _hp_from_args(args)
     params = train(labeled, hp, graph.n_drugs, graph.n_classes)
+    if not all(np.all(np.isfinite(a)) for a in params.arrays()):
+        raise NonFiniteError("trained parameters are not finite (did training diverge?)")
     formats.write_model(params, args.out)
     roster_path = args.out_roster or args.out + ".roster"
     formats.write_roster(graph.roster, roster_path)
@@ -206,6 +209,8 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_predict(args) -> int:
     _print_config("predict", args)
+    if args.top_k < 1:
+        raise InvalidConfigError(f"--top-k must be >= 1, got {args.top_k}")
     params = formats.read_model(args.model)
     roster = formats.read_roster(args.roster or args.model + ".roster")
     if len(roster) != params.n_drugs:
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--t1", required=True)
     pr.add_argument("--classes", type=int, default=None)
     pr.add_argument("--negative-ratio", type=float, default=1.0)
-    pr.add_argument("--test-cap", type=int, default=5_000_000)
+    pr.add_argument("--test-cap", type=int, default=DEFAULT_TEST_PAIR_CAP)
     pr.add_argument("--subset", default=None, help="restrict test pairs to these drugs")
     _add_hp_flags(pr)
     pr.add_argument("--vocab", default=None)
@@ -371,7 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A diverging run overflows inside numpy; it is reported once, as a
+        # NonFiniteError, not as a stream of warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except AmfpmcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

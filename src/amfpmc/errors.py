@@ -9,6 +9,10 @@ class AmfpmcError(Exception):
     """Base class for all package errors."""
 
 
+class DuplicateIdError(AmfpmcError):
+    """An external drug id appears more than once in a roster."""
+
+
 class UnknownDrugError(AmfpmcError):
     """A drug index or external id is not part of the roster."""
 
@@ -59,6 +63,10 @@ class InvalidDimensionsError(AmfpmcError):
 
 class DegenerateLabelsError(AmfpmcError):
     """A ranking metric needs both positives and negatives."""
+
+
+class NonFiniteError(AmfpmcError):
+    """Scores or trained parameters contain NaN or infinity, as a diverged run produces."""
 
 
 class NoPositivesError(AmfpmcError):

@@ -16,8 +16,12 @@ import numpy as np
 
 from .errors import (
     ConflictingLabelError,
+    DuplicateIdError,
     InvalidClassError,
+    InvalidConfigError,
+    InvalidDimensionsError,
     SelfLoopError,
+    ShapeMismatchError,
     UnknownDrugError,
 )
 
@@ -31,7 +35,7 @@ NO_INTERACTION = 0
 
 def check_mode(mode: str) -> str:
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidConfigError(f"mode must be one of {MODES}, got {mode!r}")
     return mode
 
 
@@ -41,9 +45,9 @@ class Roster:
     def __init__(self, external_ids: Sequence[str], names: Optional[Sequence[Optional[str]]] = None):
         self._ids = list(external_ids)
         if len(set(self._ids)) != len(self._ids):
-            raise ValueError("external ids must be unique")
+            raise DuplicateIdError("external ids must be unique")
         if names is not None and len(names) != len(self._ids):
-            raise ValueError("names must align with external ids")
+            raise ShapeMismatchError("names must align with external ids")
         self._names = list(names) if names is not None else [None] * len(self._ids)
         self._index = {ext: i for i, ext in enumerate(self._ids)}
 
@@ -82,17 +86,18 @@ class TypedInteractionGraph:
 
     def __init__(self, n_drugs: int, n_classes: int, mode: str, roster: Optional[Roster] = None):
         if n_drugs < 1:
-            raise ValueError("n_drugs must be >= 1")
+            raise InvalidDimensionsError("n_drugs must be >= 1")
         if n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+            raise InvalidDimensionsError("n_classes must be >= 1")
         if roster is not None and len(roster) != n_drugs:
-            raise ValueError("roster size must equal n_drugs")
+            raise ShapeMismatchError("roster size must equal n_drugs")
         self.n_drugs = n_drugs
         self.n_classes = n_classes
         self.mode = check_mode(mode)
         self.roster = roster
         self._edges: dict[tuple[int, int], int] = {}
         self._adj: list[dict[int, int]] = [dict() for _ in range(n_drugs)]
+        self._sorted_edges: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._node_counts: Optional[np.ndarray] = None
 
     # -- validation ------------------------------------------------------
@@ -102,6 +107,22 @@ class TypedInteractionGraph:
         if not 0 <= a < self.n_drugs:
             raise UnknownDrugError(f"drug index {a} outside 0..{self.n_drugs - 1}")
         return a
+
+    def _check_pairs(self, I, J) -> tuple[np.ndarray, np.ndarray]:
+        I = np.asarray(I, dtype=np.int64)
+        J = np.asarray(J, dtype=np.int64)
+        if I.ndim != 1 or I.shape != J.shape:
+            raise ShapeMismatchError("pair endpoints must be equal-length 1-d arrays")
+        for ends in (I, J):
+            bad = np.flatnonzero((ends < 0) | (ends >= self.n_drugs))
+            if bad.size:
+                raise UnknownDrugError(
+                    f"drug index {ends[bad[0]]} outside 0..{self.n_drugs - 1}"
+                )
+        loops = np.flatnonzero(I == J)
+        if loops.size:
+            raise SelfLoopError(f"self loop on drug {I[loops[0]]}")
+        return I, J
 
     def _check_edge_class(self, c: int) -> int:
         c = int(c)
@@ -135,6 +156,7 @@ class TypedInteractionGraph:
         self._edges[key] = c
         self._adj[a][b] = c
         self._adj[b][a] = c
+        self._sorted_edges = None
         self._node_counts = None
         return self
 
@@ -157,31 +179,48 @@ class TypedInteractionGraph:
     def degree(self, a: int) -> int:
         return len(self._adj[self._check_drug(a)])
 
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending keys i * n_drugs + j (i < j) of all edges and their classes, cached."""
+        if self._sorted_edges is None:
+            m = len(self._edges)
+            ends = np.array(list(self._edges), dtype=np.int64).reshape(m, 2)
+            classes = np.fromiter(self._edges.values(), dtype=np.int64, count=m)
+            keys = ends[:, 0] * self.n_drugs + ends[:, 1]
+            order = np.argsort(keys)
+            self._sorted_edges = (keys[order], classes[order])
+        return self._sorted_edges
+
     def node_class_counts(self) -> np.ndarray:
         """(n_drugs, n_classes) count of incident edges per class, cached."""
         if self._node_counts is None:
-            counts = np.zeros((self.n_drugs, self.n_classes), dtype=np.int64)
-            for (i, j), c in self._edges.items():
-                counts[i, c] += 1
-                counts[j, c] += 1
-            self._node_counts = counts
+            keys, classes = self._edge_arrays()
+            n, K = self.n_drugs, self.n_classes
+            cells = np.concatenate([keys // n, keys % n]) * K + np.tile(classes, 2)
+            self._node_counts = np.bincount(cells, minlength=n * K).reshape(n, K)
         return self._node_counts
 
-    def pair_class_histogram(self, a: int, b: int) -> np.ndarray:
-        """Class counts of all edges incident to a or b, minus the (a, b) edge.
+    def pair_class_histograms(self, I, J) -> np.ndarray:
+        """Row r: class counts of all edges incident to a or b, minus the (a, b) edge.
 
         count[c] = |{k : lookup(a,k)=c}| + |{k : lookup(b,k)=c}| with k != b
-        and k != a respectively; symmetric in (a, b).
+        and k != a respectively, for (a, b) = (I[r], J[r]); symmetric in the
+        pair. Returns a (len(I), n_classes) int64 matrix.
         """
-        a, b = self._check_drug(a), self._check_drug(b)
-        if a == b:
-            raise SelfLoopError(f"self loop on drug {a}")
-        hist = self.node_class_counts()[a] + self.node_class_counts()[b]
-        own = self.lookup(a, b)
-        if own is not None:
-            hist = hist.copy()
-            hist[own] -= 2
+        I, J = self._check_pairs(I, J)
+        counts = self.node_class_counts()
+        hist = counts[I]
+        hist += counts[J]
+        keys, classes = self._edge_arrays()
+        if keys.size:
+            query = np.minimum(I, J) * self.n_drugs + np.maximum(I, J)
+            pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+            rows = np.flatnonzero(keys[pos] == query)
+            hist[rows, classes[pos[rows]]] -= 2
         return hist
+
+    def pair_class_histogram(self, a: int, b: int) -> np.ndarray:
+        """pair_class_histograms for the single pair (a, b)."""
+        return self.pair_class_histograms([a], [b])[0]
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """All (i, j, class) with i < j, sorted for deterministic iteration."""

@@ -18,6 +18,7 @@ from .errors import (
     AllEmptyError,
     DegenerateLabelsError,
     EmptyInputError,
+    NonFiniteError,
     NoPositivesError,
     ShapeMismatchError,
 )
@@ -29,21 +30,23 @@ def _as_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     if s.shape != y.shape or s.ndim != 1:
         raise ShapeMismatchError("scores and labels must be equal-length 1-d arrays")
     if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+        raise NonFiniteError("scores must be finite")
     return s, y
 
 
 def midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing their average rank."""
+    """1-based ranks with tied values sharing their average rank.
+
+    A run of equal sorted values at positions start..stop-1 gets the rank
+    (start + 1 + stop) / 2 = (2 * stop + 1 - length) / 2, computed once per
+    run in exact integers and spread over the run.
+    """
     order = np.argsort(scores, kind="mergesort")
     s = scores[order]
-    m = s.size
-    boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
-    ranks_sorted = np.empty(m, dtype=np.float64)
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        ranks_sorted[start:stop] = 0.5 * (start + 1 + stop)
-    ranks = np.empty(m, dtype=np.float64)
-    ranks[order] = ranks_sorted
+    stops = np.flatnonzero(np.r_[s[1:] != s[:-1], True]) + 1
+    lengths = np.diff(stops, prepend=0)
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (2 * stops + 1 - lengths), lengths)
     return ranks
 
 
@@ -144,6 +147,8 @@ def _check_prob_matrix(prob_matrix, truths) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatchError("truths must align with prob_matrix rows")
     if t.min() < 0 or t.max() >= P.shape[1]:
         raise ShapeMismatchError("truth classes outside 0..K-1")
+    if not np.all(np.isfinite(P)):
+        raise NonFiniteError("prob_matrix has non-finite entries (did training diverge?)")
     return P, t
 
 

@@ -34,7 +34,7 @@ from .model import (
     init_model,
     predict_batch,
 )
-from .propagation import neighborhood_distribution, one_hot, propagate_target
+from .propagation import neighborhood_distributions, one_hot, propagate_targets
 
 #: Full enumeration of the retrospective test universe is the default; only
 #: beyond this many pairs is a seeded subsample taken.
@@ -63,12 +63,12 @@ def attach_targets(
     """Turn (i, j, label) triples into LabeledPairs with propagated targets.
 
     The graph passed here decides what the propagation can see; hand it the
-    training-fold graph, never the full one.
+    training-fold graph, never the full one. The targets are rows of one
+    (len(items), K) matrix.
     """
-    return [
-        LabeledPair(i, j, label, propagate_target(graph, i, j, label, alpha))
-        for i, j, label in items
-    ]
+    triples = np.array(items, dtype=np.int64).reshape(-1, 3)
+    targets = propagate_targets(graph, triples[:, 0], triples[:, 1], triples[:, 2], alpha)
+    return [LabeledPair(i, j, label, t) for (i, j, label), t in zip(items, targets)]
 
 
 def one_hot_pairs(items: Sequence[tuple[int, int, int]], n_classes: int) -> list[LabeledPair]:
@@ -93,7 +93,7 @@ def train(
     I = np.array([p.i for p in pairs], dtype=np.int64)
     J = np.array([p.j for p in pairs], dtype=np.int64)
     labels = np.array([p.label for p in pairs], dtype=np.int64)
-    T = np.stack([p.target for p in pairs]).astype(np.float64)
+    T = np.stack([p.target for p in pairs], dtype=np.float64)
 
     if hp.balance_classes:
         weights = metrics_mod.class_weights(np.bincount(labels, minlength=n_classes))
@@ -463,7 +463,8 @@ def baseline_neighborhood(
     graph: TypedInteractionGraph, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Non-learned floor: each pair scored by its neighborhood distribution."""
-    return np.stack([neighborhood_distribution(graph, i, j) for i, j in pairs])
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return neighborhood_distributions(graph, ends[:, 0], ends[:, 1])
 
 
 def baseline_majority(

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidClassError, InvalidConfigError
-from .graph import RETROSPECTIVE, TypedInteractionGraph
+from .errors import InvalidClassError, InvalidConfigError, ShapeMismatchError
+from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph
 
 
 def one_hot(label: int, n_classes: int) -> np.ndarray:
@@ -29,32 +29,52 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def neighborhood_distribution(graph: TypedInteractionGraph, a: int, b: int) -> np.ndarray:
-    """Normalized pair class histogram of (a, b); symmetric in the pair.
+def neighborhood_distributions(graph: TypedInteractionGraph, I, J) -> np.ndarray:
+    """(B, n_classes) normalized pair class histograms of (I[r], J[r]).
 
-    When both endpoints are isolated the histogram is all-zero and the
-    fallback is the one-hot on the no-interaction class in retrospective
-    mode, the uniform distribution in holdout mode.
+    When both endpoints of a pair are isolated its histogram is all-zero and
+    the row falls back to the one-hot on the no-interaction class in
+    retrospective mode, the uniform distribution in holdout mode.
     """
-    hist = graph.pair_class_histogram(a, b).astype(np.float64)
-    total = hist.sum()
-    if total == 0.0:
-        if graph.mode == RETROSPECTIVE:
-            return one_hot(0, graph.n_classes)
-        return np.full(graph.n_classes, 1.0 / graph.n_classes)
-    return hist / total
+    dist = graph.pair_class_histograms(I, J).astype(np.float64)
+    total = dist.sum(axis=1, keepdims=True)
+    isolated = total[:, 0] == 0.0
+    np.divide(dist, total, out=dist, where=~isolated[:, None])
+    if graph.mode == RETROSPECTIVE:
+        dist[isolated, NO_INTERACTION] = 1.0
+    else:
+        dist[isolated] = 1.0 / graph.n_classes
+    return dist
+
+
+def propagate_targets(graph: TypedInteractionGraph, I, J, labels, alpha: float) -> np.ndarray:
+    """(B, n_classes) targets (1 - alpha) * onehot(labels[r]) + alpha * dist(I[r], J[r]).
+
+    Built in place as alpha * dist plus (1 - alpha) at each row's label;
+    every entry is the same float the formula gives. label 0 is a legal
+    training label in retrospective mode (sampled no-interaction pairs) even
+    though it never appears as a stored edge.
+    """
+    alpha = check_alpha(alpha)
+    y = np.asarray(labels, dtype=np.int64)
+    bad = np.flatnonzero((y < 0) | (y >= graph.n_classes))
+    if bad.size:
+        raise InvalidClassError(f"label {y[bad[0]]} outside 0..{graph.n_classes - 1}")
+    if y.shape != np.shape(I):
+        raise ShapeMismatchError("labels must align with the pairs")
+    targets = neighborhood_distributions(graph, I, J)
+    targets *= alpha
+    targets[np.arange(y.size), y] += 1.0 - alpha
+    return targets
+
+
+def neighborhood_distribution(graph: TypedInteractionGraph, a: int, b: int) -> np.ndarray:
+    """neighborhood_distributions for the single pair (a, b)."""
+    return neighborhood_distributions(graph, [a], [b])[0]
 
 
 def propagate_target(
     graph: TypedInteractionGraph, a: int, b: int, label: int, alpha: float
 ) -> np.ndarray:
-    """(1 - alpha) * onehot(label) + alpha * neighborhood_distribution(a, b).
-
-    label 0 is a legal training label in retrospective mode (sampled
-    no-interaction pairs) even though it never appears as a stored edge.
-    """
-    alpha = check_alpha(alpha)
-    hard = one_hot(label, graph.n_classes)
-    if alpha == 0.0:
-        return hard
-    return (1.0 - alpha) * hard + alpha * neighborhood_distribution(graph, a, b)
+    """propagate_targets for the single pair (a, b)."""
+    return propagate_targets(graph, [a], [b], [label], alpha)[0]

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import amfpmc
 from amfpmc.cli import main
 from amfpmc.formats import read_model, read_report, read_vocabulary
 
@@ -144,3 +149,60 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: ParseError" in err and ":1:" in err
+
+
+def _assert_one_line_error(err, kind):
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith(f"error: {kind}: ")
+
+
+@pytest.fixture()
+def model_and_pairs(synth_files, tmp_path):
+    t0, _, _ = synth_files
+    model = tmp_path / "model.txt"
+    rc = main(["train", "--interactions", str(t0), "--mode", "holdout", "--dim", "4",
+               "--epochs", "1", "--batch", "64", "--seed", "0", "--out", str(model)])
+    assert rc == 0
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("D0000\tD0001\n")
+    return model, pairs
+
+
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_predict_top_k_below_one_is_refused(model_and_pairs, capsys, top_k):
+    model, pairs = model_and_pairs
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model), "--pairs", str(pairs), "--top-k", top_k])
+    assert rc == 1
+    captured = capsys.readouterr()
+    _assert_one_line_error(captured.err, "InvalidConfigError")
+    assert not [l for l in captured.out.splitlines() if not l.startswith("#")]
+
+
+def test_duplicate_roster_id_exits_with_one_line(model_and_pairs, tmp_path, capsys):
+    model, pairs = model_and_pairs
+    roster = tmp_path / "dup.roster"
+    lines = (tmp_path / "model.txt.roster").read_text().splitlines()
+    roster.write_text("\n".join([lines[0]] + lines[:-1]) + "\n")
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model), "--roster", str(roster), "--pairs", str(pairs)])
+    assert rc == 1
+    _assert_one_line_error(capsys.readouterr().err, "DuplicateIdError")
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "holdout", "--k", "3"],
+    ["train", "--mode", "holdout", "--out", "diverged-model.txt"],
+])
+def test_diverged_training_exits_with_one_line(synth_files, tmp_path, command):
+    # a subprocess, so numpy's floating-point warnings would reach stderr
+    t0, _, _ = synth_files
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amfpmc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amfpmc.cli", *command, "--interactions", str(t0),
+         "--dim", "8", "--epochs", "3", "--batch", "64", "--lr", "1e200"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1
+    _assert_one_line_error(proc.stderr, "NonFiniteError")
+    assert not (tmp_path / "diverged-model.txt").exists()

@@ -3,6 +3,7 @@ import pytest
 
 from amfpmc.errors import (
     ConflictingLabelError,
+    DuplicateIdError,
     InvalidClassError,
     SelfLoopError,
     UnknownDrugError,
@@ -142,9 +143,14 @@ def test_property_histogram_symmetric():
 
 def test_property_histogram_never_counts_own_edge():
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        g = _random_graph(rng)
+    for t in range(6):
+        g = _random_graph(rng, mode="retrospective" if t % 2 else "holdout")
         counts = g.node_class_counts()
+        brute = np.zeros((g.n_drugs, g.n_classes), dtype=np.int64)
+        for i, j, c in g.edge_list():
+            brute[i, c] += 1
+            brute[j, c] += 1
+        assert counts.dtype == np.int64 and np.array_equal(counts, brute)
         for i, j, c in g.edge_list():
             hist = g.pair_class_histogram(i, j)
             assert hist[c] == counts[i, c] + counts[j, c] - 2
@@ -158,5 +164,5 @@ def test_roster_translation():
     assert "DB02" in roster and "DB09" not in roster
     with pytest.raises(UnknownDrugError):
         roster.index_of("DB09")
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateIdError):
         Roster(["X", "X"])

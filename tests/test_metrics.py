@@ -5,6 +5,7 @@ from amfpmc.errors import (
     AllEmptyError,
     DegenerateLabelsError,
     EmptyInputError,
+    NonFiniteError,
     NoPositivesError,
     ShapeMismatchError,
 )
@@ -84,6 +85,28 @@ class TestRocAuc:
 
     def test_midranks_tie_groups(self):
         assert midranks(np.array([0.1, 0.3, 0.3, 0.7])).tolist() == [1.0, 2.5, 2.5, 4.0]
+
+    def test_midranks_bitwise_equal_to_tie_group_loop(self):
+        def reference(scores):
+            order = np.argsort(scores, kind="mergesort")
+            s = scores[order]
+            boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+            ranks_sorted = np.empty(s.size, dtype=np.float64)
+            for start, stop in zip(boundaries[:-1], boundaries[1:]):
+                ranks_sorted[start:stop] = 0.5 * (start + 1 + stop)
+            ranks = np.empty(s.size, dtype=np.float64)
+            ranks[order] = ranks_sorted
+            return ranks
+
+        rng = np.random.default_rng(23)
+        draws = [random_scored(rng, tie_prone=t % 2 == 0)[0] for t in range(100)]
+        draws += [
+            np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+            np.array([0.25]),
+            np.full(50, 0.5),
+        ]
+        for scores in draws:
+            assert midranks(scores).tobytes() == reference(scores).tobytes()
 
 
 class TestAveragePrecision:
@@ -216,6 +239,14 @@ class TestMulticlassReport:
             multiclass_report(np.ones((2, 3)) / 3, [0])
         with pytest.raises(ShapeMismatchError):
             multiclass_report(np.ones((2, 3)) / 3, [0, 5])
+
+    def test_non_finite_scores_raise(self):
+        with pytest.raises(NonFiniteError):
+            roc_auc([0.1, np.nan], [True, False])
+        with pytest.raises(NonFiniteError):
+            average_precision([np.inf, 0.2], [True, False])
+        with pytest.raises(NonFiniteError):
+            multiclass_report(np.array([[np.nan, 0.5], [0.3, 0.7]]), [0, 1])
 
     def test_mode_argument(self):
         probs = np.array([[0.7, 0.3], [0.3, 0.7], [0.6, 0.4]])

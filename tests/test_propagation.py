@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from amfpmc.errors import InvalidClassError, InvalidConfigError, SelfLoopError
+from amfpmc.errors import InvalidClassError, InvalidConfigError, SelfLoopError, UnknownDrugError
 from amfpmc.graph import TypedInteractionGraph, build_graph
-from amfpmc.propagation import neighborhood_distribution, one_hot, propagate_target
+from amfpmc.propagation import (
+    neighborhood_distribution,
+    one_hot,
+    propagate_target,
+    propagate_targets,
+)
 
 
 def test_distribution_normalizes_histogram():
@@ -55,6 +60,17 @@ def test_invalid_label_and_alpha():
         propagate_target(g, 0, 1, 4, alpha=0.5)
     with pytest.raises(InvalidConfigError):
         propagate_target(g, 0, 1, 1, alpha=1.5)
+    # the batched form: one bad row fails the whole batch with the same type
+    for labels in ([1, 4], [-1, 2]):
+        with pytest.raises(InvalidClassError):
+            propagate_targets(g, [0, 1], [1, 2], labels, alpha=0.5)
+    with pytest.raises(InvalidConfigError):
+        propagate_targets(g, [0], [1], [1], alpha=-0.1)
+    for I, J in (([0, 4], [1, 2]), ([0, 1], [1, -1])):
+        with pytest.raises(UnknownDrugError):
+            propagate_targets(g, I, J, [1, 1], alpha=0.5)
+    with pytest.raises(SelfLoopError):
+        propagate_targets(g, [0, 2], [1, 2], [1, 1], alpha=0.5)
 
 
 def test_label_zero_is_legal_retrospective_target():
@@ -118,3 +134,47 @@ def test_property_label_mass_monotone_in_alpha():
         masses = [propagate_target(g, int(a), int(b), label, al)[label] for al in alphas]
         assert all(m1 >= m2 - 1e-12 for m1, m2 in zip(masses, masses[1:]))
         checked += 1
+
+
+def _reference_target(g, a, b, label, alpha):
+    """The per-pair formula, with the histogram counted edge by edge."""
+    hist = np.zeros(g.n_classes, dtype=np.int64)
+    for i, j, c in g.edge_list():
+        if {i, j} != {a, b}:
+            hist[c] += (i in (a, b)) + (j in (a, b))
+    hist = hist.astype(np.float64)
+    total = hist.sum()
+    if total == 0.0 and g.mode == "retrospective":
+        dist = one_hot(0, g.n_classes)
+    elif total == 0.0:
+        dist = np.full(g.n_classes, 1.0 / g.n_classes)
+    else:
+        dist = hist / total
+    hard = one_hot(label, g.n_classes)
+    if alpha == 0.0:
+        return hard
+    return (1.0 - alpha) * hard + alpha * dist
+
+
+@pytest.mark.parametrize("mode", ["holdout", "retrospective"])
+def test_batched_targets_bitwise_equal_per_pair_formula(mode):
+    rng = np.random.default_rng(13)
+    lo = 1 if mode == "retrospective" else 0
+    for _ in range(10):
+        # drugs 12..15 stay isolated, so pairs among them take the fallback
+        g = TypedInteractionGraph(16, 6, mode)
+        while g.num_edges < 25:
+            i, j = rng.integers(0, 12, 2)
+            if i != j and not g.has_edge(int(i), int(j)):
+                g.add_interaction(int(i), int(j), int(rng.integers(lo, 6)))
+        pairs = [(i, j, c) for i, j, c in g.edge_list()]  # stored edges
+        pairs += [(12, 13, 0), (14, 15, 1), (15, 0, 2)]   # isolated endpoints
+        while len(pairs) < 60:
+            a, b = (int(v) for v in rng.integers(0, 16, 2))
+            if a != b:
+                pairs.append((a, b, int(rng.integers(0, 6))))  # includes label 0
+        I, J, y = (np.array(col) for col in zip(*pairs))
+        for alpha in (0.0, 0.3, 1.0):
+            batched = propagate_targets(g, I, J, y, alpha)
+            reference = np.stack([_reference_target(g, *p, alpha) for p in pairs])
+            assert batched.tobytes() == reference.tobytes()
