@@ -30,8 +30,6 @@ from .pipeline import (
 )
 from .synth import SyntheticConfig, generate_synthetic
 
-_FLOAT_FMT = "%.17g"
-
 
 def _print_config(cmd: str, args: argparse.Namespace) -> None:
     print(f"# amfpmc {cmd}")
@@ -42,13 +40,14 @@ def _print_config(cmd: str, args: argparse.Namespace) -> None:
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=512, help="embedding size")
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch", type=int, default=256, help="mini-batch size")
-    p.add_argument("--lr", type=float, default=0.01, help="learning rate")
-    p.add_argument("--alpha", type=float, default=0.6, help="propagation factor in [0, 1]")
-    p.add_argument("--seed", type=int, default=0, help="single seed driving all randomness")
+    hp = Hyperparameters()
+    p.add_argument("--dim", type=int, default=hp.embedding_dim, help="embedding size")
+    p.add_argument("--dropout", type=float, default=hp.dropout)
+    p.add_argument("--epochs", type=int, default=hp.epochs)
+    p.add_argument("--batch", type=int, default=hp.batch_size, help="mini-batch size")
+    p.add_argument("--lr", type=float, default=hp.learning_rate, help="learning rate")
+    p.add_argument("--alpha", type=float, default=hp.alpha, help="propagation factor in [0, 1]")
+    p.add_argument("--seed", type=int, default=hp.seed, help="single seed driving all randomness")
     p.add_argument("--no-balance", action="store_true", help="disable class weight balancing")
 
 
@@ -242,7 +241,7 @@ def cmd_export_embeddings(args) -> int:
         header = ["drug_id"] + [f"e{t}" for t in range(matrix.shape[1])]
         fh.write(",".join(header) + "\n")
         for ext, row in zip(ids, matrix):
-            fh.write(ext + "," + ",".join(_FLOAT_FMT % v for v in row) + "\n")
+            fh.write(ext + "," + ",".join(formats.FLOAT_FMT % v for v in row) + "\n")
     print(f"wrote {len(ids)} x {matrix.shape[1]} embeddings to {args.out}")
     return 0
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FormatError,
+    InvalidConfigError,
     ParseError,
 )
 from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_mode
@@ -32,7 +33,8 @@ from .phrases import (
 from .pipeline import GRID_FIELDS, GridSpec
 
 MODEL_MAGIC = "AMFPMC1"
-_FLOAT_FMT = "%.17g"
+#: 17 significant digits, so every float64 round-trips exactly.
+FLOAT_FMT = "%.17g"
 
 
 @dataclass
@@ -67,7 +69,7 @@ def parse_interactions_file(path: str, mode: str) -> list[InteractionRecord]:
     are given explicitly.
     """
     if mode not in ("indices", "sentences"):
-        raise ValueError(f"mode must be 'indices' or 'sentences', got {mode!r}")
+        raise InvalidConfigError(f"mode must be 'indices' or 'sentences', got {mode!r}")
     records: list[InteractionRecord] = []
     for line_no, line in _data_lines(path):
         cols = line.split("\t")
@@ -171,7 +173,7 @@ def write_model(params: ModelParameters, path: str) -> None:
     def rows(arr: np.ndarray):
         mat = np.atleast_2d(arr)
         for row in mat:
-            yield " ".join(_FLOAT_FMT % v for v in row)
+            yield " ".join(FLOAT_FMT % v for v in row)
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_MAGIC} {n} {K} {d}\n")
@@ -223,6 +225,8 @@ def read_model(path: str) -> ModelParameters:
                 raise FormatError(f"{path}: non-numeric value in section {name!r}") from None
             pos += 1
         arr = np.array(rows, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: non-finite value in section {name!r}")
         arrays[name] = arr[0] if name in ("b", "c", "u") else arr
     if pos != len(lines) and any(line.strip() for line in lines[pos:]):
         raise FormatError(f"{path}: trailing content after section 'u'")
@@ -338,7 +342,7 @@ def write_report(
             json.dump(report_to_dict(report), fh, indent=2)
             fh.write("\n")
     else:
-        raise ValueError(f"fmt must be 'text' or 'structured', got {fmt!r}")
+        raise InvalidConfigError(f"fmt must be 'text' or 'structured', got {fmt!r}")
 
 
 def read_report(path: str) -> MultiClassReport:

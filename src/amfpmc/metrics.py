@@ -18,6 +18,7 @@ from .errors import (
     AllEmptyError,
     DegenerateLabelsError,
     EmptyInputError,
+    InvalidConfigError,
     NonFiniteError,
     NoPositivesError,
     ShapeMismatchError,
@@ -39,9 +40,10 @@ def midranks(scores: np.ndarray) -> np.ndarray:
 
     A run of equal sorted values at positions start..stop-1 gets the rank
     (start + 1 + stop) / 2 = (2 * stop + 1 - length) / 2, computed once per
-    run in exact integers and spread over the run.
+    run in exact integers and spread over the run. Every member of a run gets
+    the same rank, so the order the sort leaves ties in does not matter.
     """
-    order = np.argsort(scores, kind="mergesort")
+    order = np.argsort(scores)
     s = scores[order]
     stops = np.flatnonzero(np.r_[s[1:] != s[:-1], True]) + 1
     lengths = np.diff(stops, prepend=0)
@@ -71,7 +73,12 @@ def average_precision(scores, labels) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NoPositivesError("need at least one positive")
-    order = np.argsort(-s, kind="mergesort")
+    order = np.argsort(-s)
+    ranked = s[order]
+    ties = ranked[1:] == ranked[:-1]
+    if ties.any():
+        # back to input order within each tie run: sort the distinct keys run * m + position
+        order = order[np.argsort(np.r_[0, np.cumsum(~ties)] * s.size + order)]
     hits = y[order]
     precision_at = np.cumsum(hits) / np.arange(1, s.size + 1)
     return float(precision_at[hits].sum() / n_pos)
@@ -161,7 +168,7 @@ def multiclass_report(prob_matrix, truths, mode: str = "both") -> MultiClassRepo
     confusion counts. mode selects 'micro', 'macro', or 'both'.
     """
     if mode not in ("micro", "macro", "both"):
-        raise ValueError(f"mode must be micro, macro, or both, got {mode!r}")
+        raise InvalidConfigError(f"mode must be micro, macro, or both, got {mode!r}")
     P, t = _check_prob_matrix(prob_matrix, truths)
     n_rows, n_classes = P.shape
     preds = np.argmax(P, axis=1)

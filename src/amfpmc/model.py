@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     EmptyBatchError,
+    InvalidConfigError,
     InvalidDimensionsError,
     SelfLoopError,
     ShapeMismatchError,
@@ -34,6 +35,8 @@ LOG_CLAMP = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+#: Elements per Adam slice (whole rows); any value gives the same bits.
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -173,6 +176,28 @@ def _dropout_masks(shape, dropout: float, rng: np.random.Generator) -> np.ndarra
     return (rng.random(shape) >= dropout) / keep
 
 
+def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropout: float,
+                   rng: Optional[np.random.Generator]):
+    """Gather both slots, drop out (the i mask drawn before the j mask), multiply, project.
+
+    Returns (Ei, Ej, masks, h, pair_bias, logits): the slot rows after dropout,
+    the two masks or None, their product, b[i] + b[j] and the (B, K) logits.
+    """
+    Ei = params.embeddings[I]
+    Ej = params.embeddings[J]
+    masks = None
+    if dropout > 0.0:
+        if rng is None:
+            raise InvalidConfigError("dropout requires an rng")
+        masks = (_dropout_masks(Ei.shape, dropout, rng), _dropout_masks(Ej.shape, dropout, rng))
+        Ei *= masks[0]
+        Ej *= masks[1]
+    h = Ei * Ej
+    pair_bias = params.drug_bias[I] + params.drug_bias[J]
+    logits = h @ params.class_proj.T + params.class_bias + params.bias_coupling * pair_bias[:, None]
+    return Ei, Ej, masks, h, pair_bias, logits
+
+
 def forward_batch(
     params: ModelParameters,
     i,
@@ -186,16 +211,7 @@ def forward_batch(
     inference (the default) is deterministic and symmetric in (i, j).
     """
     I, J = _as_index_arrays(i, j)
-    Ei = params.embeddings[I]
-    Ej = params.embeddings[J]
-    if dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng")
-        Ei = Ei * _dropout_masks(Ei.shape, dropout, rng)
-        Ej = Ej * _dropout_masks(Ej.shape, dropout, rng)
-    h = Ei * Ej
-    pair_bias = params.drug_bias[I] + params.drug_bias[J]
-    return h @ params.class_proj.T + params.class_bias + params.bias_coupling * pair_bias[:, None]
+    return _forward_parts(params, I, J, dropout, rng)[-1]
 
 
 def forward(params: ModelParameters, i: int, j: int) -> np.ndarray:
@@ -213,9 +229,12 @@ def predict_batch(params: ModelParameters, i, j) -> np.ndarray:
     return softmax(forward_batch(params, i, j))
 
 
-def _sample_weights(targets: np.ndarray, class_weights: np.ndarray) -> np.ndarray:
-    # per-sample weight is looked up at the argmax of the (possibly soft) target
-    return class_weights[np.argmax(targets, axis=1)]
+def _weighted_cross_entropy(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray):
+    """Per-sample weights w[argmax t] and the batch mean of w * cross_entropy(t, p)."""
+    # the weight is looked up at the argmax of the (possibly soft) target
+    w = class_weights[np.argmax(targets, axis=1)]
+    ce = -(targets * np.log(np.maximum(probs, LOG_CLAMP))).sum(axis=1)
+    return w, float(np.mean(w * ce))
 
 
 def loss(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray) -> float:
@@ -226,8 +245,29 @@ def loss(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray) -> f
         raise ShapeMismatchError(f"probs {probs.shape} vs targets {targets.shape}")
     if class_weights.shape != (probs.shape[1],):
         raise ShapeMismatchError("class_weights length must equal the class count")
-    ce = -(targets * np.log(np.maximum(probs, LOG_CLAMP))).sum(axis=1)
-    return float(np.mean(_sample_weights(targets, class_weights) * ce))
+    return _weighted_cross_entropy(probs, targets, class_weights)[1]
+
+
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum rows[k] into row index[k] of an (n, d) zero matrix, bitwise as np.add.at.
+
+    np.add.at adds in index order. A stable sort keeps that order within each
+    target row, and each round adds the next occurrence of every target still
+    pending with one fancy +=, whose targets are distinct. Round 0 adds into
+    the zeros instead of assigning, so a -0.0 entry lands as +0.0 as in add.at.
+    """
+    order = np.argsort(index, kind="stable")
+    sorted_index = index[order]
+    cursor = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]])
+    stop = np.r_[cursor[1:], index.size]
+    out = np.zeros((n, rows.shape[1]), dtype=np.float64)
+    while cursor.size:
+        src = order[cursor]
+        out[index[src]] += rows[src]
+        cursor += 1
+        pending = cursor < stop
+        cursor, stop = cursor[pending], stop[pending]
+    return out
 
 
 def backward(
@@ -252,26 +292,9 @@ def backward(
         raise ShapeMismatchError(f"targets shape {T.shape}, expected {(I.size, params.n_classes)}")
     B = I.size
 
-    Ei = params.embeddings[I]
-    Ej = params.embeddings[J]
-    if dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng")
-        mask_i = _dropout_masks(Ei.shape, dropout, rng)
-        mask_j = _dropout_masks(Ej.shape, dropout, rng)
-    else:
-        mask_i = mask_j = None
-    Ei_d = Ei * mask_i if mask_i is not None else Ei
-    Ej_d = Ej * mask_j if mask_j is not None else Ej
-
-    h = Ei_d * Ej_d
-    pair_bias = params.drug_bias[I] + params.drug_bias[J]
-    logits = h @ params.class_proj.T + params.class_bias + params.bias_coupling * pair_bias[:, None]
+    Ei, Ej, masks, h, pair_bias, logits = _forward_parts(params, I, J, dropout, rng)
     P = softmax(logits)
-
-    w = _sample_weights(T, class_weights)
-    ce = -(T * np.log(np.maximum(P, LOG_CLAMP))).sum(axis=1)
-    batch_loss = float(np.mean(w * ce))
+    w, batch_loss = _weighted_cross_entropy(P, T, class_weights)
 
     # d(mean loss)/dlogits; softmax-cross-entropy collapses to w * (p - t) / B
     G = (w[:, None] * (P - T)) / B
@@ -280,15 +303,15 @@ def backward(
     grad_c = G.sum(axis=0)
     grad_u = (G * pair_bias[:, None]).sum(axis=0)
 
+    # gradient rows of the i slot, then of the j slot, in the order add.at would sum them
     dh = G @ params.class_proj
-    dEi = dh * Ej_d
-    dEj = dh * Ei_d
-    if mask_i is not None:
-        dEi = dEi * mask_i
-        dEj = dEj * mask_j
-    grad_E = np.zeros_like(params.embeddings)
-    np.add.at(grad_E, I, dEi)
-    np.add.at(grad_E, J, dEj)
+    dE = np.empty((2 * B, params.embedding_dim), dtype=np.float64)
+    np.multiply(dh, Ej, out=dE[:B])
+    np.multiply(dh, Ei, out=dE[B:])
+    if masks is not None:
+        dE[:B] *= masks[0]
+        dE[B:] *= masks[1]
+    grad_E = _scatter_rows(np.concatenate([I, J]), dE, params.n_drugs)
 
     db_pair = G @ params.bias_coupling
     grad_b = np.zeros_like(params.drug_bias)
@@ -304,7 +327,14 @@ def adam_step(
     state: OptimizerState,
     learning_rate: float,
 ) -> tuple[ModelParameters, OptimizerState]:
-    """One in-place Adam update with standard constants and bias correction."""
+    """One in-place Adam update with standard constants and bias correction.
+
+    Each array is updated ADAM_BLOCK elements (whole rows) at a time, through
+    two scratch buffers, so the live slices stay in cache. Every operation is
+    elementwise and runs in the order of
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result does not
+    depend on the block size.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
@@ -312,11 +342,18 @@ def adam_step(
     for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
         if p.shape != g.shape:
             raise ShapeMismatchError("gradient shape disagrees with parameter shape")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        rows = min(len(p), max(1, ADAM_BLOCK // max(1, p[0].size)))
+        buffers = np.empty((2, rows) + p.shape[1:], dtype=np.float64)
+        for lo in range(0, len(p), rows):
+            ps, gs, ms, vs = (x[lo : lo + rows] for x in (p, g, m, v))
+            num, den = buffers[:, : len(ps)]
+            ms *= ADAM_BETA1
+            ms += np.multiply(1.0 - ADAM_BETA1, gs, out=num)
+            vs *= ADAM_BETA2
+            vs += np.multiply(1.0 - ADAM_BETA2, np.square(gs, out=num), out=num)
+            np.multiply(learning_rate, np.divide(ms, bc1, out=num), out=num)
+            np.add(np.sqrt(np.divide(vs, bc2, out=den), out=den), ADAM_EPS, out=den)
+            ps -= np.divide(num, den, out=num)
     return params, state
 
 

@@ -21,6 +21,7 @@ from .errors import (
     EmptyIntersectionError,
     EmptySubsetError,
     InvalidConfigError,
+    NonFiniteError,
     TooFewPairsError,
 )
 from .graph import HOLDOUT, RETROSPECTIVE, Roster, TypedInteractionGraph, build_graph
@@ -446,6 +447,10 @@ def grid_search(
         labeled = attach_targets(train_items, train_graph, hp_c.alpha)
         params = train(labeled, hp_c, n_drugs, n_classes)
         probs = score_pairs(params, val_pairs)
+        if not np.all(np.isfinite(probs)):
+            raise NonFiniteError(
+                f"candidate {hp_c} gives non-finite validation probabilities (did training diverge?)"
+            )
         if objective == "accuracy":
             score = float(np.mean(np.argmax(probs, axis=1) == val_truths))
         else:

@@ -206,3 +206,36 @@ def test_diverged_training_exits_with_one_line(synth_files, tmp_path, command):
     assert proc.returncode == 1
     _assert_one_line_error(proc.stderr, "NonFiniteError")
     assert not (tmp_path / "diverged-model.txt").exists()
+
+
+def test_diverged_grid_candidate_exits_with_one_line(synth_files, tmp_path):
+    t0, _, _ = synth_files
+    grid = tmp_path / "grid.txt"
+    grid.write_text("learning_rate 1e200 0.01\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amfpmc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amfpmc.cli", "gridsearch", "--interactions", str(t0),
+         "--mode", "holdout", "--grid", str(grid), "--dim", "8", "--epochs", "3",
+         "--batch", "64"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1
+    _assert_one_line_error(proc.stderr, "NonFiniteError")
+    assert "learning_rate=1e+200" in proc.stderr
+    assert "best:" not in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_predict_refuses_non_finite_model(model_and_pairs, capsys, value):
+    model, pairs = model_and_pairs
+    lines = model.read_text().splitlines()
+    row = lines.index("E") + 1
+    lines[row] = " ".join([value] * len(lines[row].split()))
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model), "--pairs", str(pairs)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    _assert_one_line_error(captured.err, "FormatError")
+    assert "non-finite" in captured.err
+    assert not [l for l in captured.out.splitlines() if not l.startswith("#")]

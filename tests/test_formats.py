@@ -4,6 +4,7 @@ import pytest
 from amfpmc.errors import (
     DimensionMismatchError,
     FormatError,
+    InvalidConfigError,
     ParseError,
 )
 from amfpmc.formats import (
@@ -219,6 +220,12 @@ class TestReportFiles:
         path = tmp_path / "report.txt"
         write_report(sample_report(), str(path), "text")
         assert path.read_text().startswith("accuracy")
+
+    def test_unknown_format_and_parse_mode_are_config_errors(self, tmp_path):
+        with pytest.raises(InvalidConfigError):
+            write_report(sample_report(), str(tmp_path / "r.xml"), "xml")
+        with pytest.raises(InvalidConfigError):
+            parse_interactions_file(str(tmp_path / "unread.tsv"), "pairs")
 
 
 class TestRosterFile:

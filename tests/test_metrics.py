@@ -5,6 +5,7 @@ from amfpmc.errors import (
     AllEmptyError,
     DegenerateLabelsError,
     EmptyInputError,
+    InvalidConfigError,
     NonFiniteError,
     NoPositivesError,
     ShapeMismatchError,
@@ -104,6 +105,8 @@ class TestRocAuc:
             np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
             np.array([0.25]),
             np.full(50, 0.5),
+            # large and tie-heavy, where an unstable sort leaves ties out of input order
+            rng.integers(0, 50, 100_000) / 4.0,
         ]
         for scores in draws:
             assert midranks(scores).tobytes() == reference(scores).tobytes()
@@ -127,6 +130,27 @@ class TestAveragePrecision:
     def test_no_positives(self):
         with pytest.raises(NoPositivesError):
             average_precision([0.4, 0.2], [False, False])
+
+    def test_bitwise_equal_to_stable_sort(self):
+        def reference(scores, labels):
+            order = np.argsort(-scores, kind="mergesort")
+            hits = labels[order]
+            precision_at = np.cumsum(hits) / np.arange(1, scores.size + 1)
+            return float(precision_at[hits].sum() / labels.sum())
+
+        rng = np.random.default_rng(29)
+        draws = [random_scored(rng, tie_prone=t % 2 == 0) for t in range(100)]
+        big = 200_000
+        draws += [
+            # large and tie-heavy: the tie order decides where each positive ranks
+            (rng.integers(0, 40, big) / 8.0, rng.random(big) < 0.1),
+            (rng.choice([0.0, -0.0, 0.5, -0.5], 5000), rng.random(5000) < 0.3),
+            (rng.permutation(big) / big, rng.random(big) < 0.05),  # all distinct
+            (np.full(1000, -0.0), rng.random(1000) < 0.5),
+        ]
+        for scores, labels in draws:
+            got = np.float64(average_precision(scores, labels))
+            assert got.tobytes() == np.float64(reference(scores, labels)).tobytes()
 
     def test_floor_when_top_is_positive(self):
         # a positive in first place contributes precision 1, so AP >= 1/n_pos
@@ -255,3 +279,5 @@ class TestMulticlassReport:
         assert micro_only.macro_auroc is None and micro_only.per_class == []
         macro_only = multiclass_report(probs, truths, mode="macro")
         assert macro_only.micro_auroc is None and macro_only.macro_auroc is not None
+        with pytest.raises(InvalidConfigError):
+            multiclass_report(probs, truths, mode="weighted")

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from amfpmc import model as model_mod
+from amfpmc import pipeline
 from amfpmc.errors import (
     EmptyBatchError,
+    InvalidConfigError,
     InvalidDimensionsError,
     SelfLoopError,
     ShapeMismatchError,
@@ -27,6 +30,7 @@ from amfpmc.model import (
     predict_batch,
     softmax,
 )
+from amfpmc.pipeline import LabeledPair, train
 
 
 def tiny_hp(d=4, seed=0, **kw):
@@ -234,6 +238,8 @@ class TestBackward:
         for a, b in zip(g_a.arrays(), g_b.arrays()):
             assert np.array_equal(a, b)
         assert any(not np.array_equal(a, c) for a, c in zip(g_a.arrays(), g_c.arrays()))
+        with pytest.raises(InvalidConfigError):
+            backward(params, I, J, T, w, dropout=0.5)
 
 
 class TestAdam:
@@ -287,3 +293,138 @@ class TestExport:
         params = init_model(3, 2, tiny_hp())
         with pytest.raises(ShapeMismatchError):
             export_embeddings(params, Roster(["A", "B"]))
+
+
+# -- bitwise references: the straightforward forms the fast paths must equal --
+
+
+def reference_backward(params, i, j, targets, class_weights, dropout=0.0, rng=None):
+    """Two np.add.at row scatters over freshly multiplied slot gradients."""
+    I = np.asarray(i, dtype=np.int64)
+    J = np.asarray(j, dtype=np.int64)
+    T = np.asarray(targets, dtype=np.float64)
+    B = I.size
+    Ei = params.embeddings[I]
+    Ej = params.embeddings[J]
+    mask_i = mask_j = None
+    if dropout > 0.0:
+        mask_i = (rng.random(Ei.shape) >= dropout) / (1.0 - dropout)
+        mask_j = (rng.random(Ej.shape) >= dropout) / (1.0 - dropout)
+        Ei = Ei * mask_i
+        Ej = Ej * mask_j
+    h = Ei * Ej
+    pair_bias = params.drug_bias[I] + params.drug_bias[J]
+    logits = h @ params.class_proj.T + params.class_bias + params.bias_coupling * pair_bias[:, None]
+    P = softmax(logits)
+    w = class_weights[np.argmax(T, axis=1)]
+    batch_loss = float(np.mean(w * -(T * np.log(np.maximum(P, 1e-12))).sum(axis=1)))
+    G = (w[:, None] * (P - T)) / B
+    dh = G @ params.class_proj
+    dEi = dh * Ej
+    dEj = dh * Ei
+    if mask_i is not None:
+        dEi = dEi * mask_i
+        dEj = dEj * mask_j
+    grad_E = np.zeros_like(params.embeddings)
+    np.add.at(grad_E, I, dEi)
+    np.add.at(grad_E, J, dEj)
+    db_pair = G @ params.bias_coupling
+    grad_b = np.zeros_like(params.drug_bias)
+    np.add.at(grad_b, I, db_pair)
+    np.add.at(grad_b, J, db_pair)
+    grads = Gradients(grad_E, grad_b, G.T @ h, G.sum(axis=0), (G * pair_bias[:, None]).sum(axis=0))
+    return batch_loss, grads
+
+
+def reference_adam_step(params, grads, state, learning_rate):
+    """The textbook update, whole arrays at once."""
+    state.step += 1
+    bc1 = 1.0 - 0.9**state.step
+    bc2 = 1.0 - 0.999**state.step
+    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * np.square(g)
+        p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    return params, state
+
+
+def assert_bitwise_equal(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestBitwiseReferences:
+    def test_row_scatter_equals_add_at(self):
+        rng = np.random.default_rng(31)
+        n, d = 9, 6
+        indices = [
+            rng.integers(0, n, 40),        # heavy repeats
+            np.full(25, 4),                # one target, 25 rounds
+            rng.permutation(n),            # all distinct, one round
+            np.array([2, 7, 2, 2, 0, 7]),
+        ]
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320])
+        for index in indices:
+            rows = rng.standard_normal((index.size, d))
+            rows[rng.random(rows.shape) < 0.4] = -0.0
+            rows[::3, 0] = rng.choice(special, rows[::3, 0].size)
+            rows[1::4, 1] = np.inf
+            rows[2::5, 1] = -np.inf
+            expected = np.zeros((n, d))
+            with np.errstate(invalid="ignore"):
+                np.add.at(expected, index, rows)
+                got = model_mod._scatter_rows(index, rows, n)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_backward_equals_add_at_reference(self):
+        rng = np.random.default_rng(32)
+        for n, d, K, size, dropout in [(5, 3, 2, 30, 0.0), (12, 16, 4, 50, 0.4), (40, 7, 5, 8, 0.3)]:
+            params = random_model(rng, n=n, d=d, K=K)
+            I, J, T, w = random_batch(rng, params, size=size)
+            seed = int(rng.integers(1 << 30))
+            loss_new, new = backward(params, I, J, T, w, dropout, np.random.default_rng(seed))
+            loss_ref, ref = reference_backward(params, I, J, T, w, dropout, np.random.default_rng(seed))
+            assert loss_new == loss_ref
+            assert_bitwise_equal(new.arrays(), ref.arrays())
+
+    @pytest.mark.parametrize("block", [1, 4, 12, 64, None])
+    def test_sliced_adam_equals_textbook_update(self, monkeypatch, block):
+        # None keeps the module's block size, with an embedding matrix that
+        # spans two full slices and a short third one
+        rng = np.random.default_rng(33)
+        d = 9
+        n = 37 if block else 2 * (model_mod.ADAM_BLOCK // d) + 11
+        if block:
+            monkeypatch.setattr(model_mod, "ADAM_BLOCK", block)
+        params = random_model(rng, n=n, d=d, K=5)
+        ref_params = params.copy()
+        state = OptimizerState.for_params(params)
+        ref_state = OptimizerState.for_params(ref_params)
+        for _ in range(4):
+            grads = Gradients(*(rng.standard_normal(a.shape) for a in params.arrays()))
+            grads.embeddings[rng.random(n) < 0.5] = 0.0
+            grads.drug_bias[::2] = -0.0
+            adam_step(params, grads, state, 0.01)
+            reference_adam_step(ref_params, grads, ref_state, 0.01)
+        assert state.step == ref_state.step == 4
+        assert_bitwise_equal(params.arrays(), ref_params.arrays())
+        assert_bitwise_equal(state.m + state.v, ref_state.m + ref_state.v)
+
+    @pytest.mark.parametrize("n, K, d, batch", [(40, 5, 16, 32), (300, 7, 128, 64)])
+    def test_train_equals_reference_steps(self, monkeypatch, n, K, d, batch):
+        rng = np.random.default_rng(n)
+        I = rng.integers(0, n, 5 * batch)
+        J = (I + 1 + rng.integers(0, n - 1, I.size)) % n
+        labels = rng.integers(0, K, I.size)
+        targets = rng.dirichlet(np.ones(K), size=I.size)
+        pairs = [LabeledPair(int(i), int(j), int(c), t) for i, j, c, t in zip(I, J, labels, targets)]
+        hp = Hyperparameters(embedding_dim=d, dropout=0.3, epochs=2, batch_size=batch,
+                             learning_rate=0.01, seed=7)
+        fast = train(pairs, hp, n, K)
+        monkeypatch.setattr(pipeline, "backward", reference_backward)
+        monkeypatch.setattr(pipeline, "adam_step", reference_adam_step)
+        ref = train(pairs, hp, n, K)
+        assert_bitwise_equal(fast.arrays(), ref.arrays())
