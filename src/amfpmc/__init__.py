@@ -21,7 +21,7 @@ from .phrases import ClassVocabulary, InteractionSentence, KeywordPhrase, build_
 from .pipeline import (
     GridSpec,
     HoldoutResult,
-    LabeledPair,
+    LabeledPairs,
     RetrospectiveSplit,
     attach_targets,
     baseline_majority,
@@ -34,7 +34,7 @@ from .pipeline import (
     stratified_kfold,
     train,
 )
-from .propagation import neighborhood_distribution, propagate_target
+from .propagation import neighborhood_distributions, propagate_target
 from .synth import SyntheticConfig, SyntheticData, generate_synthetic
 
 __version__ = "0.1.0"

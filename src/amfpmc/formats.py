@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,13 +53,20 @@ class InteractionRecord:
         return int(self.payload)
 
 
+def _read_lines(path: str) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(fh)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 def _data_lines(path: str):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield line_no, line
+    for line_no, raw in enumerate(_read_lines(path), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        yield line_no, line
 
 
 def parse_interactions_file(path: str, mode: str) -> list[InteractionRecord]:
@@ -120,16 +128,18 @@ def graph_from_index_records(
     check_mode(mode)
     if not records:
         raise FormatError("no interaction records")
-    ids = sorted({r.drug_a for r in records} | {r.drug_b for r in records})
-    roster = Roster(ids)
-    max_class = max(r.class_index() for r in records)
+    m = len(records)
+    drugs = list(map(attrgetter("drug_a"), records)) + list(map(attrgetter("drug_b"), records))
+    ids = sorted(set(drugs))
+    index = {ext: t for t, ext in enumerate(ids)}
+    ends = np.fromiter(map(index.__getitem__, drugs), dtype=np.int64, count=2 * m)
+    classes = np.fromiter(map(InteractionRecord.class_index, records), dtype=np.int64, count=m)
+    max_class = int(classes.max())
     K = n_classes if n_classes is not None else max_class + 1
     if K <= max_class:
         raise DimensionMismatchError(f"class {max_class} outside the declared {K} classes")
-    graph = TypedInteractionGraph(len(ids), K, mode, roster=roster)
-    for r in records:
-        graph.add_interaction(roster.index_of(r.drug_a), roster.index_of(r.drug_b), r.class_index())
-    return graph
+    edges = np.column_stack([ends[:m], ends[m:], classes])
+    return TypedInteractionGraph(len(ids), K, mode, edges, roster=Roster(ids))
 
 
 def write_interactions_file(graph: TypedInteractionGraph, path: str) -> None:
@@ -190,8 +200,7 @@ def write_model(params: ModelParameters, path: str) -> None:
 
 
 def read_model(path: str) -> ModelParameters:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = [line.rstrip("\n") for line in _read_lines(path)]
     if not lines:
         raise FormatError(f"{path}: empty model file")
     header = lines[0].split()

@@ -77,14 +77,34 @@ class Roster:
         return list(self._ids)
 
 
+def pair_rows(rows, width: int = 3) -> np.ndarray:
+    """rows as an (m, width) int64 array; an empty input gives shape (0, width)."""
+    out = np.asarray(rows, dtype=np.int64)
+    if out.size == 0:
+        return out.reshape(0, width)
+    if out.ndim != 2 or out.shape[1] != width:
+        raise ShapeMismatchError(f"expected rows of {width} integers, got shape {out.shape}")
+    return out
+
+
 class TypedInteractionGraph:
     """Symmetric sparse map from unordered drug pairs to interaction classes.
 
-    The graph is meant to be built once and then treated as read-only;
-    concurrent readers are safe after construction.
+    The edges are given once, as (i, j, class) rows in either order, and
+    stored as the ascending canonical keys i * n_drugs + j (i < j) with their
+    classes. A repeated identical row is one edge; a second class for a pair
+    raises ConflictingLabelError so corpus diffs between database versions
+    stay explicit. The graph is read-only, so concurrent readers are safe.
     """
 
-    def __init__(self, n_drugs: int, n_classes: int, mode: str, roster: Optional[Roster] = None):
+    def __init__(
+        self,
+        n_drugs: int,
+        n_classes: int,
+        mode: str,
+        edges: Iterable[tuple[int, int, int]] = (),
+        roster: Optional[Roster] = None,
+    ):
         if n_drugs < 1:
             raise InvalidDimensionsError("n_drugs must be >= 1")
         if n_classes < 1:
@@ -95,20 +115,46 @@ class TypedInteractionGraph:
         self.n_classes = n_classes
         self.mode = check_mode(mode)
         self.roster = roster
-        self._edges: dict[tuple[int, int], int] = {}
-        self._adj: list[dict[int, int]] = [dict() for _ in range(n_drugs)]
-        self._sorted_edges: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._keys, self._classes = self._stored_edges(pair_rows(edges))
         self._node_counts: Optional[np.ndarray] = None
+
+    def _stored_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending unique keys of rows and their classes.
+
+        A bad row raises as if the rows were added one at a time: the first
+        offending row in input order decides, and within a row the checks run
+        drug a, drug b, self loop, class, then conflict with an earlier row.
+        """
+        a, b, c = rows.T
+        n = self.n_drugs
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        stored = c[first][inverse]
+        bad = (
+            (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)
+            | (c < 0) | (c >= self.n_classes) | (c != stored)
+        )
+        if self.mode == RETROSPECTIVE:
+            bad |= c == NO_INTERACTION
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            r = hits[0]
+            self._check_pairs(a[r : r + 1], b[r : r + 1])
+            if not 0 <= c[r] < self.n_classes:
+                raise InvalidClassError(f"class {c[r]} outside 0..{self.n_classes - 1}")
+            if self.mode == RETROSPECTIVE and c[r] == NO_INTERACTION:
+                raise InvalidClassError(
+                    "class 0 is reserved for 'no interaction' in retrospective mode"
+                )
+            pair = (int(min(a[r], b[r])), int(max(a[r], b[r])))
+            raise ConflictingLabelError(
+                f"pair {pair} already stored with class {stored[r]}, refusing {c[r]}"
+            )
+        return unique_keys, c[first]
 
     # -- validation ------------------------------------------------------
 
-    def _check_drug(self, a: int) -> int:
-        a = int(a)
-        if not 0 <= a < self.n_drugs:
-            raise UnknownDrugError(f"drug index {a} outside 0..{self.n_drugs - 1}")
-        return a
-
-    def _check_pairs(self, I, J) -> tuple[np.ndarray, np.ndarray]:
+    def _check_ends(self, I, J) -> tuple[np.ndarray, np.ndarray]:
         I = np.asarray(I, dtype=np.int64)
         J = np.asarray(J, dtype=np.int64)
         if I.ndim != 1 or I.shape != J.shape:
@@ -119,83 +165,48 @@ class TypedInteractionGraph:
                 raise UnknownDrugError(
                     f"drug index {ends[bad[0]]} outside 0..{self.n_drugs - 1}"
                 )
+        return I, J
+
+    def _check_pairs(self, I, J) -> tuple[np.ndarray, np.ndarray]:
+        I, J = self._check_ends(I, J)
         loops = np.flatnonzero(I == J)
         if loops.size:
             raise SelfLoopError(f"self loop on drug {I[loops[0]]}")
         return I, J
 
-    def _check_edge_class(self, c: int) -> int:
-        c = int(c)
-        if not 0 <= c < self.n_classes:
-            raise InvalidClassError(f"class {c} outside 0..{self.n_classes - 1}")
-        if self.mode == RETROSPECTIVE and c == NO_INTERACTION:
-            raise InvalidClassError("class 0 is reserved for 'no interaction' in retrospective mode")
-        return c
-
-    # -- construction ----------------------------------------------------
-
-    def add_interaction(self, a: int, b: int, c: int) -> "TypedInteractionGraph":
-        """Store lookup(a, b) = lookup(b, a) = c.
-
-        Re-adding an identical edge is a no-op; a different class for an
-        existing pair raises ConflictingLabelError so corpus diffs between
-        database versions stay explicit.
-        """
-        a, b = self._check_drug(a), self._check_drug(b)
-        if a == b:
-            raise SelfLoopError(f"self loop on drug {a}")
-        c = self._check_edge_class(c)
-        key = (a, b) if a < b else (b, a)
-        existing = self._edges.get(key)
-        if existing is not None:
-            if existing != c:
-                raise ConflictingLabelError(
-                    f"pair {key} already stored with class {existing}, refusing {c}"
-                )
-            return self
-        self._edges[key] = c
-        self._adj[a][b] = c
-        self._adj[b][a] = c
-        self._sorted_edges = None
-        self._node_counts = None
-        return self
-
     # -- queries ---------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return int(self._keys.size)
+
+    def edge_classes(self, I, J) -> np.ndarray:
+        """Stored class of each pair (I[r], J[r]), in either order; -1 where there is none."""
+        I, J = self._check_ends(I, J)
+        query = np.minimum(I, J) * self.n_drugs + np.maximum(I, J)
+        keys = self._keys
+        if not keys.size:
+            return np.full(query.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return np.where(keys[pos] == query, self._classes[pos], -1)
 
     def lookup(self, a: int, b: int) -> Optional[int]:
-        a, b = self._check_drug(a), self._check_drug(b)
-        key = (a, b) if a < b else (b, a)
-        return self._edges.get(key)
+        c = int(self.edge_classes([a], [b])[0])
+        return None if c < 0 else c
 
-    def neighbors(self, a: int) -> list[tuple[int, int]]:
-        """All (partner, class) pairs of drug a, ascending partner index."""
-        a = self._check_drug(a)
-        return sorted(self._adj[a].items())
+    def has_edge(self, a: int, b: int) -> bool:
+        return self.lookup(a, b) is not None
 
-    def degree(self, a: int) -> int:
-        return len(self._adj[self._check_drug(a)])
-
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending keys i * n_drugs + j (i < j) of all edges and their classes, cached."""
-        if self._sorted_edges is None:
-            m = len(self._edges)
-            ends = np.array(list(self._edges), dtype=np.int64).reshape(m, 2)
-            classes = np.fromiter(self._edges.values(), dtype=np.int64, count=m)
-            keys = ends[:, 0] * self.n_drugs + ends[:, 1]
-            order = np.argsort(keys)
-            self._sorted_edges = (keys[order], classes[order])
-        return self._sorted_edges
+    def edge_list(self) -> np.ndarray:
+        """(num_edges, 3) int64 rows (i, j, class), i < j, in ascending (i, j) order."""
+        n = self.n_drugs
+        return np.column_stack([self._keys // n, self._keys % n, self._classes])
 
     def node_class_counts(self) -> np.ndarray:
         """(n_drugs, n_classes) count of incident edges per class, cached."""
         if self._node_counts is None:
-            keys, classes = self._edge_arrays()
             n, K = self.n_drugs, self.n_classes
-            cells = np.concatenate([keys // n, keys % n]) * K + np.tile(classes, 2)
+            cells = np.concatenate([self._keys // n, self._keys % n]) * K + np.tile(self._classes, 2)
             self._node_counts = np.bincount(cells, minlength=n * K).reshape(n, K)
         return self._node_counts
 
@@ -210,24 +221,10 @@ class TypedInteractionGraph:
         counts = self.node_class_counts()
         hist = counts[I]
         hist += counts[J]
-        keys, classes = self._edge_arrays()
-        if keys.size:
-            query = np.minimum(I, J) * self.n_drugs + np.maximum(I, J)
-            pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-            rows = np.flatnonzero(keys[pos] == query)
-            hist[rows, classes[pos[rows]]] -= 2
+        own = self.edge_classes(I, J)
+        rows = np.flatnonzero(own >= 0)
+        hist[rows, own[rows]] -= 2
         return hist
-
-    def pair_class_histogram(self, a: int, b: int) -> np.ndarray:
-        """pair_class_histograms for the single pair (a, b)."""
-        return self.pair_class_histograms([a], [b])[0]
-
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        """All (i, j, class) with i < j, sorted for deterministic iteration."""
-        return sorted((i, j, c) for (i, j), c in self._edges.items())
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return self.lookup(a, b) is not None
 
 
 def build_graph(
@@ -237,8 +234,5 @@ def build_graph(
     edges: Iterable[tuple[int, int, int]],
     roster: Optional[Roster] = None,
 ) -> TypedInteractionGraph:
-    """Construct a graph from (i, j, class) triples in one pass."""
-    g = TypedInteractionGraph(n_drugs, n_classes, mode, roster=roster)
-    for i, j, c in edges:
-        g.add_interaction(i, j, c)
-    return g
+    """Construct a graph from (i, j, class) rows."""
+    return TypedInteractionGraph(n_drugs, n_classes, mode, edges, roster=roster)

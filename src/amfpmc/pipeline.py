@@ -9,8 +9,9 @@ whole evaluation runs byte-reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,15 @@ from .errors import (
     NonFiniteError,
     TooFewPairsError,
 )
-from .graph import HOLDOUT, RETROSPECTIVE, Roster, TypedInteractionGraph, build_graph
+from .graph import (
+    HOLDOUT,
+    NO_INTERACTION,
+    RETROSPECTIVE,
+    Roster,
+    TypedInteractionGraph,
+    build_graph,
+    pair_rows,
+)
 from .metrics import MultiClassReport, PerClassMetrics, multiclass_report
 from .model import (
     Hyperparameters,
@@ -35,50 +44,49 @@ from .model import (
     init_model,
     predict_batch,
 )
-from .propagation import neighborhood_distributions, one_hot, propagate_targets
+from .propagation import check_labels, neighborhood_distributions, propagate_targets
 
 #: Full enumeration of the retrospective test universe is the default; only
 #: beyond this many pairs is a seeded subsample taken.
 DEFAULT_TEST_PAIR_CAP = 5_000_000
 
 
-@dataclass
-class LabeledPair:
-    """A canonical (i < j) drug pair with its hard label and soft target."""
+@dataclass(frozen=True)
+class LabeledPairs:
+    """A training set: (B, 3) rows (i, j, label) with i < j and their (B, K) soft targets."""
 
-    i: int
-    j: int
-    label: int
-    target: np.ndarray
+    items: np.ndarray
+    targets: np.ndarray
 
-    def __post_init__(self):
-        if self.i > self.j:
-            self.i, self.j = self.j, self.i
+    def __len__(self) -> int:
+        return len(self.items)
 
 
-def attach_targets(
-    items: Sequence[tuple[int, int, int]],
-    graph: TypedInteractionGraph,
-    alpha: float,
-) -> list[LabeledPair]:
-    """Turn (i, j, label) triples into LabeledPairs with propagated targets.
+def _canonical_rows(items) -> np.ndarray:
+    """(i, j, label) rows as a new (m, 3) int64 array with i < j in every row."""
+    rows = pair_rows(items).copy()
+    rows[:, :2].sort(axis=1)
+    return rows
+
+
+def attach_targets(items, graph: TypedInteractionGraph, alpha: float) -> LabeledPairs:
+    """Pair the (i, j, label) rows with their propagated targets.
 
     The graph passed here decides what the propagation can see; hand it the
-    training-fold graph, never the full one. The targets are rows of one
-    (len(items), K) matrix.
+    training-fold graph, never the full one.
     """
-    triples = np.array(items, dtype=np.int64).reshape(-1, 3)
-    targets = propagate_targets(graph, triples[:, 0], triples[:, 1], triples[:, 2], alpha)
-    return [LabeledPair(i, j, label, t) for (i, j, label), t in zip(items, targets)]
+    rows = _canonical_rows(items)
+    return LabeledPairs(rows, propagate_targets(graph, rows[:, 0], rows[:, 1], rows[:, 2], alpha))
 
 
-def one_hot_pairs(items: Sequence[tuple[int, int, int]], n_classes: int) -> list[LabeledPair]:
+def one_hot_pairs(items, n_classes: int) -> LabeledPairs:
     """LabeledPairs with plain one-hot targets (propagation bypassed)."""
-    return [LabeledPair(i, j, label, one_hot(label, n_classes)) for i, j, label in items]
+    rows = _canonical_rows(items)
+    return LabeledPairs(rows, np.eye(n_classes)[check_labels(rows[:, 2], n_classes)])
 
 
 def train(
-    pairs: Sequence[LabeledPair],
+    pairs: LabeledPairs,
     hp: Hyperparameters,
     n_drugs: int,
     n_classes: int,
@@ -91,10 +99,8 @@ def train(
     hp.validate()
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
-    I = np.array([p.i for p in pairs], dtype=np.int64)
-    J = np.array([p.j for p in pairs], dtype=np.int64)
-    labels = np.array([p.label for p in pairs], dtype=np.int64)
-    T = np.stack([p.target for p in pairs], dtype=np.float64)
+    I, J, labels = pairs.items.T
+    T = pairs.targets
 
     if hp.balance_classes:
         weights = metrics_mod.class_weights(np.bincount(labels, minlength=n_classes))
@@ -116,11 +122,10 @@ def train(
     return params
 
 
-def score_pairs(params: ModelParameters, items: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Prediction distributions for (i, j) pairs, shape (len(items), K)."""
-    I = np.array([p[0] for p in items], dtype=np.int64)
-    J = np.array([p[1] for p in items], dtype=np.int64)
-    return predict_batch(params, I, J)
+def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
+    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K)."""
+    ends = pair_rows(pairs, width=2)
+    return predict_batch(params, ends[:, 0], ends[:, 1])
 
 
 # -- fold assembly ---------------------------------------------------------
@@ -192,27 +197,27 @@ def holdout_evaluate(
     if graph.mode != HOLDOUT:
         raise InvalidConfigError("holdout evaluation needs a holdout-mode graph")
     items = graph.edge_list()
-    if not items:
+    if not len(items):
         raise EmptyDatasetError("graph has no edges")
-    labels = np.array([c for _, _, c in items], dtype=np.int64)
+    labels = items[:, 2]
     folds = stratified_kfold(labels, k, seed)
 
     n, K = graph.n_drugs, graph.n_classes
     pooled = np.zeros((len(items), K), dtype=np.float64)
     fold_reports: list[MultiClassReport] = []
     for f in range(k):
-        test_idx = np.flatnonzero(folds == f)
-        train_items = [items[t] for t in np.flatnonzero(folds != f)]
+        in_test = folds == f
+        train_items, test_items = items[~in_test], items[in_test]
         train_graph = build_graph(n, K, graph.mode, train_items, roster=graph.roster)
-        for t in test_idx:
-            i, j, _ = items[t]
-            if train_graph.has_edge(i, j):
-                raise RuntimeError(f"test edge ({i}, {j}) leaked into fold {f} training graph")
+        leaked = np.flatnonzero(train_graph.edge_classes(test_items[:, 0], test_items[:, 1]) >= 0)
+        if leaked.size:
+            i, j, _ = test_items[leaked[0]]
+            raise RuntimeError(f"test edge ({i}, {j}) leaked into fold {f} training graph")
         labeled = attach_targets(train_items, train_graph, hp.alpha)
         params = train(labeled, hp.with_(seed=hp.seed + f), n, K)
-        probs = score_pairs(params, [(items[t][0], items[t][1]) for t in test_idx])
-        fold_reports.append(multiclass_report(probs, labels[test_idx]))
-        pooled[test_idx] = probs
+        probs = score_pairs(params, test_items[:, :2])
+        fold_reports.append(multiclass_report(probs, test_items[:, 2]))
+        pooled[in_test] = probs
 
     pooled_per_class = multiclass_report(pooled, labels).per_class
     pooled_per_class.sort(key=lambda r: (-r.support, r.class_id))
@@ -232,29 +237,31 @@ def reconcile_rosters(
     if not common:
         raise EmptyIntersectionError("snapshots share no drugs")
     roster = Roster(common)
+    new_index = {ext: idx for idx, ext in enumerate(common)}
 
     def restrict(g: TypedInteractionGraph) -> TypedInteractionGraph:
-        out = TypedInteractionGraph(len(common), g.n_classes, g.mode, roster=roster)
-        keep = {ext: idx for idx, ext in enumerate(common)}
-        for i, j, c in g.edge_list():
-            a = keep.get(g.roster.external_id(i))
-            b = keep.get(g.roster.external_id(j))
-            if a is not None and b is not None:
-                out.add_interaction(a, b, c)
-        return out
+        index_map = np.array([new_index.get(ext, -1) for ext in g.roster], dtype=np.int64)
+        i, j, c = g.edge_list().T
+        a, b = index_map[i], index_map[j]
+        kept = (a >= 0) & (b >= 0)
+        edges = np.column_stack([a[kept], b[kept], c[kept]])
+        return TypedInteractionGraph(len(common), g.n_classes, g.mode, edges, roster=roster)
 
     return restrict(g0), restrict(g1)
 
 
 @dataclass
 class RetrospectiveSplit:
-    """Train on one snapshot's edges plus sampled negatives; test elsewhere."""
+    """Train on one snapshot's edges plus sampled negatives; test elsewhere.
+
+    Both pair sets are (m, 3) int64 rows (i, j, label) with i < j.
+    """
 
     n_drugs: int
     n_classes: int
     roster: Optional[Roster]
-    train_items: list[tuple[int, int, int]]
-    test_items: list[tuple[int, int, int]]
+    train_items: np.ndarray
+    test_items: np.ndarray
 
 
 def retrospective_split(
@@ -278,41 +285,37 @@ def retrospective_split(
     if graph_t0.roster is not None and graph_t1.roster is not None:
         if graph_t0.roster.external_ids != graph_t1.roster.external_ids:
             raise EmptyIntersectionError("snapshot rosters disagree; reconcile first")
-    if negative_ratio < 0:
-        raise InvalidConfigError("negative_ratio must be >= 0")
+    if not (math.isfinite(negative_ratio) and negative_ratio >= 0):
+        raise InvalidConfigError(f"negative_ratio must be finite and >= 0, got {negative_ratio}")
+    if test_pair_cap < 1:
+        raise InvalidConfigError(f"test_pair_cap must be >= 1, got {test_pair_cap}")
 
     n = graph_t0.n_drugs
     edges0 = graph_t0.edge_list()
     rng = np.random.default_rng(seed)
 
     iu, ju = np.triu_indices(n, k=1)
-    keys = iu * n + ju
-    edge_keys = np.array(sorted(i * n + j for i, j, _ in edges0), dtype=np.int64)
-    unlabeled = ~np.isin(keys, edge_keys)
+    unlabeled = graph_t0.edge_classes(iu, ju) < 0
     iu, ju = iu[unlabeled], ju[unlabeled]
     universe = iu.size
 
-    n_neg = min(universe, int(round(negative_ratio * len(edges0))))
+    n_neg = int(round(min(negative_ratio * len(edges0), universe)))
     neg_mask = np.zeros(universe, dtype=bool)
     if n_neg > 0:
         neg_mask[rng.choice(universe, size=n_neg, replace=False)] = True
 
-    train_items = list(edges0) + [
-        (int(a), int(b), 0) for a, b in zip(iu[neg_mask], ju[neg_mask])
-    ]
+    negatives = np.column_stack([iu[neg_mask], ju[neg_mask], np.zeros(n_neg, dtype=np.int64)])
+    train_items = np.concatenate([edges0, negatives])
 
     ti, tj = iu[~neg_mask], ju[~neg_mask]
     if ti.size > test_pair_cap:
         sel = np.sort(rng.choice(ti.size, size=test_pair_cap, replace=False))
         ti, tj = ti[sel], tj[sel]
-    test_items = []
-    for a, b in zip(ti, tj):
-        truth = graph_t1.lookup(int(a), int(b))
-        test_items.append((int(a), int(b), 0 if truth is None else truth))
+    truth = np.maximum(graph_t1.edge_classes(ti, tj), NO_INTERACTION)
+    test_items = np.column_stack([ti, tj, truth])
 
-    train_keys = {i * n + j for i, j, _ in train_items}
-    test_keys = {i * n + j for i, j, _ in test_items}
-    if train_keys & test_keys:
+    train_keys = train_items[:, 0] * n + train_items[:, 1]
+    if np.isin(ti * n + tj, train_keys).any():
         raise RuntimeError("retrospective split produced overlapping train/test pairs")
 
     return RetrospectiveSplit(
@@ -334,24 +337,25 @@ def retrospective_evaluate(
     subset, when given, restricts scoring to pairs with both endpoints in
     the set (drug indices); class 0 acts as the no-interaction class.
     """
+    train_items = split.train_items
     train_graph = build_graph(
         split.n_drugs,
         split.n_classes,
         RETROSPECTIVE,
-        [item for item in split.train_items if item[2] != 0],
+        train_items[train_items[:, 2] != NO_INTERACTION],
         roster=split.roster,
     )
-    labeled = attach_targets(split.train_items, train_graph, hp.alpha)
+    labeled = attach_targets(train_items, train_graph, hp.alpha)
     params = train(labeled, hp, split.n_drugs, split.n_classes)
 
     test_items = split.test_items
     if subset is not None:
-        test_items = [(i, j, c) for i, j, c in test_items if i in subset and j in subset]
-        if not test_items:
+        members = np.fromiter(subset, dtype=np.int64, count=len(subset))
+        test_items = test_items[np.isin(test_items[:, :2], members).all(axis=1)]
+        if not len(test_items):
             raise EmptySubsetError("drug subset leaves no test pairs")
-    probs = score_pairs(params, [(i, j) for i, j, _ in test_items])
-    truths = np.array([c for _, _, c in test_items], dtype=np.int64)
-    return multiclass_report(probs, truths)
+    probs = score_pairs(params, test_items[:, :2])
+    return multiclass_report(probs, test_items[:, 2])
 
 
 # -- grid search -------------------------------------------------------------
@@ -382,30 +386,29 @@ class GridSpec:
         return out
 
 
-def stratified_validation_split(
-    items: Sequence[tuple[int, int, int]], fraction: float, seed: int
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """Per-class seeded split keeping at least one training item per class."""
+def stratified_validation_split(items, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class seeded split of (i, j, label) rows keeping at least one training row per class.
+
+    Returns the (train, validation) rows, each in input order.
+    """
     if not 0.0 < fraction < 1.0:
         raise InvalidConfigError("validation fraction must be in (0, 1)")
-    labels = np.array([c for _, _, c in items], dtype=np.int64)
+    rows = pair_rows(items)
+    labels = rows[:, 2]
     rng = np.random.default_rng(seed)
-    val_idx: list[int] = []
+    in_val = np.zeros(len(rows), dtype=bool)
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         rng.shuffle(members)
         n_val = min(int(round(fraction * members.size)), members.size - 1)
-        val_idx.extend(members[:n_val].tolist())
-    val_set = set(val_idx)
-    train_items = [item for t, item in enumerate(items) if t not in val_set]
-    val_items = [item for t, item in enumerate(items) if t in val_set]
-    if not val_items:
+        in_val[members[:n_val]] = True
+    if not in_val.any():
         raise InvalidConfigError("validation fraction too small for this dataset")
-    return train_items, val_items
+    return rows[~in_val], rows[in_val]
 
 
 def grid_search(
-    items: Sequence[tuple[int, int, int]],
+    items,
     n_drugs: int,
     n_classes: int,
     mode: str,
@@ -417,7 +420,7 @@ def grid_search(
     max_candidates: int = 1000,
     allow_large: bool = False,
 ) -> tuple[Hyperparameters, list[tuple[Hyperparameters, float]]]:
-    """Exhaustive grid search scored on a stratified validation split.
+    """Exhaustive grid search over (i, j, label) rows, scored on a stratified validation split.
 
     The objective is validation accuracy by default; 'auroc' switches to
     macro AUROC. Ties keep the first candidate in enumeration order. Grids
@@ -432,14 +435,11 @@ def grid_search(
             "pass allow_large to proceed"
         )
     train_items, val_items = stratified_validation_split(items, validation_fraction, seed)
-    train_graph = build_graph(
-        n_drugs,
-        n_classes,
-        mode,
-        [item for item in train_items if not (mode == RETROSPECTIVE and item[2] == 0)],
-    )
-    val_pairs = [(i, j) for i, j, _ in val_items]
-    val_truths = np.array([c for _, _, c in val_items], dtype=np.int64)
+    stored = train_items
+    if mode == RETROSPECTIVE:
+        stored = train_items[train_items[:, 2] != NO_INTERACTION]
+    train_graph = build_graph(n_drugs, n_classes, mode, stored)
+    val_pairs, val_truths = val_items[:, :2], val_items[:, 2]
 
     results: list[tuple[Hyperparameters, float]] = []
     best: Optional[tuple[Hyperparameters, float]] = None
@@ -464,11 +464,9 @@ def grid_search(
 # -- baselines ---------------------------------------------------------------
 
 
-def baseline_neighborhood(
-    graph: TypedInteractionGraph, pairs: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Non-learned floor: each pair scored by its neighborhood distribution."""
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+def baseline_neighborhood(graph: TypedInteractionGraph, pairs) -> np.ndarray:
+    """Non-learned floor: each of the (B, 2) pairs scored by its neighborhood distribution."""
+    ends = pair_rows(pairs, width=2)
     return neighborhood_distributions(graph, ends[:, 0], ends[:, 1])
 
 

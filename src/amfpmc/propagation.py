@@ -14,12 +14,17 @@ from .errors import InvalidClassError, InvalidConfigError, ShapeMismatchError
 from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph
 
 
+def check_labels(labels, n_classes: int) -> np.ndarray:
+    """labels as an int64 array, each in 0..n_classes-1."""
+    y = np.asarray(labels, dtype=np.int64)
+    bad = np.flatnonzero((y < 0) | (y >= n_classes))
+    if bad.size:
+        raise InvalidClassError(f"label {y.flat[bad[0]]} outside 0..{n_classes - 1}")
+    return y
+
+
 def one_hot(label: int, n_classes: int) -> np.ndarray:
-    if not 0 <= label < n_classes:
-        raise InvalidClassError(f"label {label} outside 0..{n_classes - 1}")
-    t = np.zeros(n_classes, dtype=np.float64)
-    t[label] = 1.0
-    return t
+    return np.eye(n_classes)[check_labels(label, n_classes)]
 
 
 def check_alpha(alpha: float) -> float:
@@ -56,21 +61,13 @@ def propagate_targets(graph: TypedInteractionGraph, I, J, labels, alpha: float) 
     though it never appears as a stored edge.
     """
     alpha = check_alpha(alpha)
-    y = np.asarray(labels, dtype=np.int64)
-    bad = np.flatnonzero((y < 0) | (y >= graph.n_classes))
-    if bad.size:
-        raise InvalidClassError(f"label {y[bad[0]]} outside 0..{graph.n_classes - 1}")
+    y = check_labels(labels, graph.n_classes)
     if y.shape != np.shape(I):
         raise ShapeMismatchError("labels must align with the pairs")
     targets = neighborhood_distributions(graph, I, J)
     targets *= alpha
     targets[np.arange(y.size), y] += 1.0 - alpha
     return targets
-
-
-def neighborhood_distribution(graph: TypedInteractionGraph, a: int, b: int) -> np.ndarray:
-    """neighborhood_distributions for the single pair (a, b)."""
-    return neighborhood_distributions(graph, [a], [b])[0]
 
 
 def propagate_target(

@@ -9,7 +9,7 @@ is present only in the second snapshot (T1 = T0 plus held-out edges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +54,17 @@ class SyntheticConfig:
 
 @dataclass
 class SyntheticData:
-    """Two snapshots plus the planted ground truth."""
+    """Two snapshots plus the planted ground truth.
+
+    held_out holds the (i, j, class) rows present only in T1, i < j, in
+    ascending (i, j) order.
+    """
 
     config: SyntheticConfig
     graph_t0: TypedInteractionGraph
     graph_t1: TypedInteractionGraph
     block_of: np.ndarray
-    held_out: list[tuple[int, int, int]] = field(default_factory=list)
+    held_out: np.ndarray
 
     def block_pair_class(self, g: int, h: int) -> int:
         """Planted class of block pair (g, h), order-insensitive."""
@@ -110,12 +114,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> SyntheticData:
     kept_idx = order[n_held:]
 
     roster = synthetic_roster(n)
-    t0 = TypedInteractionGraph(n, cfg.n_classes, cfg.mode, roster=roster)
-    for t in kept_idx:
-        t0.add_interaction(int(iu[t]), int(ju[t]), int(classes[t]))
-    t1 = TypedInteractionGraph(n, cfg.n_classes, cfg.mode, roster=roster)
-    for t in range(m):
-        t1.add_interaction(int(iu[t]), int(ju[t]), int(classes[t]))
-
-    held_out = sorted((int(iu[t]), int(ju[t]), int(classes[t])) for t in held_idx)
-    return SyntheticData(cfg, t0, t1, block_of, held_out)
+    edges = np.column_stack([iu, ju, classes])
+    t0 = TypedInteractionGraph(n, cfg.n_classes, cfg.mode, edges[kept_idx], roster=roster)
+    t1 = TypedInteractionGraph(n, cfg.n_classes, cfg.mode, edges, roster=roster)
+    return SyntheticData(cfg, t0, t1, block_of, edges[np.sort(held_idx)])

@@ -86,12 +86,19 @@ def test_evaluate_holdout_cli(synth_files, tmp_path, capsys):
     assert 0.0 <= restored.accuracy <= 1.0
 
 
-def test_evaluate_retrospective_cli(tmp_path, capsys):
+@pytest.fixture()
+def retro_files(tmp_path):
     t0 = tmp_path / "t0.tsv"
     t1 = tmp_path / "t1.tsv"
-    main(["synth", "--n", "40", "--blocks", "2", "--k", "5", "--p", "0.5",
-          "--holdout", "0.3", "--seed", "4", "--mode", "retrospective",
-          "--out-t0", str(t0), "--out-t1", str(t1)])
+    rc = main(["synth", "--n", "40", "--blocks", "2", "--k", "5", "--p", "0.5",
+               "--holdout", "0.3", "--seed", "4", "--mode", "retrospective",
+               "--out-t0", str(t0), "--out-t1", str(t1)])
+    assert rc == 0
+    return t0, t1
+
+
+def test_evaluate_retrospective_cli(retro_files, capsys):
+    t0, t1 = retro_files
     rc = main(["evaluate", "retrospective", "--t0", str(t0), "--t1", str(t1),
                "--negative-ratio", "1.0", "--dim", "8", "--epochs", "5",
                "--batch", "64", "--alpha", "0.5", "--seed", "0"])
@@ -239,3 +246,43 @@ def test_predict_refuses_non_finite_model(model_and_pairs, capsys, value):
     _assert_one_line_error(captured.err, "FormatError")
     assert "non-finite" in captured.err
     assert not [l for l in captured.out.splitlines() if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--test-cap", "-1"],
+    ["--test-cap", "0"],
+    ["--negative-ratio", "nan"],
+    ["--negative-ratio", "inf"],
+    ["--negative-ratio", "-0.5"],
+])
+def test_retrospective_split_refuses_bad_config(retro_files, capsys, flags):
+    t0, t1 = retro_files
+    capsys.readouterr()
+    rc = main(["evaluate", "retrospective", "--t0", str(t0), "--t1", str(t1),
+               "--dim", "4", "--epochs", "1", *flags])
+    assert rc == 1
+    _assert_one_line_error(capsys.readouterr().err, "InvalidConfigError")
+
+
+def test_reports_identical_across_processes_and_hash_seeds(synth_files, retro_files, tmp_path):
+    # string hashing differs per process; no report may depend on set or dict order
+    t0, _, _ = synth_files
+    r0, r1 = retro_files
+    commands = {
+        "holdout": ["evaluate", "holdout", "--interactions", str(t0), "--k", "3"],
+        "retrospective": ["evaluate", "retrospective", "--t0", str(r0), "--t1", str(r1)],
+    }
+    pythonpath = os.path.dirname(os.path.dirname(amfpmc.__file__))
+    for name, command in commands.items():
+        reports = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"{name}-{hash_seed}.json"
+            env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "amfpmc.cli", *command, "--dim", "8", "--epochs", "3",
+                 "--batch", "64", "--seed", "5", "--json", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], name

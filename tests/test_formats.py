@@ -91,7 +91,7 @@ class TestInteractionsParsing:
         write_interactions_file(data.graph_t1, str(path))
         g = graph_from_index_records(parse_interactions_file(str(path), "indices"),
                                      "holdout", n_classes=4)
-        assert g.edge_list() == data.graph_t1.edge_list()
+        assert np.array_equal(g.edge_list(), data.graph_t1.edge_list())
 
 
 class TestModelFile:

@@ -12,56 +12,61 @@ from amfpmc.graph import Roster, TypedInteractionGraph, build_graph
 
 
 def test_add_and_symmetric_lookup():
-    g = TypedInteractionGraph(6, 8, "holdout")
-    g.add_interaction(1, 5, 4)
+    g = TypedInteractionGraph(6, 8, "holdout", [(1, 5, 4)])
     assert g.lookup(5, 1) == 4
     assert g.lookup(1, 5) == 4
     assert g.num_edges == 1
 
 
 def test_duplicate_identical_is_idempotent():
-    g = TypedInteractionGraph(6, 8, "holdout")
-    g.add_interaction(1, 5, 4)
-    g.add_interaction(1, 5, 4)
+    g = TypedInteractionGraph(6, 8, "holdout", [(1, 5, 4), (5, 1, 4), (1, 5, 4)])
     assert g.num_edges == 1
+    assert g.edge_list().tolist() == [[1, 5, 4]]
 
 
 def test_conflicting_label_raises():
-    g = TypedInteractionGraph(6, 8, "holdout")
-    g.add_interaction(1, 5, 4)
-    with pytest.raises(ConflictingLabelError):
-        g.add_interaction(5, 1, 2)
+    with pytest.raises(ConflictingLabelError, match=r"pair \(1, 5\) already stored with class 4, refusing 2"):
+        TypedInteractionGraph(6, 8, "holdout", [(1, 5, 4), (5, 1, 2)])
 
 
 def test_self_loop_and_unknown_drug():
-    g = TypedInteractionGraph(3, 4, "holdout")
     with pytest.raises(SelfLoopError):
-        g.add_interaction(1, 1, 2)
+        TypedInteractionGraph(3, 4, "holdout", [(1, 1, 2)])
     with pytest.raises(UnknownDrugError):
-        g.add_interaction(0, 7, 2)
+        TypedInteractionGraph(3, 4, "holdout", [(0, 7, 2)])
+    g = TypedInteractionGraph(3, 4, "holdout")
     with pytest.raises(UnknownDrugError):
         g.lookup(0, -1)
 
 
 def test_class_validation_per_mode():
-    g = TypedInteractionGraph(3, 4, "holdout")
-    g.add_interaction(0, 1, 0)  # class 0 is a real interaction in holdout mode
+    g = TypedInteractionGraph(3, 4, "holdout", [(0, 1, 0)])  # class 0 is a real interaction in holdout mode
+    assert g.lookup(0, 1) == 0
     with pytest.raises(InvalidClassError):
-        g.add_interaction(0, 2, 4)
-    r = TypedInteractionGraph(3, 4, "retrospective")
+        TypedInteractionGraph(3, 4, "holdout", [(0, 2, 4)])
     with pytest.raises(InvalidClassError):
-        r.add_interaction(0, 1, 0)  # reserved
+        TypedInteractionGraph(3, 4, "retrospective", [(0, 1, 0)])  # reserved
 
 
 def test_missing_pair_lookup_is_none():
     g = build_graph(6, 8, "holdout", [(1, 5, 4)])
     assert g.lookup(2, 3) is None
+    assert not g.has_edge(2, 3) and g.has_edge(5, 1)
+
+
+def test_edge_list_sorted_rows():
+    g = build_graph(4, 4, "holdout", [(2, 0, 2), (0, 1, 1), (3, 1, 3)])
+    edges = g.edge_list()
+    assert edges.dtype == np.int64 and edges.shape == (3, 3)
+    assert edges.tolist() == [[0, 1, 1], [0, 2, 2], [1, 3, 3]]
+    assert TypedInteractionGraph(4, 4, "holdout").edge_list().shape == (0, 3)
 
 
 def test_neighbors_order_and_isolated():
     g = build_graph(4, 4, "holdout", [(0, 2, 2), (0, 1, 1)])
-    assert g.neighbors(0) == [(1, 1), (2, 2)]
-    assert g.neighbors(3) == []
+    counts = g.node_class_counts()
+    assert counts[0].tolist() == [0, 1, 1, 0]
+    assert counts[3].tolist() == [0, 0, 0, 0]
 
 
 def test_clique_neighbors():
@@ -69,47 +74,49 @@ def test_clique_neighbors():
     nodes = range(4)
     edges = [(i, j, 7) for i in nodes for j in nodes if i < j]
     g = build_graph(4, 8, "holdout", edges)
-    for v in nodes:
-        nbrs = g.neighbors(v)
-        assert len(nbrs) == 3
-        assert all(c == 7 for _, c in nbrs)
+    counts = g.node_class_counts()
+    assert counts.sum(axis=1).tolist() == [3, 3, 3, 3]
+    assert counts[:, 7].tolist() == [3, 3, 3, 3]
+
+
+def _histogram(g, a, b):
+    return g.pair_class_histograms([a], [b])[0]
 
 
 def test_histogram_counts_by_hand():
     # drug 0 touches two class-1 edges, drug 1 touches one class-2 edge,
     # (0, 1) itself is absent
     g = build_graph(6, 4, "holdout", [(0, 2, 1), (0, 3, 1), (1, 4, 2)])
-    hist = g.pair_class_histogram(0, 1)
+    hist = _histogram(g, 0, 1)
     assert hist.tolist() == [0, 2, 1, 0]
 
 
 def test_histogram_isolated_pair_is_zero():
     g = build_graph(4, 4, "holdout", [(2, 3, 1)])
-    assert g.pair_class_histogram(0, 1).tolist() == [0, 0, 0, 0]
+    assert _histogram(g, 0, 1).tolist() == [0, 0, 0, 0]
 
 
 def test_histogram_excludes_own_edge():
     g = build_graph(3, 4, "holdout", [(0, 1, 2)])
-    assert g.pair_class_histogram(0, 1).tolist() == [0, 0, 0, 0]
-    g.add_interaction(0, 2, 2)
-    assert g.pair_class_histogram(0, 1).tolist() == [0, 0, 1, 0]
+    assert _histogram(g, 0, 1).tolist() == [0, 0, 0, 0]
+    g = build_graph(3, 4, "holdout", [(0, 1, 2), (0, 2, 2)])
+    assert _histogram(g, 0, 1).tolist() == [0, 0, 1, 0]
 
 
 def test_histogram_self_loop_rejected():
     g = build_graph(3, 4, "holdout", [(0, 1, 2)])
     with pytest.raises(SelfLoopError):
-        g.pair_class_histogram(1, 1)
+        _histogram(g, 1, 1)
 
 
 def _random_graph(rng, n=12, n_classes=5, n_edges=25, mode="holdout"):
-    g = TypedInteractionGraph(n, n_classes, mode)
     lo = 1 if mode == "retrospective" else 0
-    while g.num_edges < n_edges:
-        i, j = rng.integers(0, n, 2)
-        if i == j or g.lookup(int(i), int(j)) is not None:
-            continue
-        g.add_interaction(int(i), int(j), int(rng.integers(lo, n_classes)))
-    return g
+    edges = {}
+    while len(edges) < n_edges:
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        if i != j and (j, i) not in edges:
+            edges.setdefault((i, j), int(rng.integers(lo, n_classes)))
+    return TypedInteractionGraph(n, n_classes, mode, [(i, j, c) for (i, j), c in edges.items()])
 
 
 def test_property_reversed_requery_matches():
@@ -124,7 +131,10 @@ def test_property_degree_sum_is_twice_edges():
     rng = np.random.default_rng(1)
     for _ in range(10):
         g = _random_graph(rng)
-        assert sum(g.degree(v) for v in range(g.n_drugs)) == 2 * g.num_edges
+        degrees = g.node_class_counts().sum(axis=1)
+        assert degrees.sum() == 2 * g.num_edges
+        ends = g.edge_list()[:, :2]
+        assert degrees.tolist() == [int((ends == v).sum()) for v in range(g.n_drugs)]
 
 
 def test_property_histogram_symmetric():
@@ -136,8 +146,8 @@ def test_property_histogram_symmetric():
             if a == b:
                 continue
             assert np.array_equal(
-                g.pair_class_histogram(int(a), int(b)),
-                g.pair_class_histogram(int(b), int(a)),
+                _histogram(g, int(a), int(b)),
+                _histogram(g, int(b), int(a)),
             )
 
 
@@ -152,7 +162,7 @@ def test_property_histogram_never_counts_own_edge():
             brute[j, c] += 1
         assert counts.dtype == np.int64 and np.array_equal(counts, brute)
         for i, j, c in g.edge_list():
-            hist = g.pair_class_histogram(i, j)
+            hist = _histogram(g, i, j)
             assert hist[c] == counts[i, c] + counts[j, c] - 2
 
 
@@ -166,3 +176,88 @@ def test_roster_translation():
         roster.index_of("DB09")
     with pytest.raises(DuplicateIdError):
         Roster(["X", "X"])
+
+
+def _reference_edges(n, n_classes, mode, rows):
+    """Row-at-a-time construction: each row is checked, then stored, in input order."""
+    edges = {}
+    for a, b, c in rows:
+        for end in (a, b):
+            if not 0 <= end < n:
+                raise UnknownDrugError(f"drug index {end} outside 0..{n - 1}")
+        if a == b:
+            raise SelfLoopError(f"self loop on drug {a}")
+        if not 0 <= c < n_classes:
+            raise InvalidClassError(f"class {c} outside 0..{n_classes - 1}")
+        if mode == "retrospective" and c == 0:
+            raise InvalidClassError("class 0 is reserved for 'no interaction' in retrospective mode")
+        key = (min(a, b), max(a, b))
+        if edges.setdefault(key, c) != c:
+            raise ConflictingLabelError(f"pair {key} already stored with class {edges[key]}, refusing {c}")
+    return sorted([i, j, c] for (i, j), c in edges.items())
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (UnknownDrugError, SelfLoopError, InvalidClassError, ConflictingLabelError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_batched_validation_matches_row_loop_reference():
+    rng = np.random.default_rng(20)
+    n, K = 6, 4
+    seen = set()
+    for trial in range(600):
+        mode = "retrospective" if trial % 2 else "holdout"
+        rows = []
+        for _ in range(int(rng.integers(1, 12))):
+            roll = rng.random()
+            if rows and roll < 0.3:
+                a, b, c = rows[int(rng.integers(0, len(rows)))]
+                # an identical repeat, the reversed pair, or the pair with a new class
+                rows.append([[a, b, c], [b, a, c], [a, b, int(rng.integers(0, K))]][int(rng.integers(0, 3))])
+                continue
+            a, b = (int(v) for v in rng.integers(0, n, 2))
+            c = int(rng.integers(0, K))
+            if roll > 0.97:
+                a = int(rng.choice([-1, n, n + 5]))
+            elif roll > 0.94:
+                b = int(rng.choice([-2, n]))
+            elif roll > 0.91:
+                c = int(rng.choice([-1, K, K + 3]))
+            rows.append([a, b, c])
+        expected = _outcome(lambda: _reference_edges(n, K, mode, rows))
+        got = _outcome(lambda: TypedInteractionGraph(n, K, mode, rows).edge_list().tolist())
+        assert got == expected, rows
+        seen.add(expected[0] if isinstance(expected, tuple) else "ok")
+    assert seen == {"ok", "UnknownDrugError", "SelfLoopError", "InvalidClassError",
+                    "ConflictingLabelError"}
+
+
+def test_conflict_names_first_offending_row():
+    # TSV rows A B 1 / C D 2 / B A 3 with A, B, C, D = 0, 1, 2, 3
+    with pytest.raises(ConflictingLabelError, match=r"^pair \(0, 1\) already stored with class 1, refusing 3$"):
+        TypedInteractionGraph(4, 4, "holdout", [(0, 1, 1), (2, 3, 2), (1, 0, 3)])
+    # an earlier self loop wins over a later unknown drug, and vice versa
+    with pytest.raises(SelfLoopError):
+        TypedInteractionGraph(4, 4, "holdout", [(0, 1, 1), (2, 2, 1), (0, 9, 1)])
+    with pytest.raises(UnknownDrugError):
+        TypedInteractionGraph(4, 4, "holdout", [(0, 9, 1), (2, 2, 1)])
+
+
+def test_edge_classes_and_lookup_match_brute_force():
+    rng = np.random.default_rng(21)
+    for t in range(8):
+        g = _random_graph(rng, mode="retrospective" if t % 2 else "holdout")
+        stored = {(i, j): c for i, j, c in g.edge_list().tolist()}
+        I, J = np.meshgrid(np.arange(g.n_drugs), np.arange(g.n_drugs), indexing="ij")
+        I, J = I.ravel(), J.ravel()
+        brute = [stored.get((min(a, b), max(a, b)), -1) for a, b in zip(I.tolist(), J.tolist())]
+        assert g.edge_classes(I, J).tolist() == brute
+        for a, b, c in zip(I.tolist(), J.tolist(), brute):
+            assert g.lookup(a, b) == (None if c < 0 else c)
+    empty = TypedInteractionGraph(3, 2, "holdout")
+    assert empty.edge_classes([0, 1], [1, 2]).tolist() == [-1, -1]
+    with pytest.raises(UnknownDrugError):
+        empty.edge_classes([0], [3])

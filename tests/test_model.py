@@ -30,7 +30,7 @@ from amfpmc.model import (
     predict_batch,
     softmax,
 )
-from amfpmc.pipeline import LabeledPair, train
+from amfpmc.pipeline import LabeledPairs, train
 
 
 def tiny_hp(d=4, seed=0, **kw):
@@ -420,7 +420,7 @@ class TestBitwiseReferences:
         J = (I + 1 + rng.integers(0, n - 1, I.size)) % n
         labels = rng.integers(0, K, I.size)
         targets = rng.dirichlet(np.ones(K), size=I.size)
-        pairs = [LabeledPair(int(i), int(j), int(c), t) for i, j, c, t in zip(I, J, labels, targets)]
+        pairs = LabeledPairs(np.column_stack([np.minimum(I, J), np.maximum(I, J), labels]), targets)
         hp = Hyperparameters(embedding_dim=d, dropout=0.3, epochs=2, batch_size=batch,
                              learning_rate=0.01, seed=7)
         fast = train(pairs, hp, n, K)

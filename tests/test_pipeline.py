@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from amfpmc.errors import (
     EmptyIntersectionError,
     EmptySubsetError,
     DegenerateLabelsError,
+    InvalidClassError,
     InvalidConfigError,
     TooFewPairsError,
 )
@@ -96,9 +98,45 @@ class TestTrain:
         for a, b in zip(p1.arrays(), p2.arrays()):
             assert np.array_equal(a, b)
 
+    def test_labeled_pairs_hold_canonical_rows(self):
+        g = build_graph(5, 3, "holdout", [(0, 2, 1), (1, 3, 2), (2, 4, 0)])
+        reversed_rows = [(2, 0, 1), (4, 1, 2), (3, 0, 0)]
+        expected = [[0, 2, 1], [1, 4, 2], [0, 3, 0]]
+        for pairs in (attach_targets(reversed_rows, g, alpha=0.4), one_hot_pairs(reversed_rows, 3)):
+            assert pairs.items.dtype == np.int64 and pairs.items.tolist() == expected
+            assert pairs.targets.shape == (3, 3) and len(pairs) == 3
+        canonical = attach_targets(expected, g, alpha=0.4)
+        assert canonical.targets.tobytes() == attach_targets(reversed_rows, g, alpha=0.4).targets.tobytes()
+        assert one_hot_pairs(expected, 3).targets.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        with pytest.raises(InvalidClassError):
+            one_hot_pairs([(0, 1, 3)], 3)
+
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
             train([], quick_hp(), 4, 3)
+
+    def test_training_reads_the_one_target_matrix(self):
+        data = generate_synthetic(SyntheticConfig(n_drugs=400, n_blocks=6, n_classes=37,
+                                                  edge_probability=0.3, holdout_fraction=0.0,
+                                                  seed=0, mode="retrospective"))
+        g = data.graph_t1
+        items = g.edge_list()
+        matrix_bytes = len(items) * g.n_classes * 8
+        assert len(items) > 20_000
+        tracemalloc.start()
+        try:
+            labeled = attach_targets(items, g, alpha=0.5)
+            retained, targets_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            train(labeled, quick_hp(epochs=0), g.n_drugs, g.n_classes)
+            train_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labeled.targets.shape == (len(items), g.n_classes)
+        assert retained <= 1.25 * matrix_bytes
+        assert max(targets_peak, train_peak) <= 2.5 * matrix_bytes
+        # training copies no (B, K) matrix
+        assert train_peak - retained <= 0.25 * matrix_bytes
 
     def test_loss_decreases_on_planted_data(self):
         data = generate_synthetic(SyntheticConfig(n_drugs=10, n_blocks=2, n_classes=4,
@@ -112,9 +150,9 @@ class TestTrain:
         from amfpmc.metrics import class_weights
         from amfpmc.model import loss as model_loss
 
-        T = np.stack([p.target for p in pairs])
-        w = class_weights(np.bincount([p.label for p in pairs], minlength=4))
-        ij = [(p.i, p.j) for p in pairs]
+        T = pairs.targets
+        w = class_weights(np.bincount(pairs.items[:, 2], minlength=4))
+        ij = pairs.items[:, :2]
         assert model_loss(score_pairs(params, ij), T, w) < model_loss(score_pairs(params0, ij), T, w)
 
 
@@ -176,7 +214,7 @@ def two_snapshots():
     t0 = build_graph(8, 4, "retrospective", [(0, 1, 1), (2, 3, 2), (4, 5, 3)], roster=roster)
     t1 = build_graph(
         8, 4, "retrospective",
-        t0.edge_list() + [(0, 2, 1), (1, 3, 2)],
+        np.concatenate([t0.edge_list(), [(0, 2, 1), (1, 3, 2)]]),
         roster=roster,
     )
     return t0, t1
@@ -186,9 +224,9 @@ class TestRetrospectiveSplit:
     def test_t0_edges_all_in_train(self):
         t0, t1 = two_snapshots()
         split = retrospective_split(t0, t1, negative_ratio=1.0, seed=0)
-        train_set = {(i, j, c) for i, j, c in split.train_items}
-        for edge in t0.edge_list():
-            assert edge in train_set
+        train_set = {tuple(row) for row in split.train_items.tolist()}
+        for edge in t0.edge_list().tolist():
+            assert tuple(edge) in train_set
 
     def test_no_test_pair_has_t0_label(self):
         t0, t1 = two_snapshots()
@@ -205,7 +243,8 @@ class TestRetrospectiveSplit:
         t0, t1 = two_snapshots()
         a = retrospective_split(t0, t1, negative_ratio=1.0, seed=2)
         b = retrospective_split(t0, t1, negative_ratio=1.0, seed=2)
-        assert a.train_items == b.train_items and a.test_items == b.test_items
+        assert np.array_equal(a.train_items, b.train_items)
+        assert np.array_equal(a.test_items, b.test_items)
         train_pairs = {(i, j) for i, j, _ in a.train_items}
         test_pairs = {(i, j) for i, j, _ in a.test_items}
         assert not train_pairs & test_pairs
@@ -267,7 +306,8 @@ class TestRetrospectiveEvaluate:
         t0 = data.graph_t0
         target_class = data.block_pair_class(0, 0)
         t1 = build_graph(cfg.n_drugs, cfg.n_classes, "retrospective",
-                         t0.edge_list() + [e for e in data.held_out if e[2] == target_class],
+                         np.concatenate([t0.edge_list(),
+                                         data.held_out[data.held_out[:, 2] == target_class]]),
                          roster=t0.roster)
         split = retrospective_split(t0, t1, negative_ratio=1.0, seed=3)
         hp = quick_hp(embedding_dim=16, epochs=40, batch_size=128, alpha=0.6)

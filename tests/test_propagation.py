@@ -4,11 +4,15 @@ import pytest
 from amfpmc.errors import InvalidClassError, InvalidConfigError, SelfLoopError, UnknownDrugError
 from amfpmc.graph import TypedInteractionGraph, build_graph
 from amfpmc.propagation import (
-    neighborhood_distribution,
+    neighborhood_distributions,
     one_hot,
     propagate_target,
     propagate_targets,
 )
+
+
+def neighborhood_distribution(g, a, b):
+    return neighborhood_distributions(g, [a], [b])[0]
 
 
 def test_distribution_normalizes_histogram():
@@ -162,12 +166,13 @@ def test_batched_targets_bitwise_equal_per_pair_formula(mode):
     lo = 1 if mode == "retrospective" else 0
     for _ in range(10):
         # drugs 12..15 stay isolated, so pairs among them take the fallback
-        g = TypedInteractionGraph(16, 6, mode)
-        while g.num_edges < 25:
-            i, j = rng.integers(0, 12, 2)
-            if i != j and not g.has_edge(int(i), int(j)):
-                g.add_interaction(int(i), int(j), int(rng.integers(lo, 6)))
-        pairs = [(i, j, c) for i, j, c in g.edge_list()]  # stored edges
+        edges = {}
+        while len(edges) < 25:
+            i, j = (int(v) for v in rng.integers(0, 12, 2))
+            if i != j and (j, i) not in edges:
+                edges.setdefault((i, j), int(rng.integers(lo, 6)))
+        g = TypedInteractionGraph(16, 6, mode, [(i, j, c) for (i, j), c in edges.items()])
+        pairs = [tuple(row) for row in g.edge_list().tolist()]  # stored edges
         pairs += [(12, 13, 0), (14, 15, 1), (15, 0, 2)]   # isolated endpoints
         while len(pairs) < 60:
             a, b = (int(v) for v in rng.integers(0, 16, 2))

@@ -12,20 +12,22 @@ def test_deterministic_given_seed():
                           label_noise=0.1, holdout_fraction=0.2, seed=9)
     a = generate_synthetic(cfg)
     b = generate_synthetic(cfg)
-    assert a.graph_t0.edge_list() == b.graph_t0.edge_list()
-    assert a.graph_t1.edge_list() == b.graph_t1.edge_list()
-    assert a.held_out == b.held_out
+    assert np.array_equal(a.graph_t0.edge_list(), b.graph_t0.edge_list())
+    assert np.array_equal(a.graph_t1.edge_list(), b.graph_t1.edge_list())
+    assert np.array_equal(a.held_out, b.held_out)
 
 
 def test_t1_is_t0_plus_held_out():
     cfg = SyntheticConfig(n_drugs=40, n_blocks=2, n_classes=4, edge_probability=0.4,
                           holdout_fraction=0.25, seed=10)
     data = generate_synthetic(cfg)
-    t1_edges = set(data.graph_t1.edge_list())
-    t0_edges = set(data.graph_t0.edge_list())
-    assert t0_edges | set(data.held_out) == t1_edges
-    assert not t0_edges & set(data.held_out)
-    assert len(data.held_out) == int(round(0.25 * len(t1_edges)))
+    t1_edges = set(map(tuple, data.graph_t1.edge_list().tolist()))
+    t0_edges = set(map(tuple, data.graph_t0.edge_list().tolist()))
+    held_out = set(map(tuple, data.held_out.tolist()))
+    assert t0_edges | held_out == t1_edges
+    assert not t0_edges & held_out
+    assert len(held_out) == len(data.held_out) == int(round(0.25 * len(t1_edges)))
+    assert data.held_out.tolist() == sorted(data.held_out.tolist())
 
 
 def test_complete_noiseless_graph_is_fully_determined():
