@@ -8,6 +8,7 @@ every handled failure prints a one-line machine-parsable cause to stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Optional
 
@@ -15,11 +16,13 @@ import numpy as np
 
 from . import formats
 from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError
-from .graph import HOLDOUT, RETROSPECTIVE
+from .graph import HOLDOUT, MODES, RETROSPECTIVE
 from .model import Hyperparameters, export_embeddings, predict_batch
 from .phrases import InteractionSentence, build_vocabulary, extract_phrase, load_stoplist, load_verb_forms
 from .pipeline import (
     DEFAULT_TEST_PAIR_CAP,
+    MAX_GRID_CANDIDATES,
+    OBJECTIVES,
     attach_targets,
     grid_search,
     holdout_evaluate,
@@ -37,6 +40,11 @@ def _print_config(cmd: str, args: argparse.Namespace) -> None:
         if key in ("func", "command", "eval_kind"):
             continue
         print(f"# {key} = {getattr(args, key)}")
+
+
+def _default(fn, name: str):
+    """The default of fn's parameter name, so a flag and the library share one value."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
@@ -118,11 +126,11 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     _print_config("train", args)
+    hp = _hp_from_args(args)
     records = formats.parse_interactions_file(args.interactions, "indices")
     graph = formats.graph_from_index_records(records, args.mode, args.classes)
     items = graph.edge_list()
-    labeled = attach_targets(items, graph, args.alpha)
-    hp = _hp_from_args(args)
+    labeled = attach_targets(items, graph, hp.alpha)
     params = train(labeled, hp, graph.n_drugs, graph.n_classes)
     if not all(np.all(np.isfinite(a)) for a in params.arrays()):
         raise NonFiniteError("trained parameters are not finite (did training diverge?)")
@@ -138,9 +146,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate_holdout(args) -> int:
     _print_config("evaluate holdout", args)
+    hp = _hp_from_args(args)
     records = formats.parse_interactions_file(args.interactions, "indices")
     graph = formats.graph_from_index_records(records, HOLDOUT, args.classes)
-    hp = _hp_from_args(args)
     result = holdout_evaluate(graph, hp, k=args.k, seed=args.seed)
     for f, rep in enumerate(result.folds):
         print(f"fold {f}: accuracy {rep.accuracy:.4f}")
@@ -151,6 +159,7 @@ def cmd_evaluate_holdout(args) -> int:
 
 def cmd_evaluate_retrospective(args) -> int:
     _print_config("evaluate retrospective", args)
+    hp = _hp_from_args(args)
     rec0 = formats.parse_interactions_file(args.t0, "indices")
     rec1 = formats.parse_interactions_file(args.t1, "indices")
     n_classes = args.classes
@@ -167,7 +176,6 @@ def cmd_evaluate_retrospective(args) -> int:
         wanted = formats.load_drug_subset(args.subset)
         subset = {g0.roster.index_of(ext) for ext in wanted if ext in g0.roster}
         print(f"subset: {len(subset)} of {len(wanted)} listed drugs are in both snapshots")
-    hp = _hp_from_args(args)
     report = retrospective_evaluate(split, hp, subset=subset)
     print(f"train pairs: {len(split.train_items)}  test pairs: {len(split.test_items)}")
     class_names = _class_names_from_vocab(args.vocab)
@@ -177,10 +185,10 @@ def cmd_evaluate_retrospective(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     _print_config("gridsearch", args)
+    base_hp = _hp_from_args(args)
     records = formats.parse_interactions_file(args.interactions, "indices")
     graph = formats.graph_from_index_records(records, args.mode, args.classes)
     grid = formats.parse_grid_file(args.grid)
-    base_hp = _hp_from_args(args)
     best, results = grid_search(
         graph.edge_list(),
         graph.n_drugs,
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="sentences TSV -> vocabulary + indexed TSV")
     p.add_argument("--input", required=True, help="TSV: drug_a, drug_b, sentence[, surface_a, surface_b]")
-    p.add_argument("--mode", choices=(RETROSPECTIVE, HOLDOUT), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--top-n", type=int, default=None, help="common phrase count (retrospective)")
     p.add_argument("--min-count", type=int, default=None, help="phrase support floor (holdout)")
     p.add_argument("--stoplist", default=None, help="override the packaged stop list")
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on an indexed interactions TSV")
     p.add_argument("--interactions", required=True)
-    p.add_argument("--mode", choices=(RETROSPECTIVE, HOLDOUT), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--classes", type=int, default=None, help="class count (default: max index + 1)")
     _add_hp_flags(p)
     p.add_argument("--out", required=True, help="model file")
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph = esub.add_parser("holdout", help="stratified k-fold over one snapshot")
     ph.add_argument("--interactions", required=True)
     ph.add_argument("--classes", type=int, default=None)
-    ph.add_argument("--k", type=int, default=5)
+    ph.add_argument("--k", type=int, default=_default(holdout_evaluate, "k"))
     _add_hp_flags(ph)
     ph.add_argument("--vocab", default=None, help="vocabulary file for per-class names")
     ph.add_argument("--report", default=None, help="write the text report here")
@@ -321,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--t0", required=True)
     pr.add_argument("--t1", required=True)
     pr.add_argument("--classes", type=int, default=None)
-    pr.add_argument("--negative-ratio", type=float, default=1.0)
+    pr.add_argument("--negative-ratio", type=float,
+                    default=_default(retrospective_split, "negative_ratio"))
     pr.add_argument("--test-cap", type=int, default=DEFAULT_TEST_PAIR_CAP)
     pr.add_argument("--subset", default=None, help="restrict test pairs to these drugs")
     _add_hp_flags(pr)
@@ -332,12 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridsearch", help="grid search on a stratified validation split")
     p.add_argument("--interactions", required=True)
-    p.add_argument("--mode", choices=(RETROSPECTIVE, HOLDOUT), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--grid", required=True, help="grid file: '<name> <value> <value> ...' lines")
-    p.add_argument("--validation-fraction", type=float, default=0.2)
-    p.add_argument("--objective", choices=("accuracy", "auroc"), default="accuracy")
-    p.add_argument("--allow-large", action="store_true", help="permit grids beyond 1000 points")
+    p.add_argument("--validation-fraction", type=float,
+                   default=_default(grid_search, "validation_fraction"))
+    p.add_argument("--objective", choices=OBJECTIVES, default=_default(grid_search, "objective"))
+    p.add_argument("--allow-large", action="store_true",
+                   help=f"permit grids beyond {MAX_GRID_CANDIDATES} points")
     _add_hp_flags(p)
     p.set_defaults(func=cmd_gridsearch)
 
@@ -356,14 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_embeddings)
 
     p = sub.add_parser("synth", help="generate a typed block-model graph")
-    p.add_argument("--n", type=int, default=200, help="drug count")
-    p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--k", type=int, default=16, help="class count")
-    p.add_argument("--p", type=float, default=0.3, help="edge probability")
-    p.add_argument("--noise", type=float, default=0.0, help="wrong-label fraction")
-    p.add_argument("--holdout", type=float, default=0.2, help="held-out edge fraction")
-    p.add_argument("--mode", choices=(RETROSPECTIVE, HOLDOUT), default=HOLDOUT)
-    p.add_argument("--seed", type=int, default=0)
+    cfg = SyntheticConfig()
+    p.add_argument("--n", type=int, default=cfg.n_drugs, help="drug count")
+    p.add_argument("--blocks", type=int, default=cfg.n_blocks)
+    p.add_argument("--k", type=int, default=cfg.n_classes, help="class count")
+    p.add_argument("--p", type=float, default=cfg.edge_probability, help="edge probability")
+    p.add_argument("--noise", type=float, default=cfg.label_noise, help="wrong-label fraction")
+    p.add_argument("--holdout", type=float, default=cfg.holdout_fraction, help="held-out edge fraction")
+    p.add_argument("--mode", choices=MODES, default=cfg.mode)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--out-t0", required=True)
     p.add_argument("--out-t1", default=None)
     p.add_argument("--out-blocks", default=None)

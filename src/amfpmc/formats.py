@@ -23,8 +23,8 @@ from .errors import (
     ParseError,
 )
 from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_mode
-from .metrics import MultiClassReport, PerClassMetrics
-from .model import ModelParameters
+from .metrics import MultiClassReport
+from .model import Hyperparameters, ModelParameters
 from .phrases import (
     NO_INTERACTION_MARKER,
     OTHER_MARKER,
@@ -324,18 +324,6 @@ def report_to_dict(report: MultiClassReport) -> dict:
     }
 
 
-def report_from_dict(payload: dict) -> MultiClassReport:
-    try:
-        scalars = payload["scalars"]
-        per_class = [
-            PerClassMetrics(int(r["class"]), int(r["support"]), r["auroc"], r["aupr"])
-            for r in payload["per_class"]
-        ]
-        return MultiClassReport(per_class=per_class, **scalars)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed report payload: {exc}") from None
-
-
 def write_report(
     report: MultiClassReport,
     path: str,
@@ -354,25 +342,11 @@ def write_report(
         raise InvalidConfigError(f"fmt must be 'text' or 'structured', got {fmt!r}")
 
 
-def read_report(path: str) -> MultiClassReport:
-    with open(path, encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
-
-
 # -- grid files -----------------------------------------------------------------
 
-_GRID_TYPES = {
-    "embedding_dim": int,
-    "dropout": float,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "alpha": float,
-}
-
-
 def parse_grid_file(path: str) -> GridSpec:
-    """One dimension per line: '<name> <value> <value> ...'."""
+    """'<name> <value> <value> ...' per line; values take their Hyperparameters field's type."""
+    defaults = Hyperparameters()
     values: dict[str, list] = {}
     for line_no, line in _data_lines(path):
         parts = line.split()
@@ -383,7 +357,7 @@ def parse_grid_file(path: str) -> GridSpec:
             raise ParseError(path, line_no, f"dimension {name!r} lists no values")
         if name in values:
             raise ParseError(path, line_no, f"dimension {name!r} repeated")
-        caster = _GRID_TYPES[name]
+        caster = type(getattr(defaults, name))
         try:
             values[name] = [caster(v) for v in parts[1:]]
         except ValueError:

@@ -42,13 +42,10 @@ def check_mode(mode: str) -> str:
 class Roster:
     """Bidirectional map between external drug ids and dense indices 0..n-1."""
 
-    def __init__(self, external_ids: Sequence[str], names: Optional[Sequence[Optional[str]]] = None):
+    def __init__(self, external_ids: Sequence[str]):
         self._ids = list(external_ids)
         if len(set(self._ids)) != len(self._ids):
             raise DuplicateIdError("external ids must be unique")
-        if names is not None and len(names) != len(self._ids):
-            raise ShapeMismatchError("names must align with external ids")
-        self._names = list(names) if names is not None else [None] * len(self._ids)
         self._index = {ext: i for i, ext in enumerate(self._ids)}
 
     def __len__(self) -> int:
@@ -68,9 +65,6 @@ class Roster:
 
     def external_id(self, index: int) -> str:
         return self._ids[index]
-
-    def name(self, index: int) -> Optional[str]:
-        return self._names[index]
 
     @property
     def external_ids(self) -> list[str]:

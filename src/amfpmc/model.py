@@ -17,7 +17,7 @@ bitwise reproducible given a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .graph import Roster
+from .propagation import check_alpha
 
 LOG_CLAMP = 1e-12
 ADAM_BETA1 = 0.9
@@ -63,17 +64,13 @@ class Hyperparameters:
             raise InvalidDimensionsError("batch_size must be >= 1")
         if self.learning_rate <= 0.0:
             raise InvalidDimensionsError("learning_rate must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidDimensionsError("alpha must be in [0, 1]")
+        check_alpha(self.alpha)
         return self
-
-    def with_(self, **changes) -> "Hyperparameters":
-        return replace(self, **changes)
 
 
 @dataclass
 class ModelParameters:
-    """All trainable arrays; embeddings and drug_bias are shared by both slots."""
+    """All trainable arrays (or backward's gradients); both slots share embeddings and drug_bias."""
 
     embeddings: np.ndarray    # (n, d)
     drug_bias: np.ndarray     # (n,)
@@ -98,20 +95,6 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         return ModelParameters(*(a.copy() for a in self.arrays()))
-
-
-@dataclass
-class Gradients:
-    """Loss gradients, same shapes as ModelParameters (dense, zeros elsewhere)."""
-
-    embeddings: np.ndarray
-    drug_bias: np.ndarray
-    class_proj: np.ndarray
-    class_bias: np.ndarray
-    bias_coupling: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.embeddings, self.drug_bias, self.class_proj, self.class_bias, self.bias_coupling]
 
 
 @dataclass
@@ -198,20 +181,10 @@ def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropou
     return Ei, Ej, masks, h, pair_bias, logits
 
 
-def forward_batch(
-    params: ModelParameters,
-    i,
-    j,
-    dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Logits for a batch of pairs, shape (B, K).
-
-    dropout > 0 requires an rng and is meant for training steps only;
-    inference (the default) is deterministic and symmetric in (i, j).
-    """
+def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
+    """Inference logits for a batch of pairs, shape (B, K); symmetric in (i, j)."""
     I, J = _as_index_arrays(i, j)
-    return _forward_parts(params, I, J, dropout, rng)[-1]
+    return _forward_parts(params, I, J, 0.0, None)[-1]
 
 
 def forward(params: ModelParameters, i: int, j: int) -> np.ndarray:
@@ -278,8 +251,8 @@ def backward(
     class_weights: np.ndarray,
     dropout: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[float, Gradients]:
-    """Loss and exact analytic gradients for one mini-batch.
+) -> tuple[float, ModelParameters]:
+    """Loss and exact analytic gradients for one mini-batch, as ModelParameters.
 
     Shared parameters accumulate contributions from both slots; embedding rows
     and bias entries of drugs absent from the batch keep zero gradient.
@@ -318,12 +291,12 @@ def backward(
     np.add.at(grad_b, I, db_pair)
     np.add.at(grad_b, J, db_pair)
 
-    return batch_loss, Gradients(grad_E, grad_b, grad_W, grad_c, grad_u)
+    return batch_loss, ModelParameters(grad_E, grad_b, grad_W, grad_c, grad_u)
 
 
 def adam_step(
     params: ModelParameters,
-    grads: Gradients,
+    grads: ModelParameters,
     state: OptimizerState,
     learning_rate: float,
 ) -> tuple[ModelParameters, OptimizerState]:

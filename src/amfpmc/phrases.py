@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 from .errors import (
     EmptyAfterNormalizationError,
     EmptyInputError,
+    FormatError,
     InvalidConfigError,
     UnknownPhraseError,
 )
@@ -35,8 +36,11 @@ def _read_data_lines(path: Optional[str], default_name: str) -> list[str]:
     if path is None:
         text = resources.files("amfpmc.data").joinpath(default_name).read_text("utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

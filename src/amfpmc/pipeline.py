@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,10 +174,6 @@ class HoldoutResult:
     mean: MultiClassReport
     folds: list[MultiClassReport]
 
-    @property
-    def per_class_table(self) -> list[PerClassMetrics]:
-        return self.mean.per_class
-
 
 def holdout_evaluate(
     graph: TypedInteractionGraph,
@@ -214,7 +210,7 @@ def holdout_evaluate(
             i, j, _ = test_items[leaked[0]]
             raise RuntimeError(f"test edge ({i}, {j}) leaked into fold {f} training graph")
         labeled = attach_targets(train_items, train_graph, hp.alpha)
-        params = train(labeled, hp.with_(seed=hp.seed + f), n, K)
+        params = train(labeled, replace(hp, seed=hp.seed + f), n, K)
         probs = score_pairs(params, test_items[:, :2])
         fold_reports.append(multiclass_report(probs, test_items[:, 2]))
         pooled[in_test] = probs
@@ -361,6 +357,9 @@ def retrospective_evaluate(
 # -- grid search -------------------------------------------------------------
 
 GRID_FIELDS = ("embedding_dim", "dropout", "epochs", "batch_size", "learning_rate", "alpha")
+#: Larger grids are refused unless grid_search is called with allow_large.
+MAX_GRID_CANDIDATES = 1000
+OBJECTIVES = ("accuracy", "auroc")
 
 
 @dataclass
@@ -377,13 +376,14 @@ class GridSpec:
                 raise EmptyGridError(f"grid dimension {name!r} is empty")
 
     def candidates(self, base: Hyperparameters) -> list[Hyperparameters]:
+        """Every combination in enumeration order, each validated before any is trained."""
         dims = [name for name in GRID_FIELDS if name in self.values]
         if not dims:
             raise EmptyGridError("grid has no dimensions")
-        out = []
-        for combo in itertools.product(*(self.values[name] for name in dims)):
-            out.append(base.with_(**dict(zip(dims, combo))))
-        return out
+        return [
+            replace(base, **dict(zip(dims, combo))).validate()
+            for combo in itertools.product(*(self.values[name] for name in dims))
+        ]
 
 
 def stratified_validation_split(items, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,22 +416,21 @@ def grid_search(
     grid: GridSpec,
     validation_fraction: float = 0.2,
     seed: int = 0,
-    objective: str = "accuracy",
-    max_candidates: int = 1000,
+    objective: str = OBJECTIVES[0],
     allow_large: bool = False,
 ) -> tuple[Hyperparameters, list[tuple[Hyperparameters, float]]]:
     """Exhaustive grid search over (i, j, label) rows, scored on a stratified validation split.
 
     The objective is validation accuracy by default; 'auroc' switches to
     macro AUROC. Ties keep the first candidate in enumeration order. Grids
-    beyond max_candidates are refused unless allow_large is set.
+    beyond MAX_GRID_CANDIDATES are refused unless allow_large is set.
     """
-    if objective not in ("accuracy", "auroc"):
-        raise InvalidConfigError("objective must be 'accuracy' or 'auroc'")
+    if objective not in OBJECTIVES:
+        raise InvalidConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     candidates = grid.candidates(base_hp)
-    if len(candidates) > max_candidates and not allow_large:
+    if len(candidates) > MAX_GRID_CANDIDATES and not allow_large:
         raise InvalidConfigError(
-            f"grid enumerates {len(candidates)} candidates (> {max_candidates}); "
+            f"grid enumerates {len(candidates)} candidates (> {MAX_GRID_CANDIDATES}); "
             "pass allow_large to proceed"
         )
     train_items, val_items = stratified_validation_split(items, validation_fraction, seed)

@@ -1,3 +1,5 @@
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -6,8 +8,12 @@ import numpy as np
 import pytest
 
 import amfpmc
+from amfpmc import cli, formats, pipeline
 from amfpmc.cli import main
-from amfpmc.formats import read_model, read_report, read_vocabulary
+from amfpmc.formats import read_model, read_vocabulary
+from amfpmc.model import Hyperparameters
+from amfpmc.pipeline import holdout_evaluate
+from amfpmc.synth import SyntheticConfig
 
 
 @pytest.fixture()
@@ -82,8 +88,12 @@ def test_evaluate_holdout_cli(synth_files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fold 0: accuracy" in out
     assert report_path.read_text().startswith("accuracy")
-    restored = read_report(str(json_path))
-    assert 0.0 <= restored.accuracy <= 1.0
+    graph = formats.graph_from_index_records(formats.parse_interactions_file(str(t0), "indices"),
+                                             "holdout")
+    hp = Hyperparameters(embedding_dim=8, epochs=5, batch_size=64, alpha=0.5, seed=0)
+    expected = holdout_evaluate(graph, hp, k=3, seed=0).mean
+    with open(json_path, encoding="utf-8") as fh:
+        assert json.load(fh) == formats.report_to_dict(expected)
 
 
 @pytest.fixture()
@@ -286,3 +296,73 @@ def test_reports_identical_across_processes_and_hash_seeds(synth_files, retro_fi
             assert proc.returncode == 0, proc.stderr
             reports.append(out.read_bytes())
         assert reports[0] == reports[1], name
+
+
+def test_alpha_out_of_range_is_one_error_everywhere(synth_files, retro_files, tmp_path,
+                                                     capsys, monkeypatch):
+    # hyperparameters are checked before any input is read, targeted or trained,
+    # and every grid candidate before the first one trains
+    t0, _, _ = synth_files
+    r0, r1 = retro_files
+    grid, late_bad_grid = tmp_path / "grid.txt", tmp_path / "late-bad-grid.txt"
+    grid.write_text("alpha 0.5\n")
+    late_bad_grid.write_text("alpha 0.5 1.5\n")
+    calls = []
+    for module, name in ((cli, "train"), (cli, "attach_targets"), (pipeline, "train")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name))
+    gridsearch = ["gridsearch", "--interactions", str(t0), "--mode", "holdout", "--grid"]
+    commands = [
+        ["train", "--interactions", str(t0), "--mode", "holdout", "--out", str(tmp_path / "m"),
+         "--alpha", "1.5"],
+        ["evaluate", "holdout", "--interactions", str(t0), "--alpha", "1.5"],
+        ["evaluate", "retrospective", "--t0", str(r0), "--t1", str(r1), "--alpha", "1.5"],
+        [*gridsearch, str(grid), "--alpha", "1.5"],
+        [*gridsearch, str(late_bad_grid)],
+    ]
+    errors = set()
+    for command in commands:
+        capsys.readouterr()
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        _assert_one_line_error(err, "InvalidConfigError")
+        errors.add(err)
+    assert errors == {"error: InvalidConfigError: propagation factor must be in [0, 1], got 1.5\n"}
+    assert calls == []
+
+
+def _parameter_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_flag_defaults_come_from_the_library(tmp_path):
+    parser = cli.build_parser()
+    f = str(tmp_path / "f")
+    hp = Hyperparameters()
+    required = {
+        "train": ["train", "--interactions", f, "--mode", "holdout", "--out", f],
+        "holdout": ["evaluate", "holdout", "--interactions", f],
+        "retrospective": ["evaluate", "retrospective", "--t0", f, "--t1", f],
+        "gridsearch": ["gridsearch", "--interactions", f, "--mode", "holdout", "--grid", f],
+    }
+    parsed = {name: parser.parse_args(argv) for name, argv in required.items()}
+    for args in parsed.values():
+        assert cli._hp_from_args(args) == hp
+
+    assert parsed["holdout"].k == _parameter_default(pipeline.holdout_evaluate, "k")
+    retro = parsed["retrospective"]
+    assert retro.test_cap == pipeline.DEFAULT_TEST_PAIR_CAP
+    assert retro.test_cap == _parameter_default(pipeline.retrospective_split, "test_pair_cap")
+    assert retro.negative_ratio == _parameter_default(pipeline.retrospective_split,
+                                                      "negative_ratio")
+    grid = parsed["gridsearch"]
+    assert grid.validation_fraction == _parameter_default(pipeline.grid_search,
+                                                          "validation_fraction")
+    assert grid.objective == _parameter_default(pipeline.grid_search, "objective")
+    assert grid.objective in pipeline.OBJECTIVES
+    assert grid.allow_large is _parameter_default(pipeline.grid_search, "allow_large")
+
+    synth = parser.parse_args(["synth", "--out-t0", f])
+    cfg = SyntheticConfig()
+    assert (synth.n, synth.blocks, synth.k, synth.p, synth.noise, synth.holdout, synth.seed,
+            synth.mode) == (cfg.n_drugs, cfg.n_blocks, cfg.n_classes, cfg.edge_probability,
+                            cfg.label_noise, cfg.holdout_fraction, cfg.seed, cfg.mode)

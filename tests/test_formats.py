@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from amfpmc.formats import (
     parse_interactions_file,
     parse_pairs_file,
     read_model,
-    read_report,
     read_roster,
     read_vocabulary,
     report_to_dict,
@@ -200,8 +201,8 @@ class TestReportFiles:
         report = sample_report()
         path = tmp_path / "report.json"
         write_report(report, str(path), "structured")
-        back = read_report(str(path))
-        assert report_to_dict(back) == report_to_dict(report)
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == report_to_dict(report)
 
     def test_text_four_decimals_and_sorting(self):
         text = format_report_text(sample_report())
@@ -250,6 +251,12 @@ class TestGridFile:
         assert grid.values["learning_rate"] == [0.1, 0.01]
         assert grid.values["batch_size"] == [128, 256]
         assert grid.values["alpha"] == [0.0, 0.5, 1.0]
+        # each value takes the type of its Hyperparameters field
+        assert [type(v) for v in grid.values["batch_size"]] == [int, int]
+        assert [type(v) for v in grid.values["alpha"]] == [float] * 3
+        path.write_text("epochs 1.5\n")
+        with pytest.raises(ParseError):  # an int field refuses a float
+            parse_grid_file(str(path))
 
     def test_unknown_dimension(self, tmp_path):
         path = tmp_path / "grid.txt"

@@ -2,9 +2,12 @@
 
 Each case mutates one input file (bytes deleted, inserted or replaced, lines
 duplicated or dropped, the file truncated) and runs one subcommand through
-main(). The run must succeed, or exit 1 with exactly one stderr line that
+main(); the stop list and verb table start as copies of the packaged files.
+The run must succeed, or exit 1 with exactly one stderr line that
 starts with 'error: '; an exception escaping main() fails the test.
 """
+
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -60,6 +63,9 @@ def base(tmp_path_factory):
         "D2\tD3\tDrug a may increase the hypoglycemic activities of Drug b\t"
         "aspirin\theparin\n"
     )
+    for name in ("stoplist.txt", "verb_forms.txt"):
+        f[name] = d / name
+        f[name].write_bytes(resources.files("amfpmc.data").joinpath(name).read_bytes())
     assert main(["extract", "--input", str(f["sentences.tsv"]), "--mode", "retrospective",
                  "--top-n", "1", "--out-vocab", str(f["vocab.tsv"]),
                  "--out-indexed", str(f["indexed.tsv"])]) == 0
@@ -69,6 +75,8 @@ def base(tmp_path_factory):
 def commands(f, mutated, out):
     """Subcommands that read the file kind, with the mutated file in its place."""
     retro = ["evaluate", "retrospective", "--test-cap", "50", *TINY]
+    extract = ["extract", "--input", f["sentences.tsv"], "--mode", "retrospective", "--top-n", "1",
+               "--out-vocab", out, "--out-indexed", out + ".tsv"]
     return {
         "holdout.tsv": [["evaluate", "holdout", "--interactions", mutated, "--k", "2", *TINY,
                          "--json", out],
@@ -93,11 +101,13 @@ def commands(f, mutated, out):
                        *TINY, "--vocab", mutated]],
         "sentences.tsv": [["extract", "--input", mutated, "--mode", "retrospective",
                            "--top-n", "1", "--out-vocab", out, "--out-indexed", out + ".tsv"]],
+        "stoplist.txt": [[*extract, "--stoplist", mutated]],
+        "verb_forms.txt": [[*extract, "--verb-table", mutated]],
     }
 
 
 KINDS = ["holdout.tsv", "t0.tsv", "t1.tsv", "subset.txt", "grid.txt", "model.txt", "roster",
-         "pairs.tsv", "vocab.tsv", "sentences.tsv"]
+         "pairs.tsv", "vocab.tsv", "sentences.tsv", "stoplist.txt", "verb_forms.txt"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -167,10 +167,10 @@ def test_property_histogram_never_counts_own_edge():
 
 
 def test_roster_translation():
-    roster = Roster(["DB01", "DB02", "DB03"], names=["aspirin", None, "heparin"])
+    roster = Roster(["DB01", "DB02", "DB03"])
     assert roster.index_of("DB03") == 2
     assert roster.external_id(0) == "DB01"
-    assert roster.name(2) == "heparin"
+    assert list(roster) == roster.external_ids == ["DB01", "DB02", "DB03"]
     assert "DB02" in roster and "DB09" not in roster
     with pytest.raises(UnknownDrugError):
         roster.index_of("DB09")

@@ -15,7 +15,6 @@ from amfpmc.errors import (
 from amfpmc.graph import Roster
 from amfpmc.metrics import class_weights
 from amfpmc.model import (
-    Gradients,
     Hyperparameters,
     ModelParameters,
     OptimizerState,
@@ -31,6 +30,7 @@ from amfpmc.model import (
     softmax,
 )
 from amfpmc.pipeline import LabeledPairs, train
+from amfpmc.propagation import check_alpha
 
 
 def tiny_hp(d=4, seed=0, **kw):
@@ -93,6 +93,14 @@ class TestInit:
             init_model(1, 3, tiny_hp())
         with pytest.raises(InvalidDimensionsError):
             init_model(3, 1, tiny_hp())
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_alpha_checked_as_propagation_does(self, alpha):
+        with pytest.raises(InvalidConfigError) as from_hp:
+            Hyperparameters(alpha=alpha).validate()
+        with pytest.raises(InvalidConfigError) as from_propagation:
+            check_alpha(alpha)
+        assert str(from_hp.value) == str(from_propagation.value)
 
 
 class TestForward:
@@ -246,7 +254,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = init_model(4, 3, tiny_hp())
         before = params.copy()
-        grads = Gradients(*(np.zeros_like(a) for a in params.arrays()))
+        grads = ModelParameters(*(np.zeros_like(a) for a in params.arrays()))
         state = OptimizerState.for_params(params)
         adam_step(params, grads, state, 0.05)
         for a, b in zip(params.arrays(), before.arrays()):
@@ -256,7 +264,7 @@ class TestAdam:
         # closed form: after bias correction the first step is lr * g / (|g| + eps)
         params = init_model(4, 3, tiny_hp())
         before = params.class_bias.copy()
-        grads = Gradients(*(np.zeros_like(a) for a in params.arrays()))
+        grads = ModelParameters(*(np.zeros_like(a) for a in params.arrays()))
         grads.class_bias[:] = np.array([0.5, -0.25, 1.0])
         state = OptimizerState.for_params(params)
         adam_step(params, grads, state, 0.01)
@@ -332,7 +340,7 @@ def reference_backward(params, i, j, targets, class_weights, dropout=0.0, rng=No
     grad_b = np.zeros_like(params.drug_bias)
     np.add.at(grad_b, I, db_pair)
     np.add.at(grad_b, J, db_pair)
-    grads = Gradients(grad_E, grad_b, G.T @ h, G.sum(axis=0), (G * pair_bias[:, None]).sum(axis=0))
+    grads = ModelParameters(grad_E, grad_b, G.T @ h, G.sum(axis=0), (G * pair_bias[:, None]).sum(axis=0))
     return batch_loss, grads
 
 
@@ -404,7 +412,7 @@ class TestBitwiseReferences:
         state = OptimizerState.for_params(params)
         ref_state = OptimizerState.for_params(ref_params)
         for _ in range(4):
-            grads = Gradients(*(rng.standard_normal(a.shape) for a in params.arrays()))
+            grads = ModelParameters(*(rng.standard_normal(a.shape) for a in params.arrays()))
             grads.embeddings[rng.random(n) < 0.5] = 0.0
             grads.drug_bias[::2] = -0.0
             adam_step(params, grads, state, 0.01)

@@ -3,6 +3,7 @@ import pytest
 from amfpmc.errors import (
     EmptyAfterNormalizationError,
     EmptyInputError,
+    FormatError,
     InvalidConfigError,
     UnknownPhraseError,
 )
@@ -81,6 +82,13 @@ class TestExtraction:
         forms = load_verb_forms()
         assert forms["increases"] == "increased"
         assert forms["decrease"] == "decreased"
+
+    @pytest.mark.parametrize("loader", [load_stoplist, load_verb_forms])
+    def test_user_file_not_utf8_is_format_error(self, tmp_path, loader):
+        path = tmp_path / "table.txt"
+        path.write_bytes(b"\xff\xfeincreases increased\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            loader(str(path))
 
 
 class TestPhraseEquality:

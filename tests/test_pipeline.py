@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from amfpmc.errors import (
     DegenerateLabelsError,
     InvalidClassError,
     InvalidConfigError,
+    InvalidDimensionsError,
     TooFewPairsError,
 )
+from amfpmc import pipeline
 from amfpmc.formats import report_to_dict
 from amfpmc.graph import Roster, TypedInteractionGraph, build_graph
 from amfpmc.metrics import multiclass_report
@@ -145,7 +148,7 @@ class TestTrain:
         items = g.edge_list()
         pairs = attach_targets(items, g, alpha=0.0)
         hp = quick_hp(alpha=0.0, epochs=50, batch_size=8)
-        params0 = train(pairs, hp.with_(epochs=0), g.n_drugs, 4)
+        params0 = train(pairs, replace(hp, epochs=0), g.n_drugs, 4)
         params = train(pairs, hp, g.n_drugs, 4)
         from amfpmc.metrics import class_weights
         from amfpmc.model import loss as model_loss
@@ -186,9 +189,9 @@ class TestHoldoutEvaluate:
         result = holdout_evaluate(shuffled, quick_hp(epochs=15), k=3, seed=0)
         assert abs(result.mean.macro_auroc - 0.5) <= 0.05
 
-    def test_per_class_table_rows_and_order(self, planted):
+    def test_pooled_per_class_rows_and_order(self, planted):
         result = holdout_evaluate(planted, quick_hp(epochs=5), k=3, seed=0)
-        table = result.per_class_table
+        table = result.mean.per_class
         supports = [r.support for r in table]
         assert supports == sorted(supports, reverse=True)
         with_support = [r for r in table if r.support > 0]
@@ -352,6 +355,19 @@ class TestGridSearch:
         assert len(grid.candidates(quick_hp())) == 4 * 4 * 10 * 50 * 11
         with pytest.raises(InvalidConfigError):
             grid_search(items, 30, 4, "holdout", quick_hp(), grid, seed=0)
+
+    def test_bad_late_candidate_refused_before_any_training(self, monkeypatch):
+        items = generate_synthetic(SyntheticConfig(n_drugs=30, n_blocks=2, n_classes=4,
+                                                   edge_probability=0.5, seed=8)).graph_t1.edge_list()
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+        for values, error in (({"alpha": [0.5, 1.5]}, InvalidConfigError),
+                              ({"dropout": [0.0, 1.0]}, InvalidDimensionsError)):
+            with pytest.raises(error):
+                GridSpec(values).candidates(quick_hp())
+            with pytest.raises(error):
+                grid_search(items, 30, 4, "holdout", quick_hp(), GridSpec(values), seed=0)
+        assert calls == []
 
     def test_validation_split_stratified(self):
         items = [(i, i + 10, i % 3) for i in range(9)] * 5
