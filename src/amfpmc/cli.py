@@ -17,7 +17,7 @@ import numpy as np
 from . import formats
 from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError
 from .graph import HOLDOUT, MODES, RETROSPECTIVE
-from .model import Hyperparameters, export_embeddings, predict_batch
+from .model import Hyperparameters, export_embeddings
 from .phrases import InteractionSentence, build_vocabulary, extract_phrase, load_stoplist, load_verb_forms
 from .pipeline import (
     DEFAULT_TEST_PAIR_CAP,
@@ -29,6 +29,7 @@ from .pipeline import (
     reconcile_rosters,
     retrospective_evaluate,
     retrospective_split,
+    score_pairs,
     train,
 )
 from .synth import SyntheticConfig, generate_synthetic
@@ -227,7 +228,7 @@ def cmd_predict(args) -> int:
     pairs = formats.parse_pairs_file(args.pairs)
     I = np.array([roster.index_of(a) for a, _ in pairs], dtype=np.int64)
     J = np.array([roster.index_of(b) for _, b in pairs], dtype=np.int64)
-    probs = predict_batch(params, I, J)
+    probs = score_pairs(params, np.column_stack([I, J]))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for (a, b), row in zip(pairs, probs):

@@ -22,7 +22,7 @@ from .errors import (
     InvalidConfigError,
     ParseError,
 )
-from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_mode
+from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_dimensions, check_mode
 from .metrics import MultiClassReport
 from .model import Hyperparameters, ModelParameters
 from .phrases import (
@@ -133,12 +133,14 @@ def graph_from_index_records(
     ids = sorted(set(drugs))
     index = {ext: t for t, ext in enumerate(ids)}
     ends = np.fromiter(map(index.__getitem__, drugs), dtype=np.int64, count=2 * m)
-    classes = np.fromiter(map(InteractionRecord.class_index, records), dtype=np.int64, count=m)
-    max_class = int(classes.max())
+    classes = list(map(InteractionRecord.class_index, records))
+    max_class = max(classes)
     K = n_classes if n_classes is not None else max_class + 1
     if K <= max_class:
         raise DimensionMismatchError(f"class {max_class} outside the declared {K} classes")
-    edges = np.column_stack([ends[:m], ends[m:], classes])
+    # checked before the int64 cast, which a class index beyond int64 would overflow
+    check_dimensions(len(ids), K)
+    edges = np.column_stack([ends[:m], ends[m:], np.array(classes, dtype=np.int64)])
     return TypedInteractionGraph(len(ids), K, mode, edges, roster=Roster(ids))
 
 

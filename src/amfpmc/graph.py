@@ -32,6 +32,11 @@ MODES = (RETROSPECTIVE, HOLDOUT)
 #: Reserved class index for "no interaction" in retrospective mode.
 NO_INTERACTION = 0
 
+#: Largest accepted n_drugs * n_classes: the (n_drugs, n_classes) node-class
+#: counts and every (pairs, n_classes) matrix are sized by it, so one huge
+#: class index must not size them (2**26 int64 cells are 512 MiB).
+MAX_NODE_CLASS_CELLS = 2**26
+
 
 def check_mode(mode: str) -> str:
     if mode not in MODES:
@@ -71,6 +76,19 @@ class Roster:
         return list(self._ids)
 
 
+def check_dimensions(n_drugs: int, n_classes: int) -> None:
+    """Refuse a drug or class count below 1, or a node-class table above MAX_NODE_CLASS_CELLS."""
+    if n_drugs < 1:
+        raise InvalidDimensionsError("n_drugs must be >= 1")
+    if n_classes < 1:
+        raise InvalidDimensionsError("n_classes must be >= 1")
+    if n_drugs * n_classes > MAX_NODE_CLASS_CELLS:
+        raise InvalidDimensionsError(
+            f"{n_drugs} drugs x {n_classes} classes exceed the limit of "
+            f"{MAX_NODE_CLASS_CELLS} drug-class cells"
+        )
+
+
 def pair_rows(rows, width: int = 3) -> np.ndarray:
     """rows as an (m, width) int64 array; an empty input gives shape (0, width)."""
     out = np.asarray(rows, dtype=np.int64)
@@ -99,10 +117,7 @@ class TypedInteractionGraph:
         edges: Iterable[tuple[int, int, int]] = (),
         roster: Optional[Roster] = None,
     ):
-        if n_drugs < 1:
-            raise InvalidDimensionsError("n_drugs must be >= 1")
-        if n_classes < 1:
-            raise InvalidDimensionsError("n_classes must be >= 1")
+        check_dimensions(n_drugs, n_classes)
         if roster is not None and len(roster) != n_drugs:
             raise ShapeMismatchError("roster size must equal n_drugs")
         self.n_drugs = n_drugs

@@ -1,10 +1,11 @@
 """Ranking and classification metrics for single-label multiclass output.
 
-AUROC is the Mann-Whitney statistic computed from midranks (ties count one
-half), which equals exhaustive positive-negative pair counting exactly.
-AUPR is step-wise average precision with stable tie handling, the
-conservative convention for imbalanced link prediction. Macro averages skip
-zero-support classes instead of imputing zeros.
+AUROC is the Mann-Whitney statistic (Hanley & McNeil 1982) counted from the
+sorted negatives (ties count one half), which equals exhaustive
+positive-negative pair counting exactly. AUPR is step-wise average precision
+with stable tie handling, the conservative convention for imbalanced link
+prediction. Macro averages skip zero-support classes instead of imputing
+zeros.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ def midranks(scores: np.ndarray) -> np.ndarray:
     (start + 1 + stop) / 2 = (2 * stop + 1 - length) / 2, computed once per
     run in exact integers and spread over the run. Every member of a run gets
     the same rank, so the order the sort leaves ties in does not matter.
+    The package itself does not call it; the benchmark's trace wraps it by
+    name, so it stays.
     """
     order = np.argsort(scores)
     s = scores[order]
@@ -52,36 +55,69 @@ def midranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _sorted_negatives(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    neg = s[~y]
+    neg.sort()
+    return neg
+
+
 def roc_auc(scores, labels) -> float:
-    """Fraction of (positive, negative) pairs ranked concordantly, ties 0.5."""
+    """Fraction of (positive, negative) pairs ranked concordantly, ties 0.5.
+
+    For each positive, searchsorted over the sorted negatives counts the
+    negatives below it (left) and at or below it (right); their sum over all
+    positives is 2U, an exact integer. U = 2U / 2 is the same exact float as
+    the midrank sum minus n_pos (n_pos + 1) / 2, so the result keeps the
+    midrank formula's bits while every partial sum stays below 2**53.
+    """
     s, y = _as_scores_labels(scores, labels)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("need at least one positive and one negative")
-    ranks = midranks(s)
-    rank_sum = ranks[y].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    neg = _sorted_negatives(s, y)
+    pos = np.sort(s[y])
+    twice_u = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
+    return float((twice_u / 2.0) / (n_pos * n_neg))
+
+
+def _precisions_by_count(s: np.ndarray, y: np.ndarray, n_pos: int) -> Optional[np.ndarray]:
+    """Precision at each positive in ranking order; None when a positive ties a negative.
+
+    Without such ties the r-th highest positive sits at rank r plus the
+    negatives above it, whatever order equal scores are left in.
+    """
+    neg = _sorted_negatives(s, y)
+    pos = np.sort(s[y])[::-1]
+    above = neg.size - np.searchsorted(neg, pos, "right")
+    if not np.array_equal(above, neg.size - np.searchsorted(neg, pos, "left")):
+        return None
+    hits_so_far = np.arange(1, n_pos + 1)
+    return hits_so_far / (hits_so_far + above)
 
 
 def average_precision(scores, labels) -> float:
     """Mean of precision at each positive's rank, descending score order.
 
-    Ties are broken by stable input order.
+    Ties are broken by stable input order. The precisions are counted from
+    the sorted negatives when no positive ties a negative, and read off the
+    whole ranked list otherwise; both give the same array, so the same sum.
     """
     s, y = _as_scores_labels(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NoPositivesError("need at least one positive")
-    order = np.argsort(-s)
-    ranked = s[order]
-    ties = ranked[1:] == ranked[:-1]
-    if ties.any():
-        # back to input order within each tie run: sort the distinct keys run * m + position
-        order = order[np.argsort(np.r_[0, np.cumsum(~ties)] * s.size + order)]
-    hits = y[order]
-    precision_at = np.cumsum(hits) / np.arange(1, s.size + 1)
-    return float(precision_at[hits].sum() / n_pos)
+    precision_at = _precisions_by_count(s, y, n_pos)
+    if precision_at is None:
+        order = np.argsort(-s)
+        ranked = s[order]
+        ties = ranked[1:] == ranked[:-1]
+        if ties.any():
+            # back to input order within each tie run: sort the distinct keys run * m + position
+            order = order[np.argsort(np.r_[0, np.cumsum(~ties)] * s.size + order)]
+        hits = y[order]
+        precision_at = (np.cumsum(hits) / np.arange(1, s.size + 1))[hits]
+    return float(precision_at.sum() / n_pos)
 
 
 def class_weights(counts) -> np.ndarray:

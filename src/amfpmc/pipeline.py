@@ -50,6 +50,10 @@ from .propagation import check_labels, neighborhood_distributions, propagate_tar
 #: beyond this many pairs is a seeded subsample taken.
 DEFAULT_TEST_PAIR_CAP = 5_000_000
 
+#: Rows per predict_batch call in score_pairs; above every test set the
+#: benchmark scores, so those are scored in one piece.
+SCORE_CHUNK_ROWS = 16_384
+
 
 @dataclass(frozen=True)
 class LabeledPairs:
@@ -123,9 +127,24 @@ def train(
 
 
 def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
-    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K)."""
+    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K).
+
+    Pairs are scored SCORE_CHUNK_ROWS rows at a time, so the (rows, d)
+    temporaries stay bounded however many pairs there are. A tail shorter
+    than half a chunk joins the chunk before it, since BLAS may take another
+    kernel path, with other rounding, for a handful of rows.
+    """
     ends = pair_rows(pairs, width=2)
-    return predict_batch(params, ends[:, 0], ends[:, 1])
+    m = len(ends)
+    starts = list(range(0, m, SCORE_CHUNK_ROWS))
+    if len(starts) > 1 and m - starts[-1] < SCORE_CHUNK_ROWS // 2:
+        starts.pop()
+    if len(starts) <= 1:
+        return predict_batch(params, ends[:, 0], ends[:, 1])
+    probs = np.empty((m, params.n_classes), dtype=np.float64)
+    for start, stop in zip(starts, starts[1:] + [m]):
+        probs[start:stop] = predict_batch(params, ends[start:stop, 0], ends[start:stop, 1])
+    return probs
 
 
 # -- fold assembly ---------------------------------------------------------
@@ -260,6 +279,21 @@ class RetrospectiveSplit:
     test_items: np.ndarray
 
 
+def _skip_taken(k: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """The k-th (0-based) non-negative integer missing from the ascending array taken, for each k.
+
+    taken[t] - t integers below taken[t] are free, so the k-th free one lies
+    past every taken[t] with taken[t] - t <= k.
+    """
+    return k + np.searchsorted(taken - np.arange(taken.size), k, "right")
+
+
+def _triangle_pairs(t: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, with row-by-row upper-triangle numbers t."""
+    i = np.searchsorted(row_starts, t, "right") - 1
+    return i, t - row_starts[i] + i + 1
+
+
 def retrospective_split(
     graph_t0: TypedInteractionGraph,
     graph_t1: TypedInteractionGraph,
@@ -272,7 +306,9 @@ def retrospective_split(
     Test pairs are exactly the pairs unlabeled in T0 (minus the sampled
     training negatives); their truth is the T1 class, or 0 if still
     unlabeled there. Beyond test_pair_cap the test universe is subsampled
-    with the same seed.
+    with the same seed. Sampled positions index the unlabeled pairs in
+    row-by-row order and are mapped to pairs by counting the labeled ones
+    below them, so the triangle itself is never enumerated.
     """
     if graph_t0.mode != RETROSPECTIVE or graph_t1.mode != RETROSPECTIVE:
         raise InvalidConfigError("retrospective split needs retrospective-mode graphs")
@@ -290,28 +326,32 @@ def retrospective_split(
     edges0 = graph_t0.edge_list()
     rng = np.random.default_rng(seed)
 
-    iu, ju = np.triu_indices(n, k=1)
-    unlabeled = graph_t0.edge_classes(iu, ju) < 0
-    iu, ju = iu[unlabeled], ju[unlabeled]
-    universe = iu.size
+    # pairs i < j are numbered row by row, in np.triu_indices order
+    rows = np.arange(n, dtype=np.int64)
+    row_starts = rows * n - rows * (rows + 1) // 2
+    labeled = row_starts[edges0[:, 0]] + edges0[:, 1] - edges0[:, 0] - 1
+    universe = n * (n - 1) // 2 - len(labeled)
 
     n_neg = int(round(min(negative_ratio * len(edges0), universe)))
-    neg_mask = np.zeros(universe, dtype=bool)
+    neg_at = np.empty(0, dtype=np.int64)
     if n_neg > 0:
-        neg_mask[rng.choice(universe, size=n_neg, replace=False)] = True
-
-    negatives = np.column_stack([iu[neg_mask], ju[neg_mask], np.zeros(n_neg, dtype=np.int64)])
+        neg_at = np.sort(rng.choice(universe, size=n_neg, replace=False))
+    ni, nj = _triangle_pairs(_skip_taken(neg_at, labeled), row_starts)
+    negatives = np.column_stack([ni, nj, np.zeros(n_neg, dtype=np.int64)])
     train_items = np.concatenate([edges0, negatives])
 
-    ti, tj = iu[~neg_mask], ju[~neg_mask]
-    if ti.size > test_pair_cap:
-        sel = np.sort(rng.choice(ti.size, size=test_pair_cap, replace=False))
-        ti, tj = ti[sel], tj[sel]
+    n_rest = universe - n_neg
+    if n_rest > test_pair_cap:
+        test_at = np.sort(rng.choice(n_rest, size=test_pair_cap, replace=False))
+    else:
+        test_at = np.arange(n_rest, dtype=np.int64)
+    ti, tj = _triangle_pairs(_skip_taken(_skip_taken(test_at, neg_at), labeled), row_starts)
     truth = np.maximum(graph_t1.edge_classes(ti, tj), NO_INTERACTION)
     test_items = np.column_stack([ti, tj, truth])
 
     train_keys = train_items[:, 0] * n + train_items[:, 1]
-    if np.isin(ti * n + tj, train_keys).any():
+    # keys are unique within each set by construction; a repeated test key would be flagged too
+    if np.isin(ti * n + tj, train_keys, assume_unique=True).any():
         raise RuntimeError("retrospective split produced overlapping train/test pairs")
 
     return RetrospectiveSplit(

@@ -173,6 +173,21 @@ def _assert_one_line_error(err, kind):
     assert err.startswith(f"error: {kind}: ")
 
 
+@pytest.mark.parametrize("class_index, flags", [
+    ("4000000000", []),
+    (str(10**20), []),
+    ("2", ["--classes", "4000000000"]),
+])
+def test_huge_class_count_exits_with_one_line(tmp_path, capsys, class_index, flags):
+    tsv = tmp_path / "huge.tsv"
+    tsv.write_text(f"D1\tD2\t1\nD2\tD3\t0\nD1\tD3\t{class_index}\n")
+    for mode in ("holdout", "retrospective"):
+        rc = main(["train", "--interactions", str(tsv), "--mode", mode, "--dim", "4",
+                   "--epochs", "1", *flags, "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        _assert_one_line_error(capsys.readouterr().err, "InvalidDimensionsError")
+
+
 @pytest.fixture()
 def model_and_pairs(synth_files, tmp_path):
     t0, _, _ = synth_files

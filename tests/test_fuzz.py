@@ -1,12 +1,14 @@
 """Seeded mutation fuzzing of every file the CLI reads.
 
 Each case mutates one input file (bytes deleted, inserted or replaced, lines
-duplicated or dropped, the file truncated) and runs one subcommand through
-main(); the stop list and verb table start as copies of the packaged files.
+duplicated or dropped, the file truncated, or one number replaced with a huge
+integer) and runs one subcommand through main(); the stop list and verb table
+start as copies of the packaged files.
 The run must succeed, or exit 1 with exactly one stderr line that
 starts with 'error: '; an exception escaping main() fails the test.
 """
 
+import re
 from importlib import resources
 
 import numpy as np
@@ -17,6 +19,8 @@ from amfpmc.cli import main
 SEEDS = range(40)
 INSERTS = [b"\t", b"\n", b" ", b"#", b"-", b".", b"0", b"1", b"9", b"e", b"x", b"D",
            b"\x00", b"\xff", "é".encode()]
+# 2**31, 2**62, 2**63 - 1 and 10**20: past int32, near and past the int64 limit
+HUGE = [str(v).encode() for v in (2**31, 2**62, 2**63 - 1, 10**20)]
 TINY = ["--dim", "4", "--epochs", "1", "--batch", "64", "--seed", "0"]
 
 
@@ -38,6 +42,13 @@ def mutate(data: bytes, rng: np.random.Generator) -> bytes:
             lines[t:t + 1] = [lines[t]] * (2 if kind == 3 else 0)
             data = b"\n".join(lines)
     return data
+
+
+def replace_number(data: bytes, value: bytes, rng: np.random.Generator) -> bytes:
+    """Replace one run of digits with value; in a file without digits, one word."""
+    tokens = list(re.finditer(rb"\d+", data)) or list(re.finditer(rb"\S+", data))
+    t = tokens[int(rng.integers(0, len(tokens)))]
+    return data[: t.start()] + value + data[t.end() :]
 
 
 @pytest.fixture(scope="module")
@@ -110,19 +121,37 @@ KINDS = ["holdout.tsv", "t0.tsv", "t1.tsv", "subset.txt", "grid.txt", "model.txt
          "pairs.tsv", "vocab.tsv", "sentences.tsv", "stoplist.txt", "verb_forms.txt"]
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_mutated_input_exits_cleanly(base, tmp_path, capsys, kind):
-    original = base[kind].read_bytes()
+def check_cases(base, tmp_path, capsys, kind, cases):
+    """Run each (label, bytes) case through every command reading kind; each exits 0 or with one error line."""
     mutated = tmp_path / ("mutated-" + kind)
     out = str(tmp_path / "out")
-    for seed in SEEDS:
-        data = mutate(original, np.random.default_rng([seed, KINDS.index(kind)]))
+    for label, data in cases:
         mutated.write_bytes(data)
         for argv in commands({k: str(v) for k, v in base.items()}, str(mutated), out)[kind]:
             capsys.readouterr()
             rc = main(argv)
             err = capsys.readouterr().err
-            case = f"{argv[0]} with mutated {kind} (seed {seed}): {data!r}"
+            case = f"{argv[0]} with mutated {kind} ({label}): {data!r}"
             assert rc in (0, 1), case
             if rc == 1:
                 assert len(err.splitlines()) == 1 and err.startswith("error: "), f"{case}\n{err}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutated_input_exits_cleanly(base, tmp_path, capsys, kind):
+    original = base[kind].read_bytes()
+    check_cases(base, tmp_path, capsys, kind, (
+        (f"seed {seed}", mutate(original, np.random.default_rng([seed, KINDS.index(kind)])))
+        for seed in SEEDS
+    ))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_huge_integer_exits_cleanly(base, tmp_path, capsys, kind):
+    original = base[kind].read_bytes()
+    rng = np.random.default_rng([99, KINDS.index(kind)])
+    check_cases(base, tmp_path, capsys, kind, (
+        (f"{value.decode()}, draw {draw}", replace_number(original, value, rng))
+        for draw in range(8)
+        for value in HUGE
+    ))

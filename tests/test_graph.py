@@ -5,10 +5,11 @@ from amfpmc.errors import (
     ConflictingLabelError,
     DuplicateIdError,
     InvalidClassError,
+    InvalidDimensionsError,
     SelfLoopError,
     UnknownDrugError,
 )
-from amfpmc.graph import Roster, TypedInteractionGraph, build_graph
+from amfpmc.graph import MAX_NODE_CLASS_CELLS, Roster, TypedInteractionGraph, build_graph
 
 
 def test_add_and_symmetric_lookup():
@@ -37,6 +38,16 @@ def test_self_loop_and_unknown_drug():
     g = TypedInteractionGraph(3, 4, "holdout")
     with pytest.raises(UnknownDrugError):
         g.lookup(0, -1)
+
+
+def test_node_class_cells_are_bounded():
+    side = 2**13
+    assert side * side == MAX_NODE_CLASS_CELLS
+    assert build_graph(side, side, "holdout", [(0, 1, side - 1)]).num_edges == 1
+    with pytest.raises(InvalidDimensionsError):
+        build_graph(side, side + 1, "holdout", [(0, 1, side)])
+    with pytest.raises(InvalidDimensionsError):
+        build_graph(3, 4_000_000_000, "holdout", [(0, 1, 0)])
 
 
 def test_class_validation_per_mode():

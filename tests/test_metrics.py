@@ -47,6 +47,49 @@ def random_scored(rng, m=None, tie_prone=True):
     return scores, labels
 
 
+def loop_midranks(scores):
+    """Midranks with one Python step per tie group of the stably sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+    ranks_sorted = np.empty(s.size, dtype=np.float64)
+    for start, stop in zip(boundaries[:-1], boundaries[1:]):
+        ranks_sorted[start:stop] = 0.5 * (start + 1 + stop)
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = ranks_sorted
+    return ranks
+
+
+def bitwise_draws(rng):
+    """(scores, labels) inputs for the bitwise ranking tests, each with a positive.
+
+    Only the all-positive draw lacks a negative.
+    """
+    draws = [random_scored(rng, tie_prone=t % 2 == 0) for t in range(100)]
+    big = 200_000
+    one = np.zeros(300, dtype=bool)
+    one[int(rng.integers(0, 300))] = True
+    grid = rng.integers(0, 20, 5000)
+    grid_labels = rng.random(5000) < 0.3
+    draws += [
+        # large and tie-heavy: the tie order decides where each positive ranks
+        (rng.integers(0, 40, big) / 8.0, rng.random(big) < 0.1),
+        (np.round(rng.random(big), 3), rng.random(big) < 0.02),
+        (rng.choice([0.0, -0.0, 0.5, -0.5], 5000), rng.random(5000) < 0.3),
+        (rng.permutation(big) / big, rng.random(big) < 0.05),  # all distinct
+        (np.full(1000, -0.0), rng.random(1000) < 0.5),
+        (np.full(50, 0.5), rng.random(50) < 0.5),
+        (rng.random(300), one),
+        (rng.random(300), ~one),
+        (rng.random(300), np.ones(300, dtype=bool)),
+        # positives tie each other, never a negative
+        (np.where(grid_labels, grid / 4.0, grid / 4.0 + 0.125), grid_labels),
+        # a positive ties a negative
+        (np.array([0.5, 0.5, 0.2, 0.7]), np.array([True, False, True, False])),
+    ]
+    return draws
+
+
 class TestRocAuc:
     def test_perfect_ranking(self):
         assert roc_auc([0.9, 0.8, 0.2, 0.1], [True, True, False, False]) == 1.0
@@ -88,17 +131,6 @@ class TestRocAuc:
         assert midranks(np.array([0.1, 0.3, 0.3, 0.7])).tolist() == [1.0, 2.5, 2.5, 4.0]
 
     def test_midranks_bitwise_equal_to_tie_group_loop(self):
-        def reference(scores):
-            order = np.argsort(scores, kind="mergesort")
-            s = scores[order]
-            boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
-            ranks_sorted = np.empty(s.size, dtype=np.float64)
-            for start, stop in zip(boundaries[:-1], boundaries[1:]):
-                ranks_sorted[start:stop] = 0.5 * (start + 1 + stop)
-            ranks = np.empty(s.size, dtype=np.float64)
-            ranks[order] = ranks_sorted
-            return ranks
-
         rng = np.random.default_rng(23)
         draws = [random_scored(rng, tie_prone=t % 2 == 0)[0] for t in range(100)]
         draws += [
@@ -109,7 +141,20 @@ class TestRocAuc:
             rng.integers(0, 50, 100_000) / 4.0,
         ]
         for scores in draws:
-            assert midranks(scores).tobytes() == reference(scores).tobytes()
+            assert midranks(scores).tobytes() == loop_midranks(scores).tobytes()
+
+    def test_bitwise_equal_to_midrank_formula(self):
+        def reference(scores, labels):
+            n_pos = int(labels.sum())
+            n_neg = labels.size - n_pos
+            rank_sum = loop_midranks(scores)[labels].sum()
+            return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+        for scores, labels in bitwise_draws(np.random.default_rng(31)):
+            if labels.all():
+                continue
+            got = np.float64(roc_auc(scores, labels))
+            assert got.tobytes() == np.float64(reference(scores, labels)).tobytes()
 
 
 class TestAveragePrecision:
@@ -138,17 +183,7 @@ class TestAveragePrecision:
             precision_at = np.cumsum(hits) / np.arange(1, scores.size + 1)
             return float(precision_at[hits].sum() / labels.sum())
 
-        rng = np.random.default_rng(29)
-        draws = [random_scored(rng, tie_prone=t % 2 == 0) for t in range(100)]
-        big = 200_000
-        draws += [
-            # large and tie-heavy: the tie order decides where each positive ranks
-            (rng.integers(0, 40, big) / 8.0, rng.random(big) < 0.1),
-            (rng.choice([0.0, -0.0, 0.5, -0.5], 5000), rng.random(5000) < 0.3),
-            (rng.permutation(big) / big, rng.random(big) < 0.05),  # all distinct
-            (np.full(1000, -0.0), rng.random(1000) < 0.5),
-        ]
-        for scores, labels in draws:
+        for scores, labels in bitwise_draws(np.random.default_rng(29)):
             got = np.float64(average_precision(scores, labels))
             assert got.tobytes() == np.float64(reference(scores, labels)).tobytes()
 

@@ -19,8 +19,9 @@ from amfpmc import pipeline
 from amfpmc.formats import report_to_dict
 from amfpmc.graph import Roster, TypedInteractionGraph, build_graph
 from amfpmc.metrics import multiclass_report
-from amfpmc.model import Hyperparameters
+from amfpmc.model import Hyperparameters, init_model, predict_batch
 from amfpmc.pipeline import (
+    SCORE_CHUNK_ROWS,
     GridSpec,
     attach_targets,
     baseline_majority,
@@ -223,7 +224,45 @@ def two_snapshots():
     return t0, t1
 
 
+def enumerating_split(t0, t1, negative_ratio, seed, test_pair_cap):
+    """(train_items, test_items) drawn from the enumerated list of every unlabeled pair."""
+    n = t0.n_drugs
+    edges0 = t0.edge_list()
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    unlabeled = t0.edge_classes(iu, ju) < 0
+    iu, ju = iu[unlabeled], ju[unlabeled]
+    n_neg = int(round(min(negative_ratio * len(edges0), iu.size)))
+    neg_mask = np.zeros(iu.size, dtype=bool)
+    if n_neg > 0:
+        neg_mask[rng.choice(iu.size, size=n_neg, replace=False)] = True
+    negatives = np.column_stack([iu[neg_mask], ju[neg_mask], np.zeros(n_neg, dtype=np.int64)])
+    ti, tj = iu[~neg_mask], ju[~neg_mask]
+    if ti.size > test_pair_cap:
+        sel = np.sort(rng.choice(ti.size, size=test_pair_cap, replace=False))
+        ti, tj = ti[sel], tj[sel]
+    test_items = np.column_stack([ti, tj, np.maximum(t1.edge_classes(ti, tj), 0)])
+    return np.concatenate([edges0, negatives]), test_items
+
+
 class TestRetrospectiveSplit:
+    @pytest.mark.parametrize("n_drugs", [8, 40, 160])
+    def test_equal_to_enumerating_split(self, n_drugs):
+        data = generate_synthetic(SyntheticConfig(
+            n_drugs=n_drugs, n_blocks=2, n_classes=6, edge_probability=0.3,
+            holdout_fraction=0.3, seed=n_drugs, mode="retrospective"))
+        t0, t1 = data.graph_t0, data.graph_t1
+        universe = n_drugs * (n_drugs - 1) // 2 - t0.num_edges
+        # the last ratio makes the negatives use up the universe
+        for ratio in (0.0, 0.5, 1.0, universe):
+            for cap in (1, 10, universe - 1, universe, universe + 1):
+                for seed in (0, 1):
+                    split = retrospective_split(t0, t1, negative_ratio=ratio, seed=seed,
+                                                test_pair_cap=cap)
+                    train_items, test_items = enumerating_split(t0, t1, ratio, seed, cap)
+                    assert np.array_equal(split.train_items, train_items)
+                    assert np.array_equal(split.test_items, test_items)
+
     def test_t0_edges_all_in_train(self):
         t0, t1 = two_snapshots()
         split = retrospective_split(t0, t1, negative_ratio=1.0, seed=0)
@@ -277,6 +316,18 @@ class TestRetrospectiveSplit:
                 build_graph(2, 3, "retrospective", [(0, 1, 1)], roster=Roster(["X", "Y"])),
                 build_graph(2, 3, "retrospective", [(0, 1, 1)], roster=Roster(["P", "Q"])),
             )
+
+
+@pytest.mark.parametrize("m", [SCORE_CHUNK_ROWS - 1, SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 1,
+                               2 * SCORE_CHUNK_ROWS + SCORE_CHUNK_ROWS // 2 - 1])
+def test_chunked_scoring_equals_one_batch(m):
+    # holds on a BLAS build whose row results do not depend on the row count
+    rng = np.random.default_rng(m)
+    params = init_model(300, 5, quick_hp(), rng=rng)
+    i = rng.integers(0, 300, m)
+    j = (i + rng.integers(1, 300, m)) % 300
+    got = score_pairs(params, np.column_stack([i, j]))
+    assert got.tobytes() == predict_batch(params, i, j).tobytes()
 
 
 class TestRetrospectiveEvaluate:
