@@ -15,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from . import formats
-from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError
+from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError, ShapeMismatchError
 from .graph import HOLDOUT, MODES, RETROSPECTIVE
 from .model import Hyperparameters, export_embeddings
-from .phrases import InteractionSentence, build_vocabulary, extract_phrase, load_stoplist, load_verb_forms
+from .phrases import build_vocabulary, extract_phrase, load_stoplist, load_verb_forms
 from .pipeline import (
     DEFAULT_TEST_PAIR_CAP,
     MAX_GRID_CANDIDATES,
@@ -80,6 +80,17 @@ def _class_names_from_vocab(path: Optional[str]) -> Optional[dict[int, str]]:
     return {idx: vocab.class_label(idx) for idx in range(vocab.n_classes)}
 
 
+def _model_and_roster(args: argparse.Namespace):
+    """The model and its roster, refused here if their drug counts disagree."""
+    params = formats.read_model(args.model)
+    roster = formats.read_roster(args.roster or args.model + ".roster")
+    if len(roster) != params.n_drugs:
+        raise ShapeMismatchError(
+            f"roster lists {len(roster)} drugs but the model has {params.n_drugs} rows"
+        )
+    return params, roster
+
+
 def _emit_report(report, args, class_names=None) -> None:
     sys.stdout.write(formats.format_report_text(report, class_names))
     if getattr(args, "report", None):
@@ -93,35 +104,30 @@ def _emit_report(report, args, class_names=None) -> None:
 
 def cmd_extract(args) -> int:
     _print_config("extract", args)
-    records = formats.parse_interactions_file(args.input, "sentences")
+    rows = formats.parse_interactions_file(args.input, "sentences")
     stoplist = load_stoplist(args.stoplist)
     verb_forms = load_verb_forms(args.verb_table)
 
     phrases = []
-    for r in records:
-        sentence = InteractionSentence(
-            r.payload,
-            r.surface_a or "Drug a",
-            r.surface_b or "Drug b",
-        )
+    for _, _, sentence, line_no in rows:
         try:
             phrases.append(extract_phrase(sentence, stoplist, verb_forms))
         except AmfpmcError as exc:
-            raise ParseError(args.input, r.line_no, str(exc)) from None
+            raise ParseError(args.input, line_no, str(exc)) from None
 
     vocab = build_vocabulary(phrases, args.mode, top_n=args.top_n, min_count=args.min_count)
     formats.write_vocabulary(vocab, args.out_vocab)
 
     dropped = 0
     with open(args.out_indexed, "w", encoding="utf-8") as fh:
-        for r, phrase in zip(records, phrases):
+        for (a, b, _, _), phrase in zip(rows, phrases):
             try:
                 cls = vocab.encode(phrase)
             except AmfpmcError:
                 dropped += 1
                 continue
-            fh.write(f"{r.drug_a}\t{r.drug_b}\t{cls}\n")
-    print(f"classes: {vocab.n_classes}  records: {len(records)}  dropped: {dropped}")
+            fh.write(f"{a}\t{b}\t{cls}\n")
+    print(f"classes: {vocab.n_classes}  records: {len(rows)}  dropped: {dropped}")
     return 0
 
 
@@ -148,12 +154,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate_holdout(args) -> int:
     _print_config("evaluate holdout", args)
     hp = _hp_from_args(args)
+    class_names = _class_names_from_vocab(args.vocab)
     records = formats.parse_interactions_file(args.interactions, "indices")
     graph = formats.graph_from_index_records(records, HOLDOUT, args.classes)
     result = holdout_evaluate(graph, hp, k=args.k, seed=args.seed)
     for f, rep in enumerate(result.folds):
         print(f"fold {f}: accuracy {rep.accuracy:.4f}")
-    class_names = _class_names_from_vocab(args.vocab)
     _emit_report(result.mean, args, class_names)
     return 0
 
@@ -161,11 +167,10 @@ def cmd_evaluate_holdout(args) -> int:
 def cmd_evaluate_retrospective(args) -> int:
     _print_config("evaluate retrospective", args)
     hp = _hp_from_args(args)
+    class_names = _class_names_from_vocab(args.vocab)
     rec0 = formats.parse_interactions_file(args.t0, "indices")
     rec1 = formats.parse_interactions_file(args.t1, "indices")
-    n_classes = args.classes
-    if n_classes is None:
-        n_classes = max(r.class_index() for r in rec0 + rec1) + 1
+    n_classes = formats.class_count(rec0 + rec1) if args.classes is None else args.classes
     g0 = formats.graph_from_index_records(rec0, RETROSPECTIVE, n_classes)
     g1 = formats.graph_from_index_records(rec1, RETROSPECTIVE, n_classes)
     g0, g1 = reconcile_rosters(g0, g1)
@@ -179,7 +184,6 @@ def cmd_evaluate_retrospective(args) -> int:
         print(f"subset: {len(subset)} of {len(wanted)} listed drugs are in both snapshots")
     report = retrospective_evaluate(split, hp, subset=subset)
     print(f"train pairs: {len(split.train_items)}  test pairs: {len(split.test_items)}")
-    class_names = _class_names_from_vocab(args.vocab)
     _emit_report(report, args, class_names)
     return 0
 
@@ -219,12 +223,7 @@ def cmd_predict(args) -> int:
     _print_config("predict", args)
     if args.top_k < 1:
         raise InvalidConfigError(f"--top-k must be >= 1, got {args.top_k}")
-    params = formats.read_model(args.model)
-    roster = formats.read_roster(args.roster or args.model + ".roster")
-    if len(roster) != params.n_drugs:
-        raise AmfpmcError(
-            f"roster lists {len(roster)} drugs but the model has {params.n_drugs} rows"
-        )
+    params, roster = _model_and_roster(args)
     pairs = formats.parse_pairs_file(args.pairs)
     I = np.array([roster.index_of(a) for a, _ in pairs], dtype=np.int64)
     J = np.array([roster.index_of(b) for _, b in pairs], dtype=np.int64)
@@ -243,8 +242,7 @@ def cmd_predict(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     _print_config("export-embeddings", args)
-    params = formats.read_model(args.model)
-    roster = formats.read_roster(args.roster or args.model + ".roster")
+    params, roster = _model_and_roster(args)
     ids, matrix = export_embeddings(params, roster)
     with open(args.out, "w", encoding="utf-8") as fh:
         header = ["drug_id"] + [f"e{t}" for t in range(matrix.shape[1])]

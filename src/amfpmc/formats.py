@@ -10,8 +10,6 @@ a JSON form with full precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +27,7 @@ from .phrases import (
     NO_INTERACTION_MARKER,
     OTHER_MARKER,
     ClassVocabulary,
+    InteractionSentence,
     KeywordPhrase,
 )
 from .pipeline import GRID_FIELDS, GridSpec
@@ -36,21 +35,6 @@ from .pipeline import GRID_FIELDS, GridSpec
 MODEL_MAGIC = "AMFPMC1"
 #: 17 significant digits, so every float64 round-trips exactly.
 FLOAT_FMT = "%.17g"
-
-
-@dataclass
-class InteractionRecord:
-    """One TSV line: a drug pair plus either a sentence or a class index."""
-
-    drug_a: str
-    drug_b: str
-    payload: str
-    line_no: int
-    surface_a: Optional[str] = None
-    surface_b: Optional[str] = None
-
-    def class_index(self) -> int:
-        return int(self.payload)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -69,38 +53,47 @@ def _data_lines(path: str):
         yield line_no, line
 
 
-def parse_interactions_file(path: str, mode: str) -> list[InteractionRecord]:
-    """Strict reader for 'indices' or 'sentences' payloads.
+def parse_interactions_file(path: str, mode: str) -> list[tuple]:
+    """Strict reader for 'indices' or 'sentences' lines, one row per data line.
 
-    Index mode expects exactly 3 columns with a non-negative integer payload.
-    Sentence mode expects 3 columns, or 5 when the two drug surface forms
-    are given explicitly.
+    Index mode expects exactly 3 columns and gives (drug_a, drug_b, class)
+    rows, the class a non-negative int. Sentence mode expects 3 columns, or 5
+    when the two drug surface forms are given, and gives (drug_a, drug_b,
+    InteractionSentence, line_no) rows; a missing or empty surface takes the
+    sentence's default.
     """
     if mode not in ("indices", "sentences"):
         raise InvalidConfigError(f"mode must be 'indices' or 'sentences', got {mode!r}")
-    records: list[InteractionRecord] = []
+    sentences = mode == "sentences"
+    widths = (3, 5) if sentences else (3,)
+    rows: list[tuple] = []
     for line_no, line in _data_lines(path):
         cols = line.split("\t")
-        if mode == "indices" and len(cols) != 3:
-            raise ParseError(path, line_no, f"expected 3 tab-separated columns, got {len(cols)}")
-        if mode == "sentences" and len(cols) not in (3, 5):
-            raise ParseError(path, line_no, f"expected 3 or 5 tab-separated columns, got {len(cols)}")
+        if len(cols) not in widths:
+            expected = " or ".join(map(str, widths))
+            raise ParseError(path, line_no, f"expected {expected} tab-separated columns, got {len(cols)}")
         a, b, payload = cols[0].strip(), cols[1].strip(), cols[2].strip()
         if not a or not b or not payload:
             raise ParseError(path, line_no, "empty field")
         if a == b:
             raise ParseError(path, line_no, f"self-loop on {a!r}")
-        if mode == "indices":
+        if sentences:
+            surface_a, surface_b = (cols[3].strip(), cols[4].strip()) if len(cols) == 5 else ("", "")
+            sentence = InteractionSentence(
+                payload,
+                surface_a or InteractionSentence.drug_a_surface,
+                surface_b or InteractionSentence.drug_b_surface,
+            )
+            rows.append((a, b, sentence, line_no))
+        else:
             try:
-                value = int(payload)
+                cls = int(payload)
             except ValueError:
                 raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
-            if value < 0:
-                raise ParseError(path, line_no, f"negative class index {value}")
-        surface_a = cols[3].strip() if len(cols) == 5 else None
-        surface_b = cols[4].strip() if len(cols) == 5 else None
-        records.append(InteractionRecord(a, b, payload, line_no, surface_a, surface_b))
-    return records
+            if cls < 0:
+                raise ParseError(path, line_no, f"negative class index {cls}")
+            rows.append((a, b, cls))
+    return rows
 
 
 def parse_pairs_file(path: str) -> list[tuple[str, str]]:
@@ -119,27 +112,31 @@ def parse_pairs_file(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def class_count(rows: Sequence[tuple]) -> int:
+    """The class count when none is declared: one past the largest class in index rows."""
+    if not rows:
+        raise FormatError("no interaction records")
+    return max(row[2] for row in rows) + 1
+
+
 def graph_from_index_records(
-    records: Sequence[InteractionRecord],
+    rows: Sequence[tuple],
     mode: str,
     n_classes: Optional[int] = None,
 ) -> TypedInteractionGraph:
-    """Assemble a graph from index-mode records; roster is sorted external ids."""
+    """Assemble a graph from index-mode rows; roster is sorted external ids."""
     check_mode(mode)
-    if not records:
-        raise FormatError("no interaction records")
-    m = len(records)
-    drugs = list(map(attrgetter("drug_a"), records)) + list(map(attrgetter("drug_b"), records))
-    ids = sorted(set(drugs))
-    index = {ext: t for t, ext in enumerate(ids)}
-    ends = np.fromiter(map(index.__getitem__, drugs), dtype=np.int64, count=2 * m)
-    classes = list(map(InteractionRecord.class_index, records))
-    max_class = max(classes)
-    K = n_classes if n_classes is not None else max_class + 1
-    if K <= max_class:
-        raise DimensionMismatchError(f"class {max_class} outside the declared {K} classes")
+    needed = class_count(rows)
+    K = needed if n_classes is None else n_classes
+    if K < needed:
+        raise DimensionMismatchError(f"class {needed - 1} outside the declared {K} classes")
+    drugs_a, drugs_b, classes = zip(*rows)
+    ids = sorted(set(drugs_a).union(drugs_b))
     # checked before the int64 cast, which a class index beyond int64 would overflow
     check_dimensions(len(ids), K)
+    index = {ext: t for t, ext in enumerate(ids)}
+    m = len(rows)
+    ends = np.fromiter(map(index.__getitem__, drugs_a + drugs_b), dtype=np.int64, count=2 * m)
     edges = np.column_stack([ends[:m], ends[m:], np.array(classes, dtype=np.int64)])
     return TypedInteractionGraph(len(ids), K, mode, edges, roster=Roster(ids))
 

@@ -371,8 +371,15 @@ def retrospective_evaluate(
     """Train on the split's training items, score its test pairs.
 
     subset, when given, restricts scoring to pairs with both endpoints in
-    the set (drug indices); class 0 acts as the no-interaction class.
+    the set (drug indices), and is applied before training; class 0 acts as
+    the no-interaction class.
     """
+    test_items = split.test_items
+    if subset is not None:
+        members = np.fromiter(subset, dtype=np.int64, count=len(subset))
+        test_items = test_items[np.isin(test_items[:, :2], members).all(axis=1)]
+        if not len(test_items):
+            raise EmptySubsetError("drug subset leaves no test pairs")
     train_items = split.train_items
     train_graph = build_graph(
         split.n_drugs,
@@ -383,13 +390,6 @@ def retrospective_evaluate(
     )
     labeled = attach_targets(train_items, train_graph, hp.alpha)
     params = train(labeled, hp, split.n_drugs, split.n_classes)
-
-    test_items = split.test_items
-    if subset is not None:
-        members = np.fromiter(subset, dtype=np.int64, count=len(subset))
-        test_items = test_items[np.isin(test_items[:, :2], members).all(axis=1)]
-        if not len(test_items):
-            raise EmptySubsetError("drug subset leaves no test pairs")
     probs = score_pairs(params, test_items[:, :2])
     return multiclass_report(probs, test_items[:, 2])
 

@@ -188,6 +188,50 @@ def test_huge_class_count_exits_with_one_line(tmp_path, capsys, class_index, fla
         _assert_one_line_error(capsys.readouterr().err, "InvalidDimensionsError")
 
 
+def test_snapshots_without_data_lines_are_one_error(retro_files, tmp_path, capsys):
+    # the class count is taken over both snapshots, which may hold no data line
+    r0, r1 = retro_files
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no interactions\n")
+    tiny = ["--dim", "4", "--epochs", "1"]
+    commands = [
+        ["train", "--interactions", str(empty), "--mode", "retrospective",
+         "--out", str(tmp_path / "m.txt")],
+        ["evaluate", "retrospective", "--t0", str(empty), "--t1", str(empty), *tiny],
+        ["evaluate", "retrospective", "--t0", str(r0), "--t1", str(empty), *tiny],
+        ["evaluate", "retrospective", "--t0", str(empty), "--t1", str(r1), *tiny],
+    ]
+    for command in commands:
+        capsys.readouterr()
+        assert main(command) == 1, command
+        assert capsys.readouterr().err == "error: FormatError: no interaction records\n", command
+
+
+@pytest.mark.parametrize("command, kind", [
+    (["evaluate", "holdout", "--k", "2", "--vocab", "missing-vocab.tsv"], "IoError"),
+    (["evaluate", "retrospective", "--vocab", "missing-vocab.tsv"], "IoError"),
+    (["evaluate", "retrospective", "--subset", "nowhere.txt"], "EmptySubsetError"),
+])
+def test_inputs_training_ignores_are_refused_before_training(synth_files, retro_files, tmp_path,
+                                                             capsys, monkeypatch, command, kind):
+    # a vocabulary or a drug subset that cannot be used is refused before any fold trains
+    t0, _, _ = synth_files
+    r0, r1 = retro_files
+    (tmp_path / "nowhere.txt").write_text("NOT-A-DRUG\n")
+    inputs = (["--interactions", str(t0)] if command[1] == "holdout"
+              else ["--t0", str(r0), "--t1", str(r1)])
+    calls = []
+    real_train = pipeline.train
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(1) or real_train(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([*command, *inputs, "--dim", "4", "--epochs", "1", "--batch", "64"]) == 1
+    captured = capsys.readouterr()
+    _assert_one_line_error(captured.err, kind)
+    assert "fold 0:" not in captured.out
+    assert calls == []
+
+
 @pytest.fixture()
 def model_and_pairs(synth_files, tmp_path):
     t0, _, _ = synth_files
@@ -220,6 +264,25 @@ def test_duplicate_roster_id_exits_with_one_line(model_and_pairs, tmp_path, caps
     rc = main(["predict", "--model", str(model), "--roster", str(roster), "--pairs", str(pairs)])
     assert rc == 1
     _assert_one_line_error(capsys.readouterr().err, "DuplicateIdError")
+
+
+def test_roster_size_mismatch_is_one_error_for_both_model_readers(model_and_pairs, tmp_path,
+                                                                   capsys):
+    model, pairs = model_and_pairs
+    roster = tmp_path / "short.roster"
+    roster.write_text("".join(f"D{i:04d}\n" for i in range(5)))
+    commands = [
+        ["predict", "--model", str(model), "--roster", str(roster), "--pairs", str(pairs)],
+        ["export-embeddings", "--model", str(model), "--roster", str(roster),
+         "--out", str(tmp_path / "emb.csv")],
+    ]
+    for command in commands:
+        capsys.readouterr()
+        assert main(command) == 1
+        assert capsys.readouterr().err == (
+            "error: ShapeMismatchError: roster lists 5 drugs but the model has 40 rows\n"
+        )
+    assert not (tmp_path / "emb.csv").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -1,15 +1,23 @@
 import json
+import re
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from amfpmc.errors import (
     DimensionMismatchError,
+    EmptyAfterNormalizationError,
     FormatError,
+    InvalidClassError,
     InvalidConfigError,
+    InvalidDimensionsError,
     ParseError,
 )
 from amfpmc.formats import (
+    _data_lines,
+    class_count,
     format_report_text,
     graph_from_index_records,
     parse_grid_file,
@@ -25,7 +33,7 @@ from amfpmc.formats import (
     write_roster,
     write_vocabulary,
 )
-from amfpmc.graph import Roster
+from amfpmc.graph import Roster, TypedInteractionGraph, check_dimensions, check_mode
 from amfpmc.metrics import MultiClassReport, PerClassMetrics
 from amfpmc.model import Hyperparameters, init_model
 from amfpmc.phrases import InteractionSentence, KeywordPhrase, build_vocabulary, extract_phrase
@@ -36,10 +44,9 @@ class TestInteractionsParsing:
     def test_index_mode_roundtrip(self, tmp_path):
         p = tmp_path / "edges.tsv"
         p.write_text("# comment\nD1\tD5\t4\n\nD2\tD3\t0\n")
-        records = parse_interactions_file(str(p), "indices")
-        assert len(records) == 2
-        assert records[0].class_index() == 4
-        assert records[0].line_no == 2
+        rows = parse_interactions_file(str(p), "indices")
+        assert rows == [("D1", "D5", 4), ("D2", "D3", 0)]
+        assert type(rows[0][2]) is int
 
     def test_self_loop_line_aborts_with_line_number(self, tmp_path):
         p = tmp_path / "edges.tsv"
@@ -58,16 +65,18 @@ class TestInteractionsParsing:
     def test_sentence_mode_with_extraction(self, tmp_path):
         p = tmp_path / "sentences.tsv"
         p.write_text("D1\tD5\tThe metabolism of Drug b can be decreased when combined with Drug a\n")
-        records = parse_interactions_file(str(p), "sentences")
-        phrase = extract_phrase(InteractionSentence(records[0].payload))
-        assert phrase.text == "decreased metabolism"
+        [(a, b, sentence, line_no)] = parse_interactions_file(str(p), "sentences")
+        assert (a, b, line_no) == ("D1", "D5", 1)
+        assert sentence == InteractionSentence(
+            "The metabolism of Drug b can be decreased when combined with Drug a")
+        assert extract_phrase(sentence).text == "decreased metabolism"
 
     def test_sentence_mode_with_surfaces(self, tmp_path):
         p = tmp_path / "sentences.tsv"
         p.write_text("DB1\tDB2\tAspirin may increase the bleeding activities of Heparin\tAspirin\tHeparin\n")
-        r = parse_interactions_file(str(p), "sentences")[0]
-        phrase = extract_phrase(InteractionSentence(r.payload, r.surface_a, r.surface_b))
-        assert phrase.text == "increased bleeding activities"
+        [(_, _, sentence, _)] = parse_interactions_file(str(p), "sentences")
+        assert (sentence.drug_a_surface, sentence.drug_b_surface) == ("Aspirin", "Heparin")
+        assert extract_phrase(sentence).text == "increased bleeding activities"
 
     def test_pairs_file(self, tmp_path):
         p = tmp_path / "pairs.tsv"
@@ -93,6 +102,177 @@ class TestInteractionsParsing:
         g = graph_from_index_records(parse_interactions_file(str(path), "indices"),
                                      "holdout", n_classes=4)
         assert np.array_equal(g.edge_list(), data.graph_t1.edge_list())
+
+
+# -- reference: the record parser and graph assembly this module replaced ---------
+
+
+@dataclass
+class _Record:
+    drug_a: str
+    drug_b: str
+    payload: str
+    line_no: int
+    surface_a: Optional[str] = None
+    surface_b: Optional[str] = None
+
+
+def _reference_parse(path, mode):
+    records = []
+    for line_no, line in _data_lines(path):
+        cols = line.split("\t")
+        if mode == "indices" and len(cols) != 3:
+            raise ParseError(path, line_no, f"expected 3 tab-separated columns, got {len(cols)}")
+        if mode == "sentences" and len(cols) not in (3, 5):
+            raise ParseError(path, line_no, f"expected 3 or 5 tab-separated columns, got {len(cols)}")
+        a, b, payload = cols[0].strip(), cols[1].strip(), cols[2].strip()
+        if not a or not b or not payload:
+            raise ParseError(path, line_no, "empty field")
+        if a == b:
+            raise ParseError(path, line_no, f"self-loop on {a!r}")
+        if mode == "indices":
+            try:
+                value = int(payload)
+            except ValueError:
+                raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
+            if value < 0:
+                raise ParseError(path, line_no, f"negative class index {value}")
+        surface_a = cols[3].strip() if len(cols) == 5 else None
+        surface_b = cols[4].strip() if len(cols) == 5 else None
+        records.append(_Record(a, b, payload, line_no, surface_a, surface_b))
+    return records
+
+
+def _reference_graph(records, mode, n_classes=None):
+    check_mode(mode)
+    if not records:
+        raise FormatError("no interaction records")
+    drugs = [r.drug_a for r in records] + [r.drug_b for r in records]
+    ids = sorted(set(drugs))
+    index = {ext: t for t, ext in enumerate(ids)}
+    m = len(records)
+    ends = np.array([index[d] for d in drugs], dtype=np.int64)
+    classes = [int(r.payload) for r in records]
+    max_class = max(classes)
+    K = n_classes if n_classes is not None else max_class + 1
+    if K <= max_class:
+        raise DimensionMismatchError(f"class {max_class} outside the declared {K} classes")
+    check_dimensions(len(ids), K)
+    edges = np.column_stack([ends[:m], ends[m:], np.array(classes, dtype=np.int64)])
+    return TypedInteractionGraph(len(ids), K, mode, edges, roster=Roster(ids))
+
+
+_INSERTS = ["\t", "\n", "\r", " ", "#", "-", "+", "_", "0", "7", "x", "D", "é", "\u0663"]
+# past int32, near and past the int64 limit
+_HUGE = [str(v) for v in (2**31, 2**62, 2**63 - 1, 2**63, 10**20)]
+
+
+def _mutate(text, rng):
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(0, len(text) + 1))
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            text = text[:pos] + text[pos + 1:]
+        elif kind == 1:
+            text = text[:pos] + _INSERTS[int(rng.integers(0, len(_INSERTS)))] + text[pos:]
+        elif kind == 2:
+            text = text[:pos] + _INSERTS[int(rng.integers(0, len(_INSERTS)))] + text[pos + 1:]
+        elif kind == 3:
+            digits = list(re.finditer(r"\d+", text))
+            t = digits[int(rng.integers(0, len(digits)))]
+            text = text[:t.start()] + _HUGE[int(rng.integers(0, len(_HUGE)))] + text[t.end():]
+        else:
+            lines = text.split("\n")
+            t = int(rng.integers(0, len(lines)))
+            lines[t:t + 1] = [lines[t]] * int(rng.integers(0, 3))
+            text = "\n".join(lines)
+    return text
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the reference and the parser must fail alike
+        return type(exc), str(exc)
+
+
+class TestParserMatchesRecordReference:
+    """The row parser gives what the record parser gave, on seeded mutations."""
+
+    SENTENCES = (
+        "# sentences\n"
+        "D1\tD2\tThe metabolism of Drug b can be decreased when combined with Drug a\n"
+        "\n"
+        "D2\tD3\tAspirin may increase the bleeding activities of Heparin\tAspirin\tHeparin\n"
+        "D3\tD4\tDrug a may increase the bleeding activities of Drug b\t\t\n"
+        "D4\tD5\tDrug a may decrease the excretion rate of Drug b\tDrug a b\t \n"
+        "D5\tD6\tDrug a b may increase the hypotensive activities of Drug b\tDrug a b\tDrug b\n"
+        "D6\tD7\tDrug a may increase the serum concentration of Drug b\t\tDrug\n"
+        "D7\tD8\tDrug a and Drug b\n"
+    )
+
+    def test_index_rows_build_the_same_graph(self, tmp_path):
+        data = generate_synthetic(SyntheticConfig(n_drugs=12, n_blocks=2, n_classes=4,
+                                                  edge_probability=0.4, seed=7))
+        path = tmp_path / "edges.tsv"
+        write_interactions_file(data.graph_t1, str(path))
+        original = "# snapshot\n\n" + path.read_text()
+
+        def build(parse, graph, mode, n_classes):
+            rows = parse(str(path), "indices")
+            g = graph(rows, mode, n_classes)
+            return len(rows), g.edge_list().tobytes(), g.roster.external_ids, g.n_classes
+
+        outcomes = set()
+        for seed in range(300):
+            text = original if seed == 0 else _mutate(original, np.random.default_rng(seed))
+            path.write_text(text, encoding="utf-8")
+            for mode, n_classes in (("holdout", None), ("retrospective", None), ("holdout", 6)):
+                expected = _outcome(build, _reference_parse, _reference_graph, mode, n_classes)
+                got = _outcome(build, parse_interactions_file, graph_from_index_records,
+                               mode, n_classes)
+                assert got == expected, (seed, mode, n_classes, text)
+                outcomes.add(expected[0] if isinstance(expected[0], type) else "graph")
+            rows = _outcome(parse_interactions_file, str(path), "indices")
+            if isinstance(rows, list) and rows:
+                records = _reference_parse(str(path), "indices")
+                assert class_count(rows) == max(int(r.payload) for r in records) + 1
+        # the mutations reach every outcome they are meant to compare
+        assert {"graph", ParseError, DimensionMismatchError, InvalidDimensionsError,
+                InvalidClassError} <= outcomes
+
+    def test_sentence_rows_extract_the_same_phrases(self, tmp_path):
+        path = tmp_path / "sentences.tsv"
+
+        def phrases(rows):
+            return [(a, b, line_no, sentence, _outcome(lambda: extract_phrase(sentence).text))
+                    for a, b, sentence, line_no in rows]
+
+        def reference(records):
+            return phrases([
+                (r.drug_a, r.drug_b,
+                 InteractionSentence(r.payload, r.surface_a or "Drug a", r.surface_b or "Drug b"),
+                 r.line_no)
+                for r in records
+            ])
+
+        for seed in range(150):
+            text = (self.SENTENCES if seed == 0
+                    else _mutate(self.SENTENCES, np.random.default_rng(seed)))
+            path.write_text(text, encoding="utf-8")
+            expected = _outcome(lambda: reference(_reference_parse(str(path), "sentences")))
+            got = _outcome(lambda: phrases(parse_interactions_file(str(path), "sentences")))
+            assert got == expected, (seed, text)
+            if seed == 0:
+                assert [p for *_, p in got] == [
+                    "decreased metabolism",
+                    "increased bleeding activities",
+                    "increased bleeding activities",
+                    "decreased excretion rate",
+                    "increased hypotensive activities",
+                    "increased serum concentration",
+                    (EmptyAfterNormalizationError, "nothing left of 'Drug a and Drug b'"),
+                ]
 
 
 class TestModelFile:
