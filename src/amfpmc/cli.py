@@ -228,12 +228,14 @@ def cmd_predict(args) -> int:
     I = np.array([roster.index_of(a) for a, _ in pairs], dtype=np.int64)
     J = np.array([roster.index_of(b) for _, b in pairs], dtype=np.int64)
     probs = score_pairs(params, np.column_stack([I, J]))
+    # ties list the lowest class first
+    top = np.argsort(-probs, axis=1, kind="stable")[:, : args.top_k]
+    top_probs = np.take_along_axis(probs, top, axis=1)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for (a, b), row in zip(pairs, probs):
-            top = np.argsort(-row, kind="mergesort")[: args.top_k]
-            for cls in top:
-                out.write(f"{a}\t{b}\t{int(cls)}\t{row[cls]:.6f}\n")
+        for (a, b), classes, values in zip(pairs, top.tolist(), top_probs.tolist()):
+            for cls, value in zip(classes, values):
+                out.write(f"{a}\t{b}\t{cls}\t{value:.6f}\n")
     finally:
         if out is not sys.stdout:
             out.close()

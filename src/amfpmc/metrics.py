@@ -25,6 +25,9 @@ from .errors import (
     ShapeMismatchError,
 )
 
+#: Negatives per tie lookup in average_precision; any value gives the same bits.
+TIE_CHUNK = 1 << 16
+
 
 def _as_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64)
@@ -81,43 +84,59 @@ def roc_auc(scores, labels) -> float:
     return float((twice_u / 2.0) / (n_pos * n_neg))
 
 
-def _precisions_by_count(s: np.ndarray, y: np.ndarray, n_pos: int) -> Optional[np.ndarray]:
-    """Precision at each positive in ranking order; None when a positive ties a negative.
+def _tied_negatives_before(s: np.ndarray, y: np.ndarray, pos: np.ndarray,
+                           pos_at: np.ndarray) -> np.ndarray:
+    """Negatives of equal score earlier in the input, per positive (score pos, position pos_at).
 
-    Without such ties the r-th highest positive sits at rank r plus the
-    negatives above it, whatever order equal scores are left in.
+    Each negative whose score some positive shares gets the key
+    group * m + position, group being that score's index among the shared
+    scores; a positive's count is the number of keys in
+    [group * m, group * m + its position). The negatives are looked up one
+    chunk at a time in score order, which keeps searchsorted's probes
+    predictable; the chunk size does not change the keys.
     """
-    neg = _sorted_negatives(s, y)
-    pos = np.sort(s[y])[::-1]
-    above = neg.size - np.searchsorted(neg, pos, "right")
-    if not np.array_equal(above, neg.size - np.searchsorted(neg, pos, "left")):
-        return None
-    hits_so_far = np.arange(1, n_pos + 1)
-    return hits_so_far / (hits_so_far + above)
+    m = s.size
+    shared = np.unique(pos)
+    neg_at = np.flatnonzero(~y)
+    keys = []
+    for lo in range(0, neg_at.size, TIE_CHUNK):
+        at = neg_at[lo : lo + TIE_CHUNK]
+        at = at[np.argsort(s[at])]
+        score = s[at]
+        group = np.searchsorted(shared, score)
+        tied = shared[np.minimum(group, shared.size - 1)] == score
+        keys.append(group[tied] * m + at[tied])
+    keys = np.sort(np.concatenate(keys))
+    base = np.searchsorted(shared, pos) * m
+    return np.searchsorted(keys, base + pos_at) - np.searchsorted(keys, base)
 
 
 def average_precision(scores, labels) -> float:
     """Mean of precision at each positive's rank, descending score order.
 
-    Ties are broken by stable input order. The precisions are counted from
-    the sorted negatives when no positive ties a negative, and read off the
-    whole ranked list otherwise; both give the same array, so the same sum.
+    Ties are broken by stable input order. With the positives in that order
+    (score descending, then position), the r-th sits at rank r plus the
+    negatives ranked above it: those of higher score, counted from the sorted
+    negatives, and those of equal score earlier in the input. The precisions
+    r / rank are the same array, in the same order, as the whole ranked list
+    gives, so the same sum.
     """
     s, y = _as_scores_labels(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NoPositivesError("need at least one positive")
-    precision_at = _precisions_by_count(s, y, n_pos)
-    if precision_at is None:
-        order = np.argsort(-s)
-        ranked = s[order]
-        ties = ranked[1:] == ranked[:-1]
-        if ties.any():
-            # back to input order within each tie run: sort the distinct keys run * m + position
-            order = order[np.argsort(np.r_[0, np.cumsum(~ties)] * s.size + order)]
-        hits = y[order]
-        precision_at = (np.cumsum(hits) / np.arange(1, s.size + 1))[hits]
-    return float(precision_at.sum() / n_pos)
+    neg = _sorted_negatives(s, y)
+    pos = np.sort(s[y])[::-1]
+    at_or_below = np.searchsorted(neg, pos, "right")
+    above = neg.size - at_or_below
+    ties = np.searchsorted(neg, pos, "left") != at_or_below
+    if ties.any():
+        # equal scores keep input order, so the positions come from a stable sort
+        pos_at = np.flatnonzero(y)
+        pos_at = pos_at[np.argsort(-s[pos_at], kind="stable")]
+        above[ties] += _tied_negatives_before(s, y, pos[ties], pos_at[ties])
+    hits_so_far = np.arange(1, n_pos + 1)
+    return float((hits_so_far / (hits_so_far + above)).sum() / n_pos)
 
 
 def class_weights(counts) -> np.ndarray:

@@ -255,6 +255,23 @@ def test_predict_top_k_below_one_is_refused(model_and_pairs, capsys, top_k):
     assert not [l for l in captured.out.splitlines() if not l.startswith("#")]
 
 
+def test_predict_ties_list_the_lowest_class_first(model_and_pairs, capsys):
+    # zero W, c and u make every logit 0, so all K probabilities tie at 1/K
+    model, pairs = model_and_pairs
+    params = read_model(str(model))
+    for arr in (params.class_proj, params.class_bias, params.bias_coupling):
+        arr[...] = 0.0
+    formats.write_model(params, str(model))
+    pairs.write_text("D0000\tD0001\nD0002\tD0000\n")
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model), "--pairs", str(pairs), "--top-k", "3"])
+    assert rc == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    share = f"{1.0 / params.n_classes:.6f}"
+    assert rows == [f"{a}\t{b}\t{k}\t{share}" for a, b in [("D0000", "D0001"), ("D0002", "D0000")]
+                    for k in range(3)]
+
+
 def test_duplicate_roster_id_exits_with_one_line(model_and_pairs, tmp_path, capsys):
     model, pairs = model_and_pairs
     roster = tmp_path / "dup.roster"

@@ -10,6 +10,7 @@ from amfpmc.errors import (
     NoPositivesError,
     ShapeMismatchError,
 )
+from amfpmc import metrics as metrics_mod
 from amfpmc.metrics import (
     average_precision,
     class_weights,
@@ -31,6 +32,24 @@ def brute_force_auc(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def whole_list_average_precision(scores, labels):
+    """Average precision read off the whole ranked list, ties in input order.
+
+    An unstable argsort of -s, then the keys run * m + position sorted, which
+    restores input order within each run of equal scores.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=bool)
+    order = np.argsort(-s)
+    ranked = s[order]
+    ties = ranked[1:] == ranked[:-1]
+    if ties.any():
+        order = order[np.argsort(np.r_[0, np.cumsum(~ties)] * s.size + order)]
+    hits = y[order]
+    precision_at = (np.cumsum(hits) / np.arange(1, s.size + 1))[hits]
+    return float(precision_at.sum() / y.sum())
 
 
 def random_scored(rng, m=None, tie_prone=True):
@@ -186,6 +205,21 @@ class TestAveragePrecision:
         for scores, labels in bitwise_draws(np.random.default_rng(29)):
             got = np.float64(average_precision(scores, labels))
             assert got.tobytes() == np.float64(reference(scores, labels)).tobytes()
+            whole_list = whole_list_average_precision(scores, labels)
+            assert got.tobytes() == np.float64(whole_list).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_tie_counts_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        draws = [
+            (rng.integers(0, 30, 20_000) / 8.0, rng.random(20_000) < 0.1),
+            (rng.choice([0.0, -0.0, 0.25, -0.25], 3000), rng.random(3000) < 0.4),
+            (np.round(rng.random(20_000), 2), rng.random(20_000) < 0.03),
+        ]
+        expected = [np.float64(whole_list_average_precision(s, y)).tobytes() for s, y in draws]
+        monkeypatch.setattr(metrics_mod, "TIE_CHUNK", chunk)
+        for (scores, labels), want in zip(draws, expected):
+            assert np.float64(average_precision(scores, labels)).tobytes() == want
 
     def test_floor_when_top_is_positive(self):
         # a positive in first place contributes precision 1, so AP >= 1/n_pos

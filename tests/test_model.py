@@ -387,6 +387,43 @@ class TestBitwiseReferences:
                 got = model_mod._scatter_rows(index, rows, n)
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n, rows_in, d", [(572, 512, 512), (1200, 2048, 64)])
+    def test_row_scatter_equals_add_at_at_bench_shapes(self, n, rows_in, d):
+        # the holdout batch (2B = 512 rows of d = 512 over 572 drugs) and the
+        # retrospective one (2B = 2048 rows of d = 64 over 1,200 drugs), with
+        # hub drugs drawn ~1/rank so some rows repeat dozens of times
+        rng = np.random.default_rng(n)
+        hubs = 1.0 / np.arange(1, n + 1)
+        index = rng.permutation(n)[rng.choice(n, rows_in, p=hubs / hubs.sum())]
+        assert np.bincount(index).max() >= 20
+        rows = rng.standard_normal((rows_in, d))
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        special = np.array([np.inf, -np.inf, np.nan, 5e-324, -1e-310, -0.0])
+        cells = rng.random(rows.shape) < 0.01
+        rows[cells] = rng.choice(special, int(cells.sum()))
+        rows[index == np.bincount(index).argmax(), : d // 4] = -0.0
+        expected = np.zeros((n, d))
+        with np.errstate(invalid="ignore"):
+            np.add.at(expected, index, rows)
+            got = model_mod._scatter_rows(index, rows, n)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_backward_at_paper_width_equals_add_at_reference(self):
+        # d = 512, B = 256 and dropout 0.3 as in the paper's training step
+        rng = np.random.default_rng(34)
+        params = random_model(rng, n=572, d=512, K=65)
+        hubs = 1.0 / np.arange(1, 573)
+        I = rng.choice(572, 256, p=hubs / hubs.sum())
+        J = (I + 1 + rng.integers(0, 571, I.size)) % 572
+        T = rng.dirichlet(np.ones(65), size=I.size)
+        w = class_weights(rng.integers(1, 10, 65))
+        params.embeddings[::7, ::3] = -0.0
+        for seed in (0, 1):
+            loss_new, new = backward(params, I, J, T, w, 0.3, np.random.default_rng(seed))
+            loss_ref, ref = reference_backward(params, I, J, T, w, 0.3, np.random.default_rng(seed))
+            assert loss_new == loss_ref
+            assert_bitwise_equal(new.arrays(), ref.arrays())
+
     def test_backward_equals_add_at_reference(self):
         rng = np.random.default_rng(32)
         for n, d, K, size, dropout in [(5, 3, 2, 30, 0.0), (12, 16, 4, 50, 0.4), (40, 7, 5, 8, 0.3)]:
