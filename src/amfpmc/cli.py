@@ -91,6 +91,13 @@ def _model_and_roster(args: argparse.Namespace):
     return params, roster
 
 
+def _read_graph(path: str, mode: str, n_classes: Optional[int]):
+    """The graph of an index-mode interactions file; the parsed rows are dropped on return."""
+    return formats.graph_from_index_records(
+        formats.parse_interactions_file(path, "indices"), mode, n_classes
+    )
+
+
 def _emit_report(report, args, class_names=None) -> None:
     sys.stdout.write(formats.format_report_text(report, class_names))
     if getattr(args, "report", None):
@@ -134,18 +141,16 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     _print_config("train", args)
     hp = _hp_from_args(args)
-    records = formats.parse_interactions_file(args.interactions, "indices")
-    graph = formats.graph_from_index_records(records, args.mode, args.classes)
-    items = graph.edge_list()
-    labeled = attach_targets(items, graph, hp.alpha)
-    params = train(labeled, hp, graph.n_drugs, graph.n_classes)
+    graph = _read_graph(args.interactions, args.mode, args.classes)
+    params = train(attach_targets(graph.edge_list(), graph, hp.alpha),
+                   hp, graph.n_drugs, graph.n_classes)
     if not all(np.all(np.isfinite(a)) for a in params.arrays()):
         raise NonFiniteError("trained parameters are not finite (did training diverge?)")
     formats.write_model(params, args.out)
     roster_path = args.out_roster or args.out + ".roster"
     formats.write_roster(graph.roster, roster_path)
     print(
-        f"trained on {len(items)} edges: n={graph.n_drugs} K={graph.n_classes} "
+        f"trained on {graph.num_edges} edges: n={graph.n_drugs} K={graph.n_classes} "
         f"d={hp.embedding_dim} -> {args.out}"
     )
     return 0
@@ -155,8 +160,7 @@ def cmd_evaluate_holdout(args) -> int:
     _print_config("evaluate holdout", args)
     hp = _hp_from_args(args)
     class_names = _class_names_from_vocab(args.vocab)
-    records = formats.parse_interactions_file(args.interactions, "indices")
-    graph = formats.graph_from_index_records(records, HOLDOUT, args.classes)
+    graph = _read_graph(args.interactions, HOLDOUT, args.classes)
     result = holdout_evaluate(graph, hp, k=args.k, seed=args.seed)
     for f, rep in enumerate(result.folds):
         print(f"fold {f}: accuracy {rep.accuracy:.4f}")
@@ -173,6 +177,7 @@ def cmd_evaluate_retrospective(args) -> int:
     n_classes = formats.class_count(rec0 + rec1) if args.classes is None else args.classes
     g0 = formats.graph_from_index_records(rec0, RETROSPECTIVE, n_classes)
     g1 = formats.graph_from_index_records(rec1, RETROSPECTIVE, n_classes)
+    del rec0, rec1
     g0, g1 = reconcile_rosters(g0, g1)
     split = retrospective_split(
         g0, g1, negative_ratio=args.negative_ratio, seed=args.seed, test_pair_cap=args.test_cap
@@ -191,8 +196,7 @@ def cmd_evaluate_retrospective(args) -> int:
 def cmd_gridsearch(args) -> int:
     _print_config("gridsearch", args)
     base_hp = _hp_from_args(args)
-    records = formats.parse_interactions_file(args.interactions, "indices")
-    graph = formats.graph_from_index_records(records, args.mode, args.classes)
+    graph = _read_graph(args.interactions, args.mode, args.classes)
     grid = formats.parse_grid_file(args.grid)
     best, results = grid_search(
         graph.edge_list(),

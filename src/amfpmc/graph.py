@@ -37,6 +37,10 @@ NO_INTERACTION = 0
 #: class index must not size them (2**26 int64 cells are 512 MiB).
 MAX_NODE_CLASS_CELLS = 2**26
 
+#: Rows per step when a (pairs, n_classes) matrix is filled in place; any
+#: value gives the same bits, and no temporary grows beyond one step.
+PAIR_CHUNK_ROWS = 4096
+
 
 def check_mode(mode: str) -> str:
     if mode not in MODES:
@@ -87,6 +91,11 @@ def check_dimensions(n_drugs: int, n_classes: int) -> None:
             f"{n_drugs} drugs x {n_classes} classes exceed the limit of "
             f"{MAX_NODE_CLASS_CELLS} drug-class cells"
         )
+
+
+def row_chunks(m: int):
+    """Slices of PAIR_CHUNK_ROWS consecutive rows that cover rows 0..m-1 in order."""
+    return (slice(lo, lo + PAIR_CHUNK_ROWS) for lo in range(0, m, PAIR_CHUNK_ROWS))
 
 
 def pair_rows(rows, width: int = 3) -> np.ndarray:
@@ -224,15 +233,20 @@ class TypedInteractionGraph:
 
         count[c] = |{k : lookup(a,k)=c}| + |{k : lookup(b,k)=c}| with k != b
         and k != a respectively, for (a, b) = (I[r], J[r]); symmetric in the
-        pair. Returns a (len(I), n_classes) int64 matrix.
+        pair. Returns a (len(I), n_classes) float64 matrix; every count is an
+        integer below 2**53, so it is exact. The a rows are gathered straight
+        into the result, then the b rows are added and the own edge taken off
+        one row_chunks step at a time.
         """
         I, J = self._check_pairs(I, J)
-        counts = self.node_class_counts()
+        counts = self.node_class_counts().astype(np.float64)
         hist = counts[I]
-        hist += counts[J]
-        own = self.edge_classes(I, J)
-        rows = np.flatnonzero(own >= 0)
-        hist[rows, own[rows]] -= 2
+        for rows in row_chunks(I.size):
+            part = hist[rows]
+            part += counts[J[rows]]
+            own = self.edge_classes(I[rows], J[rows])
+            at = np.flatnonzero(own >= 0)
+            part[at, own[at]] -= 2.0
         return hist
 
 

@@ -64,7 +64,7 @@ def _sorted_negatives(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return neg
 
 
-def roc_auc(scores, labels) -> float:
+def roc_auc(scores, labels, sorted_negatives: Optional[np.ndarray] = None) -> float:
     """Fraction of (positive, negative) pairs ranked concordantly, ties 0.5.
 
     For each positive, searchsorted over the sorted negatives counts the
@@ -72,13 +72,15 @@ def roc_auc(scores, labels) -> float:
     positives is 2U, an exact integer. U = 2U / 2 is the same exact float as
     the midrank sum minus n_pos (n_pos + 1) / 2, so the result keeps the
     midrank formula's bits while every partial sum stays below 2**53.
+    sorted_negatives, when given, must be the negatives' scores in ascending
+    order; it saves sorting them again.
     """
     s, y = _as_scores_labels(scores, labels)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("need at least one positive and one negative")
-    neg = _sorted_negatives(s, y)
+    neg = _sorted_negatives(s, y) if sorted_negatives is None else sorted_negatives
     pos = np.sort(s[y])
     twice_u = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
     return float((twice_u / 2.0) / (n_pos * n_neg))
@@ -111,7 +113,7 @@ def _tied_negatives_before(s: np.ndarray, y: np.ndarray, pos: np.ndarray,
     return np.searchsorted(keys, base + pos_at) - np.searchsorted(keys, base)
 
 
-def average_precision(scores, labels) -> float:
+def average_precision(scores, labels, sorted_negatives: Optional[np.ndarray] = None) -> float:
     """Mean of precision at each positive's rank, descending score order.
 
     Ties are broken by stable input order. With the positives in that order
@@ -119,13 +121,13 @@ def average_precision(scores, labels) -> float:
     negatives ranked above it: those of higher score, counted from the sorted
     negatives, and those of equal score earlier in the input. The precisions
     r / rank are the same array, in the same order, as the whole ranked list
-    gives, so the same sum.
+    gives, so the same sum. sorted_negatives is as in roc_auc.
     """
     s, y = _as_scores_labels(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NoPositivesError("need at least one positive")
-    neg = _sorted_negatives(s, y)
+    neg = _sorted_negatives(s, y) if sorted_negatives is None else sorted_negatives
     pos = np.sort(s[y])[::-1]
     at_or_below = np.searchsorted(neg, pos, "right")
     above = neg.size - at_or_below
@@ -241,8 +243,12 @@ def multiclass_report(prob_matrix, truths, mode: str = "both") -> MultiClassRepo
         flat_scores = P.reshape(-1)
         flat_labels = onehot.reshape(-1)
         if flat_labels.any() and not flat_labels.all():
-            micro_auroc = roc_auc(flat_scores, flat_labels)
-            micro_aupr = average_precision(flat_scores, flat_labels)
+            # both micro metrics rank against the same negatives: sort them
+            # once, and free them before the macro loop
+            neg = _sorted_negatives(flat_scores, flat_labels)
+            micro_auroc = roc_auc(flat_scores, flat_labels, sorted_negatives=neg)
+            micro_aupr = average_precision(flat_scores, flat_labels, sorted_negatives=neg)
+            del neg
 
     per_class: list[PerClassMetrics] = []
     macro_precision = macro_recall = macro_f1 = None

@@ -139,9 +139,11 @@ def init_model(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """exp(z) / sum exp(z) for z = logits - max, in one new array; logits is left as it is."""
     z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _as_index_arrays(i, j) -> tuple[np.ndarray, np.ndarray]:
@@ -164,6 +166,14 @@ def _drop(x: np.ndarray, mask: np.ndarray, dropout: float) -> None:
     x *= 1.0 / (1.0 - dropout)
 
 
+def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.ndarray:
+    """(B, K) logits h @ W.T + c + u * pair_bias[:, None], summed in that order in place."""
+    logits = h @ params.class_proj.T
+    logits += params.class_bias
+    logits += params.bias_coupling * pair_bias[:, None]
+    return logits
+
+
 def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropout: float,
                    rng: Optional[np.random.Generator]):
     """Gather both slots, drop out (the i mask drawn before the j mask), multiply, project.
@@ -183,14 +193,19 @@ def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropou
         _drop(Ej, masks[1], dropout)
     h = Ei * Ej
     pair_bias = params.drug_bias[I] + params.drug_bias[J]
-    logits = h @ params.class_proj.T + params.class_bias + params.bias_coupling * pair_bias[:, None]
-    return Ei, Ej, masks, h, pair_bias, logits
+    return Ei, Ej, masks, h, pair_bias, _head(params, h, pair_bias)
 
 
 def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
-    """Inference logits for a batch of pairs, shape (B, K); symmetric in (i, j)."""
+    """Inference logits for a batch of pairs, shape (B, K); symmetric in (i, j).
+
+    The product is formed in the i slot's gather, so two (B, d) arrays are
+    live at most, not three as in training.
+    """
     I, J = _as_index_arrays(i, j)
-    return _forward_parts(params, I, J, 0.0, None)[-1]
+    h = params.embeddings[I]
+    h *= params.embeddings[J]
+    return _head(params, h, params.drug_bias[I] + params.drug_bias[J])
 
 
 def forward(params: ModelParameters, i: int, j: int) -> np.ndarray:

@@ -228,8 +228,9 @@ def holdout_evaluate(
         if leaked.size:
             i, j, _ = test_items[leaked[0]]
             raise RuntimeError(f"test edge ({i}, {j}) leaked into fold {f} training graph")
-        labeled = attach_targets(train_items, train_graph, hp.alpha)
-        params = train(labeled, replace(hp, seed=hp.seed + f), n, K)
+        # the targets are released when train returns, before the fold is scored
+        params = train(attach_targets(train_items, train_graph, hp.alpha),
+                       replace(hp, seed=hp.seed + f), n, K)
         probs = score_pairs(params, test_items[:, :2])
         fold_reports.append(multiclass_report(probs, test_items[:, 2]))
         pooled[in_test] = probs
@@ -388,8 +389,9 @@ def retrospective_evaluate(
         train_items[train_items[:, 2] != NO_INTERACTION],
         roster=split.roster,
     )
-    labeled = attach_targets(train_items, train_graph, hp.alpha)
-    params = train(labeled, hp, split.n_drugs, split.n_classes)
+    # the targets are released when train returns, before the test pairs are scored
+    params = train(attach_targets(train_items, train_graph, hp.alpha),
+                   hp, split.n_drugs, split.n_classes)
     probs = score_pairs(params, test_items[:, :2])
     return multiclass_report(probs, test_items[:, 2])
 
@@ -483,8 +485,8 @@ def grid_search(
     results: list[tuple[Hyperparameters, float]] = []
     best: Optional[tuple[Hyperparameters, float]] = None
     for hp_c in candidates:
-        labeled = attach_targets(train_items, train_graph, hp_c.alpha)
-        params = train(labeled, hp_c, n_drugs, n_classes)
+        params = train(attach_targets(train_items, train_graph, hp_c.alpha),
+                       hp_c, n_drugs, n_classes)
         probs = score_pairs(params, val_pairs)
         if not np.all(np.isfinite(probs)):
             raise NonFiniteError(

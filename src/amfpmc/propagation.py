@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidClassError, InvalidConfigError, ShapeMismatchError
-from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph
+from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph, row_chunks
 
 
 def check_labels(labels, n_classes: int) -> np.ndarray:
@@ -39,26 +39,30 @@ def neighborhood_distributions(graph: TypedInteractionGraph, I, J) -> np.ndarray
 
     When both endpoints of a pair are isolated its histogram is all-zero and
     the row falls back to the one-hot on the no-interaction class in
-    retrospective mode, the uniform distribution in holdout mode.
+    retrospective mode, the uniform distribution in holdout mode. The
+    histogram is normalized in place, one row_chunks step at a time.
     """
-    dist = graph.pair_class_histograms(I, J).astype(np.float64)
-    total = dist.sum(axis=1, keepdims=True)
-    isolated = total[:, 0] == 0.0
-    np.divide(dist, total, out=dist, where=~isolated[:, None])
-    if graph.mode == RETROSPECTIVE:
-        dist[isolated, NO_INTERACTION] = 1.0
-    else:
-        dist[isolated] = 1.0 / graph.n_classes
+    dist = graph.pair_class_histograms(I, J)
+    for rows in row_chunks(len(dist)):
+        part = dist[rows]
+        total = part.sum(axis=1, keepdims=True)
+        isolated = total[:, 0] == 0.0
+        np.divide(part, total, out=part, where=~isolated[:, None])
+        if graph.mode == RETROSPECTIVE:
+            part[isolated, NO_INTERACTION] = 1.0
+        else:
+            part[isolated] = 1.0 / graph.n_classes
     return dist
 
 
 def propagate_targets(graph: TypedInteractionGraph, I, J, labels, alpha: float) -> np.ndarray:
     """(B, n_classes) targets (1 - alpha) * onehot(labels[r]) + alpha * dist(I[r], J[r]).
 
-    Built in place as alpha * dist plus (1 - alpha) at each row's label;
-    every entry is the same float the formula gives. label 0 is a legal
-    training label in retrospective mode (sampled no-interaction pairs) even
-    though it never appears as a stored edge.
+    Built in place on the distributions as alpha * dist plus (1 - alpha) at
+    each row's label, the labels one row_chunks step at a time; every entry
+    is the same float the formula gives. label 0 is a legal training label in
+    retrospective mode (sampled no-interaction pairs) even though it never
+    appears as a stored edge.
     """
     alpha = check_alpha(alpha)
     y = check_labels(labels, graph.n_classes)
@@ -66,7 +70,9 @@ def propagate_targets(graph: TypedInteractionGraph, I, J, labels, alpha: float) 
         raise ShapeMismatchError("labels must align with the pairs")
     targets = neighborhood_distributions(graph, I, J)
     targets *= alpha
-    targets[np.arange(y.size), y] += 1.0 - alpha
+    for rows in row_chunks(y.size):
+        part = targets[rows]
+        part[np.arange(len(part)), y[rows]] += 1.0 - alpha
     return targets
 
 

@@ -245,6 +245,17 @@ class TestAveragePrecision:
         assert average_precision([0.5, 0.5], [False, True]) == 0.5
 
 
+def test_sorted_negatives_keyword_gives_the_same_bits():
+    for scores, labels in bitwise_draws(np.random.default_rng(37)):
+        neg = np.sort(scores[~labels])
+        want = np.float64(average_precision(scores, labels)).tobytes()
+        assert np.float64(average_precision(scores, labels, sorted_negatives=neg)).tobytes() == want
+        if labels.all():
+            continue
+        want = np.float64(roc_auc(scores, labels)).tobytes()
+        assert np.float64(roc_auc(scores, labels, sorted_negatives=neg)).tobytes() == want
+
+
 class TestClassWeights:
     def test_balanced_counts_give_unit_weights(self):
         assert class_weights([7, 7, 7]).tolist() == [1.0, 1.0, 1.0]
@@ -319,6 +330,20 @@ class TestMulticlassReport:
         onehot[np.arange(25), truths] = True
         assert rep.micro_auroc == roc_auc(probs.ravel(), onehot.ravel())
         assert rep.micro_aupr == average_precision(probs.ravel(), onehot.ravel())
+
+    def test_micro_negatives_sorted_once(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        probs = np.round(rng.dirichlet(np.ones(5), size=400), 2)  # ties across rows
+        truths = rng.integers(0, 5, 400)
+        sorts = []
+        real = metrics_mod._sorted_negatives
+        monkeypatch.setattr(metrics_mod, "_sorted_negatives", lambda s, y: sorts.append(s.size) or real(s, y))
+        got = multiclass_report(probs, truths, mode="micro")
+        assert sorts == [probs.size]
+        onehot = np.zeros_like(probs, dtype=bool)
+        onehot[np.arange(400), truths] = True
+        assert got.micro_auroc == roc_auc(probs.ravel(), onehot.ravel())
+        assert got.micro_aupr == average_precision(probs.ravel(), onehot.ravel())
 
     def test_single_class_support_raises_degenerate(self):
         probs = np.array([[0.9, 0.1], [0.8, 0.2]])

@@ -473,3 +473,32 @@ class TestBitwiseReferences:
         monkeypatch.setattr(pipeline, "adam_step", reference_adam_step)
         ref = train(pairs, hp, n, K)
         assert_bitwise_equal(fast.arrays(), ref.arrays())
+
+    def test_softmax_equals_three_temporary_form(self):
+        rng = np.random.default_rng(35)
+        logits = rng.standard_normal((300, 9)) * 40.0
+        logits[::5] = 3.0                                 # all-equal rows
+        logits[1::7, 0] = 800.0                           # exp overflows without the shift
+        logits[2::7, :4] = -1e300
+        logits[3::11, 2] = -0.0
+        for x in (logits, logits[0], logits[:, :1], logits[::3, ::2]):
+            before = x.copy()
+            z = x - x.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = softmax(x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert x.tobytes() == before.tobytes()
+
+    def test_forward_batch_equals_three_temporary_form(self):
+        rng = np.random.default_rng(36)
+        for n, d, K, size in [(5, 3, 2, 1), (40, 7, 5, 300), (572, 512, 65, 256)]:
+            params = random_model(rng, n=n, d=d, K=K)
+            params.embeddings[::3, ::2] = -0.0
+            I, J, _, _ = random_batch(rng, params, size=size)
+            h = params.embeddings[I] * params.embeddings[J]
+            pair_bias = params.drug_bias[I] + params.drug_bias[J]
+            want = h @ params.class_proj.T + params.class_bias + params.bias_coupling * pair_bias[:, None]
+            assert model_mod._forward_parts(params, I, J, 0.0, None)[-1].tobytes() == want.tobytes()
+            assert model_mod.forward_batch(params, I, J).tobytes() == want.tobytes()
+            assert predict_batch(params, I, J).tobytes() == softmax(want).tobytes()

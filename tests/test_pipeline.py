@@ -15,6 +15,7 @@ from amfpmc.errors import (
     InvalidDimensionsError,
     TooFewPairsError,
 )
+from amfpmc import graph as graph_mod
 from amfpmc import pipeline
 from amfpmc.formats import report_to_dict
 from amfpmc.graph import Roster, TypedInteractionGraph, build_graph
@@ -141,6 +142,51 @@ class TestTrain:
         assert max(targets_peak, train_peak) <= 2.5 * matrix_bytes
         # training copies no (B, K) matrix
         assert train_peak - retained <= 0.25 * matrix_bytes
+
+    def test_attach_targets_peak_is_its_output_plus_one_chunk(self):
+        # everything attach_targets allocates beyond the rows and targets it
+        # returns is one PAIR_CHUNK_ROWS step (K floats and a few int64
+        # indices per row) and the graph's (n, K) count table, int and float
+        data = generate_synthetic(SyntheticConfig(n_drugs=400, n_blocks=6, n_classes=37,
+                                                  edge_probability=0.3, holdout_fraction=0.0,
+                                                  seed=1, mode="retrospective"))
+        g = data.graph_t1
+        items = g.edge_list()
+        n, K = g.n_drugs, g.n_classes
+        assert len(items) > 5 * graph_mod.PAIR_CHUNK_ROWS
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            labeled = attach_targets(items, g, alpha=0.6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        output = labeled.items.nbytes + labeled.targets.nbytes
+        one_chunk = graph_mod.PAIR_CHUNK_ROWS * (K + 8) * 8
+        assert peak <= output + one_chunk + 2 * n * K * 8
+
+    def test_retrospective_targets_released_before_scoring(self, monkeypatch):
+        data = generate_synthetic(SyntheticConfig(n_drugs=300, n_blocks=6, n_classes=37,
+                                                  edge_probability=0.3, holdout_fraction=0.2,
+                                                  seed=2, mode="retrospective"))
+        split = retrospective_split(data.graph_t0, data.graph_t1, seed=0, test_pair_cap=2000)
+        targets_bytes = len(split.train_items) * split.n_classes * 8
+        held = []
+        real = pipeline.score_pairs
+
+        def probe(params, pairs):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return real(params, pairs)
+
+        monkeypatch.setattr(pipeline, "score_pairs", probe)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            retrospective_evaluate(split, quick_hp(embedding_dim=4, epochs=1, batch_size=512))
+        finally:
+            tracemalloc.stop()
+        # the training graph and the model are left, not the (B, K) targets
+        assert len(held) == 1 and held[0] < 0.25 * targets_bytes
 
     def test_loss_decreases_on_planted_data(self):
         data = generate_synthetic(SyntheticConfig(n_drugs=10, n_blocks=2, n_classes=4,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from amfpmc.errors import InvalidClassError, InvalidConfigError, SelfLoopError, UnknownDrugError
+from amfpmc import graph as graph_mod
 from amfpmc.graph import TypedInteractionGraph, build_graph
 from amfpmc.propagation import (
     neighborhood_distributions,
@@ -183,3 +184,63 @@ def test_batched_targets_bitwise_equal_per_pair_formula(mode):
             batched = propagate_targets(g, I, J, y, alpha)
             reference = np.stack([_reference_target(g, *p, alpha) for p in pairs])
             assert batched.tobytes() == reference.tobytes()
+
+
+# -- bitwise references: the int64 histograms, converted to float afterwards --
+
+
+def int64_distributions(g, I, J):
+    """The int64 histogram, copied to float64 and then normalized."""
+    I = np.asarray(I, dtype=np.int64)
+    J = np.asarray(J, dtype=np.int64)
+    counts = g.node_class_counts()
+    hist = counts[I]
+    hist += counts[J]
+    own = g.edge_classes(I, J)
+    rows = np.flatnonzero(own >= 0)
+    hist[rows, own[rows]] -= 2
+    dist = hist.astype(np.float64)
+    total = dist.sum(axis=1, keepdims=True)
+    isolated = total[:, 0] == 0.0
+    np.divide(dist, total, out=dist, where=~isolated[:, None])
+    if g.mode == "retrospective":
+        dist[isolated, 0] = 1.0
+    else:
+        dist[isolated] = 1.0 / g.n_classes
+    return hist, dist
+
+
+def int64_targets(g, I, J, labels, alpha):
+    targets = int64_distributions(g, I, J)[1]
+    targets *= alpha
+    y = np.asarray(labels, dtype=np.int64)
+    targets[np.arange(y.size), y] += 1.0 - alpha
+    return targets
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1_000_000])
+@pytest.mark.parametrize("mode", ["holdout", "retrospective"])
+def test_in_place_targets_bitwise_equal_int64_formula(monkeypatch, mode, chunk):
+    # every stored edge (ends swapped, so its own edge is found either way
+    # round), pairs of the isolated drugs 30..34, then random pairs
+    rng = np.random.default_rng(41)
+    lo = 1 if mode == "retrospective" else 0
+    n, K = 35, 7
+    iu, ju = np.triu_indices(30, k=1)
+    keep = rng.choice(iu.size, 120, replace=False)
+    g = TypedInteractionGraph(n, K, mode, np.column_stack([iu[keep], ju[keep], rng.integers(lo, K, 120)]))
+    pairs = [tuple(row) for row in g.edge_list()[:, [1, 0, 2]].tolist()]  # own edges, reversed
+    pairs += [(30, 31, 0), (34, 32, 1), (33, 0, 2)]  # isolated endpoints
+    while len(pairs) < 400:
+        a, b = (int(v) for v in rng.integers(0, n, 2))
+        if a != b:
+            pairs.append((a, b, int(rng.integers(0, K))))
+    I, J, y = (np.array(col) for col in zip(*pairs))
+    hist, dist = int64_distributions(g, I, J)
+    monkeypatch.setattr(graph_mod, "PAIR_CHUNK_ROWS", chunk)
+    got = g.pair_class_histograms(I, J)
+    assert got.dtype == np.float64 and np.array_equal(got, hist)
+    assert neighborhood_distributions(g, I, J).tobytes() == dist.tobytes()
+    for alpha in (0.0, 0.3, 0.6, 1.0):
+        want = int64_targets(g, I, J, y, alpha)
+        assert propagate_targets(g, I, J, y, alpha).tobytes() == want.tobytes()
