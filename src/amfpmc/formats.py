@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
 )
 from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_dimensions, check_mode
-from .metrics import MultiClassReport
+from .metrics import MultiClassReport, _by_support
 from .model import Hyperparameters, ModelParameters
 from .phrases import (
     NO_INTERACTION_MARKER,
@@ -302,8 +302,7 @@ def format_report_text(
         if class_names:
             header += "  interaction"
         out.append(header)
-        rows = sorted(report.per_class, key=lambda r: (-r.support, r.class_id))
-        for r in rows:
+        for r in sorted(report.per_class, key=_by_support):
             auroc = "n/a" if r.auroc is None else f"{r.auroc:.4f}"
             aupr = "n/a" if r.aupr is None else f"{r.aupr:.4f}"
             line = f"{r.class_id:>6} {r.support:>8} {auroc:>8} {aupr:>8}"

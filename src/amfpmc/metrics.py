@@ -10,14 +10,15 @@ zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     AllEmptyError,
     DegenerateLabelsError,
+    EmptyDatasetError,
     EmptyInputError,
     InvalidConfigError,
     NonFiniteError,
@@ -162,42 +163,52 @@ class PerClassMetrics:
     aupr: Optional[float]
 
 
+def _by_support(row: PerClassMetrics) -> tuple[int, int]:
+    """Sort key of a per-class table: support descending, then class id."""
+    return -row.support, row.class_id
+
+
 @dataclass
 class MultiClassReport:
     """Accuracy plus micro/macro aggregates and per-class ranking curves.
 
     For single-label multiclass over pooled one-vs-rest confusion counts,
     micro precision, recall, and F1 all equal accuracy; the fields are kept
-    separate because the text report mirrors published table layouts.
+    separate because the text report mirrors published table layouts. Every
+    field but per_class is a scalar of the report, in report order; a mode
+    that skips a metric leaves it None.
     """
 
     accuracy: float
     micro_precision: float
     micro_recall: float
     micro_f1: float
-    micro_auroc: Optional[float]
-    micro_aupr: Optional[float]
-    macro_precision: Optional[float]
-    macro_recall: Optional[float]
-    macro_f1: Optional[float]
-    macro_auroc: Optional[float]
-    macro_aupr: Optional[float]
+    micro_auroc: Optional[float] = None
+    micro_aupr: Optional[float] = None
+    macro_precision: Optional[float] = None
+    macro_recall: Optional[float] = None
+    macro_f1: Optional[float] = None
+    macro_auroc: Optional[float] = None
+    macro_aupr: Optional[float] = None
     per_class: list[PerClassMetrics] = field(default_factory=list)
 
     def scalar_items(self) -> list[tuple[str, Optional[float]]]:
-        return [
-            ("accuracy", self.accuracy),
-            ("micro_precision", self.micro_precision),
-            ("micro_recall", self.micro_recall),
-            ("micro_f1", self.micro_f1),
-            ("micro_auroc", self.micro_auroc),
-            ("micro_aupr", self.micro_aupr),
-            ("macro_precision", self.macro_precision),
-            ("macro_recall", self.macro_recall),
-            ("macro_f1", self.macro_f1),
-            ("macro_auroc", self.macro_auroc),
-            ("macro_aupr", self.macro_aupr),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "per_class"]
+
+
+def mean_report(reports: Sequence[MultiClassReport],
+                per_class: Optional[list[PerClassMetrics]] = None) -> MultiClassReport:
+    """Field-wise mean of each scalar over the reports that have it.
+
+    A scalar that no report has stays None; per-class rows are passed through.
+    """
+    if not reports:
+        raise EmptyDatasetError("no reports to average")
+    means = {}
+    for name, _ in reports[0].scalar_items():
+        present = [v for v in (getattr(r, name) for r in reports) if v is not None]
+        means[name] = float(np.mean(present)) if present else None
+    return MultiClassReport(per_class=list(per_class or []), **means)
 
 
 def _check_prob_matrix(prob_matrix, truths) -> tuple[np.ndarray, np.ndarray]:
@@ -216,6 +227,13 @@ def _check_prob_matrix(prob_matrix, truths) -> tuple[np.ndarray, np.ndarray]:
     return P, t
 
 
+def _ranked(s: np.ndarray, y: np.ndarray, auroc: bool = True) -> tuple[Optional[float], float]:
+    """AUROC (None unless auroc) and average precision, ranked against negatives sorted once."""
+    neg = _sorted_negatives(s, y)
+    area = roc_auc(s, y, sorted_negatives=neg) if auroc else None
+    return area, average_precision(s, y, sorted_negatives=neg)
+
+
 def multiclass_report(prob_matrix, truths, mode: str = "both") -> MultiClassReport:
     """Score a probability matrix against integer truths.
 
@@ -230,74 +248,47 @@ def multiclass_report(prob_matrix, truths, mode: str = "both") -> MultiClassRepo
     n_rows, n_classes = P.shape
     preds = np.argmax(P, axis=1)
     accuracy = float(np.mean(preds == t))
-
-    support = np.bincount(t, minlength=n_classes)
     # pooled one-vs-rest confusion counts collapse to the accuracy identity
-    micro_p = micro_r = micro_f1 = accuracy
+    scalars = dict(accuracy=accuracy, micro_precision=accuracy, micro_recall=accuracy,
+                   micro_f1=accuracy)
 
-    micro_auroc: Optional[float] = None
-    micro_aupr: Optional[float] = None
-    if mode in ("micro", "both"):
+    # each row holds one positive, so the pooled labels have a negative when K > 1
+    if mode in ("micro", "both") and n_classes > 1:
         onehot = np.zeros((n_rows, n_classes), dtype=bool)
         onehot[np.arange(n_rows), t] = True
-        flat_scores = P.reshape(-1)
-        flat_labels = onehot.reshape(-1)
-        if flat_labels.any() and not flat_labels.all():
-            # both micro metrics rank against the same negatives: sort them
-            # once, and free them before the macro loop
-            neg = _sorted_negatives(flat_scores, flat_labels)
-            micro_auroc = roc_auc(flat_scores, flat_labels, sorted_negatives=neg)
-            micro_aupr = average_precision(flat_scores, flat_labels, sorted_negatives=neg)
-            del neg
+        scalars["micro_auroc"], scalars["micro_aupr"] = _ranked(P.reshape(-1), onehot.reshape(-1))
 
     per_class: list[PerClassMetrics] = []
-    macro_precision = macro_recall = macro_f1 = None
-    macro_auroc = macro_aupr = None
     if mode in ("macro", "both"):
+        support = np.bincount(t, minlength=n_classes).tolist()
+        hits = np.bincount(t[preds == t], minlength=n_classes).tolist()
+        predicted = np.bincount(preds, minlength=n_classes).tolist()
         precisions, recalls, f1s, aurocs, auprs = [], [], [], [], []
         for k in range(n_classes):
-            sup = int(support[k])
-            if sup == 0:
+            if support[k] == 0:
                 per_class.append(PerClassMetrics(k, 0, None, None))
                 continue
-            pos = t == k
-            pred_k = preds == k
-            tp = int((pos & pred_k).sum())
-            fp = int((~pos & pred_k).sum())
-            fn = int((pos & ~pred_k).sum())
-            prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-            rec = tp / (tp + fn)
+            prec = hits[k] / predicted[k] if predicted[k] > 0 else 0.0
+            rec = hits[k] / support[k]
             f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-            auroc_k = roc_auc(P[:, k], pos) if sup < n_rows else None
-            aupr_k = average_precision(P[:, k], pos)
-            per_class.append(PerClassMetrics(k, sup, auroc_k, aupr_k))
+            # one contiguous copy of the column serves both rankings
+            auroc_k, aupr_k = _ranked(np.ascontiguousarray(P[:, k]), t == k,
+                                      auroc=support[k] < n_rows)
+            per_class.append(PerClassMetrics(k, support[k], auroc_k, aupr_k))
             precisions.append(prec)
             recalls.append(rec)
             f1s.append(f1)
             if auroc_k is not None:
                 aurocs.append(auroc_k)
             auprs.append(aupr_k)
-        if not precisions:
-            raise DegenerateLabelsError("no class has support")
-        macro_precision = float(np.mean(precisions))
-        macro_recall = float(np.mean(recalls))
-        macro_f1 = float(np.mean(f1s))
         if not aurocs:
             raise DegenerateLabelsError("no class has both positives and negatives")
-        macro_auroc = float(np.mean(aurocs))
-        macro_aupr = float(np.mean(auprs))
+        scalars.update(
+            macro_precision=float(np.mean(precisions)),
+            macro_recall=float(np.mean(recalls)),
+            macro_f1=float(np.mean(f1s)),
+            macro_auroc=float(np.mean(aurocs)),
+            macro_aupr=float(np.mean(auprs)),
+        )
 
-    return MultiClassReport(
-        accuracy=accuracy,
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=micro_f1,
-        micro_auroc=micro_auroc,
-        micro_aupr=micro_aupr,
-        macro_precision=macro_precision,
-        macro_recall=macro_recall,
-        macro_f1=macro_f1,
-        macro_auroc=macro_auroc,
-        macro_aupr=macro_aupr,
-        per_class=per_class,
-    )
+    return MultiClassReport(**scalars, per_class=per_class)

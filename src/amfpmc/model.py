@@ -17,6 +17,7 @@ bitwise reproducible given a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,8 +63,8 @@ class Hyperparameters:
             raise InvalidDimensionsError("epochs must be >= 0")
         if self.batch_size < 1:
             raise InvalidDimensionsError("batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise InvalidDimensionsError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise InvalidDimensionsError("learning_rate must be positive and finite")
         check_alpha(self.alpha)
         return self
 
@@ -312,12 +313,13 @@ def backward(
     if masks is not None:
         _drop(dE[:B], masks[0], dropout)
         _drop(dE[B:], masks[1], dropout)
-    grad_E = _scatter_rows(np.concatenate([I, J]), dE, params.n_drugs)
+    slots = np.concatenate([I, J])
+    grad_E = _scatter_rows(slots, dE, params.n_drugs)
 
+    # bincount sums in index order from 0.0, the bits of np.add.at into zeros
     db_pair = G @ params.bias_coupling
-    grad_b = np.zeros_like(params.drug_bias)
-    np.add.at(grad_b, I, db_pair)
-    np.add.at(grad_b, J, db_pair)
+    grad_b = np.bincount(slots, weights=np.concatenate([db_pair, db_pair]),
+                         minlength=params.n_drugs)
 
     return batch_loss, ModelParameters(grad_E, grad_b, grad_W, grad_c, grad_u)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .graph import (
     build_graph,
     pair_rows,
 )
-from .metrics import MultiClassReport, PerClassMetrics, multiclass_report
+from .metrics import MultiClassReport, _by_support, mean_report, multiclass_report
 from .model import (
     Hyperparameters,
     ModelParameters,
@@ -50,7 +50,7 @@ from .propagation import check_labels, neighborhood_distributions, propagate_tar
 #: beyond this many pairs is a seeded subsample taken.
 DEFAULT_TEST_PAIR_CAP = 5_000_000
 
-#: Rows per predict_batch call in score_pairs; above every test set the
+#: Most rows per predict_batch call in score_pairs; above every test set the
 #: benchmark scores, so those are scored in one piece.
 SCORE_CHUNK_ROWS = 16_384
 
@@ -129,20 +129,18 @@ def train(
 def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
     """Prediction distributions for (B, 2) pairs (i, j), shape (B, K).
 
-    Pairs are scored SCORE_CHUNK_ROWS rows at a time, so the (rows, d)
-    temporaries stay bounded however many pairs there are. A tail shorter
-    than half a chunk joins the chunk before it, since BLAS may take another
-    kernel path, with other rounding, for a handful of rows.
+    The pairs are split into the fewest near-equal chunks of at most
+    SCORE_CHUNK_ROWS rows, so the (rows, d) temporaries stay bounded however
+    many pairs there are, and beyond one chunk each has at least half of
+    SCORE_CHUNK_ROWS: BLAS may take another kernel path, with other
+    rounding, for a handful of rows.
     """
     ends = pair_rows(pairs, width=2)
     m = len(ends)
-    starts = list(range(0, m, SCORE_CHUNK_ROWS))
-    if len(starts) > 1 and m - starts[-1] < SCORE_CHUNK_ROWS // 2:
-        starts.pop()
-    if len(starts) <= 1:
-        return predict_batch(params, ends[:, 0], ends[:, 1])
+    n_chunks = max(1, -(-m // SCORE_CHUNK_ROWS))
+    bounds = [m * c // n_chunks for c in range(n_chunks + 1)]
     probs = np.empty((m, params.n_classes), dtype=np.float64)
-    for start, stop in zip(starts, starts[1:] + [m]):
+    for start, stop in zip(bounds, bounds[1:]):
         probs[start:stop] = predict_batch(params, ends[start:stop, 0], ends[start:stop, 1])
     return probs
 
@@ -164,26 +162,6 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
         rng.shuffle(members)
         folds[members] = np.arange(members.size) % k
     return folds
-
-
-def _mean_optional(values: list[Optional[float]]) -> Optional[float]:
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return float(np.mean(present))
-
-
-def mean_report(reports: Sequence[MultiClassReport],
-                per_class: Optional[list[PerClassMetrics]] = None) -> MultiClassReport:
-    """Field-wise mean of scalar metrics; per-class rows are passed through."""
-    if not reports:
-        raise EmptyDatasetError("no reports to average")
-    names = [name for name, _ in reports[0].scalar_items()]
-    means = {
-        name: _mean_optional([dict(r.scalar_items())[name] for r in reports])
-        for name in names
-    }
-    return MultiClassReport(per_class=list(per_class or []), **means)
 
 
 @dataclass
@@ -235,8 +213,7 @@ def holdout_evaluate(
         fold_reports.append(multiclass_report(probs, test_items[:, 2]))
         pooled[in_test] = probs
 
-    pooled_per_class = multiclass_report(pooled, labels).per_class
-    pooled_per_class.sort(key=lambda r: (-r.support, r.class_id))
+    pooled_per_class = sorted(multiclass_report(pooled, labels).per_class, key=_by_support)
     return HoldoutResult(mean=mean_report(fold_reports, pooled_per_class), folds=fold_reports)
 
 

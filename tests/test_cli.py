@@ -393,25 +393,29 @@ def test_reports_identical_across_processes_and_hash_seeds(synth_files, retro_fi
         assert reports[0] == reports[1], name
 
 
-def test_alpha_out_of_range_is_one_error_everywhere(synth_files, retro_files, tmp_path,
-                                                     capsys, monkeypatch):
-    # hyperparameters are checked before any input is read, targeted or trained,
-    # and every grid candidate before the first one trains
+def _refused_everywhere(flag, value, grid_line, synth_files, retro_files, tmp_path, capsys,
+                        monkeypatch):
+    """The stderr lines of every training command given a bad hyperparameter.
+
+    Hyperparameters are checked before any input is read, targeted or trained,
+    and every grid candidate before the first one trains; each command must
+    exit 1 with one line.
+    """
     t0, _, _ = synth_files
     r0, r1 = retro_files
     grid, late_bad_grid = tmp_path / "grid.txt", tmp_path / "late-bad-grid.txt"
     grid.write_text("alpha 0.5\n")
-    late_bad_grid.write_text("alpha 0.5 1.5\n")
+    late_bad_grid.write_text(grid_line + "\n")
     calls = []
     for module, name in ((cli, "train"), (cli, "attach_targets"), (pipeline, "train")):
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name))
     gridsearch = ["gridsearch", "--interactions", str(t0), "--mode", "holdout", "--grid"]
     commands = [
         ["train", "--interactions", str(t0), "--mode", "holdout", "--out", str(tmp_path / "m"),
-         "--alpha", "1.5"],
-        ["evaluate", "holdout", "--interactions", str(t0), "--alpha", "1.5"],
-        ["evaluate", "retrospective", "--t0", str(r0), "--t1", str(r1), "--alpha", "1.5"],
-        [*gridsearch, str(grid), "--alpha", "1.5"],
+         flag, value],
+        ["evaluate", "holdout", "--interactions", str(t0), flag, value],
+        ["evaluate", "retrospective", "--t0", str(r0), "--t1", str(r1), flag, value],
+        [*gridsearch, str(grid), flag, value],
         [*gridsearch, str(late_bad_grid)],
     ]
     errors = set()
@@ -419,10 +423,26 @@ def test_alpha_out_of_range_is_one_error_everywhere(synth_files, retro_files, tm
         capsys.readouterr()
         assert main(command) == 1
         err = capsys.readouterr().err
-        _assert_one_line_error(err, "InvalidConfigError")
+        assert len(err.strip().splitlines()) == 1, err
         errors.add(err)
-    assert errors == {"error: InvalidConfigError: propagation factor must be in [0, 1], got 1.5\n"}
     assert calls == []
+    return errors
+
+
+def test_alpha_out_of_range_is_one_error_everywhere(synth_files, retro_files, tmp_path,
+                                                     capsys, monkeypatch):
+    errors = _refused_everywhere("--alpha", "1.5", "alpha 0.5 1.5", synth_files, retro_files,
+                                 tmp_path, capsys, monkeypatch)
+    assert errors == {"error: InvalidConfigError: propagation factor must be in [0, 1], got 1.5\n"}
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_one_error_everywhere(lr, synth_files, retro_files, tmp_path,
+                                                          capsys, monkeypatch):
+    # refused like a non-positive rate, not after training as a non-finite report
+    errors = _refused_everywhere("--lr", lr, f"learning_rate 0.01 {lr}", synth_files, retro_files,
+                                 tmp_path, capsys, monkeypatch)
+    assert errors == {"error: InvalidDimensionsError: learning_rate must be positive and finite\n"}
 
 
 def _parameter_default(fn, name):

@@ -4,6 +4,7 @@ import pytest
 from amfpmc.errors import (
     AllEmptyError,
     DegenerateLabelsError,
+    EmptyDatasetError,
     EmptyInputError,
     InvalidConfigError,
     NonFiniteError,
@@ -12,8 +13,11 @@ from amfpmc.errors import (
 )
 from amfpmc import metrics as metrics_mod
 from amfpmc.metrics import (
+    MultiClassReport,
+    PerClassMetrics,
     average_precision,
     class_weights,
+    mean_report,
     midranks,
     multiclass_report,
     roc_auc,
@@ -375,3 +379,185 @@ class TestMulticlassReport:
         assert macro_only.micro_auroc is None and macro_only.macro_auroc is not None
         with pytest.raises(InvalidConfigError):
             multiclass_report(probs, truths, mode="weighted")
+
+
+# -- the report against the formulas it replaced, bit for bit ---------------
+
+REPORT_SCALARS = (
+    "accuracy", "micro_precision", "micro_recall", "micro_f1", "micro_auroc", "micro_aupr",
+    "macro_precision", "macro_recall", "macro_f1", "macro_auroc", "macro_aupr",
+)
+
+
+def reference_multiclass_report(prob_matrix, truths, mode):
+    """Three masks per class, each metric ranking its own strided column; inputs taken as valid."""
+    P = np.asarray(prob_matrix, dtype=np.float64)
+    t = np.asarray(truths, dtype=np.int64)
+    n_rows, n_classes = P.shape
+    preds = np.argmax(P, axis=1)
+    accuracy = float(np.mean(preds == t))
+    support = np.bincount(t, minlength=n_classes)
+    scalars = dict.fromkeys(REPORT_SCALARS)
+    scalars.update(accuracy=accuracy, micro_precision=accuracy, micro_recall=accuracy,
+                   micro_f1=accuracy)
+    if mode in ("micro", "both"):
+        onehot = np.zeros((n_rows, n_classes), dtype=bool)
+        onehot[np.arange(n_rows), t] = True
+        flat_scores, flat_labels = P.reshape(-1), onehot.reshape(-1)
+        if flat_labels.any() and not flat_labels.all():
+            scalars["micro_auroc"] = roc_auc(flat_scores, flat_labels)
+            scalars["micro_aupr"] = average_precision(flat_scores, flat_labels)
+    per_class = []
+    if mode in ("macro", "both"):
+        precisions, recalls, f1s, aurocs, auprs = [], [], [], [], []
+        for k in range(n_classes):
+            sup = int(support[k])
+            if sup == 0:
+                per_class.append(PerClassMetrics(k, 0, None, None))
+                continue
+            pos = t == k
+            pred_k = preds == k
+            tp = int((pos & pred_k).sum())
+            fp = int((~pos & pred_k).sum())
+            fn = int((pos & ~pred_k).sum())
+            prec = tp / (tp + fp) if tp + fp > 0 else 0.0
+            rec = tp / (tp + fn)
+            f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+            auroc_k = roc_auc(P[:, k], pos) if sup < n_rows else None
+            aupr_k = average_precision(P[:, k], pos)
+            per_class.append(PerClassMetrics(k, sup, auroc_k, aupr_k))
+            precisions.append(prec)
+            recalls.append(rec)
+            f1s.append(f1)
+            if auroc_k is not None:
+                aurocs.append(auroc_k)
+            auprs.append(aupr_k)
+        scalars.update(macro_precision=float(np.mean(precisions)),
+                       macro_recall=float(np.mean(recalls)), macro_f1=float(np.mean(f1s)),
+                       macro_auroc=float(np.mean(aurocs)), macro_aupr=float(np.mean(auprs)))
+    return MultiClassReport(per_class=per_class, **scalars)
+
+
+def reference_mean_report(reports, per_class):
+    """Each scalar's mean over the reports that have it, looked up by name."""
+    means = {}
+    for name in REPORT_SCALARS:
+        present = [dict(r.scalar_items())[name] for r in reports]
+        present = [v for v in present if v is not None]
+        means[name] = float(np.mean(present)) if present else None
+    return MultiClassReport(per_class=list(per_class), **means)
+
+
+def report_bits(report):
+    """Every value of a report with its type, floats as their bytes."""
+    def bits(v):
+        return (type(v).__name__, np.float64(v).tobytes() if isinstance(v, float) else v)
+
+    scalars = [(name, bits(v)) for name, v in report.scalar_items()]
+    rows = [tuple(bits(getattr(r, f)) for f in ("class_id", "support", "auroc", "aupr"))
+            for r in report.per_class]
+    return scalars, rows
+
+
+def report_inputs(rng):
+    """(probs, truths) with ties, zero-support classes, K=2 and many rows."""
+    draws = []
+    for _ in range(30):
+        m, k = int(rng.integers(2, 60)), int(rng.integers(2, 8))
+        probs = rng.dirichlet(np.ones(k), size=m)
+        truths = rng.integers(0, k, m)
+        draws += [(probs, truths), (np.round(probs, 1), truths)]
+    k_used = rng.integers(0, 4, 300)
+    draws += [
+        (rng.dirichlet(np.ones(9), size=300), k_used * 2),  # odd classes have no support
+        (np.round(rng.dirichlet(np.ones(9), size=300), 2), k_used * 2 + 1),
+        (rng.dirichlet(np.ones(2), size=500), rng.integers(0, 2, 500)),
+        (np.round(rng.dirichlet(np.ones(2), size=500), 1), rng.integers(0, 2, 500)),
+        (np.asfortranarray(rng.dirichlet(np.ones(5), size=2000)), rng.integers(0, 5, 2000)),
+        (np.full((40, 3), 1 / 3), rng.integers(0, 3, 40)),  # every score tied
+        (np.round(rng.dirichlet(np.ones(65), size=3000), 3), rng.integers(0, 65, 3000)),
+    ]
+    return draws
+
+
+def test_scalar_fields_are_the_report_order():
+    rep = multiclass_report(np.eye(3), [0, 1, 2])
+    assert tuple(name for name, _ in rep.scalar_items()) == REPORT_SCALARS
+
+
+@pytest.mark.parametrize("mode", ["micro", "macro", "both"])
+def test_report_matches_reference_bitwise(mode):
+    for probs, truths in report_inputs(np.random.default_rng(41)):
+        got = multiclass_report(probs, truths, mode=mode)
+        want = reference_multiclass_report(probs, truths, mode)
+        assert report_bits(got) == report_bits(want)
+
+
+def test_micro_report_of_one_class_or_one_present_class_matches_reference():
+    rng = np.random.default_rng(42)
+    one_present = (rng.dirichlet(np.ones(3), size=20), np.zeros(20, dtype=np.int64))
+    one_class = (np.ones((20, 1)), np.zeros(20, dtype=np.int64))
+    for probs, truths in (one_present, one_class):
+        got = multiclass_report(probs, truths, mode="micro")
+        assert report_bits(got) == report_bits(reference_multiclass_report(probs, truths, "micro"))
+    assert got.micro_auroc is None and got.micro_aupr is None
+
+
+def test_mean_report_matches_reference_bitwise():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        k = int(rng.integers(2, 7))
+        modes = rng.choice(["micro", "macro", "both"], int(rng.integers(1, 6)))
+        reports = [
+            multiclass_report(np.round(rng.dirichlet(np.ones(k), size=50), 2),
+                              rng.integers(0, k, 50), mode=str(mode))
+            for mode in modes
+        ]
+        rows = [PerClassMetrics(c, int(rng.integers(0, 9)), float(rng.random()), None)
+                for c in range(k)]
+        got = mean_report(reports, rows)
+        assert report_bits(got) == report_bits(reference_mean_report(reports, rows))
+        assert got.per_class == rows and got.per_class is not rows
+    assert mean_report(reports).per_class == []
+    with pytest.raises(EmptyDatasetError):
+        mean_report([])
+
+
+@pytest.mark.parametrize("mode", ["micro", "macro", "both"])
+def test_each_column_ranked_once_with_the_lengths_it_had(mode, monkeypatch):
+    rng = np.random.default_rng(44)
+    n, k = 200, 6
+    probs = np.round(rng.dirichlet(np.ones(k), size=n), 2)
+    truths = rng.choice([0, 1, 3, 5], n)  # classes 2 and 4 have no support
+    calls = {"roc_auc": [], "average_precision": [], "_sorted_negatives": []}
+    for name, lengths in calls.items():
+        real = getattr(metrics_mod, name)
+
+        def recorded(s, *args, real=real, lengths=lengths, **kwargs):
+            lengths.append(len(s))
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(metrics_mod, name, recorded)
+    got = multiclass_report(probs, truths, mode=mode)
+    columns = ([n * k] if mode != "macro" else []) + ([n] * 4 if mode != "micro" else [])
+    # every class with support has negatives too, so each column gets both rankings
+    assert calls == {"roc_auc": columns, "average_precision": columns,
+                     "_sorted_negatives": columns}
+    assert report_bits(got) == report_bits(reference_multiclass_report(probs, truths, mode))
+
+
+def test_column_without_negatives_gets_no_auroc_call(monkeypatch):
+    probs = np.random.default_rng(45).dirichlet(np.ones(2), size=30)
+    truths = np.zeros(30, dtype=np.int64)
+    calls = []
+    for name in ("roc_auc", "average_precision"):
+        real = getattr(metrics_mod, name)
+
+        def recorded(s, *args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(metrics_mod, name, recorded)
+    with pytest.raises(DegenerateLabelsError, match="no class has both"):
+        multiclass_report(probs, truths, mode="macro")
+    assert calls == ["average_precision"]
