@@ -13,7 +13,6 @@ from .model import (
     Hyperparameters,
     ModelParameters,
     export_embeddings,
-    forward,
     init_model,
     predict,
 )

@@ -193,6 +193,12 @@ def cmd_evaluate_retrospective(args) -> int:
     return 0
 
 
+def _grid_point_text(hp: Hyperparameters) -> str:
+    """The searchable hyperparameters of one grid point, as gridsearch prints them."""
+    return (f"dim={hp.embedding_dim} dropout={hp.dropout} epochs={hp.epochs} "
+            f"batch={hp.batch_size} lr={hp.learning_rate} alpha={hp.alpha}")
+
+
 def cmd_gridsearch(args) -> int:
     _print_config("gridsearch", args)
     base_hp = _hp_from_args(args)
@@ -211,15 +217,8 @@ def cmd_gridsearch(args) -> int:
         allow_large=args.allow_large,
     )
     for hp_c, score in results:
-        print(
-            f"dim={hp_c.embedding_dim} dropout={hp_c.dropout} epochs={hp_c.epochs} "
-            f"batch={hp_c.batch_size} lr={hp_c.learning_rate} alpha={hp_c.alpha} "
-            f"{args.objective}={score:.4f}"
-        )
-    print(
-        f"best: dim={best.embedding_dim} dropout={best.dropout} epochs={best.epochs} "
-        f"batch={best.batch_size} lr={best.learning_rate} alpha={best.alpha}"
-    )
+        print(f"{_grid_point_text(hp_c)} {args.objective}={score:.4f}")
+    print(f"best: {_grid_point_text(best)}")
     return 0
 
 

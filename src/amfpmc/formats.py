@@ -18,11 +18,12 @@ from .errors import (
     DimensionMismatchError,
     FormatError,
     InvalidConfigError,
+    InvalidDimensionsError,
     ParseError,
 )
 from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_dimensions, check_mode
 from .metrics import MultiClassReport, _by_support
-from .model import Hyperparameters, ModelParameters
+from .model import Hyperparameters, ModelParameters, check_model_dimensions
 from .phrases import (
     NO_INTERACTION_MARKER,
     OTHER_MARKER,
@@ -209,6 +210,10 @@ def read_model(path: str) -> ModelParameters:
         n, K, d = (int(x) for x in header[1:])
     except ValueError:
         raise FormatError(f"{path}: non-integer dimensions in header") from None
+    try:
+        check_model_dimensions(n, K, d)
+    except InvalidDimensionsError as exc:
+        raise InvalidDimensionsError(f"{path}: {exc}") from None
 
     sections = {"E": (n, d), "b": (1, n), "W": (K, d), "c": (1, K), "u": (1, K)}
     pos = 1

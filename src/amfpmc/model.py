@@ -114,6 +114,16 @@ class OptimizerState:
         )
 
 
+def check_model_dimensions(n_drugs: int, n_classes: int, embedding_dim: int) -> None:
+    """The model's dimension rule: n_drugs >= 2, n_classes >= 2, embedding_dim >= 1."""
+    if n_drugs < 2:
+        raise InvalidDimensionsError("need at least 2 drugs")
+    if n_classes < 2:
+        raise InvalidDimensionsError("need at least 2 classes")
+    if embedding_dim < 1:
+        raise InvalidDimensionsError("embedding_dim must be >= 1")
+
+
 def init_model(
     n_drugs: int,
     n_classes: int,
@@ -121,10 +131,7 @@ def init_model(
     rng: Optional[np.random.Generator] = None,
 ) -> ModelParameters:
     """Seeded initialization: E, W uniform on +-1/sqrt(d); b, c zero; u one."""
-    if n_drugs < 2:
-        raise InvalidDimensionsError("need at least 2 drugs")
-    if n_classes < 2:
-        raise InvalidDimensionsError("need at least 2 classes")
+    check_model_dimensions(n_drugs, n_classes, hp.embedding_dim)
     hp.validate()
     if rng is None:
         rng = np.random.default_rng(hp.seed)
@@ -209,14 +216,9 @@ def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
     return _head(params, h, params.drug_bias[I] + params.drug_bias[J])
 
 
-def forward(params: ModelParameters, i: int, j: int) -> np.ndarray:
-    """Inference logits for one pair, shape (K,)."""
-    return forward_batch(params, [i], [j])[0]
-
-
 def predict(params: ModelParameters, i: int, j: int) -> np.ndarray:
     """Softmax class distribution for one pair; symmetric in (i, j)."""
-    return softmax(forward(params, i, j))
+    return predict_batch(params, [i], [j])[0]
 
 
 def predict_batch(params: ModelParameters, i, j) -> np.ndarray:

@@ -130,10 +130,11 @@ def extract_phrase(
     tokens = [t for t in _TOKEN_RE.findall(text.lower()) if t not in stoplist]
     tokens = [verb_forms.get(t, t) for t in tokens]
 
+    direction_verbs = set(verb_forms.values())
     direction: Optional[str] = None
     rest: list[str] = []
     for t in tokens:
-        if direction is None and t in set(verb_forms.values()):
+        if direction is None and t in direction_verbs:
             direction = t
         else:
             rest.append(t)

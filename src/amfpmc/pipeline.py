@@ -145,7 +145,46 @@ def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
     return probs
 
 
+def training_graph(n_drugs: int, n_classes: int, mode: str, items) -> TypedInteractionGraph:
+    """The propagation graph of (i, j, label) training rows.
+
+    In retrospective mode the class-0 rows (sampled negatives) are trained
+    on but not stored.
+    """
+    if mode == RETROSPECTIVE:
+        items = items[items[:, 2] != NO_INTERACTION]
+    return build_graph(n_drugs, n_classes, mode, items)
+
+
+def fit_and_score(train_items: np.ndarray, train_graph: TypedInteractionGraph,
+                  test_pairs: np.ndarray, hp: Hyperparameters) -> np.ndarray:
+    """(m, K) distributions of the (m, 2) test pairs from a model trained on train_items.
+
+    The one train-and-score task of every harness. Targets are propagated
+    over train_graph; a test pair stored there is refused before training.
+    It reads no module state beyond the functions it calls, so it and its
+    arguments pickle.
+    """
+    leaked = np.flatnonzero(train_graph.edge_classes(test_pairs[:, 0], test_pairs[:, 1]) >= 0)
+    if leaked.size:
+        i, j = test_pairs[leaked[0]]
+        raise RuntimeError(f"test pair ({i}, {j}) is an edge of the training graph")
+    n, K = train_graph.n_drugs, train_graph.n_classes
+    # the targets are released when train returns, before the test pairs are scored
+    params = train(attach_targets(train_items, train_graph, hp.alpha), hp, n, K)
+    return score_pairs(params, test_pairs)
+
+
 # -- fold assembly ---------------------------------------------------------
+
+
+def _shuffled_classes(labels: np.ndarray, seed: int):
+    """Each class's positions in labels, classes ascending, shuffled by one seeded generator."""
+    rng = np.random.default_rng(seed)
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
+        rng.shuffle(members)
+        yield members
 
 
 def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
@@ -155,11 +194,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
         raise InvalidConfigError("k must be >= 2")
     if y.size < k:
         raise TooFewPairsError(f"{y.size} pairs cannot fill {k} folds")
-    rng = np.random.default_rng(seed)
     folds = np.empty(y.size, dtype=np.int64)
-    for cls in np.unique(y):
-        members = np.flatnonzero(y == cls)
-        rng.shuffle(members)
+    for members in _shuffled_classes(y, seed):
         folds[members] = np.arange(members.size) % k
     return folds
 
@@ -180,8 +216,8 @@ def holdout_evaluate(
 ) -> HoldoutResult:
     """Stratified k-fold over the graph's edges.
 
-    Each fold trains on the remaining folds' edges only (the propagation
-    graph is rebuilt per fold and checked to contain zero test edges), scores
+    Each fold trains on the remaining folds' edges only (fit_and_score on a
+    per-fold training graph, which it checks holds zero test edges), scores
     the held-out edges, and reports. The returned mean report averages the
     scalar metrics over folds; its per-class table is computed from pooled
     out-of-fold predictions (each edge scored exactly once) and sorted by
@@ -200,17 +236,10 @@ def holdout_evaluate(
     fold_reports: list[MultiClassReport] = []
     for f in range(k):
         in_test = folds == f
-        train_items, test_items = items[~in_test], items[in_test]
-        train_graph = build_graph(n, K, graph.mode, train_items, roster=graph.roster)
-        leaked = np.flatnonzero(train_graph.edge_classes(test_items[:, 0], test_items[:, 1]) >= 0)
-        if leaked.size:
-            i, j, _ = test_items[leaked[0]]
-            raise RuntimeError(f"test edge ({i}, {j}) leaked into fold {f} training graph")
-        # the targets are released when train returns, before the fold is scored
-        params = train(attach_targets(train_items, train_graph, hp.alpha),
-                       replace(hp, seed=hp.seed + f), n, K)
-        probs = score_pairs(params, test_items[:, :2])
-        fold_reports.append(multiclass_report(probs, test_items[:, 2]))
+        train_items = items[~in_test]
+        probs = fit_and_score(train_items, training_graph(n, K, HOLDOUT, train_items),
+                              items[in_test, :2], replace(hp, seed=hp.seed + f))
+        fold_reports.append(multiclass_report(probs, labels[in_test]))
         pooled[in_test] = probs
 
     pooled_per_class = sorted(multiclass_report(pooled, labels).per_class, key=_by_support)
@@ -252,7 +281,6 @@ class RetrospectiveSplit:
 
     n_drugs: int
     n_classes: int
-    roster: Optional[Roster]
     train_items: np.ndarray
     test_items: np.ndarray
 
@@ -335,7 +363,6 @@ def retrospective_split(
     return RetrospectiveSplit(
         n_drugs=n,
         n_classes=graph_t0.n_classes,
-        roster=graph_t0.roster,
         train_items=train_items,
         test_items=test_items,
     )
@@ -358,18 +385,8 @@ def retrospective_evaluate(
         test_items = test_items[np.isin(test_items[:, :2], members).all(axis=1)]
         if not len(test_items):
             raise EmptySubsetError("drug subset leaves no test pairs")
-    train_items = split.train_items
-    train_graph = build_graph(
-        split.n_drugs,
-        split.n_classes,
-        RETROSPECTIVE,
-        train_items[train_items[:, 2] != NO_INTERACTION],
-        roster=split.roster,
-    )
-    # the targets are released when train returns, before the test pairs are scored
-    params = train(attach_targets(train_items, train_graph, hp.alpha),
-                   hp, split.n_drugs, split.n_classes)
-    probs = score_pairs(params, test_items[:, :2])
+    train_graph = training_graph(split.n_drugs, split.n_classes, RETROSPECTIVE, split.train_items)
+    probs = fit_and_score(split.train_items, train_graph, test_items[:, :2], hp)
     return multiclass_report(probs, test_items[:, 2])
 
 
@@ -413,12 +430,8 @@ def stratified_validation_split(items, fraction: float, seed: int) -> tuple[np.n
     if not 0.0 < fraction < 1.0:
         raise InvalidConfigError("validation fraction must be in (0, 1)")
     rows = pair_rows(items)
-    labels = rows[:, 2]
-    rng = np.random.default_rng(seed)
     in_val = np.zeros(len(rows), dtype=bool)
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        rng.shuffle(members)
+    for members in _shuffled_classes(rows[:, 2], seed):
         n_val = min(int(round(fraction * members.size)), members.size - 1)
         in_val[members[:n_val]] = True
     if not in_val.any():
@@ -453,18 +466,12 @@ def grid_search(
             "pass allow_large to proceed"
         )
     train_items, val_items = stratified_validation_split(items, validation_fraction, seed)
-    stored = train_items
-    if mode == RETROSPECTIVE:
-        stored = train_items[train_items[:, 2] != NO_INTERACTION]
-    train_graph = build_graph(n_drugs, n_classes, mode, stored)
+    train_graph = training_graph(n_drugs, n_classes, mode, train_items)
     val_pairs, val_truths = val_items[:, :2], val_items[:, 2]
 
     results: list[tuple[Hyperparameters, float]] = []
-    best: Optional[tuple[Hyperparameters, float]] = None
     for hp_c in candidates:
-        params = train(attach_targets(train_items, train_graph, hp_c.alpha),
-                       hp_c, n_drugs, n_classes)
-        probs = score_pairs(params, val_pairs)
+        probs = fit_and_score(train_items, train_graph, val_pairs, hp_c)
         if not np.all(np.isfinite(probs)):
             raise NonFiniteError(
                 f"candidate {hp_c} gives non-finite validation probabilities (did training diverge?)"
@@ -474,9 +481,8 @@ def grid_search(
         else:
             score = multiclass_report(probs, val_truths, mode="macro").macro_auroc or 0.0
         results.append((hp_c, score))
-        if best is None or score > best[1]:
-            best = (hp_c, score)
-    return best[0], results
+    # max keeps the first of equal scores
+    return max(results, key=lambda result: result[1])[0], results
 
 
 # -- baselines ---------------------------------------------------------------

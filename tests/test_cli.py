@@ -302,6 +302,48 @@ def test_roster_size_mismatch_is_one_error_for_both_model_readers(model_and_pair
     assert not (tmp_path / "emb.csv").exists()
 
 
+def _model_file_commands(tmp_path, n, K, d):
+    """predict and export-embeddings on a model file of header n K d whose sections match it."""
+    def rows(count, width):
+        return [" ".join(["0.5"] * max(width, 0))] * max(count, 0)
+
+    sections = {"E": rows(n, d), "b": rows(1, n), "W": rows(K, d), "c": rows(1, K), "u": rows(1, K)}
+    lines = [f"AMFPMC1 {n} {K} {d}"]
+    for name, body in sections.items():
+        lines += [name, *body]
+    model = tmp_path / "degenerate.txt"
+    model.write_text("\n".join(lines) + "\n")
+    (tmp_path / "degenerate.txt.roster").write_text("".join(f"D{i}\n" for i in range(max(n, 0))))
+    (tmp_path / "pairs.tsv").write_text("D0\tD1\n")
+    return model, [
+        ["predict", "--model", str(model), "--pairs", str(tmp_path / "pairs.tsv")],
+        ["export-embeddings", "--model", str(model), "--out", str(tmp_path / "emb.csv")],
+    ]
+
+
+def test_model_file_within_the_dimension_rule_is_read(tmp_path, capsys):
+    # the smallest model the rule allows (n = 2, K = 2, d = 1), with the helper's sections
+    _, commands = _model_file_commands(tmp_path, 2, 2, 1)
+    for command in commands:
+        assert main(command) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in ("n", "K", "d") for value in (0, 1, -1)
+    if (field, value) != ("d", 1)
+])
+def test_model_file_outside_the_dimension_rule_is_one_error(tmp_path, capsys, field, value):
+    dims = {"n": 3, "K": 3, "d": 2, field: value}
+    model, commands = _model_file_commands(tmp_path, dims["n"], dims["K"], dims["d"])
+    for command in commands:
+        capsys.readouterr()
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        _assert_one_line_error(err, "InvalidDimensionsError")
+        assert err.startswith(f"error: InvalidDimensionsError: {model}: ")
+    assert not (tmp_path / "emb.csv").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["evaluate", "holdout", "--k", "3"],
     ["train", "--mode", "holdout", "--out", "diverged-model.txt"],

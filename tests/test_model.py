@@ -21,7 +21,7 @@ from amfpmc.model import (
     adam_step,
     backward,
     export_embeddings,
-    forward,
+    forward_batch,
     gradient_check,
     init_model,
     loss,
@@ -113,12 +113,12 @@ class TestForward:
             class_bias=np.array([0.1]),
             bias_coupling=np.array([1.0]),
         )
-        assert forward(params, 0, 1)[0] == pytest.approx(3.1, abs=1e-12)
+        assert forward_batch(params, [0], [1])[0, 0] == pytest.approx(3.1, abs=1e-12)
 
     def test_zero_embedding_gives_class_bias(self):
         params = init_model(4, 3, tiny_hp())
         params.embeddings[1] = 0.0
-        assert np.allclose(forward(params, 1, 2), params.class_bias)
+        assert np.allclose(forward_batch(params, [1], [2])[0], params.class_bias)
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(5)
@@ -127,12 +127,12 @@ class TestForward:
             i, j = rng.integers(0, params.n_drugs, 2)
             if i == j:
                 continue
-            assert np.array_equal(forward(params, int(i), int(j)), forward(params, int(j), int(i)))
+            assert np.array_equal(forward_batch(params, [i], [j]), forward_batch(params, [j], [i]))
 
     def test_self_pair_rejected(self):
         params = init_model(4, 3, tiny_hp())
         with pytest.raises(SelfLoopError):
-            forward(params, 2, 2)
+            forward_batch(params, [2], [2])
 
 
 class TestPredict:

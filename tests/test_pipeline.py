@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from amfpmc.pipeline import (
     attach_targets,
     baseline_majority,
     baseline_neighborhood,
+    fit_and_score,
     grid_search,
     holdout_evaluate,
     one_hot_pairs,
@@ -37,6 +39,7 @@ from amfpmc.pipeline import (
     stratified_kfold,
     stratified_validation_split,
     train,
+    training_graph,
 )
 from amfpmc.synth import SyntheticConfig, generate_synthetic
 
@@ -74,6 +77,29 @@ class TestStratifiedKfold:
             per_fold = np.bincount(folds[labels == cls], minlength=k)
             if (labels == cls).sum() >= k:
                 assert per_fold.max() - per_fold.min() <= 1
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_folds_and_validation_split_keep_their_draws(self, seed):
+        # reference: a seeded shuffle of each class's positions, classes ascending
+        labels = np.random.default_rng(seed).integers(0, 6, 97)
+        rows = np.column_stack([np.arange(97), np.arange(97) + 100, labels])
+        rng = np.random.default_rng(seed)
+        folds = np.empty(97, dtype=np.int64)
+        for cls in np.unique(labels):
+            members = np.flatnonzero(labels == cls)
+            rng.shuffle(members)
+            folds[members] = np.arange(members.size) % 4
+        assert stratified_kfold(labels, 4, seed).tobytes() == folds.tobytes()
+
+        rng = np.random.default_rng(seed)
+        in_val = np.zeros(97, dtype=bool)
+        for cls in np.unique(labels):
+            members = np.flatnonzero(labels == cls)
+            rng.shuffle(members)
+            in_val[members[: min(int(round(0.3 * members.size)), members.size - 1)]] = True
+        train_rows, val_rows = stratified_validation_split(rows, 0.3, seed)
+        assert train_rows.tobytes() == rows[~in_val].tobytes()
+        assert val_rows.tobytes() == rows[in_val].tobytes()
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairsError):
@@ -257,6 +283,36 @@ class TestHoldoutEvaluate:
         g = build_graph(4, 3, "retrospective", [(0, 1, 1)])
         with pytest.raises(InvalidConfigError):
             holdout_evaluate(g, quick_hp(), k=2, seed=0)
+
+
+class TestFitAndScore:
+    def test_pickled_task_gives_the_probabilities_of_train_then_score(self, planted):
+        items = planted.edge_list()
+        train_items, test_pairs = items[::2], items[1::2, :2]
+        n, K = planted.n_drugs, planted.n_classes
+        graph = training_graph(n, K, "holdout", train_items)
+        hp = quick_hp(epochs=3, dropout=0.2, alpha=0.7)
+        params = train(attach_targets(train_items, graph, hp.alpha), hp, n, K)
+        want = score_pairs(params, test_pairs)
+
+        payload = pickle.dumps((fit_and_score, train_items, graph, test_pairs, hp))
+        task, *args = pickle.loads(payload)
+        assert task is fit_and_score
+        assert task(*args).tobytes() == want.tobytes()
+
+    def test_test_pair_on_a_training_edge_is_refused_before_training(self, planted, monkeypatch):
+        items = planted.edge_list()
+        graph = training_graph(planted.n_drugs, planted.n_classes, "holdout", items)
+        iu, ju = np.triu_indices(planted.n_drugs, k=1)
+        free = np.flatnonzero(planted.edge_classes(iu, ju) < 0)[0]
+        # after a pair that is no edge, a class-0 edge asked for with its ends swapped
+        i, j, _ = items[items[:, 2] == 0][0]
+        test_pairs = np.array([[iu[free], ju[free]], [j, i]])
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+        with pytest.raises(RuntimeError, match=rf"test pair \({j}, {i}\)"):
+            fit_and_score(items, graph, test_pairs, quick_hp())
+        assert calls == []
 
 
 def two_snapshots():
@@ -465,6 +521,41 @@ class TestGridSearch:
             with pytest.raises(error):
                 grid_search(items, 30, 4, "holdout", quick_hp(), GridSpec(values), seed=0)
         assert calls == []
+
+    @pytest.mark.parametrize("objective", ["accuracy", "auroc"])
+    def test_retrospective_graph_stores_no_class_0_row_training_sees_them(self, objective,
+                                                                         monkeypatch):
+        data = generate_synthetic(SyntheticConfig(n_drugs=60, n_blocks=2, n_classes=5,
+                                                  edge_probability=0.4, seed=9,
+                                                  mode="retrospective"))
+        split = retrospective_split(data.graph_t0, data.graph_t1, seed=1)
+        items = split.train_items
+        assert (items[:, 2] == 0).sum() > 0
+        base = quick_hp(epochs=3)
+        graphs, trained = [], []
+        real_build, real_train = pipeline.build_graph, pipeline.train
+        monkeypatch.setattr(pipeline, "build_graph",
+                            lambda *a, **k: graphs.append(real_build(*a, **k)) or graphs[-1])
+        monkeypatch.setattr(pipeline, "train",
+                            lambda pairs, *a: trained.append(pairs.items) or real_train(pairs, *a))
+        _, results = grid_search(items, 60, 5, "retrospective", base,
+                                    GridSpec({"alpha": [0.2, 0.8]}), seed=2, objective=objective)
+
+        train_rows, val_rows = stratified_validation_split(items, 0.2, seed=2)
+        stored = train_rows[train_rows[:, 2] != 0]
+        assert len(graphs) == 1 and graphs[0].mode == "retrospective"
+        assert graphs[0].edge_list().tobytes() == stored[np.lexsort(stored[:, 1::-1].T)].tobytes()
+        assert len(trained) == 2
+        for rows in trained:
+            assert rows.tobytes() == train_rows.tobytes()
+        for hp_c, score in results:
+            params = real_train(attach_targets(train_rows, graphs[0], hp_c.alpha), hp_c, 60, 5)
+            probs = score_pairs(params, val_rows[:, :2])
+            if objective == "accuracy":
+                want = float(np.mean(np.argmax(probs, axis=1) == val_rows[:, 2]))
+            else:
+                want = multiclass_report(probs, val_rows[:, 2], mode="macro").macro_auroc
+            assert score == want
 
     def test_validation_split_stratified(self):
         items = [(i, i + 10, i % 3) for i in range(9)] * 5
