@@ -29,7 +29,7 @@ from .pipeline import (
     reconcile_rosters,
     retrospective_evaluate,
     retrospective_split,
-    score_pairs,
+    scored_chunks,
     train,
 )
 from .synth import SyntheticConfig, generate_synthetic
@@ -174,7 +174,9 @@ def cmd_evaluate_retrospective(args) -> int:
     class_names = _class_names_from_vocab(args.vocab)
     rec0 = formats.parse_interactions_file(args.t0, "indices")
     rec1 = formats.parse_interactions_file(args.t1, "indices")
-    n_classes = formats.class_count(rec0 + rec1) if args.classes is None else args.classes
+    n_classes = args.classes
+    if n_classes is None:
+        n_classes = max(formats.class_count(rec0), formats.class_count(rec1))
     g0 = formats.graph_from_index_records(rec0, RETROSPECTIVE, n_classes)
     g1 = formats.graph_from_index_records(rec1, RETROSPECTIVE, n_classes)
     del rec0, rec1
@@ -227,18 +229,19 @@ def cmd_predict(args) -> int:
     if args.top_k < 1:
         raise InvalidConfigError(f"--top-k must be >= 1, got {args.top_k}")
     params, roster = _model_and_roster(args)
-    pairs = formats.parse_pairs_file(args.pairs)
-    I = np.array([roster.index_of(a) for a, _ in pairs], dtype=np.int64)
-    J = np.array([roster.index_of(b) for _, b in pairs], dtype=np.int64)
-    probs = score_pairs(params, np.column_stack([I, J]))
-    # ties list the lowest class first
-    top = np.argsort(-probs, axis=1, kind="stable")[:, : args.top_k]
-    top_probs = np.take_along_axis(probs, top, axis=1)
+    pairs = formats.read_pairs(args.pairs, roster)
+    ids = roster.external_ids
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for (a, b), classes, values in zip(pairs, top.tolist(), top_probs.tolist()):
-            for cls, value in zip(classes, values):
-                out.write(f"{a}\t{b}\t{cls}\t{value:.6f}\n")
+        for start, probs in scored_chunks(params, pairs):
+            # ties list the lowest class first
+            top = np.argsort(-probs, axis=1, kind="stable")[:, : args.top_k]
+            top_probs = np.take_along_axis(probs, top, axis=1)
+            rows = pairs[start:start + len(probs)].tolist()
+            for (i, j), classes, values in zip(rows, top.tolist(), top_probs.tolist()):
+                a, b = ids[i], ids[j]
+                for cls, value in zip(classes, values):
+                    out.write(f"{a}\t{b}\t{cls}\t{value:.6f}\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -9,8 +9,11 @@ a JSON form with full precision.
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Optional, Sequence
+from array import array
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,36 +41,70 @@ MODEL_MAGIC = "AMFPMC1"
 FLOAT_FMT = "%.17g"
 
 
-def _read_lines(path: str) -> list[str]:
+#: Characters decoded per read while a file is checked for UTF-8.
+_DECODE_CHUNK = 1 << 16
+
+
+def _data_lines(path: str, keep_all: bool = False):
+    """(line_no, line) for each line of path, its newline removed, one line at a time.
+
+    Blank lines and '#' comments are skipped unless keep_all. The whole file
+    is decoded once before the first line is given, so a file that is not
+    UTF-8 is refused as such whatever its earlier lines hold.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return list(fh)
+            while fh.read(_DECODE_CHUNK):
+                pass
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if keep_all or (line.strip() and not line.lstrip().startswith("#")):
+                yield line_no, line
 
 
-def _data_lines(path: str):
-    for line_no, raw in enumerate(_read_lines(path), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield line_no, line
+@dataclass(frozen=True)
+class IndexRecords:
+    """The data lines of an index-mode interactions file, drug ids interned.
+
+    Row r is (ids[ends[r, 0]], ids[ends[r, 1]], classes[r]): ids lists each
+    drug once, in order of first appearance, and ends is (m, 2) int64.
+    max_class is the largest class exactly, -1 when there is no row; a class
+    beyond int64 is -1 in classes and is never read, since it cannot fit a
+    graph (graph_from_index_records).
+    """
+
+    ids: list[str]
+    ends: np.ndarray
+    classes: np.ndarray
+    max_class: int
+
+    def __len__(self) -> int:
+        return len(self.classes)
 
 
-def parse_interactions_file(path: str, mode: str) -> list[tuple]:
-    """Strict reader for 'indices' or 'sentences' lines, one row per data line.
+def parse_interactions_file(path: str, mode: str):
+    """Strict reader for 'indices' or 'sentences' lines, read one line at a time.
 
-    Index mode expects exactly 3 columns and gives (drug_a, drug_b, class)
-    rows, the class a non-negative int. Sentence mode expects 3 columns, or 5
-    when the two drug surface forms are given, and gives (drug_a, drug_b,
-    InteractionSentence, line_no) rows; a missing or empty surface takes the
-    sentence's default.
+    Index mode expects exactly 3 columns, the class a non-negative int, and
+    gives IndexRecords: codes and classes in int64 buffers, no object per
+    line. Sentence mode expects 3 columns, or 5 when the two drug surface
+    forms are given, and gives (drug_a, drug_b, InteractionSentence, line_no)
+    rows; a missing or empty surface takes the sentence's default. A drug id
+    may not begin with '#', which marks a comment in the roster sidecar.
     """
     if mode not in ("indices", "sentences"):
         raise InvalidConfigError(f"mode must be 'indices' or 'sentences', got {mode!r}")
     sentences = mode == "sentences"
     widths = (3, 5) if sentences else (3,)
     rows: list[tuple] = []
+    codes: dict[str, int] = {}
+    intern = codes.setdefault
+    ends, classes = array("q"), array("q")
+    add_end, add_class = ends.append, classes.append
+    beyond_int64 = -1
     for line_no, line in _data_lines(path):
         cols = line.split("\t")
         if len(cols) not in widths:
@@ -76,6 +113,10 @@ def parse_interactions_file(path: str, mode: str) -> list[tuple]:
         a, b, payload = cols[0].strip(), cols[1].strip(), cols[2].strip()
         if not a or not b or not payload:
             raise ParseError(path, line_no, "empty field")
+        # a '#' first in column 1 makes the whole line a comment
+        if b[0] == "#":
+            raise ParseError(path, line_no,
+                             f"drug id {b!r} begins with '#', which marks a comment")
         if a == b:
             raise ParseError(path, line_no, f"self-loop on {a!r}")
         if sentences:
@@ -86,20 +127,37 @@ def parse_interactions_file(path: str, mode: str) -> list[tuple]:
                 surface_b or InteractionSentence.drug_b_surface,
             )
             rows.append((a, b, sentence, line_no))
-        else:
-            try:
-                cls = int(payload)
-            except ValueError:
-                raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
-            if cls < 0:
-                raise ParseError(path, line_no, f"negative class index {cls}")
-            rows.append((a, b, cls))
-    return rows
+            continue
+        try:
+            cls = int(payload)
+        except ValueError:
+            raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
+        if cls < 0:
+            raise ParseError(path, line_no, f"negative class index {cls}")
+        add_end(intern(a, len(codes)))
+        add_end(intern(b, len(codes)))
+        try:
+            add_class(cls)
+        except OverflowError:
+            beyond_int64 = max(beyond_int64, cls)
+            add_class(-1)
+    if sentences:
+        return rows
+    class_arr = np.frombuffer(classes, dtype=np.int64)
+    max_class = max(beyond_int64, int(class_arr.max())) if len(class_arr) else -1
+    return IndexRecords(list(codes), np.frombuffer(ends, dtype=np.int64).reshape(-1, 2),
+                        class_arr, max_class)
 
 
-def parse_pairs_file(path: str) -> list[tuple[str, str]]:
-    """Two-column TSV of drug pairs (for predict)."""
-    pairs = []
+def read_pairs(path: str, roster: Roster) -> np.ndarray:
+    """The (m, 2) int64 roster indices of a two-column TSV of drug pairs (for predict).
+
+    Every line is checked before an unknown id is refused, the first one in
+    column 1 ahead of any in column 2.
+    """
+    index = {ext: t for t, ext in enumerate(roster)}
+    ends = array("q")
+    unknown: list = [None, None]
     for line_no, line in _data_lines(path):
         cols = line.split("\t")
         if len(cols) != 2:
@@ -109,37 +167,47 @@ def parse_pairs_file(path: str) -> list[tuple[str, str]]:
             raise ParseError(path, line_no, "empty field")
         if a == b:
             raise ParseError(path, line_no, f"self-loop on {a!r}")
-        pairs.append((a, b))
-    return pairs
+        i, j = index.get(a, -1), index.get(b, -1)
+        if i < 0 and unknown[0] is None:
+            unknown[0] = a
+        if j < 0 and unknown[1] is None:
+            unknown[1] = b
+        ends.append(i)
+        ends.append(j)
+    for ext in unknown:
+        if ext is not None:
+            roster.index_of(ext)
+    return np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
 
 
-def class_count(rows: Sequence[tuple]) -> int:
-    """The class count when none is declared: one past the largest class in index rows."""
-    if not rows:
+def class_count(records: IndexRecords) -> int:
+    """The class count when none is declared: one past the largest class in the records."""
+    if not len(records):
         raise FormatError("no interaction records")
-    return max(row[2] for row in rows) + 1
+    return records.max_class + 1
 
 
 def graph_from_index_records(
-    rows: Sequence[tuple],
+    records: IndexRecords,
     mode: str,
     n_classes: Optional[int] = None,
 ) -> TypedInteractionGraph:
-    """Assemble a graph from index-mode rows; roster is sorted external ids."""
+    """Assemble a graph from index-mode records; roster is sorted external ids."""
     check_mode(mode)
-    needed = class_count(rows)
+    needed = class_count(records)
     K = needed if n_classes is None else n_classes
     if K < needed:
         raise DimensionMismatchError(f"class {needed - 1} outside the declared {K} classes")
-    drugs_a, drugs_b, classes = zip(*rows)
-    ids = sorted(set(drugs_a).union(drugs_b))
-    # checked before the int64 cast, which a class index beyond int64 would overflow
-    check_dimensions(len(ids), K)
-    index = {ext: t for t, ext in enumerate(ids)}
-    m = len(rows)
-    ends = np.fromiter(map(index.__getitem__, drugs_a + drugs_b), dtype=np.int64, count=2 * m)
-    edges = np.column_stack([ends[:m], ends[m:], np.array(classes, dtype=np.int64)])
-    return TypedInteractionGraph(len(ids), K, mode, edges, roster=Roster(ids))
+    n = len(records.ids)
+    # checked before any class is read, so a class beyond int64 never is
+    check_dimensions(n, K)
+    order = sorted(range(n), key=records.ids.__getitem__)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    edges = np.empty((len(records), 3), dtype=np.int64)
+    edges[:, :2] = rank[records.ends]
+    edges[:, 2] = records.classes
+    return TypedInteractionGraph(n, K, mode, edges, roster=Roster([records.ids[t] for t in order]))
 
 
 def write_interactions_file(graph: TypedInteractionGraph, path: str) -> None:
@@ -200,12 +268,13 @@ def write_model(params: ModelParameters, path: str) -> None:
 
 
 def read_model(path: str) -> ModelParameters:
-    lines = [line.rstrip("\n") for line in _read_lines(path)]
-    if not lines:
+    lines = (line for _, line in _data_lines(path, keep_all=True))
+    first = next(lines, None)
+    if first is None:
         raise FormatError(f"{path}: empty model file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 4 or header[0] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
+        raise FormatError(f"{path}: bad header {first!r}")
     try:
         n, K, d = (int(x) for x in header[1:])
     except ValueError:
@@ -216,18 +285,17 @@ def read_model(path: str) -> ModelParameters:
         raise InvalidDimensionsError(f"{path}: {exc}") from None
 
     sections = {"E": (n, d), "b": (1, n), "W": (K, d), "c": (1, K), "u": (1, K)}
-    pos = 1
+    line_no = 1
     arrays: dict[str, np.ndarray] = {}
     for name in ("E", "b", "W", "c", "u"):
-        if pos >= len(lines) or lines[pos].strip() != name:
-            raise FormatError(f"{path}: expected section {name!r} at line {pos + 1}")
-        pos += 1
+        line_no += 1
+        if next(lines, "").strip() != name:
+            raise FormatError(f"{path}: expected section {name!r} at line {line_no}")
         n_rows, n_cols = sections[name]
         rows = []
-        for _ in range(n_rows):
-            if pos >= len(lines):
-                raise FormatError(f"{path}: truncated section {name!r}")
-            values = lines[pos].split()
+        for line in itertools.islice(lines, n_rows):
+            line_no += 1
+            values = line.split()
             if len(values) != n_cols:
                 raise DimensionMismatchError(
                     f"{path}: section {name!r} row has {len(values)} values, expected {n_cols}"
@@ -236,12 +304,13 @@ def read_model(path: str) -> ModelParameters:
                 rows.append([float(v) for v in values])
             except ValueError:
                 raise FormatError(f"{path}: non-numeric value in section {name!r}") from None
-            pos += 1
+        if len(rows) < n_rows:
+            raise FormatError(f"{path}: truncated section {name!r}")
         arr = np.array(rows, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"{path}: non-finite value in section {name!r}")
         arrays[name] = arr[0] if name in ("b", "c", "u") else arr
-    if pos != len(lines) and any(line.strip() for line in lines[pos:]):
+    if any(line.strip() for line in lines):
         raise FormatError(f"{path}: trailing content after section 'u'")
     return ModelParameters(arrays["E"], arrays["b"], arrays["W"], arrays["c"], arrays["u"])
 
@@ -258,10 +327,11 @@ def write_vocabulary(vocab: ClassVocabulary, path: str) -> None:
 
 
 def read_vocabulary(path: str) -> ClassVocabulary:
-    lines = list(_data_lines(path))
-    if not lines:
+    lines = _data_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise FormatError(f"{path}: empty vocabulary file")
-    line_no, header = lines[0]
+    line_no, header = first
     parts = header.split("\t")
     if len(parts) != 2 or parts[0] != "mode":
         raise ParseError(path, line_no, "first line must be 'mode<TAB><mode>'")
@@ -270,7 +340,7 @@ def read_vocabulary(path: str) -> ClassVocabulary:
     class_to_phrase: dict[int, KeywordPhrase] = {}
     counts: dict[int, int] = {}
     other_class: Optional[int] = None
-    for line_no, line in lines[1:]:
+    for line_no, line in lines:
         cols = line.split("\t")
         if len(cols) != 3:
             raise ParseError(path, line_no, f"expected 3 columns, got {len(cols)}")

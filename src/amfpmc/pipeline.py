@@ -50,7 +50,7 @@ from .propagation import check_labels, neighborhood_distributions, propagate_tar
 #: beyond this many pairs is a seeded subsample taken.
 DEFAULT_TEST_PAIR_CAP = 5_000_000
 
-#: Most rows per predict_batch call in score_pairs; above every test set the
+#: Most rows per predict_batch call in scored_chunks; above every test set the
 #: benchmark scores, so those are scored in one piece.
 SCORE_CHUNK_ROWS = 16_384
 
@@ -126,22 +126,29 @@ def train(
     return params
 
 
-def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
-    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K).
+def scored_chunks(params: ModelParameters, pairs):
+    """(start, probs) for each chunk of the (m, 2) pairs (i, j) in order, probs (rows, K).
 
     The pairs are split into the fewest near-equal chunks of at most
     SCORE_CHUNK_ROWS rows, so the (rows, d) temporaries stay bounded however
     many pairs there are, and beyond one chunk each has at least half of
     SCORE_CHUNK_ROWS: BLAS may take another kernel path, with other
-    rounding, for a handful of rows.
+    rounding, for a handful of rows. Every scored pair set is chunked here.
     """
     ends = pair_rows(pairs, width=2)
     m = len(ends)
     n_chunks = max(1, -(-m // SCORE_CHUNK_ROWS))
     bounds = [m * c // n_chunks for c in range(n_chunks + 1)]
-    probs = np.empty((m, params.n_classes), dtype=np.float64)
     for start, stop in zip(bounds, bounds[1:]):
-        probs[start:stop] = predict_batch(params, ends[start:stop, 0], ends[start:stop, 1])
+        yield start, predict_batch(params, ends[start:stop, 0], ends[start:stop, 1])
+
+
+def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
+    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K), scored by scored_chunks."""
+    ends = pair_rows(pairs, width=2)
+    probs = np.empty((len(ends), params.n_classes), dtype=np.float64)
+    for start, chunk in scored_chunks(params, ends):
+        probs[start:start + len(chunk)] = chunk
     return probs
 
 

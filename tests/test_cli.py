@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import amfpmc
 from amfpmc import cli, formats, pipeline
 from amfpmc.cli import main
 from amfpmc.formats import read_model, read_vocabulary
-from amfpmc.model import Hyperparameters
+from amfpmc.graph import Roster
+from amfpmc.model import Hyperparameters, init_model
 from amfpmc.pipeline import holdout_evaluate
 from amfpmc.synth import SyntheticConfig
 
@@ -523,3 +525,116 @@ def test_flag_defaults_come_from_the_library(tmp_path):
     assert (synth.n, synth.blocks, synth.k, synth.p, synth.noise, synth.holdout, synth.seed,
             synth.mode) == (cfg.n_drugs, cfg.n_blocks, cfg.n_classes, cfg.edge_probability,
                             cfg.label_noise, cfg.holdout_fraction, cfg.seed, cfg.mode)
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("train", "1"),
+    ("extract", "Drug a may increase the bleeding activities of Drug b"),
+])
+def test_hash_leading_drug_id_is_one_error_naming_its_line(tmp_path, capsys, command, payload):
+    # '#x' would be written to a roster sidecar or indexed TSV and read back as a comment
+    tsv = tmp_path / "in.tsv"
+    tsv.write_text(f"D1\tD2\t{payload}\nD1\t#x\t{payload}\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "train": ["train", "--interactions", str(tsv), "--mode", "holdout", "--out", out],
+        "extract": ["extract", "--input", str(tsv), "--mode", "holdout",
+                    "--out-vocab", out, "--out-indexed", out + ".tsv"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_error(err, "ParseError")
+    assert f"{tsv}:2:" in err and "'#x'" in err
+
+
+def _random_model(tmp_path, n=50, K=5, d=8):
+    """A model file with its roster sidecar, drugs D0000..; parameters from init_model."""
+    model = tmp_path / "model.txt"
+    params = init_model(n, K, Hyperparameters(embedding_dim=d, seed=11))
+    params.drug_bias[:] = np.random.default_rng(12).normal(size=n)
+    formats.write_model(params, str(model))
+    formats.write_roster(Roster([f"D{t:04d}" for t in range(n)]), str(model) + ".roster")
+    return model
+
+
+def _write_pairs(path, n_pairs, n=50, seed=0):
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, n_pairs)
+    j = (i + rng.integers(1, n, n_pairs)) % n
+    path.write_text("".join(f"D{a:04d}\tD{b:04d}\n" for a, b in zip(i.tolist(), j.tolist())))
+    return np.column_stack([i, j])
+
+
+@pytest.mark.parametrize("n_pairs", [16_384, 16_385, 24_575, 24_576, 40_000, 50_001])
+def test_predict_is_bitwise_one_piece_scoring(tmp_path, capsys, n_pairs):
+    # the chunk boundaries of score_pairs: one chunk, two, and three near-equal ones
+    model = _random_model(tmp_path)
+    pairs = tmp_path / "pairs.tsv"
+    ends = _write_pairs(pairs, n_pairs)
+    out = tmp_path / "pred.tsv"
+    rc = main(["predict", "--model", str(model), "--pairs", str(pairs), "--top-k", "2",
+               "--out", str(out)])
+    assert rc == 0
+    probs = pipeline.score_pairs(read_model(str(model)), ends)
+    top = np.argsort(-probs, axis=1, kind="stable")[:, :2]
+    values = np.take_along_axis(probs, top, axis=1)
+    expected = "".join(
+        f"D{a:04d}\tD{b:04d}\t{k}\t{v:.6f}\n"
+        for (a, b), ks, vs in zip(ends.tolist(), top.tolist(), values.tolist())
+        for k, v in zip(ks, vs)
+    )
+    assert out.read_bytes() == expected.encode()
+
+
+def test_predict_unknown_id_late_in_a_long_file_opens_no_output(tmp_path, capsys):
+    model = _random_model(tmp_path)
+    pairs = tmp_path / "pairs.tsv"
+    _write_pairs(pairs, 20_000)
+    with open(pairs, "a", encoding="utf-8") as fh:
+        fh.write("D0000\tDXXXX\n")
+    out = tmp_path / "pred.tsv"
+    rc = main(["predict", "--model", str(model), "--pairs", str(pairs), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    _assert_one_line_error(captured.err, "UnknownDrugError")
+    assert "'DXXXX'" in captured.err
+    assert not out.exists()
+
+
+def test_predict_without_data_lines_writes_nothing(tmp_path, capsys):
+    model = _random_model(tmp_path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("# no pairs\n\n")
+    out = tmp_path / "pred.tsv"
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--pairs", str(pairs), "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+    assert main(["predict", "--model", str(model), "--pairs", str(pairs)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(line.startswith("#") for line in captured.out.splitlines())
+
+
+#: What predict's traced peak may grow by beyond 16 bytes of codes per added pair:
+#: its chunks hold 15,000 rows at 120,000 pairs against 13,334 at 40,000 (0.66 MB
+#: measured at d=8, K=5, --top-k 1; holding every pair whole grew by 35 MB).
+PREDICT_SLACK_BYTES = 1 << 20
+
+
+def test_predict_memory_grows_only_by_the_pair_codes(tmp_path, capsys):
+    model = _random_model(tmp_path)
+    peaks = {}
+    for n_pairs in (40_000, 120_000):
+        pairs = tmp_path / f"pairs{n_pairs}.tsv"
+        _write_pairs(pairs, n_pairs)
+        argv = ["predict", "--model", str(model), "--pairs", str(pairs), "--top-k", "1",
+                "--out", str(tmp_path / "pred.tsv")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peaks[n_pairs] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    growth = peaks[120_000] - peaks[40_000]
+    assert growth <= 16 * 80_000 + PREDICT_SLACK_BYTES, (growth, peaks)

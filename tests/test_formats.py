@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,15 +15,17 @@ from amfpmc.errors import (
     InvalidConfigError,
     InvalidDimensionsError,
     ParseError,
+    UnknownDrugError,
 )
 from amfpmc.formats import (
+    IndexRecords,
     _data_lines,
     class_count,
     format_report_text,
     graph_from_index_records,
     parse_grid_file,
     parse_interactions_file,
-    parse_pairs_file,
+    read_pairs,
     read_model,
     read_roster,
     read_vocabulary,
@@ -44,9 +47,12 @@ class TestInteractionsParsing:
     def test_index_mode_roundtrip(self, tmp_path):
         p = tmp_path / "edges.tsv"
         p.write_text("# comment\nD1\tD5\t4\n\nD2\tD3\t0\n")
-        rows = parse_interactions_file(str(p), "indices")
-        assert rows == [("D1", "D5", 4), ("D2", "D3", 0)]
-        assert type(rows[0][2]) is int
+        records = parse_interactions_file(str(p), "indices")
+        assert len(records) == 2 and records.max_class == 4
+        assert records.ids == ["D1", "D5", "D2", "D3"]
+        assert records.ends.tolist() == [[0, 1], [2, 3]]
+        assert records.classes.tolist() == [4, 0]
+        assert records.ends.dtype == records.classes.dtype == np.int64
 
     def test_self_loop_line_aborts_with_line_number(self, tmp_path):
         p = tmp_path / "edges.tsv"
@@ -79,12 +85,14 @@ class TestInteractionsParsing:
         assert extract_phrase(sentence).text == "increased bleeding activities"
 
     def test_pairs_file(self, tmp_path):
+        roster = Roster(["D4", "D1", "D3", "D2"])
         p = tmp_path / "pairs.tsv"
         p.write_text("D1\tD2\n# c\nD3\tD4\n")
-        assert parse_pairs_file(str(p)) == [("D1", "D2"), ("D3", "D4")]
+        pairs = read_pairs(str(p), roster)
+        assert pairs.dtype == np.int64 and pairs.tolist() == [[1, 3], [2, 0]]
         p.write_text("D1\tD1\n")
         with pytest.raises(ParseError):
-            parse_pairs_file(str(p))
+            read_pairs(str(p), roster)
 
     def test_graph_assembly_sorted_roster(self, tmp_path):
         p = tmp_path / "edges.tsv"
@@ -102,6 +110,81 @@ class TestInteractionsParsing:
         g = graph_from_index_records(parse_interactions_file(str(path), "indices"),
                                      "holdout", n_classes=4)
         assert np.array_equal(g.edge_list(), data.graph_t1.edge_list())
+
+
+#: Traced peak of parsing an index-mode file, per data line.
+PARSE_BYTES_PER_LINE = 32
+
+
+class TestStreamingReader:
+    SENTENCE = "Drug a may increase the bleeding activities of Drug b"
+
+    @pytest.mark.parametrize("mode, payload", [("indices", "1"), ("sentences", SENTENCE)])
+    def test_hash_leading_drug_id_is_refused(self, tmp_path, mode, payload):
+        # a roster sidecar would read such an id back as a comment
+        p = tmp_path / "edges.tsv"
+        p.write_text(f"#x\tD1\t{payload}\nD1\tD2\t{payload}\nD1\t#x\t{payload}\n")
+        with pytest.raises(ParseError) as err:
+            parse_interactions_file(str(p), mode)
+        assert err.value.line_no == 3 and "'#x'" in str(err.value)
+        p.write_text(f"#x\tD1\t{payload}\nD1\tD2\t{payload}\n")
+        assert len(parse_interactions_file(str(p), mode)) == 1
+
+    @pytest.mark.parametrize("reader", [
+        lambda path: parse_interactions_file(path, "indices"),
+        lambda path: parse_interactions_file(path, "sentences"),
+        lambda path: read_pairs(path, Roster(["D1", "D2"])),
+        read_model,
+        read_vocabulary,
+        parse_grid_file,
+    ])
+    def test_non_utf8_is_refused_before_a_line_error(self, tmp_path, reader):
+        # line 1 is malformed for every reader; the bad bytes come last, well
+        # past the first decoded chunk
+        p = tmp_path / "input.tsv"
+        p.write_bytes(b"D1\tD1\n" + b"D1\tD2\t1\n" * 20_000 + b"D1\tD2\t\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            reader(str(p))
+
+    def test_multibyte_text_across_decoded_chunks(self, tmp_path):
+        p = tmp_path / "edges.tsv"
+        lines = [f"Dé{t}\tDß{t}\t{t % 3}\n" for t in range(20_000)]
+        p.write_text("".join(lines), encoding="utf-8")
+        assert p.stat().st_size > 3 * (1 << 16)
+        records = parse_interactions_file(str(p), "indices")
+        assert len(records) == 20_000 and records.ids[:2] == ["Dé0", "Dß0"]
+
+    def test_unknown_pair_ids_are_refused_after_every_line_is_checked(self, tmp_path):
+        roster = Roster(["D1", "D2", "D3"])
+        p = tmp_path / "pairs.tsv"
+        p.write_text("D1\tD9\nD8\tD2\nD1\n")
+        with pytest.raises(ParseError):
+            read_pairs(str(p), roster)
+        p.write_text("D1\tD9\nD8\tD2\nD7\tD3\n")
+        with pytest.raises(UnknownDrugError, match="'D8'"):
+            read_pairs(str(p), roster)
+        p.write_text("# no pairs\n")
+        assert read_pairs(str(p), roster).shape == (0, 2)
+
+    def test_index_parse_peak_is_a_few_bytes_per_line(self, tmp_path):
+        # codes and classes are 24 bytes a line in int64 buffers; the bound
+        # leaves room for their growth and the interned ids
+        rng = np.random.default_rng(5)
+        n_lines = 100_000
+        t = rng.choice(500 * 499 // 2, size=n_lines, replace=False)
+        i, j = np.triu_indices(500, k=1)
+        p = tmp_path / "edges.tsv"
+        p.write_text("".join(f"D{a:04d}\tD{b:04d}\t{c}\n" for a, b, c in
+                             zip(i[t].tolist(), j[t].tolist(), rng.integers(0, 40, n_lines).tolist())))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = parse_interactions_file(str(p), "indices")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(records) == n_lines
+        assert peak <= PARSE_BYTES_PER_LINE * n_lines, peak / n_lines
 
 
 # -- reference: the record parser and graph assembly this module replaced ---------
@@ -128,6 +211,9 @@ def _reference_parse(path, mode):
         a, b, payload = cols[0].strip(), cols[1].strip(), cols[2].strip()
         if not a or not b or not payload:
             raise ParseError(path, line_no, "empty field")
+        for drug in (a, b):
+            if drug.startswith("#"):
+                raise ParseError(path, line_no, f"drug id {drug!r} begins with '#', which marks a comment")
         if a == b:
             raise ParseError(path, line_no, f"self-loop on {a!r}")
         if mode == "indices":
@@ -234,7 +320,7 @@ class TestParserMatchesRecordReference:
                 assert got == expected, (seed, mode, n_classes, text)
                 outcomes.add(expected[0] if isinstance(expected[0], type) else "graph")
             rows = _outcome(parse_interactions_file, str(path), "indices")
-            if isinstance(rows, list) and rows:
+            if isinstance(rows, IndexRecords) and len(rows):
                 records = _reference_parse(str(path), "indices")
                 assert class_count(rows) == max(int(r.payload) for r in records) + 1
         # the mutations reach every outcome they are meant to compare
