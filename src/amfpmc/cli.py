@@ -238,10 +238,11 @@ def cmd_predict(args) -> int:
             top = np.argsort(-probs, axis=1, kind="stable")[:, : args.top_k]
             top_probs = np.take_along_axis(probs, top, axis=1)
             rows = pairs[start:start + len(probs)].tolist()
-            for (i, j), classes, values in zip(rows, top.tolist(), top_probs.tolist()):
-                a, b = ids[i], ids[j]
-                for cls, value in zip(classes, values):
-                    out.write(f"{a}\t{b}\t{cls}\t{value:.6f}\n")
+            out.write("".join(
+                f"{ids[i]}\t{ids[j]}\t{cls}\t{value:.6f}\n"
+                for (i, j), classes, values in zip(rows, top.tolist(), top_probs.tolist())
+                for cls, value in zip(classes, values)
+            ))
     finally:
         if out is not sys.stdout:
             out.close()

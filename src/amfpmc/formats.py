@@ -41,15 +41,21 @@ MODEL_MAGIC = "AMFPMC1"
 FLOAT_FMT = "%.17g"
 
 
-#: Characters decoded per read while a file is checked for UTF-8.
+#: Characters decoded per read: files are checked for UTF-8 and read in
+#: blocks of whole lines this many characters at a time.
 _DECODE_CHUNK = 1 << 16
+#: Longest drug id, in bytes, that a block may hold and still be parsed by
+#: numpy, which pads every id of the block to the longest one.
+_PLAIN_ID_BYTES = 64
 
 
-def _data_lines(path: str, keep_all: bool = False):
-    """(line_no, line) for each line of path, its newline removed, one line at a time.
+def _blocks(path: str):
+    """(first_line, block) for each run of whole lines of path, about _DECODE_CHUNK characters.
 
-    Blank lines and '#' comments are skipped unless keep_all. The whole file
-    is decoded once before the first line is given, so a file that is not
+    first_line numbers the block's first line, and every line of a block ends
+    in '\\n': lines end where a text-mode read ends them ('\\n', '\\r\\n' or a
+    lone '\\r'), and a last line without an ending gets one. The whole file
+    is decoded once before the first block is given, so a file that is not
     UTF-8 is refused as such whatever its earlier lines hold.
     """
     try:
@@ -59,10 +65,136 @@ def _data_lines(path: str, keep_all: bool = False):
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if keep_all or (line.strip() and not line.lstrip().startswith("#")):
-                yield line_no, line
+        line_no, parts = 1, []
+        while chunk := fh.read(_DECODE_CHUNK):
+            cut = chunk.rfind("\n") + 1
+            if not cut:
+                parts.append(chunk)
+                continue
+            parts.append(chunk[:cut])
+            block = "".join(parts)
+            parts = [chunk[cut:]]
+            # the block is the one copy of its text held while it is parsed
+            del chunk
+            yield line_no, block
+            line_no += block.count("\n")
+        tail = "".join(parts)
+        if tail:
+            yield line_no, tail + "\n"
+
+
+def _block_lines(first_line: int, block: str, keep_all: bool = False):
+    """(line_no, line) for each line of a block from _blocks, its newline removed.
+
+    Blank lines and '#' comments are skipped unless keep_all.
+    """
+    for line_no, line in enumerate(block[:-1].split("\n"), first_line):
+        if keep_all or (line.strip() and not line.lstrip().startswith("#")):
+            yield line_no, line
+
+
+def _data_lines(path: str, keep_all: bool = False):
+    """(line_no, line) for each line of path, its newline removed, a block at a time."""
+    for first_line, block in _blocks(path):
+        yield from _block_lines(first_line, block, keep_all)
+
+
+def _plain_block(block: str, n_cols: int):
+    """The drug ids and classes of a block that numpy can parse whole, or None.
+
+    A block is plain when it is ASCII and each line is 'id TAB id' (n_cols
+    2) or 'id TAB id TAB digits' (n_cols 3), with ids of 1 to
+    _PLAIN_ID_BYTES bytes in 0x21-0x7E other than '#', classes of 1 to 18
+    digits (below 2**63 whatever they are) and no line naming one drug
+    twice. Such lines pass every per-line check unchanged by strip(), so
+    any other block is left to the per-line code, the one place that
+    refuses a line. Returns (names, inverse, classes): the drugs of row r
+    are names[inverse[2r]] and names[inverse[2r + 1]], names distinct;
+    classes is None when n_cols is 2. Each temporary is dropped once used,
+    so the block's arrays stay a small multiple of its text.
+    """
+    if not block.isascii() or "#" in block:
+        return None
+    buf = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    # every byte outside 0x21-0x7E must close a field: a tab, or the newline
+    # after the line's last field; no field may be empty
+    closes = buf - np.uint8(0x21) > 0x7E - 0x21
+    if closes[0] or np.any(closes[1:] & closes[:-1]):
+        return None
+    seps = np.flatnonzero(closes)
+    del closes
+    if len(seps) % n_cols:
+        return None
+    seps = seps.reshape(-1, n_cols)
+    kinds = buf[seps]
+    if np.any(kinds[:, :-1] != 9) or np.any(kinds[:, -1] != 10):
+        return None
+    classes = None
+    if n_cols == 3:
+        classes = _decimal(buf, seps[:, 1] + 1, seps[:, 2] - seps[:, 1] - 1)
+        if classes is None:
+            return None
+    # the ids' first bytes and sizes, row by row: a0 b0 a1 b1 ...
+    starts = np.empty((len(seps), 2), dtype=np.int64)
+    starts[0, 0] = 0
+    starts[1:, 0] = seps[:-1, -1] + 1
+    starts[:, 1] = seps[:, 0] + 1
+    sizes = seps[:, :2] - starts
+    del seps
+    if sizes.max() > _PLAIN_ID_BYTES:
+        return None
+    keys = _fixed_width(buf, starts.ravel(), sizes.ravel())
+    del starts, sizes
+    uniq, inverse = _distinct(keys)
+    if np.any(inverse[0::2] == inverse[1::2]):
+        return None
+    names = list(map(bytes.decode, uniq.view(f"S{keys.itemsize}").tolist()))
+    return names, inverse, classes
+
+
+def _decimal(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 values of the runs buf[starts[r]:starts[r] + sizes[r]], or
+    None if one is longer than 18 bytes or holds a byte that is not a digit."""
+    if sizes.max() > 18:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for c in range(int(sizes.max())):
+        digit = buf.take(starts + c, mode="clip") - np.uint8(48)
+        live = c < sizes
+        if np.any(live & (digit > 9)):
+            return None
+        values = np.where(live, values * 10 + digit, values)
+    return values
+
+
+def _fixed_width(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The byte strings buf[starts[k]:starts[k] + sizes[k]], zero-padded to a
+    multiple of 8 bytes: one uint64 each when 8 bytes will do, since those
+    compare fastest, else one numpy byte string each."""
+    longest = int(sizes.max())
+    table = np.zeros((len(starts), -(-longest // 8) * 8), dtype=np.uint8)
+    for c in range(longest):
+        column = buf.take(starts + c, mode="clip")
+        column[sizes <= c] = 0
+        table[:, c] = column
+    width = table.shape[1]
+    return table.view(np.uint64 if width == 8 else f"S{width}").ravel()
+
+
+def _distinct(keys: np.ndarray):
+    """(distinct keys, inverse) as np.unique gives them, in fewer temporaries."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    step = np.empty(len(keys), dtype=bool)
+    step[:1] = True
+    step[1:] = ordered[1:] != ordered[:-1]
+    uniq = ordered[step]
+    del ordered
+    group = np.cumsum(step)
+    group -= 1
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = group
+    return uniq, inverse
 
 
 @dataclass(frozen=True)
@@ -85,27 +217,44 @@ class IndexRecords:
         return len(self.classes)
 
 
+def _codes(index: dict[str, int], names: list[str]) -> np.ndarray:
+    """index[name] for each name, -1 where there is none."""
+    return np.fromiter(map(index.get, names, itertools.repeat(-1)), dtype=np.int64, count=len(names))
+
+
+def _intern(codes: dict[str, int], names: list[str], inverse: np.ndarray) -> np.ndarray:
+    """The codes of a plain block's drug ids (see _plain_block), new ids interned.
+
+    Only the block's distinct ids are looked up; those not yet known get the
+    next codes in order of first appearance, as one line at a time would.
+    """
+    found = _codes(codes, names)
+    new = found < 0
+    if new.any():
+        seen, first = np.unique(inverse[new[inverse]], return_index=True)
+        for k in seen[np.argsort(first)].tolist():
+            found[k] = codes[names[k]] = len(codes)
+    return found[inverse]
+
+
 def parse_interactions_file(path: str, mode: str):
-    """Strict reader for 'indices' or 'sentences' lines, read one line at a time.
+    """Strict reader for 'indices' or 'sentences' lines.
 
     Index mode expects exactly 3 columns, the class a non-negative int, and
     gives IndexRecords: codes and classes in int64 buffers, no object per
-    line. Sentence mode expects 3 columns, or 5 when the two drug surface
-    forms are given, and gives (drug_a, drug_b, InteractionSentence, line_no)
-    rows; a missing or empty surface takes the sentence's default. A drug id
-    may not begin with '#', which marks a comment in the roster sidecar.
+    line. It reads a block of lines at a time and parses a plain block
+    (_plain_block) with numpy, any other block line by line; the records
+    and errors are those of the line-by-line code alone. Sentence mode
+    expects 3 columns, or 5 when the two drug surface forms are given, and
+    gives (drug_a, drug_b, InteractionSentence, line_no) rows; a missing or
+    empty surface takes the sentence's default. A drug id may not begin
+    with '#', which marks a comment in the roster sidecar.
     """
     if mode not in ("indices", "sentences"):
         raise InvalidConfigError(f"mode must be 'indices' or 'sentences', got {mode!r}")
-    sentences = mode == "sentences"
-    widths = (3, 5) if sentences else (3,)
-    rows: list[tuple] = []
-    codes: dict[str, int] = {}
-    intern = codes.setdefault
-    ends, classes = array("q"), array("q")
-    add_end, add_class = ends.append, classes.append
-    beyond_int64 = -1
-    for line_no, line in _data_lines(path):
+    widths = (3, 5) if mode == "sentences" else (3,)
+
+    def checked(line_no: int, line: str):
         cols = line.split("\t")
         if len(cols) not in widths:
             expected = " or ".join(map(str, widths))
@@ -119,7 +268,12 @@ def parse_interactions_file(path: str, mode: str):
                              f"drug id {b!r} begins with '#', which marks a comment")
         if a == b:
             raise ParseError(path, line_no, f"self-loop on {a!r}")
-        if sentences:
+        return a, b, payload, cols
+
+    if mode == "sentences":
+        rows: list[tuple] = []
+        for line_no, line in _data_lines(path):
+            a, b, payload, cols = checked(line_no, line)
             surface_a, surface_b = (cols[3].strip(), cols[4].strip()) if len(cols) == 5 else ("", "")
             sentence = InteractionSentence(
                 payload,
@@ -127,22 +281,34 @@ def parse_interactions_file(path: str, mode: str):
                 surface_b or InteractionSentence.drug_b_surface,
             )
             rows.append((a, b, sentence, line_no))
-            continue
-        try:
-            cls = int(payload)
-        except ValueError:
-            raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
-        if cls < 0:
-            raise ParseError(path, line_no, f"negative class index {cls}")
-        add_end(intern(a, len(codes)))
-        add_end(intern(b, len(codes)))
-        try:
-            add_class(cls)
-        except OverflowError:
-            beyond_int64 = max(beyond_int64, cls)
-            add_class(-1)
-    if sentences:
         return rows
+    codes: dict[str, int] = {}
+    intern = codes.setdefault
+    ends, classes = array("q"), array("q")
+    beyond_int64 = -1
+    for first_line, block in _blocks(path):
+        plain = _plain_block(block, 3)
+        if plain is not None:
+            names, inverse, block_classes = plain
+            # appended without a copy; frombytes reads any buffer of single bytes
+            ends.frombytes(_intern(codes, names, inverse).view(np.uint8))
+            classes.frombytes(block_classes.view(np.uint8))
+            continue
+        for line_no, line in _block_lines(first_line, block):
+            a, b, payload, _ = checked(line_no, line)
+            try:
+                cls = int(payload)
+            except ValueError:
+                raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
+            if cls < 0:
+                raise ParseError(path, line_no, f"negative class index {cls}")
+            ends.append(intern(a, len(codes)))
+            ends.append(intern(b, len(codes)))
+            try:
+                classes.append(cls)
+            except OverflowError:
+                beyond_int64 = max(beyond_int64, cls)
+                classes.append(-1)
     class_arr = np.frombuffer(classes, dtype=np.int64)
     max_class = max(beyond_int64, int(class_arr.max())) if len(class_arr) else -1
     return IndexRecords(list(codes), np.frombuffer(ends, dtype=np.int64).reshape(-1, 2),
@@ -152,28 +318,40 @@ def parse_interactions_file(path: str, mode: str):
 def read_pairs(path: str, roster: Roster) -> np.ndarray:
     """The (m, 2) int64 roster indices of a two-column TSV of drug pairs (for predict).
 
-    Every line is checked before an unknown id is refused, the first one in
-    column 1 ahead of any in column 2.
+    Read a block at a time like index-mode interactions. Every line is
+    checked before an unknown id is refused, the first one in column 1
+    ahead of any in column 2.
     """
     index = {ext: t for t, ext in enumerate(roster)}
     ends = array("q")
     unknown: list = [None, None]
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(path, line_no, f"expected 2 tab-separated columns, got {len(cols)}")
-        a, b = cols[0].strip(), cols[1].strip()
-        if not a or not b:
-            raise ParseError(path, line_no, "empty field")
-        if a == b:
-            raise ParseError(path, line_no, f"self-loop on {a!r}")
-        i, j = index.get(a, -1), index.get(b, -1)
-        if i < 0 and unknown[0] is None:
-            unknown[0] = a
-        if j < 0 and unknown[1] is None:
-            unknown[1] = b
-        ends.append(i)
-        ends.append(j)
+    for first_line, block in _blocks(path):
+        plain = _plain_block(block, 2)
+        if plain is not None:
+            names, inverse, _ = plain
+            pairs = _codes(index, names)[inverse]
+            for col in (0, 1):
+                missing = np.flatnonzero(pairs[col::2] < 0)
+                if missing.size and unknown[col] is None:
+                    unknown[col] = names[inverse[2 * missing[0] + col]]
+            ends.frombytes(pairs.view(np.uint8))
+            continue
+        for line_no, line in _block_lines(first_line, block):
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise ParseError(path, line_no, f"expected 2 tab-separated columns, got {len(cols)}")
+            a, b = cols[0].strip(), cols[1].strip()
+            if not a or not b:
+                raise ParseError(path, line_no, "empty field")
+            if a == b:
+                raise ParseError(path, line_no, f"self-loop on {a!r}")
+            i, j = index.get(a, -1), index.get(b, -1)
+            if i < 0 and unknown[0] is None:
+                unknown[0] = a
+            if j < 0 and unknown[1] is None:
+                unknown[1] = b
+            ends.append(i)
+            ends.append(j)
     for ext in unknown:
         if ext is not None:
             roster.index_of(ext)

@@ -17,9 +17,9 @@ from amfpmc.errors import (
     ParseError,
     UnknownDrugError,
 )
+from amfpmc import formats
 from amfpmc.formats import (
     IndexRecords,
-    _data_lines,
     class_count,
     format_report_text,
     graph_from_index_records,
@@ -190,6 +190,20 @@ class TestStreamingReader:
 # -- reference: the record parser and graph assembly this module replaced ---------
 
 
+def _reference_lines(path):
+    """(line_no, line) for each data line of path, read one line at a time."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield line_no, line
+
+
 @dataclass
 class _Record:
     drug_a: str
@@ -202,7 +216,7 @@ class _Record:
 
 def _reference_parse(path, mode):
     records = []
-    for line_no, line in _data_lines(path):
+    for line_no, line in _reference_lines(path):
         cols = line.split("\t")
         if mode == "indices" and len(cols) != 3:
             raise ParseError(path, line_no, f"expected 3 tab-separated columns, got {len(cols)}")
@@ -298,6 +312,15 @@ class TestParserMatchesRecordReference:
     )
 
     def test_index_rows_build_the_same_graph(self, tmp_path):
+        self.check_index_rows_build_the_same_graph(tmp_path)
+
+    def test_index_rows_build_the_same_graph_in_64_char_blocks(self, tmp_path, monkeypatch):
+        # mutations then cross block boundaries: most lines span two reads
+        monkeypatch.setattr(formats, "_DECODE_CHUNK", 64)
+        self.check_index_rows_build_the_same_graph(tmp_path)
+
+    @staticmethod
+    def check_index_rows_build_the_same_graph(tmp_path):
         data = generate_synthetic(SyntheticConfig(n_drugs=12, n_blocks=2, n_classes=4,
                                                   edge_probability=0.4, seed=7))
         path = tmp_path / "edges.tsv"
@@ -359,6 +382,286 @@ class TestParserMatchesRecordReference:
                     "increased serum concentration",
                     (EmptyAfterNormalizationError, "nothing left of 'Drug a and Drug b'"),
                 ]
+
+
+# -- reference: the line-at-a-time index and pairs readers the block reader replaced --
+
+
+def _reference_index_records(path):
+    """(ids, ends, classes, max_class) of an index-mode file, parsed one line at a time."""
+    codes, ends, classes = {}, [], []
+    for line_no, line in _reference_lines(path):
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ParseError(path, line_no, f"expected 3 tab-separated columns, got {len(cols)}")
+        a, b, payload = cols[0].strip(), cols[1].strip(), cols[2].strip()
+        if not a or not b or not payload:
+            raise ParseError(path, line_no, "empty field")
+        if b[0] == "#":
+            raise ParseError(path, line_no, f"drug id {b!r} begins with '#', which marks a comment")
+        if a == b:
+            raise ParseError(path, line_no, f"self-loop on {a!r}")
+        try:
+            cls = int(payload)
+        except ValueError:
+            raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
+        if cls < 0:
+            raise ParseError(path, line_no, f"negative class index {cls}")
+        ends += [codes.setdefault(a, len(codes)), codes.setdefault(b, len(codes))]
+        classes.append(cls)
+    max_class = max(classes, default=-1)
+    classes = [c if c < 2**63 else -1 for c in classes]
+    return (list(codes), np.array(ends, dtype=np.int64).reshape(-1, 2).tobytes(),
+            np.array(classes, dtype=np.int64).tobytes(), max_class)
+
+
+def _records(path):
+    records = parse_interactions_file(path, "indices")
+    assert records.ends.dtype == records.classes.dtype == np.int64
+    assert records.ends.shape == (len(records), 2) and records.classes.shape == (len(records),)
+    return records.ids, records.ends.tobytes(), records.classes.tobytes(), records.max_class
+
+
+def _reference_read_pairs(path, roster):
+    """The (m, 2) roster indices of a pairs file, read one line at a time."""
+    index = {ext: t for t, ext in enumerate(roster)}
+    ends, unknown = [], [None, None]
+    for line_no, line in _reference_lines(path):
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ParseError(path, line_no, f"expected 2 tab-separated columns, got {len(cols)}")
+        a, b = cols[0].strip(), cols[1].strip()
+        if not a or not b:
+            raise ParseError(path, line_no, "empty field")
+        if a == b:
+            raise ParseError(path, line_no, f"self-loop on {a!r}")
+        i, j = index.get(a, -1), index.get(b, -1)
+        if i < 0 and unknown[0] is None:
+            unknown[0] = a
+        if j < 0 and unknown[1] is None:
+            unknown[1] = b
+        ends += [i, j]
+    for ext in unknown:
+        if ext is not None:
+            roster.index_of(ext)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
+
+
+def _pairs(path, roster):
+    pairs = read_pairs(path, roster)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+    return pairs.tobytes()
+
+
+@pytest.fixture(params=[None, 64], ids=["default-blocks", "64-char-blocks"])
+def block_chars(request, monkeypatch):
+    """Read files in the default blocks, or in 64-character ones."""
+    if request.param is not None:
+        monkeypatch.setattr(formats, "_DECODE_CHUNK", request.param)
+
+
+def _plain_lines(n):
+    """n plain index lines over 186 drugs D0000..D0185."""
+    return [f"D{t % 97:04d}\tD{(t * 7 + 1) % 89 + 97:04d}\t{t % 37}\n" for t in range(n)]
+
+
+def _write(tmp_path, text, name="input.tsv"):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    return p
+
+
+class TestBlockReader:
+    """Blocks parsed by numpy give the records and errors of the line-at-a-time reader."""
+
+    @staticmethod
+    def same_as_reference(path):
+        got = _outcome(_records, str(path))
+        assert got == _outcome(_reference_index_records, str(path))
+        return got
+
+    def test_line_endings(self, tmp_path, block_chars):
+        p = tmp_path / "edges.tsv"
+        lines = _plain_lines(30)
+        p.write_text("".join(lines))
+        expected = _records(str(p))
+        for ending in ("\r\n", "\r"):
+            p.write_bytes("".join(lines).replace("\n", ending).encode())
+            assert self.same_as_reference(p) == expected
+        mixed = "".join(line.replace("\n", ("\n", "\r\n", "\r")[t % 3]) for t, line in enumerate(lines))
+        p.write_bytes(mixed.encode())
+        assert self.same_as_reference(p) == expected
+        # an error after lone '\r' endings names the line a text read counts
+        p.write_bytes(("".join(lines[:20]) + "D1\tD1\t3\n").replace("\n", "\r").encode())
+        with pytest.raises(ParseError) as err:
+            parse_interactions_file(str(p), "indices")
+        assert err.value.line_no == 21
+        self.same_as_reference(p)
+
+    def test_no_final_newline(self, tmp_path, block_chars):
+        p = tmp_path / "edges.tsv"
+        text = "".join(_plain_lines(30))
+        p.write_text(text[:-1])
+        assert self.same_as_reference(p) == _outcome(_records, str(_write(tmp_path, text)))
+        p.write_text(text + "D5\tD5\t1")
+        with pytest.raises(ParseError, match="self-loop") as err:
+            parse_interactions_file(str(p), "indices")
+        assert err.value.line_no == 31
+        self.same_as_reference(p)
+
+    def test_comment_and_blank_line_between_plain_lines(self, tmp_path, block_chars):
+        lines = _plain_lines(6000)
+        lines[10:10] = ["# a comment\n"]
+        lines[4500:4500] = ["\n", "   \n", "  # indented comment\n"]
+        p = _write(tmp_path, "".join(lines))
+        _, _, classes, _ = self.same_as_reference(p)
+        assert len(classes) == 8 * 6000
+
+    def test_lines_split_across_blocks(self, tmp_path, block_chars):
+        # ids of up to 64 bytes make each line longer than one 64-character read
+        lines = [f"{'A' * 40}{t % 50:02d}\t{'B' * 62}{t % 13:02d}\t{t % 5}\n" for t in range(3000)]
+        p = _write(tmp_path, "".join(lines))
+        ids, _, _, max_class = self.same_as_reference(p)
+        assert len(ids) == 63 and max_class == 4
+        # one id past the numpy limit; that block goes line by line
+        lines[2000] = f"{'C' * 65}\tD1\t3\n"
+        p = _write(tmp_path, "".join(lines))
+        assert "C" * 65 in self.same_as_reference(p)[0]
+
+    def test_non_ascii_id_first_in_a_later_block(self, tmp_path, block_chars):
+        lines = _plain_lines(6000)
+        lines[5000] = "Dé\tD0001\t1\n"
+        lines[5500] = "D0003\tDé\t2\n"
+        lines[5900] = "Dé\tD٣\t3\n"
+        p = _write(tmp_path, "".join(lines))
+        assert p.stat().st_size > 64 * 1024
+        ids, _, _, _ = self.same_as_reference(p)
+        assert ids.index("Dé") < ids.index("D٣") == len(ids) - 1
+
+    def test_long_and_huge_classes(self, tmp_path, block_chars):
+        lines = _plain_lines(200)
+        lines[50] = "D1\tD2\t999999999999999999\n"   # 18 digits: parsed by numpy
+        lines[60] = "D1\tD3\t1000000000000000000\n"  # 19 digits, within int64
+        lines[70] = "D1\tD4\t9223372036854775807\n"  # 2**63 - 1
+        lines[80] = "D1\tD5\t000000000000000000000000042\n"
+        p = _write(tmp_path, "".join(lines))
+        _, _, classes, max_class = self.same_as_reference(p)
+        values = np.frombuffer(classes, dtype=np.int64)
+        assert values[[50, 60, 70, 80]].tolist() == [10**18 - 1, 10**18, 2**63 - 1, 42]
+        assert max_class == 2**63 - 1
+        for huge in (10**19 - 1, 10**20 - 1):  # beyond int64 with 19 and 20 digits
+            lines[90] = f"D1\tD6\t{huge}\n"
+            p = _write(tmp_path, "".join(lines))
+            _, _, classes, max_class = self.same_as_reference(p)
+            assert max_class == huge and np.frombuffer(classes, dtype=np.int64)[90] == -1
+
+    @pytest.mark.parametrize("line, plain", [
+        ("D1\tD2\t3", True),
+        (f"{'A' * 64}\t{'B' * 64}\t{'9' * 18}", True),
+        ("D!~\tD\"'\t0000", True),
+        (f"{'A' * 65}\tD2\t3", False),
+        (f"D1\tD2\t{'1' * 19}", False),
+        ("D1\tD#2\t3", False),
+        ("D1\tD2 \t3", False),
+        ("D1\tD\x7f\t3", False),
+        ("Dé\tD2\t3", False),
+        ("D1\tD1\t3", False),
+        ("\tD2\t3", False),
+        ("D1\tD2\t", False),
+        ("D1\tD2\t3\t", False),
+        ("D1\tD2\t+3", False),
+        ("", False),
+    ])
+    def test_block_path_is_chosen_by_content(self, line, plain):
+        block = "D3\tD4\t5\n" + line + "\nD5\tD6\t7\n"
+        assert (formats._plain_block(block, 3) is not None) == plain
+        # a pairs block is the same lines without the class column
+        if plain:
+            pairs = "".join(row.rsplit("\t", 1)[0] + "\n" for row in block.splitlines())
+            assert formats._plain_block(pairs, 2) is not None
+
+    def test_plain_files_never_reach_the_per_line_code(self, tmp_path, block_chars, monkeypatch):
+        edges = _write(tmp_path, "".join(_plain_lines(6000)), "edges.tsv")
+        pairs = _write(tmp_path, "".join(line.rsplit("\t", 1)[0] + "\n"
+                                         for line in _plain_lines(6000)), "pairs.tsv")
+        roster = Roster([f"D{t:04d}" for t in range(200)])
+
+        def per_line(*args):
+            raise AssertionError("a plain block went line by line")
+
+        monkeypatch.setattr(formats, "_block_lines", per_line)
+        assert _records(str(edges)) == _reference_index_records(str(edges))
+        assert _pairs(str(pairs), roster) == _reference_read_pairs(str(pairs), roster).tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("D0007\tD0007\t3", "self-loop on 'D0007'"),
+        ("D0007\t#x\t3", "drug id '#x' begins with '#', which marks a comment"),
+        ("D0007\tD0008\t-3", "negative class index -3"),
+        ("D0007\tD0008\t3\t4", "expected 3 tab-separated columns, got 4"),
+        ("D0007\t\t3", "empty field"),
+        ("\tD0008\t3", "empty field"),
+        # the bytes either side of the digits
+        ("D0007\tD0008\t3/", "class index is not an integer: '3/'"),
+        ("D0007\tD0008\t:3", "class index is not an integer: ':3'"),
+    ])
+    def test_error_inside_an_otherwise_plain_block(self, tmp_path, block_chars, bad, message):
+        lines = _plain_lines(6000)
+        for line_no in (1, 4321, 6000):
+            bad_lines = lines[:line_no - 1] + [bad + "\n"] + lines[line_no:]
+            p = _write(tmp_path, "".join(bad_lines))
+            with pytest.raises(ParseError) as err:
+                parse_interactions_file(str(p), "indices")
+            assert err.value.line_no == line_no and str(err.value).endswith(message)
+            self.same_as_reference(p)
+
+    def test_mutations_equal_the_line_reader(self, tmp_path, block_chars):
+        data = generate_synthetic(SyntheticConfig(n_drugs=12, n_blocks=2, n_classes=4,
+                                                  edge_probability=0.4, seed=7))
+        path = tmp_path / "edges.tsv"
+        write_interactions_file(data.graph_t1, str(path))
+        small = "# snapshot\n\n" + path.read_text()
+        large = "".join(_plain_lines(6000))
+        outcomes = set()
+        for seed in range(300):
+            original = large if seed % 10 == 9 else small
+            text = original if seed == 0 else _mutate(original, np.random.default_rng(seed))
+            path.write_text(text, encoding="utf-8")
+            got = self.same_as_reference(path)
+            outcomes.add(got[0] if isinstance(got[0], type) else "records")
+        assert {"records", ParseError} <= outcomes
+
+    def test_pairs_mutations_equal_the_line_reader(self, tmp_path, block_chars):
+        data = generate_synthetic(SyntheticConfig(n_drugs=12, n_blocks=2, n_classes=4,
+                                                  edge_probability=0.4, seed=7))
+        roster = data.graph_t1.roster
+        small = "# pairs\n\n" + "".join(f"{roster.external_id(i)}\t{roster.external_id(j)}\n"
+                                        for i, j, _ in data.graph_t1.edge_list().tolist())
+        big_roster = Roster([f"D{t:04d}" for t in range(200)])
+        large = "".join(line.rsplit("\t", 1)[0] + "\n" for line in _plain_lines(6000))
+        path = tmp_path / "pairs.tsv"
+        outcomes = set()
+        for seed in range(300):
+            original, ids = (large, big_roster) if seed % 10 == 9 else (small, roster)
+            text = original if seed == 0 else _mutate(original, np.random.default_rng(seed))
+            path.write_text(text, encoding="utf-8")
+            expected = _outcome(lambda: _reference_read_pairs(str(path), ids).tobytes())
+            assert _outcome(_pairs, str(path), ids) == expected, (seed, text)
+            outcomes.add(expected[0] if isinstance(expected[0], type) else "pairs")
+        assert {"pairs", ParseError, UnknownDrugError} <= outcomes
+
+    def test_unknown_pair_ids_in_different_blocks(self, tmp_path, block_chars):
+        roster = Roster([f"D{t:04d}" for t in range(200)])
+        lines = [line.rsplit("\t", 1)[0] + "\n" for line in _plain_lines(6000)]
+        lines[100] = "D0001\tDX2\n"
+        lines[5000] = "DX1\tD0002\n"
+        lines[5500] = "DX3\tD0002\n"
+        p = _write(tmp_path, "".join(lines))
+        with pytest.raises(UnknownDrugError, match="'DX1'"):
+            read_pairs(str(p), roster)
+        lines[5000] = lines[5500] = "D0001\tD0002\n"
+        p = _write(tmp_path, "".join(lines))
+        with pytest.raises(UnknownDrugError, match="'DX2'"):
+            read_pairs(str(p), roster)
 
 
 class TestModelFile:
