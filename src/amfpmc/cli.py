@@ -405,6 +405,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: IoError: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's allocation error is a subclass; it is named as MemoryError
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -199,13 +199,14 @@ def _distinct(keys: np.ndarray):
 
 @dataclass(frozen=True)
 class IndexRecords:
-    """The data lines of an index-mode interactions file, drug ids interned.
+    """The data lines of an 'id TAB id' or 'id TAB id TAB class' file, drug ids interned.
 
     Row r is (ids[ends[r, 0]], ids[ends[r, 1]], classes[r]): ids lists each
     drug once, in order of first appearance, and ends is (m, 2) int64.
-    max_class is the largest class exactly, -1 when there is no row; a class
+    max_class is the largest class exactly, -1 when there is none; a class
     beyond int64 is -1 in classes and is never read, since it cannot fit a
-    graph (graph_from_index_records).
+    graph (graph_from_index_records). A file without a class column has no
+    classes.
     """
 
     ids: list[str]
@@ -214,7 +215,7 @@ class IndexRecords:
     max_class: int
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.ends)
 
 
 def _codes(index: dict[str, int], names: list[str]) -> np.ndarray:
@@ -237,73 +238,61 @@ def _intern(codes: dict[str, int], names: list[str], inverse: np.ndarray) -> np.
     return found[inverse]
 
 
-def parse_interactions_file(path: str, mode: str):
-    """Strict reader for 'indices' or 'sentences' lines.
+def _columns(path: str, line_no: int, line: str, widths: tuple[int, ...]) -> list[str]:
+    """The tab-separated columns of a data line, each stripped.
 
-    Index mode expects exactly 3 columns, the class a non-negative int, and
-    gives IndexRecords: codes and classes in int64 buffers, no object per
-    line. It reads a block of lines at a time and parses a plain block
-    (_plain_block) with numpy, any other block line by line; the records
-    and errors are those of the line-by-line code alone. Sentence mode
-    expects 3 columns, or 5 when the two drug surface forms are given, and
-    gives (drug_a, drug_b, InteractionSentence, line_no) rows; a missing or
-    empty surface takes the sentence's default. A drug id may not begin
-    with '#', which marks a comment in the roster sidecar.
+    The one place a line of drug pairs is refused: a column count not in
+    widths, an empty field among the first three, a second drug id that
+    begins with '#' when a third column follows (a '#' first in column 1
+    makes the whole line a comment), and a self-loop.
     """
-    if mode not in ("indices", "sentences"):
-        raise InvalidConfigError(f"mode must be 'indices' or 'sentences', got {mode!r}")
-    widths = (3, 5) if mode == "sentences" else (3,)
+    cols = [col.strip() for col in line.split("\t")]
+    if len(cols) not in widths:
+        expected = " or ".join(map(str, widths))
+        raise ParseError(path, line_no, f"expected {expected} tab-separated columns, got {len(cols)}")
+    if not all(cols[:3]):
+        raise ParseError(path, line_no, "empty field")
+    if len(cols) > 2 and cols[1][0] == "#":
+        raise ParseError(path, line_no, f"drug id {cols[1]!r} begins with '#', which marks a comment")
+    if cols[0] == cols[1]:
+        raise ParseError(path, line_no, f"self-loop on {cols[0]!r}")
+    return cols
 
-    def checked(line_no: int, line: str):
-        cols = line.split("\t")
-        if len(cols) not in widths:
-            expected = " or ".join(map(str, widths))
-            raise ParseError(path, line_no, f"expected {expected} tab-separated columns, got {len(cols)}")
-        a, b, payload = cols[0].strip(), cols[1].strip(), cols[2].strip()
-        if not a or not b or not payload:
-            raise ParseError(path, line_no, "empty field")
-        # a '#' first in column 1 makes the whole line a comment
-        if b[0] == "#":
-            raise ParseError(path, line_no,
-                             f"drug id {b!r} begins with '#', which marks a comment")
-        if a == b:
-            raise ParseError(path, line_no, f"self-loop on {a!r}")
-        return a, b, payload, cols
 
-    if mode == "sentences":
-        rows: list[tuple] = []
-        for line_no, line in _data_lines(path):
-            a, b, payload, cols = checked(line_no, line)
-            surface_a, surface_b = (cols[3].strip(), cols[4].strip()) if len(cols) == 5 else ("", "")
-            sentence = InteractionSentence(
-                payload,
-                surface_a or InteractionSentence.drug_a_surface,
-                surface_b or InteractionSentence.drug_b_surface,
-            )
-            rows.append((a, b, sentence, line_no))
-        return rows
+def _id_rows(path: str, n_cols: int) -> IndexRecords:
+    """The rows of an 'id TAB id' (n_cols 2) or 'id TAB id TAB class' (n_cols 3) file.
+
+    Codes and classes go into int64 buffers, no object per line. A block of
+    lines is read at a time: a plain block (_plain_block) is parsed with
+    numpy, any other block line by line through _columns; the records and
+    errors are those of the line-by-line code alone. A class is a
+    non-negative int.
+    """
     codes: dict[str, int] = {}
     intern = codes.setdefault
     ends, classes = array("q"), array("q")
     beyond_int64 = -1
     for first_line, block in _blocks(path):
-        plain = _plain_block(block, 3)
+        plain = _plain_block(block, n_cols)
         if plain is not None:
             names, inverse, block_classes = plain
             # appended without a copy; frombytes reads any buffer of single bytes
             ends.frombytes(_intern(codes, names, inverse).view(np.uint8))
-            classes.frombytes(block_classes.view(np.uint8))
+            if n_cols == 3:
+                classes.frombytes(block_classes.view(np.uint8))
             continue
         for line_no, line in _block_lines(first_line, block):
-            a, b, payload, _ = checked(line_no, line)
+            cols = _columns(path, line_no, line, (n_cols,))
+            ends.append(intern(cols[0], len(codes)))
+            ends.append(intern(cols[1], len(codes)))
+            if n_cols == 2:
+                continue
             try:
-                cls = int(payload)
+                cls = int(cols[2])
             except ValueError:
-                raise ParseError(path, line_no, f"class index is not an integer: {payload!r}") from None
+                raise ParseError(path, line_no, f"class index is not an integer: {cols[2]!r}") from None
             if cls < 0:
                 raise ParseError(path, line_no, f"negative class index {cls}")
-            ends.append(intern(a, len(codes)))
-            ends.append(intern(b, len(codes)))
             try:
                 classes.append(cls)
             except OverflowError:
@@ -315,47 +304,53 @@ def parse_interactions_file(path: str, mode: str):
                         class_arr, max_class)
 
 
+def parse_interactions_file(path: str, mode: str):
+    """Strict reader for 'indices' or 'sentences' lines.
+
+    Index mode expects exactly 3 columns, the class a non-negative int, and
+    gives IndexRecords (_id_rows). Sentence mode expects 3 columns, or 5
+    when the two drug surface forms are given, and gives (drug_a, drug_b,
+    InteractionSentence, line_no) rows; a missing or empty surface takes the
+    sentence's default. A drug id may not begin with '#', which marks a
+    comment in the roster sidecar.
+    """
+    if mode not in ("indices", "sentences"):
+        raise InvalidConfigError(f"mode must be 'indices' or 'sentences', got {mode!r}")
+    if mode == "indices":
+        return _id_rows(path, 3)
+    rows: list[tuple] = []
+    for line_no, line in _data_lines(path):
+        cols = _columns(path, line_no, line, (3, 5))
+        surface_a, surface_b = cols[3:] or ("", "")
+        sentence = InteractionSentence(
+            cols[2],
+            surface_a or InteractionSentence.drug_a_surface,
+            surface_b or InteractionSentence.drug_b_surface,
+        )
+        rows.append((cols[0], cols[1], sentence, line_no))
+    return rows
+
+
 def read_pairs(path: str, roster: Roster) -> np.ndarray:
     """The (m, 2) int64 roster indices of a two-column TSV of drug pairs (for predict).
 
-    Read a block at a time like index-mode interactions. Every line is
+    The pairs are read like index-mode interactions, as interned codes, and
+    each distinct id is then looked up in the roster once. Every line is
     checked before an unknown id is refused, the first one in column 1
     ahead of any in column 2.
     """
-    index = {ext: t for t, ext in enumerate(roster)}
-    ends = array("q")
-    unknown: list = [None, None]
-    for first_line, block in _blocks(path):
-        plain = _plain_block(block, 2)
-        if plain is not None:
-            names, inverse, _ = plain
-            pairs = _codes(index, names)[inverse]
-            for col in (0, 1):
-                missing = np.flatnonzero(pairs[col::2] < 0)
-                if missing.size and unknown[col] is None:
-                    unknown[col] = names[inverse[2 * missing[0] + col]]
-            ends.frombytes(pairs.view(np.uint8))
-            continue
-        for line_no, line in _block_lines(first_line, block):
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(path, line_no, f"expected 2 tab-separated columns, got {len(cols)}")
-            a, b = cols[0].strip(), cols[1].strip()
-            if not a or not b:
-                raise ParseError(path, line_no, "empty field")
-            if a == b:
-                raise ParseError(path, line_no, f"self-loop on {a!r}")
-            i, j = index.get(a, -1), index.get(b, -1)
-            if i < 0 and unknown[0] is None:
-                unknown[0] = a
-            if j < 0 and unknown[1] is None:
-                unknown[1] = b
-            ends.append(i)
-            ends.append(j)
-    for ext in unknown:
-        if ext is not None:
-            roster.index_of(ext)
-    return np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    records = _id_rows(path, 2)
+    ends = records.ends
+    at = _codes({ext: t for t, ext in enumerate(roster)}, records.ids)
+    unknown = at < 0
+    if unknown.any():
+        for col in (0, 1):
+            rows = unknown[ends[:, col]]
+            if rows.any():
+                roster.index_of(records.ids[ends[rows.argmax(), col]])
+    # every code indexes at, so clip never clips; "raise" would buffer a copy
+    np.take(at, ends, out=ends, mode="clip")
+    return ends
 
 
 def class_count(records: IndexRecords) -> int:

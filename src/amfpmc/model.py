@@ -66,6 +66,8 @@ class Hyperparameters:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise InvalidDimensionsError("learning_rate must be positive and finite")
         check_alpha(self.alpha)
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

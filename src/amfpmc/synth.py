@@ -45,6 +45,8 @@ class SyntheticConfig:
             raise InvalidConfigError("label noise needs at least 2 planted classes")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise InvalidConfigError("holdout_fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @property

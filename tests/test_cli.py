@@ -489,6 +489,39 @@ def test_non_finite_learning_rate_is_one_error_everywhere(lr, synth_files, retro
     assert errors == {"error: InvalidDimensionsError: learning_rate must be positive and finite\n"}
 
 
+@pytest.mark.parametrize("command", ["train", "holdout", "retrospective", "gridsearch", "synth"])
+def test_negative_seed_is_one_error(synth_files, retro_files, tmp_path, capsys, command):
+    # numpy's generators take no negative seed
+    t0, _, _ = synth_files
+    r0, r1 = retro_files
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha 0.5\n")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--interactions", str(t0), "--mode", "holdout", "--out", str(out)],
+        "holdout": ["evaluate", "holdout", "--interactions", str(t0)],
+        "retrospective": ["evaluate", "retrospective", "--t0", str(r0), "--t1", str(r1)],
+        "gridsearch": ["gridsearch", "--interactions", str(t0), "--mode", "holdout",
+                       "--grid", str(grid)],
+        "synth": ["synth", "--n", "20", "--blocks", "2", "--k", "4", "--out-t0", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: InvalidConfigError: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_impossible_allocation_is_one_error(synth_files, tmp_path, capsys):
+    # 40 x 10**16 float64 embeddings are beyond any 64-bit address space
+    t0, _, _ = synth_files
+    out = tmp_path / "m.txt"
+    capsys.readouterr()
+    assert main(["train", "--interactions", str(t0), "--mode", "holdout", "--dim", str(10**16),
+                 "--epochs", "1", "--out", str(out)]) == 1
+    _assert_one_line_error(capsys.readouterr().err, "MemoryError")
+    assert not out.exists()
+
+
 def _parameter_default(fn, name):
     return inspect.signature(fn).parameters[name].default
 

@@ -187,6 +187,40 @@ class TestStreamingReader:
         assert peak <= PARSE_BYTES_PER_LINE * n_lines, peak / n_lines
 
 
+    def test_pairs_peak_is_a_few_bytes_per_pair(self, tmp_path):
+        # the codes are 16 bytes a pair; a second (m, 2) copy or an m-long
+        # int64 temporary would pass the bound
+        rng = np.random.default_rng(6)
+        n_pairs = 100_000
+        t = rng.choice(500 * 499 // 2, size=n_pairs, replace=False)
+        i, j = np.triu_indices(500, k=1)
+        p = tmp_path / "pairs.tsv"
+        p.write_text("".join(f"D{a:04d}\tD{b:04d}\n" for a, b in zip(i[t].tolist(), j[t].tolist())))
+        roster = Roster([f"D{t:04d}" for t in range(500)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pairs = read_pairs(str(p), roster)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pairs.tolist() == np.column_stack([i[t], j[t]]).tolist()
+        assert peak <= 28 * n_pairs, peak / n_pairs
+
+    def test_hash_leading_pair_id_is_an_unknown_drug(self, tmp_path):
+        # no roster id begins with '#'; in a pairs file such an id is unknown,
+        # and a malformed line anywhere is refused first
+        roster = Roster(["D1", "D2", "D3"])
+        p = tmp_path / "pairs.tsv"
+        p.write_text("D1\tD2\nD3\t#x\nD2\tD3\n")
+        with pytest.raises(UnknownDrugError, match="'#x'"):
+            read_pairs(str(p), roster)
+        p.write_text("D1\tD2\nD3\t#x\nD2\tD3\nD2\tD2\n")
+        with pytest.raises(ParseError, match="self-loop") as err:
+            read_pairs(str(p), roster)
+        assert err.value.line_no == 4
+
+
 # -- reference: the record parser and graph assembly this module replaced ---------
 
 
