@@ -12,7 +12,6 @@ from .metrics import MultiClassReport, average_precision, class_weights, multicl
 from .model import (
     Hyperparameters,
     ModelParameters,
-    export_embeddings,
     init_model,
     predict,
 )

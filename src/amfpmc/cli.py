@@ -17,7 +17,7 @@ import numpy as np
 from . import formats
 from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError, ShapeMismatchError
 from .graph import HOLDOUT, MODES, RETROSPECTIVE
-from .model import Hyperparameters, export_embeddings
+from .model import Hyperparameters
 from .phrases import build_vocabulary, extract_phrase, load_stoplist, load_verb_forms
 from .pipeline import (
     DEFAULT_TEST_PAIR_CAP,
@@ -252,13 +252,12 @@ def cmd_predict(args) -> int:
 def cmd_export_embeddings(args) -> int:
     _print_config("export-embeddings", args)
     params, roster = _model_and_roster(args)
-    ids, matrix = export_embeddings(params, roster)
     with open(args.out, "w", encoding="utf-8") as fh:
-        header = ["drug_id"] + [f"e{t}" for t in range(matrix.shape[1])]
+        header = ["drug_id"] + [f"e{t}" for t in range(params.embedding_dim)]
         fh.write(",".join(header) + "\n")
-        for ext, row in zip(ids, matrix):
+        for ext, row in zip(roster.external_ids, params.embeddings):
             fh.write(ext + "," + ",".join(formats.FLOAT_FMT % v for v in row) + "\n")
-    print(f"wrote {len(ids)} x {matrix.shape[1]} embeddings to {args.out}")
+    print(f"wrote {len(roster)} x {params.embedding_dim} embeddings to {args.out}")
     return 0
 
 

@@ -500,6 +500,12 @@ def write_vocabulary(vocab: ClassVocabulary, path: str) -> None:
 
 
 def read_vocabulary(path: str) -> ClassVocabulary:
+    """A vocabulary as write_vocabulary writes it, refused otherwise with the offending line.
+
+    Data line k carries class k and a count of at least 0. A retrospective
+    file has NO_INTERACTION_MARKER on its first line and OTHER_MARKER on its
+    last, a holdout file neither, and no other line holds a marker.
+    """
     lines = _data_lines(path)
     first = next(lines, None)
     if first is None:
@@ -510,9 +516,7 @@ def read_vocabulary(path: str) -> ClassVocabulary:
         raise ParseError(path, line_no, "first line must be 'mode<TAB><mode>'")
     mode = parts[1]
     check_mode(mode)
-    class_to_phrase: dict[int, KeywordPhrase] = {}
-    counts: dict[int, int] = {}
-    other_class: Optional[int] = None
+    rows: list[tuple[int, str, int]] = []  # (line_no, label, count) of class len(rows)
     for line_no, line in lines:
         cols = line.split("\t")
         if len(cols) != 3:
@@ -521,16 +525,25 @@ def read_vocabulary(path: str) -> ClassVocabulary:
             idx, cnt = int(cols[0]), int(cols[2])
         except ValueError:
             raise ParseError(path, line_no, "index and count must be integers") from None
-        label = cols[1].strip()
-        counts[idx] = cnt
-        if label == OTHER_MARKER:
-            other_class = idx
-        elif label == NO_INTERACTION_MARKER:
-            if mode != RETROSPECTIVE or idx != 0:
-                raise ParseError(path, line_no, "reserved index outside retrospective slot 0")
-        else:
-            class_to_phrase[idx] = KeywordPhrase.from_text(label)
-    return ClassVocabulary(mode, class_to_phrase, counts, other_class)
+        if idx != len(rows):
+            raise ParseError(path, line_no, f"class index {idx} where {len(rows)} is due")
+        if cnt < 0:
+            raise ParseError(path, line_no, f"negative count {cnt}")
+        rows.append((line_no, cols[1].strip(), cnt))
+    if not rows:
+        raise FormatError(f"{path}: no class lines")
+    markers = {0: NO_INTERACTION_MARKER, len(rows) - 1: OTHER_MARKER} if mode == RETROSPECTIVE else {}
+    for idx, (line_no, label, _) in enumerate(rows):
+        due = markers.get(idx)
+        if (due or label in (NO_INTERACTION_MARKER, OTHER_MARKER)) and label != due:
+            raise ParseError(path, line_no, f"class {idx} of a {mode} vocabulary must be "
+                             f"{repr(due) if due else 'a phrase'}, got {label!r}")
+    class_to_phrase = {
+        idx: KeywordPhrase.from_text(label)
+        for idx, (_, label, _) in enumerate(rows) if idx not in markers
+    }
+    counts = {idx: cnt for idx, (_, _, cnt) in enumerate(rows)}
+    return ClassVocabulary(mode, class_to_phrase, counts, len(rows) - 1 if markers else None)
 
 
 # -- report persistence --------------------------------------------------------

@@ -98,14 +98,49 @@ def row_chunks(m: int):
     return (slice(lo, lo + PAIR_CHUNK_ROWS) for lo in range(0, m, PAIR_CHUNK_ROWS))
 
 
+def _integers(values) -> np.ndarray:
+    """values as an int64 array; refused unless they are integers or empty, never truncated."""
+    out = np.asarray(values)
+    if out.size and out.dtype.kind not in "iu":
+        raise ShapeMismatchError(f"expected integers, got {out.dtype} values")
+    return out.astype(np.int64, copy=False)
+
+
 def pair_rows(rows, width: int = 3) -> np.ndarray:
     """rows as an (m, width) int64 array; an empty input gives shape (0, width)."""
-    out = np.asarray(rows, dtype=np.int64)
+    out = _integers(rows)
     if out.size == 0:
         return out.reshape(0, width)
     if out.ndim != 2 or out.shape[1] != width:
         raise ShapeMismatchError(f"expected rows of {width} integers, got shape {out.shape}")
     return out
+
+
+def check_ends(I, J, n_drugs: int) -> tuple[np.ndarray, np.ndarray]:
+    """I and J as equal-length 1-d int64 arrays (a scalar is one index) of drugs 0..n_drugs-1.
+
+    The one drug-index rule of the graph and the model: a value that is not
+    an integer is refused with ShapeMismatchError, one outside the roster
+    with UnknownDrugError.
+    """
+    I = np.atleast_1d(_integers(I))
+    J = np.atleast_1d(_integers(J))
+    if I.ndim != 1 or I.shape != J.shape:
+        raise ShapeMismatchError("pair endpoints must be equal-length 1-d arrays")
+    for ends in (I, J):
+        bad = np.flatnonzero((ends < 0) | (ends >= n_drugs))
+        if bad.size:
+            raise UnknownDrugError(f"drug index {ends[bad[0]]} outside 0..{n_drugs - 1}")
+    return I, J
+
+
+def check_pairs(I, J, n_drugs: int) -> tuple[np.ndarray, np.ndarray]:
+    """check_ends, and a pair (k, k) refused with SelfLoopError."""
+    I, J = check_ends(I, J, n_drugs)
+    loops = np.flatnonzero(I == J)
+    if loops.size:
+        raise SelfLoopError(f"self loop on drug {I[loops[0]]}")
+    return I, J
 
 
 class TypedInteractionGraph:
@@ -157,7 +192,7 @@ class TypedInteractionGraph:
         hits = np.flatnonzero(bad)
         if hits.size:
             r = hits[0]
-            self._check_pairs(a[r : r + 1], b[r : r + 1])
+            check_pairs(a[r : r + 1], b[r : r + 1], n)
             if not 0 <= c[r] < self.n_classes:
                 raise InvalidClassError(f"class {c[r]} outside 0..{self.n_classes - 1}")
             if self.mode == RETROSPECTIVE and c[r] == NO_INTERACTION:
@@ -170,28 +205,6 @@ class TypedInteractionGraph:
             )
         return unique_keys, c[first]
 
-    # -- validation ------------------------------------------------------
-
-    def _check_ends(self, I, J) -> tuple[np.ndarray, np.ndarray]:
-        I = np.asarray(I, dtype=np.int64)
-        J = np.asarray(J, dtype=np.int64)
-        if I.ndim != 1 or I.shape != J.shape:
-            raise ShapeMismatchError("pair endpoints must be equal-length 1-d arrays")
-        for ends in (I, J):
-            bad = np.flatnonzero((ends < 0) | (ends >= self.n_drugs))
-            if bad.size:
-                raise UnknownDrugError(
-                    f"drug index {ends[bad[0]]} outside 0..{self.n_drugs - 1}"
-                )
-        return I, J
-
-    def _check_pairs(self, I, J) -> tuple[np.ndarray, np.ndarray]:
-        I, J = self._check_ends(I, J)
-        loops = np.flatnonzero(I == J)
-        if loops.size:
-            raise SelfLoopError(f"self loop on drug {I[loops[0]]}")
-        return I, J
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -200,7 +213,7 @@ class TypedInteractionGraph:
 
     def edge_classes(self, I, J) -> np.ndarray:
         """Stored class of each pair (I[r], J[r]), in either order; -1 where there is none."""
-        I, J = self._check_ends(I, J)
+        I, J = check_ends(I, J, self.n_drugs)
         query = np.minimum(I, J) * self.n_drugs + np.maximum(I, J)
         keys = self._keys
         if not keys.size:
@@ -238,7 +251,7 @@ class TypedInteractionGraph:
         into the result, then the b rows are added and the own edge taken off
         one row_chunks step at a time.
         """
-        I, J = self._check_pairs(I, J)
+        I, J = check_pairs(I, J, self.n_drugs)
         counts = self.node_class_counts().astype(np.float64)
         hist = counts[I]
         for rows in row_chunks(I.size):

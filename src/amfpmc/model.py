@@ -27,10 +27,9 @@ from .errors import (
     EmptyBatchError,
     InvalidConfigError,
     InvalidDimensionsError,
-    SelfLoopError,
     ShapeMismatchError,
 )
-from .graph import Roster
+from .graph import check_pairs
 from .propagation import check_alpha
 
 LOG_CLAMP = 1e-12
@@ -156,16 +155,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return z
 
 
-def _as_index_arrays(i, j) -> tuple[np.ndarray, np.ndarray]:
-    I = np.atleast_1d(np.asarray(i, dtype=np.int64))
-    J = np.atleast_1d(np.asarray(j, dtype=np.int64))
-    if I.shape != J.shape:
-        raise ShapeMismatchError("pair index arrays differ in shape")
-    if np.any(I == J):
-        raise SelfLoopError("forward pass on a self pair")
-    return I, J
-
-
 def _drop(x: np.ndarray, mask: np.ndarray, dropout: float) -> None:
     """x *= mask / (1 - dropout), in place and bitwise.
 
@@ -212,7 +201,7 @@ def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
     The product is formed in the i slot's gather, so two (B, d) arrays are
     live at most, not three as in training.
     """
-    I, J = _as_index_arrays(i, j)
+    I, J = check_pairs(i, j, params.n_drugs)
     h = params.embeddings[I]
     h *= params.embeddings[J]
     return _head(params, h, params.drug_bias[I] + params.drug_bias[J])
@@ -290,7 +279,7 @@ def backward(
     Shared parameters accumulate contributions from both slots; embedding rows
     and bias entries of drugs absent from the batch keep zero gradient.
     """
-    I, J = _as_index_arrays(i, j)
+    I, J = check_pairs(i, j, params.n_drugs)
     if I.size == 0:
         raise EmptyBatchError("empty batch")
     T = np.asarray(targets, dtype=np.float64)
@@ -399,10 +388,3 @@ def gradient_check(
             denom = max(abs(gflat[idx]) + abs(numeric), 1e-6)
             worst = max(worst, abs(gflat[idx] - numeric) / denom)
     return worst
-
-
-def export_embeddings(params: ModelParameters, roster: Roster) -> tuple[list[str], np.ndarray]:
-    """External ids paired with a copy of the embedding matrix, roster order."""
-    if len(roster) != params.n_drugs:
-        raise ShapeMismatchError("roster size disagrees with the embedding row count")
-    return roster.external_ids, params.embeddings.copy()

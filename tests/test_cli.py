@@ -75,8 +75,11 @@ def test_train_predict_export_flow(synth_files, tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0].split(",")[:2] == ["drug_id", "e0"]
     assert len(lines) == 41
-    values = np.array([float(v) for v in lines[1].split(",")[1:]])
-    assert np.array_equal(values, params.embeddings[0])
+    # row k + 1 is roster drug k and embedding row k
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == formats.read_roster(str(model) + ".roster").external_ids
+    values = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.array_equal(values, params.embeddings)
 
 
 def test_evaluate_holdout_cli(synth_files, tmp_path, capsys):

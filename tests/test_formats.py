@@ -777,6 +777,27 @@ class TestVocabularyFile:
         with pytest.raises(ParseError):
             read_vocabulary(str(path))
 
+    @pytest.mark.parametrize("mode, lines, bad_line", [
+        # a repeated index: the last line would win
+        ("holdout", ["0\ta b\t3", "0\tc d\t2"], 3),
+        # a gap: class 0 would be named '<no-interaction>'
+        ("holdout", ["5\tfoo\t1"], 2),
+        ("holdout", ["0\ta b\t3", "1\t<other>\t2"], 3),
+        ("holdout", ["0\t<no-interaction>\t0", "1\ta b\t2"], 2),
+        # no '<other>' line: class 2 would be named '<no-interaction>'
+        ("retrospective", ["0\t<no-interaction>\t0", "1\ta b\t3", "2\tc d\t2"], 4),
+        ("retrospective", ["0\t<no-interaction>\t0", "1\t<other>\t3", "2\tc d\t2"], 3),
+        ("retrospective", ["0\ta b\t3", "1\t<other>\t2"], 2),
+        ("holdout", ["0\ta b\t-1"], 2),
+    ], ids=["repeated-index", "gap", "other-in-holdout", "no-interaction-in-holdout",
+            "no-other", "other-before-last", "no-interaction-missing", "negative-count"])
+    def test_what_write_vocabulary_cannot_write_is_refused(self, tmp_path, mode, lines, bad_line):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("\n".join([f"mode\t{mode}"] + lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_vocabulary(str(path))
+        assert err.value.line_no == bad_line
+
 
 def sample_report():
     return MultiClassReport(

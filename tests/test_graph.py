@@ -7,6 +7,7 @@ from amfpmc.errors import (
     InvalidClassError,
     InvalidDimensionsError,
     SelfLoopError,
+    ShapeMismatchError,
     UnknownDrugError,
 )
 from amfpmc.graph import MAX_NODE_CLASS_CELLS, Roster, TypedInteractionGraph, build_graph
@@ -35,6 +36,8 @@ def test_self_loop_and_unknown_drug():
         TypedInteractionGraph(3, 4, "holdout", [(1, 1, 2)])
     with pytest.raises(UnknownDrugError):
         TypedInteractionGraph(3, 4, "holdout", [(0, 7, 2)])
+    with pytest.raises(ShapeMismatchError):
+        TypedInteractionGraph(3, 4, "holdout", [(0.5, 1, 2)])
     g = TypedInteractionGraph(3, 4, "holdout")
     with pytest.raises(UnknownDrugError):
         g.lookup(0, -1)
@@ -270,5 +273,16 @@ def test_edge_classes_and_lookup_match_brute_force():
             assert g.lookup(a, b) == (None if c < 0 else c)
     empty = TypedInteractionGraph(3, 2, "holdout")
     assert empty.edge_classes([0, 1], [1, 2]).tolist() == [-1, -1]
-    with pytest.raises(UnknownDrugError):
-        empty.edge_classes([0], [3])
+
+
+@pytest.mark.parametrize("I, J, error", [
+    ([0], [4], UnknownDrugError),
+    ([-1], [0], UnknownDrugError),
+    ([0.5], [3.9], ShapeMismatchError),
+    ([0, 1], [3], ShapeMismatchError),
+])
+def test_edge_classes_refuses_bad_ends(I, J, error):
+    # truncating (0.5, 3.9) would look up the stored pair (0, 3)
+    g = TypedInteractionGraph(4, 2, "holdout", [(0, 3, 1)])
+    with pytest.raises(error):
+        g.edge_classes(I, J)

@@ -11,8 +11,8 @@ from amfpmc.errors import (
     InvalidDimensionsError,
     SelfLoopError,
     ShapeMismatchError,
+    UnknownDrugError,
 )
-from amfpmc.graph import Roster
 from amfpmc.metrics import class_weights
 from amfpmc.model import (
     Hyperparameters,
@@ -20,7 +20,6 @@ from amfpmc.model import (
     OptimizerState,
     adam_step,
     backward,
-    export_embeddings,
     forward_batch,
     gradient_check,
     init_model,
@@ -129,10 +128,24 @@ class TestForward:
                 continue
             assert np.array_equal(forward_batch(params, [i], [j]), forward_batch(params, [j], [i]))
 
-    def test_self_pair_rejected(self):
+    @pytest.mark.parametrize("call", [
+        lambda params, i, j: forward_batch(params, [i], [j]),
+        lambda params, i, j: predict(params, i, j),
+        lambda params, i, j: backward(params, [i], [j], np.full((1, 3), 1 / 3), np.ones(3)),
+        lambda params, i, j: pipeline.score_pairs(params, [(i, j)]),
+    ], ids=["forward_batch", "predict", "backward", "score_pairs"])
+    @pytest.mark.parametrize("i, j, error, message", [
+        (2, 2, SelfLoopError, "self loop on drug 2"),
+        (-1, 0, UnknownDrugError, r"drug index -1 outside 0\.\.3"),
+        (-5, 1, UnknownDrugError, r"drug index -5 outside 0\.\.3"),
+        (0, 4, UnknownDrugError, r"drug index 4 outside 0\.\.3"),
+        (0.9, 1.7, ShapeMismatchError, "expected integers"),
+    ], ids=["self-pair", "minus-one", "minus-five", "n", "floats"])
+    def test_bad_pair_refused(self, call, i, j, error, message):
+        # the graph's rule: no index wraps around, is truncated or names one drug twice
         params = init_model(4, 3, tiny_hp())
-        with pytest.raises(SelfLoopError):
-            forward_batch(params, [2], [2])
+        with pytest.raises(error, match=message):
+            call(params, i, j)
 
 
 class TestPredict:
@@ -285,22 +298,6 @@ class TestAdam:
         a, b = run(), run()
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
-
-
-class TestExport:
-    def test_rows_match_roster_order(self):
-        params = init_model(3, 2, tiny_hp())
-        roster = Roster(["DBX", "DBY", "DBZ"])
-        ids, matrix = export_embeddings(params, roster)
-        assert ids == ["DBX", "DBY", "DBZ"]
-        assert np.array_equal(matrix, params.embeddings)
-        matrix[0, 0] += 1.0  # the export is a copy
-        assert matrix[0, 0] != params.embeddings[0, 0]
-
-    def test_roster_size_checked(self):
-        params = init_model(3, 2, tiny_hp())
-        with pytest.raises(ShapeMismatchError):
-            export_embeddings(params, Roster(["A", "B"]))
 
 
 # -- bitwise references: the straightforward forms the fast paths must equal --
