@@ -144,7 +144,7 @@ def cmd_train(args) -> int:
     graph = _read_graph(args.interactions, args.mode, args.classes)
     params = train(attach_targets(graph.edge_list(), graph, hp.alpha),
                    hp, graph.n_drugs, graph.n_classes)
-    if not all(np.all(np.isfinite(a)) for a in params.arrays()):
+    if not np.all(np.isfinite(params.flat)):
         raise NonFiniteError("trained parameters are not finite (did training diverge?)")
     formats.write_model(params, args.out)
     roster_path = args.out_roster or args.out + ".roster"

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EmptyInputError,
     FormatError,
     InvalidConfigError,
     InvalidDimensionsError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_dimensions, check_mode
 from .metrics import MultiClassReport, _by_support
-from .model import Hyperparameters, ModelParameters, check_model_dimensions
+from .model import Hyperparameters, ModelParameters, check_model_dimensions, parameter_shapes
 from .phrases import (
     NO_INTERACTION_MARKER,
     OTHER_MARKER,
@@ -37,6 +38,8 @@ from .phrases import (
 from .pipeline import GRID_FIELDS, GridSpec
 
 MODEL_MAGIC = "AMFPMC1"
+#: A model file's section names, in the order of ModelParameters.arrays().
+MODEL_SECTIONS = "EbWcu"
 #: 17 significant digits, so every float64 round-trips exactly.
 FLOAT_FMT = "%.17g"
 
@@ -420,24 +423,12 @@ def read_roster(path: str) -> Roster:
 def write_model(params: ModelParameters, path: str) -> None:
     """Text format: 'AMFPMC1 n K d' header, then sections E, b, W, c, u."""
     n, K, d = params.n_drugs, params.n_classes, params.embedding_dim
-
-    def rows(arr: np.ndarray):
-        mat = np.atleast_2d(arr)
-        for row in mat:
-            yield " ".join(FLOAT_FMT % v for v in row)
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_MAGIC} {n} {K} {d}\n")
-        for name, arr in (
-            ("E", params.embeddings),
-            ("b", params.drug_bias),
-            ("W", params.class_proj),
-            ("c", params.class_bias),
-            ("u", params.bias_coupling),
-        ):
+        for name, arr in zip(MODEL_SECTIONS, params.arrays()):
             fh.write(name + "\n")
-            for line in rows(arr):
-                fh.write(line + "\n")
+            for row in np.atleast_2d(arr):
+                fh.write(" ".join(FLOAT_FMT % v for v in row) + "\n")
 
 
 def read_model(path: str) -> ModelParameters:
@@ -457,14 +448,13 @@ def read_model(path: str) -> ModelParameters:
     except InvalidDimensionsError as exc:
         raise InvalidDimensionsError(f"{path}: {exc}") from None
 
-    sections = {"E": (n, d), "b": (1, n), "W": (K, d), "c": (1, K), "u": (1, K)}
     line_no = 1
-    arrays: dict[str, np.ndarray] = {}
-    for name in ("E", "b", "W", "c", "u"):
+    parts: list[np.ndarray] = []
+    for name, shape in zip(MODEL_SECTIONS, parameter_shapes(n, K, d)):
         line_no += 1
         if next(lines, "").strip() != name:
             raise FormatError(f"{path}: expected section {name!r} at line {line_no}")
-        n_rows, n_cols = sections[name]
+        n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
         rows = []
         for line in itertools.islice(lines, n_rows):
             line_no += 1
@@ -482,10 +472,12 @@ def read_model(path: str) -> ModelParameters:
         arr = np.array(rows, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"{path}: non-finite value in section {name!r}")
-        arrays[name] = arr[0] if name in ("b", "c", "u") else arr
+        parts.append(arr.reshape(-1))
     if any(line.strip() for line in lines):
         raise FormatError(f"{path}: trailing content after section 'u'")
-    return ModelParameters(arrays["E"], arrays["b"], arrays["W"], arrays["c"], arrays["u"])
+    # allocated only once every section has parsed: a header larger than its
+    # file fails at a row, not at an allocation
+    return ModelParameters(n, K, d, np.concatenate(parts))
 
 
 # -- vocabulary persistence ----------------------------------------------------
@@ -504,7 +496,8 @@ def read_vocabulary(path: str) -> ClassVocabulary:
 
     Data line k carries class k and a count of at least 0. A retrospective
     file has NO_INTERACTION_MARKER on its first line and OTHER_MARKER on its
-    last, a holdout file neither, and no other line holds a marker.
+    last, a holdout file neither, and every other line holds a phrase of at
+    least one token that no earlier line holds.
     """
     lines = _data_lines(path)
     first = next(lines, None)
@@ -533,15 +526,22 @@ def read_vocabulary(path: str) -> ClassVocabulary:
     if not rows:
         raise FormatError(f"{path}: no class lines")
     markers = {0: NO_INTERACTION_MARKER, len(rows) - 1: OTHER_MARKER} if mode == RETROSPECTIVE else {}
+    class_of: dict[KeywordPhrase, int] = {}
     for idx, (line_no, label, _) in enumerate(rows):
         due = markers.get(idx)
         if (due or label in (NO_INTERACTION_MARKER, OTHER_MARKER)) and label != due:
             raise ParseError(path, line_no, f"class {idx} of a {mode} vocabulary must be "
                              f"{repr(due) if due else 'a phrase'}, got {label!r}")
-    class_to_phrase = {
-        idx: KeywordPhrase.from_text(label)
-        for idx, (_, label, _) in enumerate(rows) if idx not in markers
-    }
+        if due:
+            continue
+        try:
+            phrase = KeywordPhrase.from_text(label)
+        except EmptyInputError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        first = class_of.setdefault(phrase, idx)
+        if first != idx:
+            raise ParseError(path, line_no, f"phrase {label!r} repeats the phrase of class {first}")
+    class_to_phrase = {idx: phrase for phrase, idx in class_of.items()}
     counts = {idx: cnt for idx, (_, _, cnt) in enumerate(rows)}
     return ClassVocabulary(mode, class_to_phrase, counts, len(rows) - 1 if markers else None)
 

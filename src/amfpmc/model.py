@@ -36,7 +36,7 @@ LOG_CLAMP = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-#: Elements per Adam slice (whole rows); any value gives the same bits.
+#: Elements per Adam slice; any value gives the same bits.
 ADAM_BLOCK = 1 << 15
 
 
@@ -70,15 +70,33 @@ class Hyperparameters:
         return self
 
 
-@dataclass
-class ModelParameters:
-    """All trainable arrays (or backward's gradients); both slots share embeddings and drug_bias."""
+def parameter_shapes(n_drugs: int, n_classes: int, embedding_dim: int) -> list[tuple[int, ...]]:
+    """Shapes of E, b, W, c and u, in the order they lie in ModelParameters.flat."""
+    return [(n_drugs, embedding_dim), (n_drugs,), (n_classes, embedding_dim), (n_classes,), (n_classes,)]
 
-    embeddings: np.ndarray    # (n, d)
-    drug_bias: np.ndarray     # (n,)
-    class_proj: np.ndarray    # (K, d)
-    class_bias: np.ndarray    # (K,)
-    bias_coupling: np.ndarray  # (K,)
+
+class ModelParameters:
+    """All trainable arrays (or backward's gradients) as views of one float64 vector.
+
+    flat holds E (n, d), b (n,), W (K, d), c (K,) and u (K,) one after the
+    other; it defaults to zeros. Both slots share embeddings and drug_bias.
+    """
+
+    def __init__(self, n_drugs: int, n_classes: int, embedding_dim: int,
+                 flat: Optional[np.ndarray] = None):
+        shapes = parameter_shapes(n_drugs, n_classes, embedding_dim)
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        self.flat = np.zeros(ends[-1], dtype=np.float64) if flat is None else flat
+        if self.flat.shape != (ends[-1],) or self.flat.dtype != np.float64:
+            raise ShapeMismatchError(f"flat parameters {self.flat.dtype} {self.flat.shape}, "
+                                     f"expected float64 ({ends[-1]},)")
+        (self.embeddings, self.drug_bias, self.class_proj, self.class_bias,
+         self.bias_coupling) = (part.reshape(shape) for part, shape in
+                                zip(np.split(self.flat, ends[:-1]), shapes))
+
+    def __reduce__(self):
+        # pickled as the vector, so the views are rebuilt onto the copy
+        return ModelParameters, (self.n_drugs, self.n_classes, self.embedding_dim, self.flat)
 
     @property
     def n_drugs(self) -> int:
@@ -96,23 +114,20 @@ class ModelParameters:
         return [self.embeddings, self.drug_bias, self.class_proj, self.class_bias, self.bias_coupling]
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(*(a.copy() for a in self.arrays()))
+        return ModelParameters(self.n_drugs, self.n_classes, self.embedding_dim, self.flat.copy())
 
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moment accumulators plus the step counter."""
+    """Adam first/second moment vectors, laid out as ModelParameters.flat, plus the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParameters) -> "OptimizerState":
-        return cls(
-            m=[np.zeros_like(a) for a in params.arrays()],
-            v=[np.zeros_like(a) for a in params.arrays()],
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def check_model_dimensions(n_drugs: int, n_classes: int, embedding_dim: int) -> None:
@@ -138,13 +153,11 @@ def init_model(
         rng = np.random.default_rng(hp.seed)
     d = hp.embedding_dim
     scale = 1.0 / np.sqrt(d)
-    return ModelParameters(
-        embeddings=rng.uniform(-scale, scale, size=(n_drugs, d)),
-        drug_bias=np.zeros(n_drugs, dtype=np.float64),
-        class_proj=rng.uniform(-scale, scale, size=(n_classes, d)),
-        class_bias=np.zeros(n_classes, dtype=np.float64),
-        bias_coupling=np.ones(n_classes, dtype=np.float64),
-    )
+    params = ModelParameters(n_drugs, n_classes, d)
+    params.embeddings[...] = rng.uniform(-scale, scale, size=(n_drugs, d))
+    params.class_proj[...] = rng.uniform(-scale, scale, size=(n_classes, d))
+    params.bias_coupling[...] = 1.0
+    return params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -236,8 +249,8 @@ def loss(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray) -> f
     return _weighted_cross_entropy(probs, targets, class_weights)[1]
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Sum rows[k] into row index[k] of an (n, d) zero matrix, bitwise as np.add.at.
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Sum rows[k] into row index[k] of out, an (n, d) zero matrix, bitwise as np.add.at.
 
     np.add.at adds in index order, and a stable sort keeps that order within
     each target row. The targets are ranked by occurrence count, most first,
@@ -252,9 +265,6 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     counts = np.diff(starts, append=index.size)
     most_first = np.argsort(-counts, kind="stable")
     starts, counts = starts[most_first], counts[most_first]
-    # allocated before the accumulator: the other order left a training run
-    # with a higher peak RSS on the benchmark's retrospective workload
-    out = np.zeros((n, rows.shape[1]), dtype=np.float64)
     acc = rows[order[starts]]
     acc += 0.0
     # targets with more than r occurrences, for r = 1 .. largest count - 1
@@ -262,7 +272,6 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     for r, k in enumerate(pending, 1):
         acc[:k] += rows[order[starts[:k] + r]]
     out[sorted_index[starts]] = acc
-    return out
 
 
 def backward(
@@ -294,10 +303,6 @@ def backward(
     # d(mean loss)/dlogits; softmax-cross-entropy collapses to w * (p - t) / B
     G = (w[:, None] * (P - T)) / B
 
-    grad_W = G.T @ h
-    grad_c = G.sum(axis=0)
-    grad_u = (G * pair_bias[:, None]).sum(axis=0)
-
     # gradient rows of the i slot, then of the j slot, in the order add.at would sum them
     dh = G @ params.class_proj
     dE = np.empty((2 * B, params.embedding_dim), dtype=np.float64)
@@ -307,14 +312,20 @@ def backward(
         _drop(dE[:B], masks[0], dropout)
         _drop(dE[B:], masks[1], dropout)
     slots = np.concatenate([I, J])
-    grad_E = _scatter_rows(slots, dE, params.n_drugs)
+    # allocated after dE and before _scatter_rows' accumulator: allocating it
+    # first multiplied the page faults of a d=512 step, and allocating it after
+    # the accumulator raised a training run's peak RSS on retro-wide
+    grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
+    _scatter_rows(slots, dE, grads.embeddings)
+    np.matmul(G.T, h, out=grads.class_proj)
+    np.sum(G, axis=0, out=grads.class_bias)
+    np.sum(G * pair_bias[:, None], axis=0, out=grads.bias_coupling)
 
     # bincount sums in index order from 0.0, the bits of np.add.at into zeros
     db_pair = G @ params.bias_coupling
-    grad_b = np.bincount(slots, weights=np.concatenate([db_pair, db_pair]),
-                         minlength=params.n_drugs)
-
-    return batch_loss, ModelParameters(grad_E, grad_b, grad_W, grad_c, grad_u)
+    grads.drug_bias[...] = np.bincount(slots, weights=np.concatenate([db_pair, db_pair]),
+                                       minlength=params.n_drugs)
+    return batch_loss, grads
 
 
 def adam_step(
@@ -323,33 +334,32 @@ def adam_step(
     state: OptimizerState,
     learning_rate: float,
 ) -> tuple[ModelParameters, OptimizerState]:
-    """One in-place Adam update with standard constants and bias correction.
+    """One in-place Adam update of params.flat with standard constants and bias correction.
 
-    Each array is updated ADAM_BLOCK elements (whole rows) at a time, through
-    two scratch buffers, so the live slices stay in cache. Every operation is
+    The vector is updated ADAM_BLOCK elements at a time, through two scratch
+    buffers, so the live slices stay in cache. Every operation is
     elementwise and runs in the order of
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result does not
     depend on the block size.
     """
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ShapeMismatchError("gradient or moment shape disagrees with parameter shape")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeMismatchError("gradient shape disagrees with parameter shape")
-        rows = min(len(p), max(1, ADAM_BLOCK // max(1, p[0].size)))
-        buffers = np.empty((2, rows) + p.shape[1:], dtype=np.float64)
-        for lo in range(0, len(p), rows):
-            ps, gs, ms, vs = (x[lo : lo + rows] for x in (p, g, m, v))
-            num, den = buffers[:, : len(ps)]
-            ms *= ADAM_BETA1
-            ms += np.multiply(1.0 - ADAM_BETA1, gs, out=num)
-            vs *= ADAM_BETA2
-            vs += np.multiply(1.0 - ADAM_BETA2, np.square(gs, out=num), out=num)
-            np.multiply(learning_rate, np.divide(ms, bc1, out=num), out=num)
-            np.add(np.sqrt(np.divide(vs, bc2, out=den), out=den), ADAM_EPS, out=den)
-            ps -= np.divide(num, den, out=num)
+    buffers = np.empty((2, min(p.size, ADAM_BLOCK)), dtype=np.float64)
+    for lo in range(0, p.size, ADAM_BLOCK):
+        ps, gs, ms, vs = (x[lo : lo + ADAM_BLOCK] for x in (p, g, m, v))
+        num, den = buffers[:, : ps.size]
+        ms *= ADAM_BETA1
+        ms += np.multiply(1.0 - ADAM_BETA1, gs, out=num)
+        vs *= ADAM_BETA2
+        vs += np.multiply(1.0 - ADAM_BETA2, np.square(gs, out=num), out=num)
+        np.multiply(learning_rate, np.divide(ms, bc1, out=num), out=num)
+        np.add(np.sqrt(np.divide(vs, bc2, out=den), out=den), ADAM_EPS, out=den)
+        ps -= np.divide(num, den, out=num)
     return params, state
 
 
@@ -374,17 +384,15 @@ def gradient_check(
         return loss(probs, targets, class_weights)
 
     worst = 0.0
-    for arr, g in zip(params.arrays(), analytic.arrays()):
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_at()
-            flat[idx] = orig - eps
-            down = loss_at()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(gflat[idx]) + abs(numeric), 1e-6)
-            worst = max(worst, abs(gflat[idx] - numeric) / denom)
+    flat, gflat = params.flat, analytic.flat
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + eps
+        up = loss_at()
+        flat[idx] = orig - eps
+        down = loss_at()
+        flat[idx] = orig
+        numeric = (up - down) / (2.0 * eps)
+        denom = max(abs(gflat[idx]) + abs(numeric), 1e-6)
+        worst = max(worst, abs(gflat[idx] - numeric) / denom)
     return worst

@@ -748,6 +748,13 @@ class TestModelFile:
         with pytest.raises(FormatError):
             read_model(str(path))
 
+    def test_huge_header_is_refused_before_allocating(self, tmp_path):
+        # the header asks for a 75 GiB parameter vector; the first row is read first
+        path = tmp_path / "model.txt"
+        path.write_text("AMFPMC1 100000 1000 100000\nE\n0.5 0.25\n")
+        with pytest.raises(DimensionMismatchError, match="section 'E' row has 2 values, expected 100000"):
+            read_model(str(path))
+
 
 class TestVocabularyFile:
     def test_retrospective_roundtrip(self, tmp_path):
@@ -789,8 +796,12 @@ class TestVocabularyFile:
         ("retrospective", ["0\t<no-interaction>\t0", "1\t<other>\t3", "2\tc d\t2"], 3),
         ("retrospective", ["0\ta b\t3", "1\t<other>\t2"], 2),
         ("holdout", ["0\ta b\t-1"], 2),
+        # ClassVocabulary would refuse both without naming the line
+        ("holdout", ["0\ta b\t1", "1\ta b\t2"], 3),
+        ("holdout", ["0\ta b\t1", "1\t \t2"], 3),
     ], ids=["repeated-index", "gap", "other-in-holdout", "no-interaction-in-holdout",
-            "no-other", "other-before-last", "no-interaction-missing", "negative-count"])
+            "no-other", "other-before-last", "no-interaction-missing", "negative-count",
+            "repeated-phrase", "empty-phrase"])
     def test_what_write_vocabulary_cannot_write_is_refused(self, tmp_path, mode, lines, bad_line):
         path = tmp_path / "vocab.tsv"
         path.write_text("\n".join([f"mode\t{mode}"] + lines) + "\n")

@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from amfpmc import formats
 from amfpmc import model as model_mod
 from amfpmc import pipeline
 from amfpmc.errors import (
@@ -102,16 +104,44 @@ class TestInit:
         assert str(from_hp.value) == str(from_propagation.value)
 
 
+class TestParameterVector:
+    def test_views_lie_in_flat_in_file_order(self):
+        params = random_model(np.random.default_rng(40), n=5, d=3, K=4)
+        assert params.flat.tobytes() == np.concatenate([a.ravel() for a in params.arrays()]).tobytes()
+        _, grads = backward(params, [0, 2], [1, 4], np.full((2, 4), 0.25), np.ones(4))
+        for p, g in zip(params.arrays(), grads.arrays()):
+            assert g.shape == p.shape and np.shares_memory(g, grads.flat)
+        with pytest.raises(ShapeMismatchError):
+            ModelParameters(5, 4, 3, np.zeros(params.flat.size + 1))
+
+    @pytest.mark.parametrize("how", ["copy", "read_model", "pickle"])
+    def test_a_copy_has_views_of_its_own_vector(self, tmp_path, how):
+        params = random_model(np.random.default_rng(41))
+        if how == "copy":
+            got = params.copy()
+        elif how == "read_model":
+            formats.write_model(params, str(tmp_path / "model.txt"))
+            got = formats.read_model(str(tmp_path / "model.txt"))
+        else:
+            got = pickle.loads(pickle.dumps(params))
+        assert got.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(got.flat, params.flat)
+        for view in got.arrays():
+            assert np.shares_memory(view, got.flat)
+        before = got.embeddings.copy()
+        ones = ModelParameters(got.n_drugs, got.n_classes, got.embedding_dim, np.ones(got.flat.size))
+        adam_step(got, ones, OptimizerState.for_params(got), 0.01)
+        assert np.all(got.embeddings < before)
+
+
 class TestForward:
     def test_hand_computed_single_logit(self):
         # d=1, K=1: h = 2*3, logit = 0.5*6 + 0.1 + 1*(0+0) = 3.1
-        params = ModelParameters(
-            embeddings=np.array([[2.0], [3.0]]),
-            drug_bias=np.zeros(2),
-            class_proj=np.array([[0.5]]),
-            class_bias=np.array([0.1]),
-            bias_coupling=np.array([1.0]),
-        )
+        params = ModelParameters(n_drugs=2, n_classes=1, embedding_dim=1)
+        params.embeddings[:] = [[2.0], [3.0]]
+        params.class_proj[:] = 0.5
+        params.class_bias[:] = 0.1
+        params.bias_coupling[:] = 1.0
         assert forward_batch(params, [0], [1])[0, 0] == pytest.approx(3.1, abs=1e-12)
 
     def test_zero_embedding_gives_class_bias(self):
@@ -237,13 +267,8 @@ class TestBackward:
         assert err_half <= 10 * err + 1e-8
 
     def test_gradient_check_constant_zero_model(self):
-        params = ModelParameters(
-            embeddings=np.zeros((4, 3)),
-            drug_bias=np.zeros(4),
-            class_proj=np.zeros((3, 3)),
-            class_bias=np.zeros(3),
-            bias_coupling=np.ones(3),
-        )
+        params = ModelParameters(n_drugs=4, n_classes=3, embedding_dim=3)
+        params.bias_coupling[:] = 1.0
         T = np.full((2, 3), 1 / 3)
         _, grads = backward(params, [0, 1], [2, 3], T, np.ones(3))
         assert max(np.abs(a).max() for a in grads.arrays()) < 1e-12
@@ -267,7 +292,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = init_model(4, 3, tiny_hp())
         before = params.copy()
-        grads = ModelParameters(*(np.zeros_like(a) for a in params.arrays()))
+        grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
         state = OptimizerState.for_params(params)
         adam_step(params, grads, state, 0.05)
         for a, b in zip(params.arrays(), before.arrays()):
@@ -277,12 +302,19 @@ class TestAdam:
         # closed form: after bias correction the first step is lr * g / (|g| + eps)
         params = init_model(4, 3, tiny_hp())
         before = params.class_bias.copy()
-        grads = ModelParameters(*(np.zeros_like(a) for a in params.arrays()))
+        grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
         grads.class_bias[:] = np.array([0.5, -0.25, 1.0])
         state = OptimizerState.for_params(params)
         adam_step(params, grads, state, 0.01)
         delta = params.class_bias - before
         assert np.allclose(delta, -0.01 * np.sign(grads.class_bias), atol=1e-6)
+
+    def test_mismatched_gradient_is_refused_before_the_step(self):
+        params = init_model(4, 3, tiny_hp())
+        state = OptimizerState.for_params(params)
+        with pytest.raises(ShapeMismatchError):
+            adam_step(params, init_model(5, 3, tiny_hp()), state, 0.01)
+        assert state.step == 0 and not state.m.any()
 
     def test_two_runs_bitwise_identical(self):
         def run():
@@ -330,28 +362,29 @@ def reference_backward(params, i, j, targets, class_weights, dropout=0.0, rng=No
     if mask_i is not None:
         dEi = dEi * mask_i
         dEj = dEj * mask_j
-    grad_E = np.zeros_like(params.embeddings)
-    np.add.at(grad_E, I, dEi)
-    np.add.at(grad_E, J, dEj)
+    grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
+    np.add.at(grads.embeddings, I, dEi)
+    np.add.at(grads.embeddings, J, dEj)
     db_pair = G @ params.bias_coupling
-    grad_b = np.zeros_like(params.drug_bias)
-    np.add.at(grad_b, I, db_pair)
-    np.add.at(grad_b, J, db_pair)
-    grads = ModelParameters(grad_E, grad_b, G.T @ h, G.sum(axis=0), (G * pair_bias[:, None]).sum(axis=0))
+    np.add.at(grads.drug_bias, I, db_pair)
+    np.add.at(grads.drug_bias, J, db_pair)
+    grads.class_proj[:] = G.T @ h
+    grads.class_bias[:] = G.sum(axis=0)
+    grads.bias_coupling[:] = (G * pair_bias[:, None]).sum(axis=0)
     return batch_loss, grads
 
 
 def reference_adam_step(params, grads, state, learning_rate):
-    """The textbook update, whole arrays at once."""
+    """The textbook update, the whole vector at once."""
     state.step += 1
     bc1 = 1.0 - 0.9**state.step
     bc2 = 1.0 - 0.999**state.step
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
-        m *= 0.9
-        m += (1.0 - 0.9) * g
-        v *= 0.999
-        v += (1.0 - 0.999) * np.square(g)
-        p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * np.square(g)
+    p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
     return params, state
 
 
@@ -379,9 +412,10 @@ class TestBitwiseReferences:
             rows[1::4, 1] = np.inf
             rows[2::5, 1] = -np.inf
             expected = np.zeros((n, d))
+            got = np.zeros((n, d))
             with np.errstate(invalid="ignore"):
                 np.add.at(expected, index, rows)
-                got = model_mod._scatter_rows(index, rows, n)
+                model_mod._scatter_rows(index, rows, got)
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n, rows_in, d", [(572, 512, 512), (1200, 2048, 64)])
@@ -400,9 +434,10 @@ class TestBitwiseReferences:
         rows[cells] = rng.choice(special, int(cells.sum()))
         rows[index == np.bincount(index).argmax(), : d // 4] = -0.0
         expected = np.zeros((n, d))
+        got = np.zeros((n, d))
         with np.errstate(invalid="ignore"):
             np.add.at(expected, index, rows)
-            got = model_mod._scatter_rows(index, rows, n)
+            model_mod._scatter_rows(index, rows, got)
         assert got.tobytes() == expected.tobytes()
 
     def test_backward_at_paper_width_equals_add_at_reference(self):
@@ -446,14 +481,14 @@ class TestBitwiseReferences:
         state = OptimizerState.for_params(params)
         ref_state = OptimizerState.for_params(ref_params)
         for _ in range(4):
-            grads = ModelParameters(*(rng.standard_normal(a.shape) for a in params.arrays()))
+            grads = ModelParameters(n, 5, d, rng.standard_normal(params.flat.size))
             grads.embeddings[rng.random(n) < 0.5] = 0.0
             grads.drug_bias[::2] = -0.0
             adam_step(params, grads, state, 0.01)
             reference_adam_step(ref_params, grads, ref_state, 0.01)
         assert state.step == ref_state.step == 4
         assert_bitwise_equal(params.arrays(), ref_params.arrays())
-        assert_bitwise_equal(state.m + state.v, ref_state.m + ref_state.v)
+        assert_bitwise_equal([state.m, state.v], [ref_state.m, ref_state.v])
 
     @pytest.mark.parametrize("n, K, d, batch", [(40, 5, 16, 32), (300, 7, 128, 64)])
     def test_train_equals_reference_steps(self, monkeypatch, n, K, d, batch):
