@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from typing import Optional
 
@@ -18,9 +19,10 @@ from . import formats
 from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError, ShapeMismatchError
 from .graph import HOLDOUT, MODES, RETROSPECTIVE
 from .model import Hyperparameters
-from .phrases import build_vocabulary, extract_phrase, load_stoplist, load_verb_forms
+from .phrases import build_vocabulary, check_grouping, extract_phrase, load_stoplist, load_verb_forms
 from .pipeline import (
     DEFAULT_TEST_PAIR_CAP,
+    GRID_FIELDS,
     MAX_GRID_CANDIDATES,
     OBJECTIVES,
     attach_targets,
@@ -35,11 +37,30 @@ from .pipeline import (
 from .synth import SyntheticConfig, generate_synthetic
 
 
-def _print_config(cmd: str, args: argparse.Namespace) -> None:
-    print(f"# amfpmc {cmd}")
-    for key in sorted(vars(args)):
-        if key in ("func", "command", "eval_kind"):
-            continue
+#: (flag, Hyperparameters field, help) of every hyperparameter flag, in --help order
+_HP_FLAGS = (
+    ("dim", "embedding_dim", "embedding size"),
+    ("dropout", "dropout", None),
+    ("epochs", "epochs", None),
+    ("batch", "batch_size", "mini-batch size"),
+    ("lr", "learning_rate", "learning rate"),
+    ("alpha", "alpha", "propagation factor in [0, 1]"),
+    ("seed", "seed", "single seed driving all randomness"),
+)
+#: the same for synth's SyntheticConfig flags before --mode and --seed
+_SYNTH_FLAGS = (
+    ("n", "n_drugs", "drug count"),
+    ("blocks", "n_blocks", None),
+    ("k", "n_classes", "class count"),
+    ("p", "edge_probability", "edge probability"),
+    ("noise", "label_noise", "wrong-label fraction"),
+    ("holdout", "holdout_fraction", "held-out edge fraction"),
+)
+
+
+def _print_config(args: argparse.Namespace) -> None:
+    print("# amfpmc", args.command, *([args.eval_kind] if args.command == "evaluate" else []))
+    for key in sorted(vars(args).keys() - {"func", "command", "eval_kind"}):
         print(f"# {key} = {getattr(args, key)}")
 
 
@@ -48,29 +69,55 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
+def _add_field_flags(p: argparse.ArgumentParser, defaults, rows) -> None:
+    """One flag per (flag, field, help) row, typed and defaulted by the field's default."""
+    for flag, field, help_text in rows:
+        default = getattr(defaults, field)
+        p.add_argument(f"--{flag}", type=type(default), default=default, help=help_text)
+
+
+def _fields(args: argparse.Namespace, rows) -> dict:
+    return {field: getattr(args, flag) for flag, field, _ in rows}
+
+
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
-    hp = Hyperparameters()
-    p.add_argument("--dim", type=int, default=hp.embedding_dim, help="embedding size")
-    p.add_argument("--dropout", type=float, default=hp.dropout)
-    p.add_argument("--epochs", type=int, default=hp.epochs)
-    p.add_argument("--batch", type=int, default=hp.batch_size, help="mini-batch size")
-    p.add_argument("--lr", type=float, default=hp.learning_rate, help="learning rate")
-    p.add_argument("--alpha", type=float, default=hp.alpha, help="propagation factor in [0, 1]")
-    p.add_argument("--seed", type=int, default=hp.seed, help="single seed driving all randomness")
+    _add_field_flags(p, Hyperparameters(), _HP_FLAGS)
     p.add_argument("--no-balance", action="store_true", help="disable class weight balancing")
 
 
 def _hp_from_args(args: argparse.Namespace) -> Hyperparameters:
-    return Hyperparameters(
-        embedding_dim=args.dim,
-        dropout=args.dropout,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        alpha=args.alpha,
-        seed=args.seed,
-        balance_classes=not args.no_balance,
-    ).validate()
+    return Hyperparameters(**_fields(args, _HP_FLAGS), balance_classes=not args.no_balance).validate()
+
+
+def _grid_point_text(hp: Hyperparameters) -> str:
+    """The searchable hyperparameters of one grid point, as gridsearch prints them."""
+    return " ".join(f"{flag}={getattr(hp, field)}" for flag, field, _ in _HP_FLAGS
+                    if field in GRID_FIELDS)
+
+
+def _add_graph_flags(p: argparse.ArgumentParser, files=("--interactions",), mode=True) -> None:
+    """The index-mode interactions files, the mode unless the harness fixes it, and --classes."""
+    for flag in files:
+        p.add_argument(flag, required=True)
+    if mode:
+        p.add_argument("--mode", choices=MODES, required=True)
+    p.add_argument("--classes", type=int, default=None, help="class count (default: max index + 1)")
+
+
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--vocab", default=None, help="vocabulary file for per-class names")
+    p.add_argument("--report", default=None, help="write the text report here")
+    p.add_argument("--json", default=None, help="write the structured report here")
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--roster", default=None, help="roster sidecar (default: <model>.roster)")
+
+
+def _roster_path(model: str, roster: Optional[str]) -> str:
+    """A model file's roster sidecar: roster when given, else <model>.roster."""
+    return roster or model + ".roster"
 
 
 def _class_names_from_vocab(path: Optional[str]) -> Optional[dict[int, str]]:
@@ -83,7 +130,7 @@ def _class_names_from_vocab(path: Optional[str]) -> Optional[dict[int, str]]:
 def _model_and_roster(args: argparse.Namespace):
     """The model and its roster, refused here if their drug counts disagree."""
     params = formats.read_model(args.model)
-    roster = formats.read_roster(args.roster or args.model + ".roster")
+    roster = formats.read_roster(_roster_path(args.model, args.roster))
     if len(roster) != params.n_drugs:
         raise ShapeMismatchError(
             f"roster lists {len(roster)} drugs but the model has {params.n_drugs} rows"
@@ -91,18 +138,20 @@ def _model_and_roster(args: argparse.Namespace):
     return params, roster
 
 
-def _read_graph(path: str, mode: str, n_classes: Optional[int]):
-    """The graph of an index-mode interactions file; the parsed rows are dropped on return."""
-    return formats.graph_from_index_records(
-        formats.parse_interactions_file(path, "indices"), mode, n_classes
-    )
+def _read_graphs(paths, mode: str, n_classes: Optional[int]):
+    """The graphs of index-mode interactions files, with one class count: n_classes, or else
+    the largest over the files. The parsed rows are dropped on return."""
+    records = [formats.parse_interactions_file(path, "indices") for path in paths]
+    if n_classes is None:
+        n_classes = max(formats.class_count(rec) for rec in records)
+    return [formats.graph_from_index_records(rec, mode, n_classes) for rec in records]
 
 
 def _emit_report(report, args, class_names=None) -> None:
     sys.stdout.write(formats.format_report_text(report, class_names))
-    if getattr(args, "report", None):
+    if args.report:
         formats.write_report(report, args.report, "text", class_names)
-    if getattr(args, "json", None):
+    if args.json:
         formats.write_report(report, args.json, "structured")
 
 
@@ -110,7 +159,7 @@ def _emit_report(report, args, class_names=None) -> None:
 
 
 def cmd_extract(args) -> int:
-    _print_config("extract", args)
+    check_grouping(args.mode, args.top_n, args.min_count)
     rows = formats.parse_interactions_file(args.input, "sentences")
     stoplist = load_stoplist(args.stoplist)
     verb_forms = load_verb_forms(args.verb_table)
@@ -139,16 +188,19 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _print_config("train", args)
     hp = _hp_from_args(args)
-    graph = _read_graph(args.interactions, args.mode, args.classes)
+    [graph] = _read_graphs([args.interactions], args.mode, args.classes)
     params = train(attach_targets(graph.edge_list(), graph, hp.alpha),
                    hp, graph.n_drugs, graph.n_classes)
     if not np.all(np.isfinite(params.flat)):
         raise NonFiniteError("trained parameters are not finite (did training diverge?)")
     formats.write_model(params, args.out)
-    roster_path = args.out_roster or args.out + ".roster"
-    formats.write_roster(graph.roster, roster_path)
+    try:
+        formats.write_roster(graph.roster, _roster_path(args.out, args.out_roster))
+    except BaseException:
+        # a model without its roster cannot be read back, so none is left behind
+        os.remove(args.out)
+        raise
     print(
         f"trained on {graph.num_edges} edges: n={graph.n_drugs} K={graph.n_classes} "
         f"d={hp.embedding_dim} -> {args.out}"
@@ -157,10 +209,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate_holdout(args) -> int:
-    _print_config("evaluate holdout", args)
     hp = _hp_from_args(args)
     class_names = _class_names_from_vocab(args.vocab)
-    graph = _read_graph(args.interactions, HOLDOUT, args.classes)
+    [graph] = _read_graphs([args.interactions], HOLDOUT, args.classes)
     result = holdout_evaluate(graph, hp, k=args.k, seed=args.seed)
     for f, rep in enumerate(result.folds):
         print(f"fold {f}: accuracy {rep.accuracy:.4f}")
@@ -169,18 +220,9 @@ def cmd_evaluate_holdout(args) -> int:
 
 
 def cmd_evaluate_retrospective(args) -> int:
-    _print_config("evaluate retrospective", args)
     hp = _hp_from_args(args)
     class_names = _class_names_from_vocab(args.vocab)
-    rec0 = formats.parse_interactions_file(args.t0, "indices")
-    rec1 = formats.parse_interactions_file(args.t1, "indices")
-    n_classes = args.classes
-    if n_classes is None:
-        n_classes = max(formats.class_count(rec0), formats.class_count(rec1))
-    g0 = formats.graph_from_index_records(rec0, RETROSPECTIVE, n_classes)
-    g1 = formats.graph_from_index_records(rec1, RETROSPECTIVE, n_classes)
-    del rec0, rec1
-    g0, g1 = reconcile_rosters(g0, g1)
+    g0, g1 = reconcile_rosters(*_read_graphs([args.t0, args.t1], RETROSPECTIVE, args.classes))
     split = retrospective_split(
         g0, g1, negative_ratio=args.negative_ratio, seed=args.seed, test_pair_cap=args.test_cap
     )
@@ -195,16 +237,9 @@ def cmd_evaluate_retrospective(args) -> int:
     return 0
 
 
-def _grid_point_text(hp: Hyperparameters) -> str:
-    """The searchable hyperparameters of one grid point, as gridsearch prints them."""
-    return (f"dim={hp.embedding_dim} dropout={hp.dropout} epochs={hp.epochs} "
-            f"batch={hp.batch_size} lr={hp.learning_rate} alpha={hp.alpha}")
-
-
 def cmd_gridsearch(args) -> int:
-    _print_config("gridsearch", args)
     base_hp = _hp_from_args(args)
-    graph = _read_graph(args.interactions, args.mode, args.classes)
+    [graph] = _read_graphs([args.interactions], args.mode, args.classes)
     grid = formats.parse_grid_file(args.grid)
     best, results = grid_search(
         graph.edge_list(),
@@ -225,7 +260,6 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _print_config("predict", args)
     if args.top_k < 1:
         raise InvalidConfigError(f"--top-k must be >= 1, got {args.top_k}")
     params, roster = _model_and_roster(args)
@@ -250,7 +284,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    _print_config("export-embeddings", args)
     params, roster = _model_and_roster(args)
     with open(args.out, "w", encoding="utf-8") as fh:
         header = ["drug_id"] + [f"e{t}" for t in range(params.embedding_dim)]
@@ -262,17 +295,7 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _print_config("synth", args)
-    cfg = SyntheticConfig(
-        n_drugs=args.n,
-        n_blocks=args.blocks,
-        n_classes=args.k,
-        edge_probability=args.p,
-        label_noise=args.noise,
-        holdout_fraction=args.holdout,
-        seed=args.seed,
-        mode=args.mode,
-    )
+    cfg = SyntheticConfig(**_fields(args, _SYNTH_FLAGS), seed=args.seed, mode=args.mode)
     data = generate_synthetic(cfg)
     formats.write_interactions_file(data.graph_t0, args.out_t0)
     if args.out_t1:
@@ -311,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train on an indexed interactions TSV")
-    p.add_argument("--interactions", required=True)
-    p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--classes", type=int, default=None, help="class count (default: max index + 1)")
+    _add_graph_flags(p)
     _add_hp_flags(p)
     p.add_argument("--out", required=True, help="model file")
     p.add_argument("--out-roster", default=None, help="roster sidecar (default: <out>.roster)")
@@ -323,33 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="eval_kind", required=True)
 
     ph = esub.add_parser("holdout", help="stratified k-fold over one snapshot")
-    ph.add_argument("--interactions", required=True)
-    ph.add_argument("--classes", type=int, default=None)
+    _add_graph_flags(ph, mode=False)
     ph.add_argument("--k", type=int, default=_default(holdout_evaluate, "k"))
     _add_hp_flags(ph)
-    ph.add_argument("--vocab", default=None, help="vocabulary file for per-class names")
-    ph.add_argument("--report", default=None, help="write the text report here")
-    ph.add_argument("--json", default=None, help="write the structured report here")
+    _add_report_flags(ph)
     ph.set_defaults(func=cmd_evaluate_holdout)
 
     pr = esub.add_parser("retrospective", help="train on snapshot T0, test against T1")
-    pr.add_argument("--t0", required=True)
-    pr.add_argument("--t1", required=True)
-    pr.add_argument("--classes", type=int, default=None)
+    _add_graph_flags(pr, ("--t0", "--t1"), mode=False)
     pr.add_argument("--negative-ratio", type=float,
                     default=_default(retrospective_split, "negative_ratio"))
     pr.add_argument("--test-cap", type=int, default=DEFAULT_TEST_PAIR_CAP)
     pr.add_argument("--subset", default=None, help="restrict test pairs to these drugs")
     _add_hp_flags(pr)
-    pr.add_argument("--vocab", default=None)
-    pr.add_argument("--report", default=None)
-    pr.add_argument("--json", default=None)
+    _add_report_flags(pr)
     pr.set_defaults(func=cmd_evaluate_retrospective)
 
     p = sub.add_parser("gridsearch", help="grid search on a stratified validation split")
-    p.add_argument("--interactions", required=True)
-    p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--classes", type=int, default=None)
+    _add_graph_flags(p)
     p.add_argument("--grid", required=True, help="grid file: '<name> <value> <value> ...' lines")
     p.add_argument("--validation-fraction", type=float,
                    default=_default(grid_search, "validation_fraction"))
@@ -360,27 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("predict", help="score drug pairs with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--roster", default=None)
+    _add_model_flags(p)
     p.add_argument("--pairs", required=True, help="TSV: drug_a, drug_b")
     p.add_argument("--top-k", type=int, default=1)
     p.add_argument("--out", default=None, help="default: stdout")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("export-embeddings", help="write drug embeddings as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--roster", default=None)
+    _add_model_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_embeddings)
 
     p = sub.add_parser("synth", help="generate a typed block-model graph")
     cfg = SyntheticConfig()
-    p.add_argument("--n", type=int, default=cfg.n_drugs, help="drug count")
-    p.add_argument("--blocks", type=int, default=cfg.n_blocks)
-    p.add_argument("--k", type=int, default=cfg.n_classes, help="class count")
-    p.add_argument("--p", type=float, default=cfg.edge_probability, help="edge probability")
-    p.add_argument("--noise", type=float, default=cfg.label_noise, help="wrong-label fraction")
-    p.add_argument("--holdout", type=float, default=cfg.holdout_fraction, help="held-out edge fraction")
+    _add_field_flags(p, cfg, _SYNTH_FLAGS)
     p.add_argument("--mode", choices=MODES, default=cfg.mode)
     p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--out-t0", required=True)
@@ -394,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _print_config(args)
         # A diverging run overflows inside numpy; it is reported once, as a
         # NonFiniteError, not as a stream of warnings.
         with np.errstate(all="ignore"):

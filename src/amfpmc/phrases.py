@@ -194,6 +194,16 @@ class ClassVocabulary:
         return NO_INTERACTION_MARKER
 
 
+def check_grouping(mode: str, top_n: Optional[int] = None, min_count: Optional[int] = None) -> None:
+    """Refuse a missing or non-positive grouping option for mode; no phrase is needed."""
+    check_mode(mode)
+    if mode == RETROSPECTIVE:
+        if top_n is None or top_n < 1:
+            raise InvalidConfigError("retrospective grouping needs top_n >= 1")
+    elif min_count is None or min_count < 1:
+        raise InvalidConfigError("holdout grouping needs min_count >= 1")
+
+
 def build_vocabulary(
     phrases: Iterable[KeywordPhrase],
     mode: str,
@@ -201,7 +211,7 @@ def build_vocabulary(
     min_count: Optional[int] = None,
 ) -> ClassVocabulary:
     """Rank phrases by descending count (ties lexicographic) and index them."""
-    check_mode(mode)
+    check_grouping(mode, top_n, min_count)
     counter: Counter[tuple[str, ...]] = Counter()
     display: dict[tuple[str, ...], KeywordPhrase] = {}
     for p in phrases:
@@ -213,8 +223,6 @@ def build_vocabulary(
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], display[kv[0]].text))
 
     if mode == RETROSPECTIVE:
-        if top_n is None or top_n < 1:
-            raise InvalidConfigError("retrospective grouping needs top_n >= 1")
         common = ranked[:top_n]
         rare = ranked[top_n:]
         class_to_phrase = {idx + 1: display[key] for idx, (key, _) in enumerate(common)}
@@ -224,8 +232,6 @@ def build_vocabulary(
         counts[other] = sum(cnt for _, cnt in rare)
         return ClassVocabulary(mode, class_to_phrase, counts, other_class=other)
 
-    if min_count is None or min_count < 1:
-        raise InvalidConfigError("holdout grouping needs min_count >= 1")
     kept = [(key, cnt) for key, cnt in ranked if cnt >= min_count]
     if not kept:
         raise EmptyInputError(f"no phrase reaches min_count={min_count}")

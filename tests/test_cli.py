@@ -47,6 +47,51 @@ def test_config_header_printed_with_seed(tmp_path, capsys):
     assert "# seed = 17" in captured
 
 
+SENTENCES = (
+    "D1\tD2\tThe metabolism of Drug b can be decreased when combined with Drug a\n"
+    "D1\tD3\tThe metabolism of Drug b can be decreased when combined with Drug a\n"
+    "D2\tD3\tDrug a may increase the hypoglycemic activities of Drug b\n"
+)
+
+
+@pytest.mark.parametrize("name", ["extract", "train", "evaluate holdout", "evaluate retrospective",
+                                  "gridsearch", "predict", "export-embeddings", "synth"])
+def test_every_subcommand_echoes_its_config_once(name, synth_files, retro_files, model_and_pairs,
+                                                 tmp_path, capsys):
+    t0, _, _ = synth_files
+    r0, r1 = retro_files
+    model, pairs = model_and_pairs
+    sentences = tmp_path / "sentences.tsv"
+    sentences.write_text(SENTENCES)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha 0.0 0.5\n")
+    tiny = ["--dim", "4", "--epochs", "1", "--batch", "64"]
+    argv = [str(arg) for arg in {
+        "extract": ["extract", "--input", sentences, "--mode", "retrospective", "--top-n", "1",
+                    "--out-vocab", tmp_path / "v.tsv", "--out-indexed", tmp_path / "x.tsv"],
+        "train": ["train", "--interactions", t0, "--mode", "holdout", *tiny,
+                  "--out", tmp_path / "m2.txt"],
+        "evaluate holdout": ["evaluate", "holdout", "--interactions", t0, "--k", "2", *tiny],
+        "evaluate retrospective": ["evaluate", "retrospective", "--t0", r0, "--t1", r1, *tiny],
+        "gridsearch": ["gridsearch", "--interactions", t0, "--mode", "holdout", "--grid", grid,
+                       *tiny],
+        "predict": ["predict", "--model", model, "--pairs", pairs],
+        "export-embeddings": ["export-embeddings", "--model", model, "--out", tmp_path / "e.csv"],
+        "synth": ["synth", "--n", "20", "--blocks", "2", "--k", "4", "--out-t0", tmp_path / "s"],
+    }[name]]
+    capsys.readouterr()
+    assert main(argv) == 0
+    parsed = vars(cli.build_parser().parse_args(argv))
+    expected = [f"# amfpmc {name}"] + [
+        f"# {key} = {parsed[key]}" for key in sorted(parsed)
+        if key not in ("func", "command", "eval_kind")
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    # the resolved config comes first, and no other line looks like it
+    assert lines[:len(expected)] == expected
+    assert not [line for line in lines[len(expected):] if line.startswith("#")]
+
+
 def test_train_predict_export_flow(synth_files, tmp_path, capsys):
     t0, _, _ = synth_files
     model = tmp_path / "model.txt"
@@ -135,13 +180,38 @@ def test_gridsearch_cli(synth_files, tmp_path, capsys):
     assert "best:" in out
 
 
+def test_gridsearch_lines_parse_back_to_their_hyperparameters(synth_files, tmp_path, capsys):
+    # each printed grid point, given back as flags, names the candidate it scored
+    t0, _, _ = synth_files
+    grid = tmp_path / "grid.txt"
+    grid.write_text("embedding_dim 4 6\nlearning_rate 0.01 0.1\nbatch_size 32\ndropout 0.0 0.25\n")
+    base = ["gridsearch", "--interactions", str(t0), "--mode", "holdout", "--grid", str(grid),
+            "--epochs", "1", "--seed", "2", "--no-balance"]
+    capsys.readouterr()
+    assert main(base) == 0
+    *scored, best = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+
+    def hp_of(point):
+        flags = []
+        for pair in point.split():
+            flag, _, value = pair.partition("=")
+            flags += [f"--{flag}", value]
+        return cli._hp_from_args(cli.build_parser().parse_args(base + flags))
+
+    candidates = formats.parse_grid_file(str(grid)).candidates(
+        cli._hp_from_args(cli.build_parser().parse_args(base)))
+    assert len(scored) == len(candidates) == 8
+    for line, hp in zip(scored, candidates):
+        point, score = line.rsplit(" ", 1)
+        assert score.startswith("accuracy=")
+        assert hp_of(point) == hp
+    assert best.startswith("best: ")
+    assert hp_of(best[len("best: "):]) in candidates
+
+
 def test_extract_cli(tmp_path, capsys):
     sentences = tmp_path / "sentences.tsv"
-    sentences.write_text(
-        "D1\tD2\tThe metabolism of Drug b can be decreased when combined with Drug a\n"
-        "D1\tD3\tThe metabolism of Drug b can be decreased when combined with Drug a\n"
-        "D2\tD3\tDrug a may increase the hypoglycemic activities of Drug b\n"
-    )
+    sentences.write_text(SENTENCES)
     vocab_path = tmp_path / "vocab.tsv"
     indexed = tmp_path / "indexed.tsv"
     rc = main(["extract", "--input", str(sentences), "--mode", "retrospective",
@@ -152,6 +222,22 @@ def test_extract_cli(tmp_path, capsys):
     rows = [l.split("\t") for l in indexed.read_text().splitlines()]
     assert rows[0] == ["D1", "D2", "1"]
     assert rows[2] == ["D2", "D3", "2"]  # rare phrase grouped as other
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "retrospective", "--top-n", "0"], "retrospective grouping needs top_n >= 1"),
+    (["--mode", "retrospective", "--min-count", "2"], "retrospective grouping needs top_n >= 1"),
+    (["--mode", "holdout"], "holdout grouping needs min_count >= 1"),
+    (["--mode", "holdout", "--top-n", "3", "--min-count", "0"],
+     "holdout grouping needs min_count >= 1"),
+])
+def test_extract_checks_grouping_before_reading_input(tmp_path, capsys, flags, message):
+    # the input does not exist: an option error is reported before any file is opened
+    rc = main(["extract", "--input", str(tmp_path / "missing.tsv"), *flags,
+               "--out-vocab", str(tmp_path / "v.tsv"), "--out-indexed", str(tmp_path / "x.tsv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: InvalidConfigError: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_error_exit_is_single_line(tmp_path, capsys):
@@ -525,6 +611,18 @@ def test_impossible_allocation_is_one_error(synth_files, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_leaves_no_model_without_its_roster(synth_files, tmp_path, capsys):
+    # a model whose roster could not be written is removed: predict could not read it
+    t0, _, _ = synth_files
+    out = tmp_path / "m.txt"
+    capsys.readouterr()
+    assert main(["train", "--interactions", str(t0), "--mode", "holdout", "--dim", "4",
+                 "--epochs", "1", "--out", str(out),
+                 "--out-roster", str(tmp_path / "missing" / "m.roster")]) == 1
+    _assert_one_line_error(capsys.readouterr().err, "IoError")
+    assert not out.exists()
+
+
 def _parameter_default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
@@ -574,7 +672,7 @@ def test_hash_leading_drug_id_is_one_error_naming_its_line(tmp_path, capsys, com
     out = str(tmp_path / "out")
     argv = {
         "train": ["train", "--interactions", str(tsv), "--mode", "holdout", "--out", out],
-        "extract": ["extract", "--input", str(tsv), "--mode", "holdout",
+        "extract": ["extract", "--input", str(tsv), "--mode", "holdout", "--min-count", "1",
                     "--out-vocab", out, "--out-indexed", out + ".tsv"],
     }[command]
     assert main(argv) == 1

@@ -12,6 +12,7 @@ from amfpmc.phrases import (
     InteractionSentence,
     KeywordPhrase,
     build_vocabulary,
+    check_grouping,
     extract_phrase,
     load_stoplist,
     load_verb_forms,
@@ -175,3 +176,14 @@ class TestVocabulary:
             build_vocabulary([], "holdout", min_count=1)
         with pytest.raises(EmptyInputError):
             build_vocabulary([P("x y")], "holdout", min_count=5)
+
+    def test_grouping_is_checked_without_phrases(self):
+        check_grouping("retrospective", top_n=1)
+        check_grouping("holdout", min_count=1)
+        with pytest.raises(InvalidConfigError, match="retrospective grouping needs top_n >= 1"):
+            check_grouping("retrospective", top_n=0, min_count=3)
+        with pytest.raises(InvalidConfigError, match="holdout grouping needs min_count >= 1"):
+            check_grouping("holdout", top_n=3)
+        # a missing option is named before an empty phrase list
+        with pytest.raises(InvalidConfigError):
+            build_vocabulary([], "holdout")
