@@ -120,11 +120,17 @@ def _roster_path(model: str, roster: Optional[str]) -> str:
     return roster or model + ".roster"
 
 
-def _class_names_from_vocab(path: Optional[str]) -> Optional[dict[int, str]]:
+def _class_names_from_vocab(path: Optional[str], graph) -> Optional[dict[int, str]]:
+    """The class labels of the vocabulary file at path, refused unless it names every class
+    of graph in graph's mode."""
     if path is None:
         return None
     vocab = formats.read_vocabulary(path)
-    return {idx: vocab.class_label(idx) for idx in range(vocab.n_classes)}
+    if vocab.mode != graph.mode or vocab.n_classes < graph.n_classes:
+        raise InvalidConfigError(
+            f"{path}: a {vocab.mode} vocabulary of class count {vocab.n_classes} cannot name "
+            f"the classes 0..{graph.n_classes - 1} of a {graph.mode} run")
+    return dict(enumerate(vocab.labels))
 
 
 def _model_and_roster(args: argparse.Namespace):
@@ -160,9 +166,9 @@ def _emit_report(report, args, class_names=None) -> None:
 
 def cmd_extract(args) -> int:
     check_grouping(args.mode, args.top_n, args.min_count)
-    rows = formats.parse_interactions_file(args.input, "sentences")
     stoplist = load_stoplist(args.stoplist)
     verb_forms = load_verb_forms(args.verb_table)
+    rows = formats.parse_interactions_file(args.input, "sentences")
 
     phrases = []
     for _, _, sentence, line_no in rows:
@@ -210,8 +216,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate_holdout(args) -> int:
     hp = _hp_from_args(args)
-    class_names = _class_names_from_vocab(args.vocab)
     [graph] = _read_graphs([args.interactions], HOLDOUT, args.classes)
+    class_names = _class_names_from_vocab(args.vocab, graph)
     result = holdout_evaluate(graph, hp, k=args.k, seed=args.seed)
     for f, rep in enumerate(result.folds):
         print(f"fold {f}: accuracy {rep.accuracy:.4f}")
@@ -221,8 +227,8 @@ def cmd_evaluate_holdout(args) -> int:
 
 def cmd_evaluate_retrospective(args) -> int:
     hp = _hp_from_args(args)
-    class_names = _class_names_from_vocab(args.vocab)
     g0, g1 = reconcile_rosters(*_read_graphs([args.t0, args.t1], RETROSPECTIVE, args.classes))
+    class_names = _class_names_from_vocab(args.vocab, g0)
     split = retrospective_split(
         g0, g1, negative_ratio=args.negative_ratio, seed=args.seed, test_pair_cap=args.test_cap
     )

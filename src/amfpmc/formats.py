@@ -487,8 +487,8 @@ def write_vocabulary(vocab: ClassVocabulary, path: str) -> None:
     """'mode <mode>' line, then 'index<TAB>phrase<TAB>count' per class."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"mode\t{vocab.mode}\n")
-        for idx in range(vocab.n_classes):
-            fh.write(f"{idx}\t{vocab.class_label(idx)}\t{vocab.counts.get(idx, 0)}\n")
+        for idx, (label, count) in enumerate(zip(vocab.labels, vocab.counts)):
+            fh.write(f"{idx}\t{label}\t{count}\n")
 
 
 def read_vocabulary(path: str) -> ClassVocabulary:
@@ -526,24 +526,24 @@ def read_vocabulary(path: str) -> ClassVocabulary:
     if not rows:
         raise FormatError(f"{path}: no class lines")
     markers = {0: NO_INTERACTION_MARKER, len(rows) - 1: OTHER_MARKER} if mode == RETROSPECTIVE else {}
+    labels: list[str] = []
     class_of: dict[KeywordPhrase, int] = {}
     for idx, (line_no, label, _) in enumerate(rows):
         due = markers.get(idx)
         if (due or label in (NO_INTERACTION_MARKER, OTHER_MARKER)) and label != due:
             raise ParseError(path, line_no, f"class {idx} of a {mode} vocabulary must be "
                              f"{repr(due) if due else 'a phrase'}, got {label!r}")
-        if due:
-            continue
-        try:
-            phrase = KeywordPhrase.from_text(label)
-        except EmptyInputError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        first = class_of.setdefault(phrase, idx)
-        if first != idx:
-            raise ParseError(path, line_no, f"phrase {label!r} repeats the phrase of class {first}")
-    class_to_phrase = {idx: phrase for phrase, idx in class_of.items()}
-    counts = {idx: cnt for idx, (_, _, cnt) in enumerate(rows)}
-    return ClassVocabulary(mode, class_to_phrase, counts, len(rows) - 1 if markers else None)
+        if not due:
+            try:
+                phrase = KeywordPhrase.from_text(label)
+            except EmptyInputError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+            first = class_of.setdefault(phrase, idx)
+            if first != idx:
+                raise ParseError(path, line_no, f"phrase {label!r} repeats the phrase of class {first}")
+            label = phrase.text
+        labels.append(label)
+    return ClassVocabulary(mode, labels, [cnt for _, _, cnt in rows])
 
 
 # -- report persistence --------------------------------------------------------

@@ -20,7 +20,6 @@ from .errors import (
     DegenerateLabelsError,
     EmptyDatasetError,
     EmptyInputError,
-    InvalidConfigError,
     NonFiniteError,
     NoPositivesError,
     ShapeMismatchError,
@@ -175,8 +174,8 @@ class MultiClassReport:
     For single-label multiclass over pooled one-vs-rest confusion counts,
     micro precision, recall, and F1 all equal accuracy; the fields are kept
     separate because the text report mirrors published table layouts. Every
-    field but per_class is a scalar of the report, in report order; a mode
-    that skips a metric leaves it None.
+    field but per_class is a scalar of the report, in report order; a scalar
+    a report does not have is None.
     """
 
     accuracy: float
@@ -234,16 +233,14 @@ def _ranked(s: np.ndarray, y: np.ndarray, auroc: bool = True) -> tuple[Optional[
     return area, average_precision(s, y, sorted_negatives=neg)
 
 
-def multiclass_report(prob_matrix, truths, mode: str = "both") -> MultiClassReport:
+def multiclass_report(prob_matrix, truths) -> MultiClassReport:
     """Score a probability matrix against integer truths.
 
     Predictions are per-row argmax (ties to the lowest index). Macro metrics
     average one-vs-rest values over classes with nonzero support; micro AUROC
     and AUPR pool all row-class (score, label) pairs; micro P/R/F1 pool
-    confusion counts. mode selects 'micro', 'macro', or 'both'.
+    confusion counts.
     """
-    if mode not in ("micro", "macro", "both"):
-        raise InvalidConfigError(f"mode must be micro, macro, or both, got {mode!r}")
     P, t = _check_prob_matrix(prob_matrix, truths)
     n_rows, n_classes = P.shape
     preds = np.argmax(P, axis=1)
@@ -253,42 +250,41 @@ def multiclass_report(prob_matrix, truths, mode: str = "both") -> MultiClassRepo
                    micro_f1=accuracy)
 
     # each row holds one positive, so the pooled labels have a negative when K > 1
-    if mode in ("micro", "both") and n_classes > 1:
+    if n_classes > 1:
         onehot = np.zeros((n_rows, n_classes), dtype=bool)
         onehot[np.arange(n_rows), t] = True
         scalars["micro_auroc"], scalars["micro_aupr"] = _ranked(P.reshape(-1), onehot.reshape(-1))
 
     per_class: list[PerClassMetrics] = []
-    if mode in ("macro", "both"):
-        support = np.bincount(t, minlength=n_classes).tolist()
-        hits = np.bincount(t[preds == t], minlength=n_classes).tolist()
-        predicted = np.bincount(preds, minlength=n_classes).tolist()
-        precisions, recalls, f1s, aurocs, auprs = [], [], [], [], []
-        for k in range(n_classes):
-            if support[k] == 0:
-                per_class.append(PerClassMetrics(k, 0, None, None))
-                continue
-            prec = hits[k] / predicted[k] if predicted[k] > 0 else 0.0
-            rec = hits[k] / support[k]
-            f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-            # one contiguous copy of the column serves both rankings
-            auroc_k, aupr_k = _ranked(np.ascontiguousarray(P[:, k]), t == k,
-                                      auroc=support[k] < n_rows)
-            per_class.append(PerClassMetrics(k, support[k], auroc_k, aupr_k))
-            precisions.append(prec)
-            recalls.append(rec)
-            f1s.append(f1)
-            if auroc_k is not None:
-                aurocs.append(auroc_k)
-            auprs.append(aupr_k)
-        if not aurocs:
-            raise DegenerateLabelsError("no class has both positives and negatives")
-        scalars.update(
-            macro_precision=float(np.mean(precisions)),
-            macro_recall=float(np.mean(recalls)),
-            macro_f1=float(np.mean(f1s)),
-            macro_auroc=float(np.mean(aurocs)),
-            macro_aupr=float(np.mean(auprs)),
-        )
+    support = np.bincount(t, minlength=n_classes).tolist()
+    hits = np.bincount(t[preds == t], minlength=n_classes).tolist()
+    predicted = np.bincount(preds, minlength=n_classes).tolist()
+    precisions, recalls, f1s, aurocs, auprs = [], [], [], [], []
+    for k in range(n_classes):
+        if support[k] == 0:
+            per_class.append(PerClassMetrics(k, 0, None, None))
+            continue
+        prec = hits[k] / predicted[k] if predicted[k] > 0 else 0.0
+        rec = hits[k] / support[k]
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+        # one contiguous copy of the column serves both rankings
+        auroc_k, aupr_k = _ranked(np.ascontiguousarray(P[:, k]), t == k,
+                                  auroc=support[k] < n_rows)
+        per_class.append(PerClassMetrics(k, support[k], auroc_k, aupr_k))
+        precisions.append(prec)
+        recalls.append(rec)
+        f1s.append(f1)
+        if auroc_k is not None:
+            aurocs.append(auroc_k)
+        auprs.append(aupr_k)
+    if not aurocs:
+        raise DegenerateLabelsError("no class has both positives and negatives")
+    scalars.update(
+        macro_precision=float(np.mean(precisions)),
+        macro_recall=float(np.mean(recalls)),
+        macro_f1=float(np.mean(f1s)),
+        macro_auroc=float(np.mean(aurocs)),
+        macro_aupr=float(np.mean(auprs)),
+    )
 
     return MultiClassReport(**scalars, per_class=per_class)

@@ -21,9 +21,10 @@ from .errors import (
     EmptyInputError,
     FormatError,
     InvalidConfigError,
+    ParseError,
     UnknownPhraseError,
 )
-from .graph import HOLDOUT, RETROSPECTIVE, check_mode
+from .graph import RETROSPECTIVE, check_mode
 
 _TOKEN_RE = re.compile(r"[a-z0-9][a-z0-9'-]*")
 
@@ -32,7 +33,9 @@ NO_INTERACTION_MARKER = "<no-interaction>"
 OTHER_MARKER = "<other>"
 
 
-def _read_data_lines(path: Optional[str], default_name: str) -> list[str]:
+def _read_data_lines(path: Optional[str], default_name: str) -> list[tuple[int, str]]:
+    """(line_no, text) of each line of path, or of the packaged default_name, with '#' comments
+    and surrounding space removed; lines left empty are skipped."""
     if path is None:
         text = resources.files("amfpmc.data").joinpath(default_name).read_text("utf-8")
     else:
@@ -42,25 +45,26 @@ def _read_data_lines(path: Optional[str], default_name: str) -> list[str]:
         except UnicodeDecodeError:
             raise FormatError(f"{path}: not UTF-8 text") from None
     lines = []
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((line_no, line))
     return lines
 
 
 def load_stoplist(path: Optional[str] = None) -> frozenset[str]:
     """Stop tokens, one per line; '#' comments allowed."""
-    return frozenset(tok.lower() for tok in _read_data_lines(path, "stoplist.txt"))
+    return frozenset(tok.lower() for _, tok in _read_data_lines(path, "stoplist.txt"))
 
 
 def load_verb_forms(path: Optional[str] = None) -> dict[str, str]:
     """Direction-verb normalization map, 'surface canonical' per line."""
     forms: dict[str, str] = {}
-    for line in _read_data_lines(path, "verb_forms.txt"):
+    for line_no, line in _read_data_lines(path, "verb_forms.txt"):
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidConfigError(f"verb table line needs two tokens: {line!r}")
+            raise ParseError(path or "verb_forms.txt", line_no,
+                             f"verb table line needs two tokens, got {len(parts)}: {line!r}")
         forms[parts[0].lower()] = parts[1].lower()
     return forms
 
@@ -145,33 +149,29 @@ def extract_phrase(
 
 
 class ClassVocabulary:
-    """Bidirectional phrase-to-index map with counts and rare-class grouping.
+    """A class vocabulary as its file holds it: class k's label and count.
 
-    Retrospective mode reserves index 0 for "no interaction", puts common
-    phrases at 1..top_n, and groups the rest under an "other" class at
-    top_n + 1. Holdout mode assigns 0..K-1 to phrases meeting min_count and
-    drops the rest (encoding a dropped phrase raises UnknownPhraseError).
+    labels[k] is a phrase's canonical text, except in retrospective mode,
+    where class 0 is NO_INTERACTION_MARKER and the last class is
+    OTHER_MARKER, under which the phrases beyond top_n are grouped. Holdout
+    mode has no markers, and encoding a phrase it lacks raises
+    UnknownPhraseError.
     """
 
-    def __init__(
-        self,
-        mode: str,
-        class_to_phrase: dict[int, KeywordPhrase],
-        counts: dict[int, int],
-        other_class: Optional[int],
-    ):
+    def __init__(self, mode: str, labels: list[str], counts: list[int]):
         self.mode = check_mode(mode)
-        self.class_to_phrase = dict(class_to_phrase)
-        self.counts = dict(counts)
-        self.other_class = other_class
-        self._by_key = {p.key: idx for idx, p in class_to_phrase.items()}
-        if len(self._by_key) != len(class_to_phrase):
+        self.labels = list(labels)
+        self.counts = list(counts)
+        retro = self.mode == RETROSPECTIVE
+        self.other_class = len(self.labels) - 1 if retro else None
+        phrase_classes = range(1, self.other_class) if retro else range(len(self.labels))
+        self._by_key = {KeywordPhrase.from_text(self.labels[k]).key: k for k in phrase_classes}
+        if len(self._by_key) != len(phrase_classes):
             raise InvalidConfigError("duplicate phrases in vocabulary")
 
     @property
     def n_classes(self) -> int:
-        special = 2 if self.mode == RETROSPECTIVE else 0
-        return len(self.class_to_phrase) + special
+        return len(self.labels)
 
     def encode(self, phrase: KeywordPhrase) -> int:
         idx = self._by_key.get(phrase.key)
@@ -182,16 +182,11 @@ class ClassVocabulary:
         raise UnknownPhraseError(f"phrase {phrase.text!r} not in holdout vocabulary")
 
     def decode(self, class_id: int) -> Optional[KeywordPhrase]:
-        """Phrase for a class; None for the reserved and 'other' indices."""
-        return self.class_to_phrase.get(class_id)
-
-    def class_label(self, class_id: int) -> str:
-        phrase = self.decode(class_id)
-        if phrase is not None:
-            return phrase.text
-        if class_id == self.other_class:
-            return OTHER_MARKER
-        return NO_INTERACTION_MARKER
+        """Phrase of a class; None for the two marker classes."""
+        label = self.labels[class_id]
+        if label in (NO_INTERACTION_MARKER, OTHER_MARKER):
+            return None
+        return KeywordPhrase.from_text(label)
 
 
 def check_grouping(mode: str, top_n: Optional[int] = None, min_count: Optional[int] = None) -> None:
@@ -212,29 +207,18 @@ def build_vocabulary(
 ) -> ClassVocabulary:
     """Rank phrases by descending count (ties lexicographic) and index them."""
     check_grouping(mode, top_n, min_count)
-    counter: Counter[tuple[str, ...]] = Counter()
-    display: dict[tuple[str, ...], KeywordPhrase] = {}
-    for p in phrases:
-        counter[p.key] += 1
-        display.setdefault(p.key, p)
+    # each phrase counts under the text of the first phrase with its key
+    text_of: dict[tuple[str, ...], str] = {}
+    counter = Counter(text_of.setdefault(p.key, p.text) for p in phrases)
     if not counter:
         raise EmptyInputError("no phrases to index")
 
-    ranked = sorted(counter.items(), key=lambda kv: (-kv[1], display[kv[0]].text))
-
+    ranked = sorted(counter.items(), key=lambda row: (-row[1], row[0]))
     if mode == RETROSPECTIVE:
-        common = ranked[:top_n]
-        rare = ranked[top_n:]
-        class_to_phrase = {idx + 1: display[key] for idx, (key, _) in enumerate(common)}
-        counts = {0: 0}
-        counts.update({idx + 1: cnt for idx, (_, cnt) in enumerate(common)})
-        other = len(common) + 1
-        counts[other] = sum(cnt for _, cnt in rare)
-        return ClassVocabulary(mode, class_to_phrase, counts, other_class=other)
-
-    kept = [(key, cnt) for key, cnt in ranked if cnt >= min_count]
-    if not kept:
-        raise EmptyInputError(f"no phrase reaches min_count={min_count}")
-    class_to_phrase = {idx: display[key] for idx, (key, _) in enumerate(kept)}
-    counts = {idx: cnt for idx, (_, cnt) in enumerate(kept)}
-    return ClassVocabulary(mode, class_to_phrase, counts, other_class=None)
+        rare = sum(cnt for _, cnt in ranked[top_n:])
+        rows = [(NO_INTERACTION_MARKER, 0), *ranked[:top_n], (OTHER_MARKER, rare)]
+    else:
+        rows = [(text, cnt) for text, cnt in ranked if cnt >= min_count]
+        if not rows:
+            raise EmptyInputError(f"no phrase reaches min_count={min_count}")
+    return ClassVocabulary(mode, [text for text, _ in rows], [cnt for _, cnt in rows])

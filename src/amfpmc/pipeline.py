@@ -486,7 +486,7 @@ def grid_search(
         if objective == "accuracy":
             score = float(np.mean(np.argmax(probs, axis=1) == val_truths))
         else:
-            score = multiclass_report(probs, val_truths, mode="macro").macro_auroc or 0.0
+            score = multiclass_report(probs, val_truths).macro_auroc
         results.append((hp_c, score))
     # max keeps the first of equal scores
     return max(results, key=lambda result: result[1])[0], results

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -238,6 +239,100 @@ def test_extract_checks_grouping_before_reading_input(tmp_path, capsys, flags, m
     assert rc == 1
     assert capsys.readouterr().err == f"error: InvalidConfigError: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_bad_verb_table_is_refused_at_its_line_before_reading_input(tmp_path, capsys):
+    verbs = tmp_path / "verbs.txt"
+    verbs.write_text("increases increased\ndecreases decreased extra\n")
+    rc = main(["extract", "--input", str(tmp_path / "missing.tsv"), "--mode", "holdout",
+               "--min-count", "1", "--verb-table", str(verbs),
+               "--out-vocab", str(tmp_path / "v.tsv"), "--out-indexed", str(tmp_path / "x.tsv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: ParseError: {verbs}:2: verb table line needs two "
+                                       "tokens, got 3: 'decreases decreased extra'\n")
+
+
+#: three interaction sentences, most frequent first once written by _sentence_pairs
+TEMPLATES = (
+    "The metabolism of Drug b can be decreased when combined with Drug a",
+    "Drug a may increase the hypoglycemic activities of Drug b",
+    "The serum concentration of Drug b can be increased when it is combined with Drug a",
+)
+
+
+def _sentence_pairs(path):
+    """60 pairs of 15 drugs: 30 of TEMPLATES[0], 18 of TEMPLATES[1], 12 of TEMPLATES[2]."""
+    pairs = list(itertools.combinations(range(15), 2))[:60]
+    path.write_text("".join(f"D{a:02d}\tD{b:02d}\t{TEMPLATES[(t >= 30) + (t >= 48)]}\n"
+                            for t, (a, b) in enumerate(pairs)))
+
+
+def _interaction_column(out):
+    """class -> interaction name of each row of the per-class table that ends out."""
+    lines = out.splitlines()
+    start = lines.index(f"{'class':>6} {'support':>8} {'auroc':>8} {'aupr':>8}  interaction")
+    return {int(cls): name for cls, *_, name in (line.split(None, 4) for line in lines[start + 1:])}
+
+
+@pytest.mark.parametrize("mode, grouping, names", [
+    ("holdout", ["--min-count", "1"],
+     ["decreased metabolism", "increased hypoglycemic activities", "increased serum concentration"]),
+    ("retrospective", ["--top-n", "2"],
+     ["<no-interaction>", "decreased metabolism", "increased hypoglycemic activities", "<other>"]),
+])
+def test_report_names_each_class_by_its_extracted_label(tmp_path, capsys, mode, grouping, names):
+    sentences, vocab, indexed = tmp_path / "s.tsv", tmp_path / "vocab.tsv", tmp_path / "x.tsv"
+    _sentence_pairs(sentences)
+    assert main(["extract", "--input", str(sentences), "--mode", mode, *grouping,
+                 "--out-vocab", str(vocab), "--out-indexed", str(indexed)]) == 0
+    if mode == "holdout":
+        inputs = ["holdout", "--interactions", str(indexed), "--k", "2"]
+    else:
+        # T0 holds every fourth interaction of T1, the extracted file
+        t0 = tmp_path / "t0.tsv"
+        t0.write_text("".join(indexed.read_text().splitlines(True)[1::4]))
+        inputs = ["retrospective", "--t0", str(t0), "--t1", str(indexed)]
+    capsys.readouterr()
+    assert main(["evaluate", *inputs, "--vocab", str(vocab), "--dim", "4", "--epochs", "1",
+                 "--batch", "64"]) == 0
+    assert _interaction_column(capsys.readouterr().out) == dict(enumerate(names))
+
+
+@pytest.mark.parametrize("vocab_lines, command", [
+    # one class cannot name the run's four
+    (["mode\tholdout", "0\ta b\t1"], "holdout"),
+    # a retrospective vocabulary would name holdout class 0 '<no-interaction>'
+    (["mode\tretrospective", "0\t<no-interaction>\t0", "1\ta b\t1", "2\tc d\t1",
+      "3\te f\t1", "4\t<other>\t1"], "holdout"),
+    (["mode\tholdout", *(f"{k}\tphrase {k}\t1" for k in range(6))], "retrospective"),
+], ids=["too-few-classes", "retrospective-vocab-holdout-run", "holdout-vocab-retrospective-run"])
+def test_vocabulary_that_cannot_name_the_run_is_refused_before_training(
+        synth_files, retro_files, tmp_path, capsys, monkeypatch, vocab_lines, command):
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("\n".join(vocab_lines) + "\n")
+    inputs = (["--interactions", str(synth_files[0]), "--k", "2"] if command == "holdout"
+              else ["--t0", str(retro_files[0]), "--t1", str(retro_files[1])])
+    calls = []
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(1))
+    capsys.readouterr()
+    assert main(["evaluate", command, *inputs, "--vocab", str(vocab), "--dim", "4"]) == 1
+    err = capsys.readouterr().err
+    _assert_one_line_error(err, "InvalidConfigError")
+    mode = vocab_lines[0].split("\t")[1]
+    assert f": {vocab}: a {mode} vocabulary of class count {len(vocab_lines) - 1} cannot name " in err
+    assert err.endswith(f" of a {command} run\n")
+    assert calls == []
+
+
+def test_vocabulary_with_classes_the_run_lacks_is_accepted(synth_files, tmp_path, capsys):
+    # an indexed file need not use every class of its vocabulary
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("mode\tholdout\n" + "".join(f"{k}\tphrase {k}\t1\n" for k in range(9)))
+    capsys.readouterr()
+    assert main(["evaluate", "holdout", "--interactions", str(synth_files[0]), "--k", "2",
+                 "--vocab", str(vocab), "--dim", "4", "--epochs", "1", "--batch", "64"]) == 0
+    column = _interaction_column(capsys.readouterr().out)
+    assert column == {k: f"phrase {k}" for k in column} and len(column) == 4
 
 
 def test_error_exit_is_single_line(tmp_path, capsys):

@@ -768,6 +768,7 @@ class TestVocabularyFile:
         assert back.n_classes == vocab.n_classes
         assert back.other_class == vocab.other_class
         assert back.encode(P("increased bleeding")) == vocab.encode(P("increased bleeding"))
+        assert back.labels == vocab.labels
         assert back.counts == vocab.counts
 
     def test_holdout_roundtrip(self, tmp_path):
@@ -777,6 +778,19 @@ class TestVocabularyFile:
         write_vocabulary(vocab, str(path))
         back = read_vocabulary(str(path))
         assert back.n_classes == 2 and back.other_class is None
+
+    def test_phrase_labels_are_read_as_canonical_text(self, tmp_path):
+        # hand-written names are lower-cased with their spaces folded, and written back so
+        path = tmp_path / "vocab.tsv"
+        path.write_text("mode\tretrospective\n0\t<no-interaction>\t0\n"
+                        "1\t Decreased   METABOLISM \t7\n2\t<other>\t1\n")
+        vocab = read_vocabulary(str(path))
+        assert vocab.labels == ["<no-interaction>", "decreased metabolism", "<other>"]
+        assert vocab.encode(KeywordPhrase.from_text("metabolism decreased")) == 1
+        write_vocabulary(vocab, str(tmp_path / "back.tsv"))
+        assert (tmp_path / "back.tsv").read_text() == (
+            "mode\tretrospective\n0\t<no-interaction>\t0\n"
+            "1\tdecreased metabolism\t7\n2\t<other>\t1\n")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vocab.tsv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from amfpmc.errors import (
     DegenerateLabelsError,
     EmptyDatasetError,
     EmptyInputError,
-    InvalidConfigError,
     NonFiniteError,
     NoPositivesError,
     ShapeMismatchError,
@@ -342,8 +343,9 @@ class TestMulticlassReport:
         sorts = []
         real = metrics_mod._sorted_negatives
         monkeypatch.setattr(metrics_mod, "_sorted_negatives", lambda s, y: sorts.append(s.size) or real(s, y))
-        got = multiclass_report(probs, truths, mode="micro")
-        assert sorts == [probs.size]
+        got = multiclass_report(probs, truths)
+        # the pooled column is sorted once, ahead of one sort per class column
+        assert sorts == [probs.size] + [400] * 5
         onehot = np.zeros_like(probs, dtype=bool)
         onehot[np.arange(400), truths] = True
         assert got.micro_auroc == roc_auc(probs.ravel(), onehot.ravel())
@@ -370,16 +372,6 @@ class TestMulticlassReport:
         with pytest.raises(NonFiniteError):
             multiclass_report(np.array([[np.nan, 0.5], [0.3, 0.7]]), [0, 1])
 
-    def test_mode_argument(self):
-        probs = np.array([[0.7, 0.3], [0.3, 0.7], [0.6, 0.4]])
-        truths = [0, 1, 1]
-        micro_only = multiclass_report(probs, truths, mode="micro")
-        assert micro_only.macro_auroc is None and micro_only.per_class == []
-        macro_only = multiclass_report(probs, truths, mode="macro")
-        assert macro_only.micro_auroc is None and macro_only.macro_auroc is not None
-        with pytest.raises(InvalidConfigError):
-            multiclass_report(probs, truths, mode="weighted")
-
 
 # -- the report against the formulas it replaced, bit for bit ---------------
 
@@ -389,7 +381,7 @@ REPORT_SCALARS = (
 )
 
 
-def reference_multiclass_report(prob_matrix, truths, mode):
+def reference_multiclass_report(prob_matrix, truths):
     """Three masks per class, each metric ranking its own strided column; inputs taken as valid."""
     P = np.asarray(prob_matrix, dtype=np.float64)
     t = np.asarray(truths, dtype=np.int64)
@@ -400,42 +392,48 @@ def reference_multiclass_report(prob_matrix, truths, mode):
     scalars = dict.fromkeys(REPORT_SCALARS)
     scalars.update(accuracy=accuracy, micro_precision=accuracy, micro_recall=accuracy,
                    micro_f1=accuracy)
-    if mode in ("micro", "both"):
-        onehot = np.zeros((n_rows, n_classes), dtype=bool)
-        onehot[np.arange(n_rows), t] = True
-        flat_scores, flat_labels = P.reshape(-1), onehot.reshape(-1)
-        if flat_labels.any() and not flat_labels.all():
-            scalars["micro_auroc"] = roc_auc(flat_scores, flat_labels)
-            scalars["micro_aupr"] = average_precision(flat_scores, flat_labels)
+    onehot = np.zeros((n_rows, n_classes), dtype=bool)
+    onehot[np.arange(n_rows), t] = True
+    flat_scores, flat_labels = P.reshape(-1), onehot.reshape(-1)
+    if flat_labels.any() and not flat_labels.all():
+        scalars["micro_auroc"] = roc_auc(flat_scores, flat_labels)
+        scalars["micro_aupr"] = average_precision(flat_scores, flat_labels)
     per_class = []
-    if mode in ("macro", "both"):
-        precisions, recalls, f1s, aurocs, auprs = [], [], [], [], []
-        for k in range(n_classes):
-            sup = int(support[k])
-            if sup == 0:
-                per_class.append(PerClassMetrics(k, 0, None, None))
-                continue
-            pos = t == k
-            pred_k = preds == k
-            tp = int((pos & pred_k).sum())
-            fp = int((~pos & pred_k).sum())
-            fn = int((pos & ~pred_k).sum())
-            prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-            rec = tp / (tp + fn)
-            f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-            auroc_k = roc_auc(P[:, k], pos) if sup < n_rows else None
-            aupr_k = average_precision(P[:, k], pos)
-            per_class.append(PerClassMetrics(k, sup, auroc_k, aupr_k))
-            precisions.append(prec)
-            recalls.append(rec)
-            f1s.append(f1)
-            if auroc_k is not None:
-                aurocs.append(auroc_k)
-            auprs.append(aupr_k)
-        scalars.update(macro_precision=float(np.mean(precisions)),
-                       macro_recall=float(np.mean(recalls)), macro_f1=float(np.mean(f1s)),
-                       macro_auroc=float(np.mean(aurocs)), macro_aupr=float(np.mean(auprs)))
+    precisions, recalls, f1s, aurocs, auprs = [], [], [], [], []
+    for k in range(n_classes):
+        sup = int(support[k])
+        if sup == 0:
+            per_class.append(PerClassMetrics(k, 0, None, None))
+            continue
+        pos = t == k
+        pred_k = preds == k
+        tp = int((pos & pred_k).sum())
+        fp = int((~pos & pred_k).sum())
+        fn = int((pos & ~pred_k).sum())
+        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
+        rec = tp / (tp + fn)
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+        auroc_k = roc_auc(P[:, k], pos) if sup < n_rows else None
+        aupr_k = average_precision(P[:, k], pos)
+        per_class.append(PerClassMetrics(k, sup, auroc_k, aupr_k))
+        precisions.append(prec)
+        recalls.append(rec)
+        f1s.append(f1)
+        if auroc_k is not None:
+            aurocs.append(auroc_k)
+        auprs.append(aupr_k)
+    scalars.update(macro_precision=float(np.mean(precisions)),
+                   macro_recall=float(np.mean(recalls)), macro_f1=float(np.mean(f1s)),
+                   macro_auroc=float(np.mean(aurocs)), macro_aupr=float(np.mean(auprs)))
     return MultiClassReport(per_class=per_class, **scalars)
+
+
+#: the scalars a report lacks, by what it lacks
+LACKING = {
+    "nothing": (),
+    "micro": ("micro_auroc", "micro_aupr"),
+    "macro": ("macro_precision", "macro_recall", "macro_f1", "macro_auroc", "macro_aupr"),
+}
 
 
 def reference_mean_report(reports, per_class):
@@ -485,33 +483,32 @@ def test_scalar_fields_are_the_report_order():
     assert tuple(name for name, _ in rep.scalar_items()) == REPORT_SCALARS
 
 
-@pytest.mark.parametrize("mode", ["micro", "macro", "both"])
-def test_report_matches_reference_bitwise(mode):
+def test_report_matches_reference_bitwise():
     for probs, truths in report_inputs(np.random.default_rng(41)):
-        got = multiclass_report(probs, truths, mode=mode)
-        want = reference_multiclass_report(probs, truths, mode)
+        got = multiclass_report(probs, truths)
+        want = reference_multiclass_report(probs, truths)
         assert report_bits(got) == report_bits(want)
 
 
-def test_micro_report_of_one_class_or_one_present_class_matches_reference():
+def test_report_of_one_class_or_one_present_class_is_degenerate():
     rng = np.random.default_rng(42)
     one_present = (rng.dirichlet(np.ones(3), size=20), np.zeros(20, dtype=np.int64))
     one_class = (np.ones((20, 1)), np.zeros(20, dtype=np.int64))
     for probs, truths in (one_present, one_class):
-        got = multiclass_report(probs, truths, mode="micro")
-        assert report_bits(got) == report_bits(reference_multiclass_report(probs, truths, "micro"))
-    assert got.micro_auroc is None and got.micro_aupr is None
+        with pytest.raises(DegenerateLabelsError, match="no class has both"):
+            multiclass_report(probs, truths)
 
 
 def test_mean_report_matches_reference_bitwise():
     rng = np.random.default_rng(43)
     for _ in range(20):
         k = int(rng.integers(2, 7))
-        modes = rng.choice(["micro", "macro", "both"], int(rng.integers(1, 6)))
+        # some reports lack the micro or the macro scalars, as a report may
         reports = [
-            multiclass_report(np.round(rng.dirichlet(np.ones(k), size=50), 2),
-                              rng.integers(0, k, 50), mode=str(mode))
-            for mode in modes
+            replace(multiclass_report(np.round(rng.dirichlet(np.ones(k), size=50), 2),
+                                      rng.integers(0, k, 50)),
+                    **dict.fromkeys(LACKING[str(lacks)], None))
+            for lacks in rng.choice(list(LACKING), int(rng.integers(1, 6)))
         ]
         rows = [PerClassMetrics(c, int(rng.integers(0, 9)), float(rng.random()), None)
                 for c in range(k)]
@@ -523,8 +520,7 @@ def test_mean_report_matches_reference_bitwise():
         mean_report([])
 
 
-@pytest.mark.parametrize("mode", ["micro", "macro", "both"])
-def test_each_column_ranked_once_with_the_lengths_it_had(mode, monkeypatch):
+def test_each_column_ranked_once_with_the_lengths_it_had(monkeypatch):
     rng = np.random.default_rng(44)
     n, k = 200, 6
     probs = np.round(rng.dirichlet(np.ones(k), size=n), 2)
@@ -538,12 +534,12 @@ def test_each_column_ranked_once_with_the_lengths_it_had(mode, monkeypatch):
             return real(s, *args, **kwargs)
 
         monkeypatch.setattr(metrics_mod, name, recorded)
-    got = multiclass_report(probs, truths, mode=mode)
-    columns = ([n * k] if mode != "macro" else []) + ([n] * 4 if mode != "micro" else [])
+    got = multiclass_report(probs, truths)
+    columns = [n * k] + [n] * 4
     # every class with support has negatives too, so each column gets both rankings
     assert calls == {"roc_auc": columns, "average_precision": columns,
                      "_sorted_negatives": columns}
-    assert report_bits(got) == report_bits(reference_multiclass_report(probs, truths, mode))
+    assert report_bits(got) == report_bits(reference_multiclass_report(probs, truths))
 
 
 def test_column_without_negatives_gets_no_auroc_call(monkeypatch):
@@ -559,5 +555,6 @@ def test_column_without_negatives_gets_no_auroc_call(monkeypatch):
 
         monkeypatch.setattr(metrics_mod, name, recorded)
     with pytest.raises(DegenerateLabelsError, match="no class has both"):
-        multiclass_report(probs, truths, mode="macro")
-    assert calls == ["average_precision"]
+        multiclass_report(probs, truths)
+    # the pooled column is ranked both ways; class 0 has no negatives, class 1 no support
+    assert calls == ["roc_auc", "average_precision", "average_precision"]

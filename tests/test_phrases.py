@@ -5,6 +5,7 @@ from amfpmc.errors import (
     EmptyInputError,
     FormatError,
     InvalidConfigError,
+    ParseError,
     UnknownPhraseError,
 )
 from amfpmc.phrases import (
@@ -91,6 +92,12 @@ class TestExtraction:
         with pytest.raises(FormatError, match="not UTF-8"):
             loader(str(path))
 
+    def test_bad_verb_table_line_is_parse_error_at_its_line(self, tmp_path):
+        path = tmp_path / "verbs.txt"
+        path.write_text("# surface canonical\nincreases increased\n\ndecreases\n")
+        with pytest.raises(ParseError, match=r":4: verb table line needs two tokens, got 1"):
+            load_verb_forms(str(path))
+
 
 class TestPhraseEquality:
     def test_order_insensitive(self):
@@ -161,11 +168,23 @@ class TestVocabulary:
     def test_encode_decode_identity(self):
         phrases = [P("alpha one")] * 3 + [P("beta two")] * 2 + [P("gamma three")]
         vocab = build_vocabulary(phrases, "retrospective", top_n=2)
-        for idx, phrase in vocab.class_to_phrase.items():
+        assert vocab.labels == ["<no-interaction>", "alpha one", "beta two", "<other>"]
+        assert vocab.counts == [0, 3, 2, 1]
+        for idx, label in enumerate(vocab.labels[1:-1], 1):
+            assert vocab.decode(idx) == P(label)
             assert vocab.encode(vocab.decode(idx)) == idx
-            assert vocab.decode(idx) == phrase
         assert vocab.decode(0) is None
         assert vocab.decode(vocab.other_class) is None
+        holdout = build_vocabulary(phrases, "holdout", min_count=1)
+        assert holdout.labels == ["alpha one", "beta two", "gamma three"]
+        assert [holdout.encode(holdout.decode(idx)) for idx in range(3)] == [0, 1, 2]
+
+    def test_repeated_phrase_refused(self):
+        with pytest.raises(InvalidConfigError, match="duplicate phrases"):
+            ClassVocabulary("holdout", ["beta two", "two beta"], [1, 1])
+        with pytest.raises(InvalidConfigError, match="duplicate phrases"):
+            ClassVocabulary("retrospective", ["<no-interaction>", "a b", "b a", "<other>"],
+                            [0, 1, 1, 0])
 
     def test_grouping_arguments_validated(self):
         with pytest.raises(InvalidConfigError):

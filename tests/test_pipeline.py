@@ -554,7 +554,7 @@ class TestGridSearch:
             if objective == "accuracy":
                 want = float(np.mean(np.argmax(probs, axis=1) == val_rows[:, 2]))
             else:
-                want = multiclass_report(probs, val_rows[:, 2], mode="macro").macro_auroc
+                want = multiclass_report(probs, val_rows[:, 2]).macro_auroc
             assert score == want
 
     def test_validation_split_stratified(self):
