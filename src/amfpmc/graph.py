@@ -34,11 +34,12 @@ NO_INTERACTION = 0
 
 #: Largest accepted n_drugs * n_classes: the (n_drugs, n_classes) node-class
 #: counts and every (pairs, n_classes) matrix are sized by it, so one huge
-#: class index must not size them (2**26 int64 cells are 512 MiB).
+#: class index must not size them (2**26 float64 cells are 512 MiB).
 MAX_NODE_CLASS_CELLS = 2**26
 
-#: Rows per step when a (pairs, n_classes) matrix is filled in place; any
-#: value gives the same bits, and no temporary grows beyond one step.
+#: Rows per step when a (pairs, n_classes) or (pairs, d) matrix is filled or
+#: updated in place; any value gives the same bits, and no temporary grows
+#: beyond one step.
 PAIR_CHUNK_ROWS = 4096
 
 
@@ -170,6 +171,7 @@ class TypedInteractionGraph:
         self.roster = roster
         self._keys, self._classes = self._stored_edges(pair_rows(edges))
         self._node_counts: Optional[np.ndarray] = None
+        self._degrees: Optional[np.ndarray] = None
 
     def _stored_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ascending unique keys of rows and their classes.
@@ -234,33 +236,22 @@ class TypedInteractionGraph:
         return np.column_stack([self._keys // n, self._keys % n, self._classes])
 
     def node_class_counts(self) -> np.ndarray:
-        """(n_drugs, n_classes) count of incident edges per class, cached."""
+        """(n_drugs, n_classes) float64 count of incident edges per class, cached.
+
+        Every count is an integer below 2**53, so it is exact as a float, and
+        the propagation adds and subtracts its rows as they are.
+        """
         if self._node_counts is None:
             n, K = self.n_drugs, self.n_classes
             cells = np.concatenate([self._keys // n, self._keys % n]) * K + np.tile(self._classes, 2)
-            self._node_counts = np.bincount(cells, minlength=n * K).reshape(n, K)
+            self._node_counts = np.bincount(cells, minlength=n * K).reshape(n, K).astype(np.float64)
         return self._node_counts
 
-    def pair_class_histograms(self, I, J) -> np.ndarray:
-        """Row r: class counts of all edges incident to a or b, minus the (a, b) edge.
-
-        count[c] = |{k : lookup(a,k)=c}| + |{k : lookup(b,k)=c}| with k != b
-        and k != a respectively, for (a, b) = (I[r], J[r]); symmetric in the
-        pair. Returns a (len(I), n_classes) float64 matrix; every count is an
-        integer below 2**53, so it is exact. The a rows are gathered straight
-        into the result, then the b rows are added and the own edge taken off
-        one row_chunks step at a time.
-        """
-        I, J = check_pairs(I, J, self.n_drugs)
-        counts = self.node_class_counts().astype(np.float64)
-        hist = counts[I]
-        for rows in row_chunks(I.size):
-            part = hist[rows]
-            part += counts[J[rows]]
-            own = self.edge_classes(I[rows], J[rows])
-            at = np.flatnonzero(own >= 0)
-            part[at, own[at]] -= 2.0
-        return hist
+    def node_degrees(self) -> np.ndarray:
+        """(n_drugs,) float64 count of incident edges, cached: the row sums of node_class_counts."""
+        if self._degrees is None:
+            self._degrees = self.node_class_counts().sum(axis=1)
+        return self._degrees
 
 
 def build_graph(

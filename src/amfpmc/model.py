@@ -29,7 +29,7 @@ from .errors import (
     InvalidDimensionsError,
     ShapeMismatchError,
 )
-from .graph import check_pairs
+from .graph import check_pairs, row_chunks
 from .propagation import check_alpha
 
 LOG_CLAMP = 1e-12
@@ -179,10 +179,16 @@ def _drop(x: np.ndarray, mask: np.ndarray, dropout: float) -> None:
 
 
 def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.ndarray:
-    """(B, K) logits h @ W.T + c + u * pair_bias[:, None], summed in that order in place."""
+    """(B, K) logits h @ W.T + c + u * pair_bias[:, None], summed in that order in place.
+
+    The u * pair_bias products are formed one row_chunks step at a time, so
+    a scoring chunk holds no second (B, K) array beside its logits.
+    """
     logits = h @ params.class_proj.T
     logits += params.class_bias
-    logits += params.bias_coupling * pair_bias[:, None]
+    for rows in row_chunks(len(logits)):
+        part = logits[rows]
+        part += params.bias_coupling * pair_bias[rows, None]
     return logits
 
 
@@ -211,12 +217,15 @@ def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropou
 def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
     """Inference logits for a batch of pairs, shape (B, K); symmetric in (i, j).
 
-    The product is formed in the i slot's gather, so two (B, d) arrays are
-    live at most, not three as in training.
+    The j rows are multiplied into the i slot's gather one row_chunks step at
+    a time, so one (B, d) array is live, not three as in training.
     """
     I, J = check_pairs(i, j, params.n_drugs)
-    h = params.embeddings[I]
-    h *= params.embeddings[J]
+    E = params.embeddings
+    h = E[I]
+    for rows in row_chunks(I.size):
+        part = h[rows]
+        part *= E[J[rows]]
     return _head(params, h, params.drug_bias[I] + params.drug_bias[J])
 
 

@@ -32,6 +32,7 @@ from .graph import (
     Roster,
     TypedInteractionGraph,
     build_graph,
+    check_pairs,
     pair_rows,
 )
 from .metrics import MultiClassReport, _by_support, mean_report, multiclass_report
@@ -44,7 +45,7 @@ from .model import (
     init_model,
     predict_batch,
 )
-from .propagation import check_labels, neighborhood_distributions, propagate_targets
+from .propagation import _pair_totals, _target_rows, check_alpha, check_labels, neighborhood_distributions
 
 #: Full enumeration of the retrospective test universe is the default; only
 #: beyond this many pairs is a seeded subsample taken.
@@ -57,13 +58,27 @@ SCORE_CHUNK_ROWS = 16_384
 
 @dataclass(frozen=True)
 class LabeledPairs:
-    """A training set: (B, 3) rows (i, j, label) with i < j and their (B, K) soft targets."""
+    """A training set: (m, 3) rows (i, j, label) with i < j, and what their soft targets are propagated from.
+
+    own[r] is the class the graph stores for row r's pair (-1 if none) and
+    total[r] the sum of its class histogram; targets(idx) builds the rows idx
+    asks for, so no (m, n_classes) matrix is held. Build it with
+    attach_targets, which checks the rows once.
+    """
 
     items: np.ndarray
-    targets: np.ndarray
+    graph: TypedInteractionGraph
+    alpha: float
+    own: np.ndarray
+    total: np.ndarray
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def targets(self, idx) -> np.ndarray:
+        """(len(idx), n_classes) targets of the rows idx, in that order."""
+        I, J, labels = self.items[idx].T
+        return _target_rows(self.graph, I, J, self.own[idx], self.total[idx], labels, self.alpha)
 
 
 def _canonical_rows(items) -> np.ndarray:
@@ -74,19 +89,26 @@ def _canonical_rows(items) -> np.ndarray:
 
 
 def attach_targets(items, graph: TypedInteractionGraph, alpha: float) -> LabeledPairs:
-    """Pair the (i, j, label) rows with their propagated targets.
+    """Pair the (i, j, label) rows with the graph their targets are propagated over.
 
     The graph passed here decides what the propagation can see; hand it the
-    training-fold graph, never the full one.
+    training-fold graph, never the full one. alpha, the labels and the drug
+    indices are checked and each row's own edge and histogram sum are found
+    here, once, so train builds each batch's targets with no check or lookup.
     """
     rows = _canonical_rows(items)
-    return LabeledPairs(rows, propagate_targets(graph, rows[:, 0], rows[:, 1], rows[:, 2], alpha))
+    alpha = check_alpha(alpha)
+    check_labels(rows[:, 2], graph.n_classes)
+    I, J = check_pairs(rows[:, 0], rows[:, 1], graph.n_drugs)
+    own = graph.edge_classes(I, J)
+    return LabeledPairs(rows, graph, alpha, own, _pair_totals(graph, I, J, own))
 
 
 def one_hot_pairs(items, n_classes: int) -> LabeledPairs:
-    """LabeledPairs with plain one-hot targets (propagation bypassed)."""
+    """LabeledPairs with plain one-hot targets: alpha 0 over a graph with no edge."""
     rows = _canonical_rows(items)
-    return LabeledPairs(rows, np.eye(n_classes)[check_labels(rows[:, 2], n_classes)])
+    n_drugs = int(rows[:, :2].max(initial=0)) + 1
+    return attach_targets(rows, build_graph(n_drugs, n_classes, HOLDOUT, []), 0.0)
 
 
 def train(
@@ -97,14 +119,14 @@ def train(
 ) -> ModelParameters:
     """Mini-batch Adam training, deterministic given hp.seed.
 
-    Class weights come from the hard labels of the given pairs; targets are
-    taken as-is (compute them with attach_targets on the training graph).
+    Class weights come from the hard labels of the given pairs; each batch's
+    targets are pairs.targets of its rows (build the pairs with
+    attach_targets on the training graph).
     """
     hp.validate()
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
     I, J, labels = pairs.items.T
-    T = pairs.targets
 
     if hp.balance_classes:
         weights = metrics_mod.class_weights(np.bincount(labels, minlength=n_classes))
@@ -120,7 +142,7 @@ def train(
         for start in range(0, n_pairs, hp.batch_size):
             idx = order[start : start + hp.batch_size]
             _, grads = backward(
-                params, I[idx], J[idx], T[idx], weights, dropout=hp.dropout, rng=rng
+                params, I[idx], J[idx], pairs.targets(idx), weights, dropout=hp.dropout, rng=rng
             )
             adam_step(params, grads, state, hp.learning_rate)
     return params
@@ -177,7 +199,6 @@ def fit_and_score(train_items: np.ndarray, train_graph: TypedInteractionGraph,
         i, j = test_pairs[leaked[0]]
         raise RuntimeError(f"test pair ({i}, {j}) is an edge of the training graph")
     n, K = train_graph.n_drugs, train_graph.n_classes
-    # the targets are released when train returns, before the test pairs are scored
     params = train(attach_targets(train_items, train_graph, hp.alpha), hp, n, K)
     return score_pairs(params, test_pairs)
 
@@ -321,7 +342,8 @@ def retrospective_split(
     unlabeled there. Beyond test_pair_cap the test universe is subsampled
     with the same seed. Sampled positions index the unlabeled pairs in
     row-by-row order and are mapped to pairs by counting the labeled ones
-    below them, so the triangle itself is never enumerated.
+    below them, so the triangle itself is never enumerated. A split that
+    leaves no test pair is refused, before anything is sampled.
     """
     if graph_t0.mode != RETROSPECTIVE or graph_t1.mode != RETROSPECTIVE:
         raise InvalidConfigError("retrospective split needs retrospective-mode graphs")
@@ -346,6 +368,11 @@ def retrospective_split(
     universe = n * (n - 1) // 2 - len(labeled)
 
     n_neg = int(round(min(negative_ratio * len(edges0), universe)))
+    if n_neg == universe:
+        raise InvalidConfigError(
+            f"no test pair is left: T0 leaves {universe} pairs unlabeled and negative_ratio "
+            f"{negative_ratio} samples {n_neg} of them as training negatives"
+        )
     neg_at = np.empty(0, dtype=np.int64)
     if n_neg > 0:
         neg_at = np.sort(rng.choice(universe, size=n_neg, replace=False))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidClassError, InvalidConfigError, ShapeMismatchError
-from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph, row_chunks
+from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph, check_pairs, row_chunks
 
 
 def check_labels(labels, n_classes: int) -> np.ndarray:
@@ -34,24 +34,71 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _pair_totals(graph: TypedInteractionGraph, I, J, own) -> np.ndarray:
+    """Class-histogram sums of checked pairs, own being their edge_classes.
+
+    A pair's histogram sums to deg(a) + deg(b), less 2 for a stored (a, b):
+    whole numbers below 2**53, so each is the float of the row's sum in any
+    order.
+    """
+    degrees = graph.node_degrees()
+    return degrees[I] + degrees[J] - 2.0 * (own >= 0)
+
+
+def _distribution_rows(graph: TypedInteractionGraph, I, J, own, total) -> np.ndarray:
+    """neighborhood_distributions of checked pairs, own and total being their edge_classes and _pair_totals.
+
+    Row r is the class counts of the edges incident to a or b, less the
+    (a, b) edge itself, over total[r]: the a rows of the graph's float64
+    counts are gathered, the b rows added and the own edge taken off.
+    """
+    counts = graph.node_class_counts()
+    dist = counts.take(I, axis=0)
+    dist += counts.take(J, axis=0)
+    at = np.flatnonzero(own >= 0)
+    dist[at, own[at]] -= 2.0
+    # an isolated row stays all zero, then takes its fallback
+    isolated = total == 0.0
+    dist /= np.where(isolated, 1.0, total)[:, None]
+    if graph.mode == RETROSPECTIVE:
+        dist[isolated, NO_INTERACTION] = 1.0
+    else:
+        dist[isolated] = 1.0 / graph.n_classes
+    return dist
+
+
+def _blend_labels(dist: np.ndarray, labels: np.ndarray, alpha: float) -> np.ndarray:
+    """dist becomes alpha * dist plus (1 - alpha) at each row's label, in place."""
+    dist *= alpha
+    dist[np.arange(labels.size), labels] += 1.0 - alpha
+    return dist
+
+
+def _target_rows(graph: TypedInteractionGraph, I, J, own, total, labels, alpha: float) -> np.ndarray:
+    """propagate_targets of checked pairs, labels and alpha, own and total being the pairs' edge_classes and _pair_totals.
+
+    Nothing is checked here: attach_targets checks the rows once and
+    LabeledPairs.targets calls this for each batch. Row r depends on row r
+    alone, so any subset of rows, in any order, gets the bits of the same
+    rows of the whole matrix.
+    """
+    return _blend_labels(_distribution_rows(graph, I, J, own, total), labels, alpha)
+
+
 def neighborhood_distributions(graph: TypedInteractionGraph, I, J) -> np.ndarray:
     """(B, n_classes) normalized pair class histograms of (I[r], J[r]).
 
     When both endpoints of a pair are isolated its histogram is all-zero and
     the row falls back to the one-hot on the no-interaction class in
-    retrospective mode, the uniform distribution in holdout mode. The
-    histogram is normalized in place, one row_chunks step at a time.
+    retrospective mode, the uniform distribution in holdout mode. Built one
+    row_chunks step at a time, so no temporary grows beyond one step.
     """
-    dist = graph.pair_class_histograms(I, J)
-    for rows in row_chunks(len(dist)):
-        part = dist[rows]
-        total = part.sum(axis=1, keepdims=True)
-        isolated = total[:, 0] == 0.0
-        np.divide(part, total, out=part, where=~isolated[:, None])
-        if graph.mode == RETROSPECTIVE:
-            part[isolated, NO_INTERACTION] = 1.0
-        else:
-            part[isolated] = 1.0 / graph.n_classes
+    I, J = check_pairs(I, J, graph.n_drugs)
+    dist = np.empty((I.size, graph.n_classes), dtype=np.float64)
+    for rows in row_chunks(I.size):
+        i, j = I[rows], J[rows]
+        own = graph.edge_classes(i, j)
+        dist[rows] = _distribution_rows(graph, i, j, own, _pair_totals(graph, i, j, own))
     return dist
 
 
@@ -59,21 +106,15 @@ def propagate_targets(graph: TypedInteractionGraph, I, J, labels, alpha: float) 
     """(B, n_classes) targets (1 - alpha) * onehot(labels[r]) + alpha * dist(I[r], J[r]).
 
     Built in place on the distributions as alpha * dist plus (1 - alpha) at
-    each row's label, the labels one row_chunks step at a time; every entry
-    is the same float the formula gives. label 0 is a legal training label in
-    retrospective mode (sampled no-interaction pairs) even though it never
-    appears as a stored edge.
+    each row's label; every entry is the same float the formula gives.
+    label 0 is a legal training label in retrospective mode (sampled
+    no-interaction pairs) even though it never appears as a stored edge.
     """
     alpha = check_alpha(alpha)
     y = check_labels(labels, graph.n_classes)
     if y.shape != np.shape(I):
         raise ShapeMismatchError("labels must align with the pairs")
-    targets = neighborhood_distributions(graph, I, J)
-    targets *= alpha
-    for rows in row_chunks(y.size):
-        part = targets[rows]
-        part[np.arange(len(part)), y[rows]] += 1.0 - alpha
-    return targets
+    return _blend_labels(neighborhood_distributions(graph, I, J), y, alpha)
 
 
 def propagate_target(

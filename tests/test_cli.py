@@ -168,6 +168,27 @@ def test_evaluate_retrospective_cli(retro_files, capsys):
     assert "test pairs:" in out and "accuracy" in out
 
 
+def test_split_without_test_pairs_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    # 18 drugs: T1 holds 120 pairs and T0 90 of them, so the 90 negatives of
+    # --negative-ratio 1.0 would take all 63 pairs unlabeled in T0
+    iu, ju = np.triu_indices(18, k=1)
+    lines = [f"D{i:02d}\tD{j:02d}\t{1 + t % 3}\n" for t, (i, j) in enumerate(zip(iu[:120], ju[:120]))]
+    t0, t1 = tmp_path / "t0.tsv", tmp_path / "t1.tsv"
+    t0.write_text("".join(lines[:90]))
+    t1.write_text("".join(lines))
+    calls = []
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert main(["evaluate", "retrospective", "--t0", str(t0), "--t1", str(t1),
+                 "--negative-ratio", "1.0", "--dim", "8", "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: InvalidConfigError: no test pair is left: T0 leaves 63 pairs unlabeled and "
+        "negative_ratio 1.0 samples 63 of them as training negatives\n"
+    )
+    assert calls == []
+
+
 def test_gridsearch_cli(synth_files, tmp_path, capsys):
     t0, _, _ = synth_files
     grid = tmp_path / "grid.txt"

@@ -11,6 +11,7 @@ from amfpmc.errors import (
     UnknownDrugError,
 )
 from amfpmc.graph import MAX_NODE_CLASS_CELLS, Roster, TypedInteractionGraph, build_graph
+from amfpmc.propagation import neighborhood_distributions
 
 
 def test_add_and_symmetric_lookup():
@@ -93,34 +94,38 @@ def test_clique_neighbors():
     assert counts[:, 7].tolist() == [3, 3, 3, 3]
 
 
-def _histogram(g, a, b):
-    return g.pair_class_histograms([a], [b])[0]
+def _distribution(g, a, b):
+    return neighborhood_distributions(g, [a], [b])[0]
 
 
 def test_histogram_counts_by_hand():
     # drug 0 touches two class-1 edges, drug 1 touches one class-2 edge,
-    # (0, 1) itself is absent
+    # (0, 1) itself is absent: the histogram is [0, 2, 1, 0]
     g = build_graph(6, 4, "holdout", [(0, 2, 1), (0, 3, 1), (1, 4, 2)])
-    hist = _histogram(g, 0, 1)
-    assert hist.tolist() == [0, 2, 1, 0]
+    assert _distribution(g, 0, 1).tolist() == [0, 2 / 3, 1 / 3, 0]
 
 
-def test_histogram_isolated_pair_is_zero():
+def test_histogram_isolated_pair_falls_back():
+    # an all-zero histogram takes the holdout fallback, the uniform distribution
     g = build_graph(4, 4, "holdout", [(2, 3, 1)])
-    assert _histogram(g, 0, 1).tolist() == [0, 0, 0, 0]
+    assert _distribution(g, 0, 1).tolist() == [0.25] * 4
 
 
 def test_histogram_excludes_own_edge():
+    # the (0, 1) edge alone leaves an all-zero histogram
     g = build_graph(3, 4, "holdout", [(0, 1, 2)])
-    assert _histogram(g, 0, 1).tolist() == [0, 0, 0, 0]
+    assert _distribution(g, 0, 1).tolist() == [0.25] * 4
     g = build_graph(3, 4, "holdout", [(0, 1, 2), (0, 2, 2)])
-    assert _histogram(g, 0, 1).tolist() == [0, 0, 1, 0]
+    assert _distribution(g, 0, 1).tolist() == [0, 0, 1, 0]
 
 
 def test_histogram_self_loop_rejected():
     g = build_graph(3, 4, "holdout", [(0, 1, 2)])
     with pytest.raises(SelfLoopError):
-        _histogram(g, 1, 1)
+        _distribution(g, 1, 1)
+    for a, b in ((0, 3), (-1, 0)):
+        with pytest.raises(UnknownDrugError):
+            _distribution(g, a, b)
 
 
 def _random_graph(rng, n=12, n_classes=5, n_edges=25, mode="holdout"):
@@ -147,6 +152,7 @@ def test_property_degree_sum_is_twice_edges():
         g = _random_graph(rng)
         degrees = g.node_class_counts().sum(axis=1)
         assert degrees.sum() == 2 * g.num_edges
+        assert g.node_degrees().tobytes() == degrees.tobytes()
         ends = g.edge_list()[:, :2]
         assert degrees.tolist() == [int((ends == v).sum()) for v in range(g.n_drugs)]
 
@@ -159,10 +165,7 @@ def test_property_histogram_symmetric():
             a, b = rng.integers(0, g.n_drugs, 2)
             if a == b:
                 continue
-            assert np.array_equal(
-                _histogram(g, int(a), int(b)),
-                _histogram(g, int(b), int(a)),
-            )
+            assert _distribution(g, int(a), int(b)).tobytes() == _distribution(g, int(b), int(a)).tobytes()
 
 
 def test_property_histogram_never_counts_own_edge():
@@ -174,10 +177,12 @@ def test_property_histogram_never_counts_own_edge():
         for i, j, c in g.edge_list():
             brute[i, c] += 1
             brute[j, c] += 1
-        assert counts.dtype == np.int64 and np.array_equal(counts, brute)
+        assert counts.dtype == np.float64 and np.array_equal(counts, brute)
         for i, j, c in g.edge_list():
-            hist = _histogram(g, i, j)
-            assert hist[c] == counts[i, c] + counts[j, c] - 2
+            hist = brute[i] + brute[j]
+            hist[c] -= 2
+            if hist.any():
+                assert _distribution(g, i, j).tobytes() == (hist / hist.sum()).tobytes()
 
 
 def test_roster_translation():

@@ -30,8 +30,9 @@ from amfpmc.model import (
     predict_batch,
     softmax,
 )
-from amfpmc.pipeline import LabeledPairs, train
-from amfpmc.propagation import check_alpha
+from amfpmc.graph import build_graph
+from amfpmc.pipeline import LabeledPairs, attach_targets, train
+from amfpmc.propagation import check_alpha, propagate_targets
 
 
 def tiny_hp(d=4, seed=0, **kw):
@@ -492,17 +493,24 @@ class TestBitwiseReferences:
 
     @pytest.mark.parametrize("n, K, d, batch", [(40, 5, 16, 32), (300, 7, 128, 64)])
     def test_train_equals_reference_steps(self, monkeypatch, n, K, d, batch):
+        # per-batch targets propagated over the graph, against reference steps
+        # fed rows gathered from the whole propagate_targets matrix
         rng = np.random.default_rng(n)
         I = rng.integers(0, n, 5 * batch)
         J = (I + 1 + rng.integers(0, n - 1, I.size)) % n
         labels = rng.integers(0, K, I.size)
-        targets = rng.dirichlet(np.ones(K), size=I.size)
-        pairs = LabeledPairs(np.column_stack([np.minimum(I, J), np.maximum(I, J), labels]), targets)
+        rows = np.column_stack([I, J, labels])
+        # every other distinct pair is stored, with its first row's class
+        first = np.unique(np.minimum(I, J) * n + np.maximum(I, J), return_index=True)[1]
+        graph = build_graph(n, K, "holdout", rows[first[::2]])
+        pairs = attach_targets(rows, graph, 0.37)
         hp = Hyperparameters(embedding_dim=d, dropout=0.3, epochs=2, batch_size=batch,
-                             learning_rate=0.01, seed=7)
+                             learning_rate=0.01, alpha=0.37, seed=7)
         fast = train(pairs, hp, n, K)
+        eager = propagate_targets(graph, *pairs.items.T, 0.37)
         monkeypatch.setattr(pipeline, "backward", reference_backward)
         monkeypatch.setattr(pipeline, "adam_step", reference_adam_step)
+        monkeypatch.setattr(LabeledPairs, "targets", lambda self, idx: eager[idx])
         ref = train(pairs, hp, n, K)
         assert_bitwise_equal(fast.arrays(), ref.arrays())
 

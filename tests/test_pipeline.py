@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 import tracemalloc
@@ -14,14 +15,16 @@ from amfpmc.errors import (
     InvalidClassError,
     InvalidConfigError,
     InvalidDimensionsError,
+    SelfLoopError,
     TooFewPairsError,
+    UnknownDrugError,
 )
-from amfpmc import graph as graph_mod
 from amfpmc import pipeline
 from amfpmc.formats import report_to_dict
-from amfpmc.graph import Roster, TypedInteractionGraph, build_graph
+from amfpmc.graph import PAIR_CHUNK_ROWS, Roster, TypedInteractionGraph, build_graph
 from amfpmc.metrics import multiclass_report
-from amfpmc.model import Hyperparameters, init_model, predict_batch
+from amfpmc.model import Hyperparameters, init_model, predict_batch, softmax
+from amfpmc.propagation import propagate_targets
 from amfpmc.pipeline import (
     SCORE_CHUNK_ROWS,
     GridSpec,
@@ -133,63 +136,86 @@ class TestTrain:
         g = build_graph(5, 3, "holdout", [(0, 2, 1), (1, 3, 2), (2, 4, 0)])
         reversed_rows = [(2, 0, 1), (4, 1, 2), (3, 0, 0)]
         expected = [[0, 2, 1], [1, 4, 2], [0, 3, 0]]
+        every = np.arange(3)
         for pairs in (attach_targets(reversed_rows, g, alpha=0.4), one_hot_pairs(reversed_rows, 3)):
             assert pairs.items.dtype == np.int64 and pairs.items.tolist() == expected
-            assert pairs.targets.shape == (3, 3) and len(pairs) == 3
-        canonical = attach_targets(expected, g, alpha=0.4)
-        assert canonical.targets.tobytes() == attach_targets(reversed_rows, g, alpha=0.4).targets.tobytes()
-        assert one_hot_pairs(expected, 3).targets.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+            assert pairs.targets(every).shape == (3, 3) and len(pairs) == 3
+        canonical = attach_targets(expected, g, alpha=0.4).targets(every)
+        assert canonical.tobytes() == attach_targets(reversed_rows, g, alpha=0.4).targets(every).tobytes()
+        assert one_hot_pairs(expected, 3).targets(every).tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         with pytest.raises(InvalidClassError):
             one_hot_pairs([(0, 1, 3)], 3)
+        # the rows are checked once, here; train's batches are not checked again
+        for rows, error in (([(1, 1, 0)], SelfLoopError), ([(0, 5, 0)], UnknownDrugError),
+                            ([(-1, 2, 0)], UnknownDrugError), ([(0, 1, 3)], InvalidClassError)):
+            with pytest.raises(error):
+                attach_targets(rows, g, alpha=0.4)
+            if rows != [(0, 5, 0)]:  # one_hot_pairs sizes its graph by the largest index
+                with pytest.raises(error):
+                    one_hot_pairs(rows, 3)
+        with pytest.raises(InvalidConfigError):
+            attach_targets(expected, g, alpha=1.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("mode", ["holdout", "retrospective"])
+    def test_batch_targets_are_the_rows_of_the_whole_matrix(self, mode, alpha):
+        # stored edges (ends swapped), pairs of the isolated drugs 30..34,
+        # random pairs mostly not stored with every label (0 included), and
+        # repeated rows; batches are index arrays in any order, repeats allowed
+        rng = np.random.default_rng(43)
+        lo = 1 if mode == "retrospective" else 0
+        n, K = 35, 7
+        iu, ju = np.triu_indices(30, k=1)
+        keep = rng.choice(iu.size, 120, replace=False)
+        g = TypedInteractionGraph(n, K, mode, np.column_stack([iu[keep], ju[keep], rng.integers(lo, K, 120)]))
+        stored = g.edge_list()[:, [1, 0, 2]]
+        isolated = np.array([(30, 31, 0), (34, 32, 1), (33, 31, 2)])
+        a = rng.integers(0, n, 300)
+        b = (a + 1 + rng.integers(0, n - 1, a.size)) % n
+        others = np.column_stack([a, b, rng.integers(0, K, a.size)])
+        items = np.concatenate([stored, isolated, others, stored[:10], isolated[:1]])
+        labeled = attach_targets(items, g, alpha)
+        assert (labeled.own >= 0).any() and (labeled.own < 0).any()
+        whole = propagate_targets(g, *labeled.items.T, alpha)
+        m = len(items)
+        # the isolated pairs take their mode's fallback distribution
+        dist = np.eye(K)[0] if mode == "retrospective" else np.full(K, 1.0 / K)
+        want = alpha * dist + (1.0 - alpha) * np.eye(K)[isolated[:, 2]]
+        assert np.array_equal(whole[len(stored):len(stored) + 3], want)
+        batches = [np.arange(m), rng.permutation(m), np.arange(m)[::-1], rng.integers(0, m, 500),
+                   rng.permutation(m)[:1], np.array([m - 1, 0, m - 1])]
+        for idx in batches:
+            assert labeled.targets(idx).tobytes() == whole[idx].tobytes()
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
             train([], quick_hp(), 4, 3)
 
-    def test_training_reads_the_one_target_matrix(self):
+    def test_training_memory_grows_by_a_few_numbers_per_row(self):
+        # attach_targets + train, with the graph's (n, K) count table built
+        # beforehand: four times the rows add a few 8-byte numbers per row
+        # (rows, their own-edge classes and histogram sums, the epoch's
+        # order), never a (rows, K) matrix of 37 floats per row
         data = generate_synthetic(SyntheticConfig(n_drugs=400, n_blocks=6, n_classes=37,
                                                   edge_probability=0.3, holdout_fraction=0.0,
                                                   seed=0, mode="retrospective"))
         g = data.graph_t1
         items = g.edge_list()
-        matrix_bytes = len(items) * g.n_classes * 8
         assert len(items) > 20_000
-        tracemalloc.start()
-        try:
-            labeled = attach_targets(items, g, alpha=0.5)
-            retained, targets_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            train(labeled, quick_hp(epochs=0), g.n_drugs, g.n_classes)
-            train_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert labeled.targets.shape == (len(items), g.n_classes)
-        assert retained <= 1.25 * matrix_bytes
-        assert max(targets_peak, train_peak) <= 2.5 * matrix_bytes
-        # training copies no (B, K) matrix
-        assert train_peak - retained <= 0.25 * matrix_bytes
-
-    def test_attach_targets_peak_is_its_output_plus_one_chunk(self):
-        # everything attach_targets allocates beyond the rows and targets it
-        # returns is one PAIR_CHUNK_ROWS step (K floats and a few int64
-        # indices per row) and the graph's (n, K) count table, int and float
-        data = generate_synthetic(SyntheticConfig(n_drugs=400, n_blocks=6, n_classes=37,
-                                                  edge_probability=0.3, holdout_fraction=0.0,
-                                                  seed=1, mode="retrospective"))
-        g = data.graph_t1
-        items = g.edge_list()
-        n, K = g.n_drugs, g.n_classes
-        assert len(items) > 5 * graph_mod.PAIR_CHUNK_ROWS
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            labeled = attach_targets(items, g, alpha=0.6)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        output = labeled.items.nbytes + labeled.targets.nbytes
-        one_chunk = graph_mod.PAIR_CHUNK_ROWS * (K + 8) * 8
-        assert peak <= output + one_chunk + 2 * n * K * 8
+        g.node_class_counts()
+        hp = quick_hp(embedding_dim=4, epochs=1)
+        peaks = {}
+        for m in (len(items) // 4, len(items)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(attach_targets(items[:m], g, alpha=0.5), hp, g.n_drugs, g.n_classes)
+                peaks[m] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        (m1, p1), (m2, p2) = peaks.items()
+        # measured 50 B/row; a (rows, K) target matrix alone is 296
+        assert p2 - p1 <= 10 * 8 * (m2 - m1), peaks
 
     def test_retrospective_targets_released_before_scoring(self, monkeypatch):
         data = generate_synthetic(SyntheticConfig(n_drugs=300, n_blocks=6, n_classes=37,
@@ -226,7 +252,7 @@ class TestTrain:
         from amfpmc.metrics import class_weights
         from amfpmc.model import loss as model_loss
 
-        T = pairs.targets
+        T = pairs.targets(np.arange(len(pairs)))
         w = class_weights(np.bincount(pairs.items[:, 2], minlength=4))
         ij = pairs.items[:, :2]
         assert model_loss(score_pairs(params, ij), T, w) < model_loss(score_pairs(params0, ij), T, w)
@@ -355,8 +381,8 @@ class TestRetrospectiveSplit:
             holdout_fraction=0.3, seed=n_drugs, mode="retrospective"))
         t0, t1 = data.graph_t0, data.graph_t1
         universe = n_drugs * (n_drugs - 1) // 2 - t0.num_edges
-        # the last ratio makes the negatives use up the universe
-        for ratio in (0.0, 0.5, 1.0, universe):
+        # the last ratio leaves one unlabeled pair to test
+        for ratio in (0.0, 0.5, 1.0, (universe - 1) / t0.num_edges):
             for cap in (1, 10, universe - 1, universe, universe + 1):
                 for seed in (0, 1):
                     split = retrospective_split(t0, t1, negative_ratio=ratio, seed=seed,
@@ -364,6 +390,26 @@ class TestRetrospectiveSplit:
                     train_items, test_items = enumerating_split(t0, t1, ratio, seed, cap)
                     assert np.array_equal(split.train_items, train_items)
                     assert np.array_equal(split.test_items, test_items)
+
+    def test_split_leaving_no_test_pair_is_refused(self):
+        # 18 drugs, T1 holds 120 pairs and T0 90 of them: the 90 negatives of
+        # ratio 1.0 would take all 63 pairs unlabeled in T0
+        iu, ju = np.triu_indices(18, k=1)
+        rows = np.column_stack([iu, ju, 1 + np.arange(iu.size) % 3])[:120]
+        t0, t1 = (build_graph(18, 4, "retrospective", rows[:size]) for size in (90, 120))
+        for ratio in (1.0, 63 / 90):
+            with pytest.raises(InvalidConfigError) as refused:
+                retrospective_split(t0, t1, negative_ratio=ratio, seed=0)
+            assert str(refused.value) == (
+                f"no test pair is left: T0 leaves 63 pairs unlabeled and negative_ratio {ratio} "
+                "samples 63 of them as training negatives"
+            )
+        split = retrospective_split(t0, t1, negative_ratio=62 / 90, seed=0)
+        assert (len(split.train_items), len(split.test_items)) == (152, 1)
+        # a T0 that labels every pair leaves nothing to test at any ratio
+        complete = build_graph(4, 2, "retrospective", [(a, b, 1) for a, b in itertools.combinations(range(4), 2)])
+        with pytest.raises(InvalidConfigError, match="T0 leaves 0 pairs unlabeled"):
+            retrospective_split(complete, complete, negative_ratio=0.0, seed=0)
 
     def test_t0_edges_all_in_train(self):
         t0, t1 = two_snapshots()
@@ -430,6 +476,35 @@ def test_chunked_scoring_equals_one_batch(m):
     j = (i + rng.integers(1, 300, m)) % 300
     got = score_pairs(params, np.column_stack([i, j]))
     assert got.tobytes() == predict_batch(params, i, j).tobytes()
+
+
+def test_scoring_chunk_holds_one_embedding_array():
+    # one SCORE_CHUNK_ROWS chunk at d = 512 scores to the bytes of the two-array
+    # form (h = E[i]; h *= E[j]) while holding one (rows, d) array: the j rows
+    # are multiplied in one PAIR_CHUNK_ROWS step at a time
+    rng = np.random.default_rng(44)
+    n, K, d, m = 200, 5, 512, SCORE_CHUNK_ROWS
+    params = init_model(n, K, quick_hp(embedding_dim=d), rng=rng)
+    i = rng.integers(0, n, m)
+    j = (i + rng.integers(1, n, m)) % n
+    pairs = np.column_stack([i, j])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = score_pairs(params, pairs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows_d = m * d * 8
+    # a step of the j rows, and the result, logits, probabilities and a few
+    # (rows,) vectors
+    assert peak <= rows_d + PAIR_CHUNK_ROWS * d * 8 + 4 * m * K * 8 + 8 * m * 8, peak
+    h = params.embeddings[i]
+    h *= params.embeddings[j]
+    logits = h @ params.class_proj.T
+    logits += params.class_bias
+    logits += params.bias_coupling * (params.drug_bias[i] + params.drug_bias[j])[:, None]
+    assert got.tobytes() == softmax(logits).tobytes()
 
 
 class TestRetrospectiveEvaluate:
