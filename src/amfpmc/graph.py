@@ -40,7 +40,7 @@ MAX_NODE_CLASS_CELLS = 2**26
 #: Rows per step when a (pairs, n_classes) or (pairs, d) matrix is filled or
 #: updated in place; any value gives the same bits, and no temporary grows
 #: beyond one step.
-PAIR_CHUNK_ROWS = 4096
+PAIR_CHUNK_ROWS = 1024
 
 
 def check_mode(mode: str) -> str:

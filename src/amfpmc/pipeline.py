@@ -148,7 +148,7 @@ def train(
     return params
 
 
-def scored_chunks(params: ModelParameters, pairs):
+def scored_chunks(params: ModelParameters, pairs, out: Optional[np.ndarray] = None):
     """(start, probs) for each chunk of the (m, 2) pairs (i, j) in order, probs (rows, K).
 
     The pairs are split into the fewest near-equal chunks of at most
@@ -156,21 +156,24 @@ def scored_chunks(params: ModelParameters, pairs):
     many pairs there are, and beyond one chunk each has at least half of
     SCORE_CHUNK_ROWS: BLAS may take another kernel path, with other
     rounding, for a handful of rows. Every scored pair set is chunked here.
+    Given an (m, K) out, each chunk is scored into its rows of out and
+    probs is that view; otherwise each chunk is a new array.
     """
     ends = pair_rows(pairs, width=2)
     m = len(ends)
     n_chunks = max(1, -(-m // SCORE_CHUNK_ROWS))
     bounds = [m * c // n_chunks for c in range(n_chunks + 1)]
     for start, stop in zip(bounds, bounds[1:]):
-        yield start, predict_batch(params, ends[start:stop, 0], ends[start:stop, 1])
+        rows = None if out is None else out[start:stop]
+        yield start, predict_batch(params, ends[start:stop, 0], ends[start:stop, 1], rows)
 
 
 def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
-    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K), scored by scored_chunks."""
+    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K), scored by scored_chunks in place."""
     ends = pair_rows(pairs, width=2)
     probs = np.empty((len(ends), params.n_classes), dtype=np.float64)
-    for start, chunk in scored_chunks(params, ends):
-        probs[start:start + len(chunk)] = chunk
+    for _ in scored_chunks(params, ends, probs):
+        pass
     return probs
 
 
@@ -216,12 +219,18 @@ def _shuffled_classes(labels: np.ndarray, seed: int):
 
 
 def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
-    """Fold index per item: seeded shuffle within class, round-robin to folds."""
+    """Fold index per item: seeded shuffle within class, round-robin to folds.
+
+    Every class is dealt from fold 0, so fold f gets a pair only from a
+    class of more than f pairs: a largest class smaller than k is refused.
+    """
     y = np.asarray(labels, dtype=np.int64)
     if k < 2:
         raise InvalidConfigError("k must be >= 2")
-    if y.size < k:
-        raise TooFewPairsError(f"{y.size} pairs cannot fill {k} folds")
+    largest = int(np.unique(y, return_counts=True)[1].max(initial=0))
+    if largest < k:
+        raise TooFewPairsError(f"the largest class has {largest} pairs, fewer than k = {k}: "
+                               f"fold {largest} would be empty")
     folds = np.empty(y.size, dtype=np.int64)
     for members in _shuffled_classes(y, seed):
         folds[members] = np.arange(members.size) % k

@@ -189,6 +189,24 @@ def test_split_without_test_pairs_is_refused_before_training(tmp_path, capsys, m
     assert calls == []
 
 
+def test_fold_left_empty_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    # classes of 2, 2, 2, 1, 1 and 1 edges: 5 folds dealt round-robin from fold 0
+    # would leave folds 2, 3 and 4 empty
+    edges = [("D1", "D2", 1), ("D1", "D3", 1), ("D2", "D3", 2), ("D2", "D4", 2), ("D3", "D4", 3),
+             ("D3", "D5", 3), ("D4", "D5", 4), ("D4", "D6", 5), ("D5", "D6", 6)]
+    path = tmp_path / "t0.tsv"
+    path.write_text("".join(f"{a}\t{b}\t{c}\n" for a, b, c in edges))
+    calls = []
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert main(["evaluate", "holdout", "--interactions", str(path), "--k", "5",
+                 "--dim", "8", "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: TooFewPairsError: the largest class has 2 pairs, fewer than k = 5: "
+                   "fold 2 would be empty\n")
+    assert calls == []
+
+
 def test_gridsearch_cli(synth_files, tmp_path, capsys):
     t0, _, _ = synth_files
     grid = tmp_path / "grid.txt"

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,27 @@ class TestBackward:
         assert any(not np.array_equal(a, c) for a, c in zip(g_a.arrays(), g_c.arrays()))
         with pytest.raises(InvalidConfigError):
             backward(params, I, J, T, w, dropout=0.5)
+
+    def test_scatter_runs_beside_the_gradients_only(self):
+        # the paper's step (572 drugs, 65 classes, d = 512, B = 256, dropout
+        # 0.3): the forward arrays are dropped before the embedding rows are
+        # scattered, so the peak is dE, the gradient vector and the scatter's
+        # accumulator and one round of rows, each at most (distinct drugs, d)
+        n, K, d, B = 572, 65, 512, 256
+        rng = np.random.default_rng(45)
+        params = random_model(rng, n=n, d=d, K=K)
+        I, J, T, w = random_batch(rng, params, size=B)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, grads = backward(params, I, J, T, w, 0.3, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        distinct = np.unique(np.concatenate([I, J])).size
+        # and a few (B, K) arrays; keeping Ei, Ej, h and dh through the
+        # scatter adds 4 MB
+        assert peak <= 2 * B * d * 8 + grads.flat.nbytes + 2 * distinct * d * 8 + 4 * B * K * 8, peak
 
 
 class TestAdam:

@@ -110,6 +110,26 @@ class TestStratifiedKfold:
         with pytest.raises(InvalidConfigError):
             stratified_kfold([0, 1, 2], k=1, seed=0)
 
+    @pytest.mark.parametrize("labels", [[1, 1, 2, 2, 3, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6], []])
+    def test_fold_left_empty_is_refused(self, labels):
+        # each class is dealt from fold 0, so no class of 5 pairs leaves fold 4 empty
+        largest = max(np.bincount(labels), default=0)
+        with pytest.raises(TooFewPairsError, match=f"the largest class has {largest} pairs, "
+                                                   f"fewer than k = 5: fold {largest} would be empty"):
+            stratified_kfold(labels, k=5, seed=0)
+        if largest >= 2:
+            folds = stratified_kfold(labels, k=largest, seed=0)
+            assert np.bincount(folds, minlength=largest).min() >= 1
+
+    def test_holdout_with_an_empty_fold_trains_nothing(self, monkeypatch):
+        g = build_graph(6, 7, "holdout", [(0, 1, 1), (0, 2, 1), (1, 2, 2), (1, 3, 2), (2, 3, 3),
+                                          (2, 4, 3), (3, 4, 4), (3, 5, 5), (4, 5, 6)])
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+        with pytest.raises(TooFewPairsError, match="fewer than k = 5"):
+            holdout_evaluate(g, quick_hp(), k=5, seed=0)
+        assert calls == []
+
 
 class TestTrain:
     def test_two_drug_instance_converges(self):
@@ -481,9 +501,11 @@ def test_chunked_scoring_equals_one_batch(m):
 def test_scoring_chunk_holds_one_embedding_array():
     # one SCORE_CHUNK_ROWS chunk at d = 512 scores to the bytes of the two-array
     # form (h = E[i]; h *= E[j]) while holding one (rows, d) array: the j rows
-    # are multiplied in one PAIR_CHUNK_ROWS step at a time
+    # are multiplied in one PAIR_CHUNK_ROWS step at a time. At the paper's 65
+    # classes it holds one (rows, K) array too: the logits are written into
+    # the result's rows and normalized there
     rng = np.random.default_rng(44)
-    n, K, d, m = 200, 5, 512, SCORE_CHUNK_ROWS
+    n, K, d, m = 200, 65, 512, SCORE_CHUNK_ROWS
     params = init_model(n, K, quick_hp(embedding_dim=d), rng=rng)
     i = rng.integers(0, n, m)
     j = (i + rng.integers(1, n, m)) % n
@@ -496,9 +518,8 @@ def test_scoring_chunk_holds_one_embedding_array():
     finally:
         tracemalloc.stop()
     rows_d = m * d * 8
-    # a step of the j rows, and the result, logits, probabilities and a few
-    # (rows,) vectors
-    assert peak <= rows_d + PAIR_CHUNK_ROWS * d * 8 + 4 * m * K * 8 + 8 * m * 8, peak
+    # a step of the j rows, the result and a few (rows,) vectors
+    assert peak <= rows_d + PAIR_CHUNK_ROWS * d * 8 + m * K * 8 + 8 * m * 8, peak
     h = params.embeddings[i]
     h *= params.embeddings[j]
     logits = h @ params.class_proj.T
