@@ -93,6 +93,14 @@ class InvalidConfigError(AmfpmcError):
     """A configuration value violates its documented range."""
 
 
+class VocabularyError(InvalidConfigError):
+    """A class vocabulary breaks a rule of its file format at class class_id."""
+
+    def __init__(self, class_id: int, message: str):
+        self.class_id = class_id
+        super().__init__(message)
+
+
 class ParseError(AmfpmcError):
     """Malformed line in an input file; carries the 1-based line number."""
 

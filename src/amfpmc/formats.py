@@ -19,22 +19,16 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyInputError,
     FormatError,
     InvalidConfigError,
     InvalidDimensionsError,
     ParseError,
+    VocabularyError,
 )
-from .graph import RETROSPECTIVE, Roster, TypedInteractionGraph, check_dimensions, check_mode
+from .graph import Roster, TypedInteractionGraph, check_dimensions, check_mode
 from .metrics import MultiClassReport, _by_support
 from .model import Hyperparameters, ModelParameters, check_model_dimensions, parameter_shapes
-from .phrases import (
-    NO_INTERACTION_MARKER,
-    OTHER_MARKER,
-    ClassVocabulary,
-    InteractionSentence,
-    KeywordPhrase,
-)
+from .phrases import ClassVocabulary, InteractionSentence
 from .pipeline import GRID_FIELDS, GridSpec
 
 MODEL_MAGIC = "AMFPMC1"
@@ -494,10 +488,8 @@ def write_vocabulary(vocab: ClassVocabulary, path: str) -> None:
 def read_vocabulary(path: str) -> ClassVocabulary:
     """A vocabulary as write_vocabulary writes it, refused otherwise with the offending line.
 
-    Data line k carries class k and a count of at least 0. A retrospective
-    file has NO_INTERACTION_MARKER on its first line and OTHER_MARKER on its
-    last, a holdout file neither, and every other line holds a phrase of at
-    least one token that no earlier line holds.
+    Data line k carries class k and an integer count; the ClassVocabulary
+    constructor checks the rest, and its refusal of class k names line k.
     """
     lines = _data_lines(path)
     first = next(lines, None)
@@ -520,30 +512,13 @@ def read_vocabulary(path: str) -> ClassVocabulary:
             raise ParseError(path, line_no, "index and count must be integers") from None
         if idx != len(rows):
             raise ParseError(path, line_no, f"class index {idx} where {len(rows)} is due")
-        if cnt < 0:
-            raise ParseError(path, line_no, f"negative count {cnt}")
         rows.append((line_no, cols[1].strip(), cnt))
-    if not rows:
-        raise FormatError(f"{path}: no class lines")
-    markers = {0: NO_INTERACTION_MARKER, len(rows) - 1: OTHER_MARKER} if mode == RETROSPECTIVE else {}
-    labels: list[str] = []
-    class_of: dict[KeywordPhrase, int] = {}
-    for idx, (line_no, label, _) in enumerate(rows):
-        due = markers.get(idx)
-        if (due or label in (NO_INTERACTION_MARKER, OTHER_MARKER)) and label != due:
-            raise ParseError(path, line_no, f"class {idx} of a {mode} vocabulary must be "
-                             f"{repr(due) if due else 'a phrase'}, got {label!r}")
-        if not due:
-            try:
-                phrase = KeywordPhrase.from_text(label)
-            except EmptyInputError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            first = class_of.setdefault(phrase, idx)
-            if first != idx:
-                raise ParseError(path, line_no, f"phrase {label!r} repeats the phrase of class {first}")
-            label = phrase.text
-        labels.append(label)
-    return ClassVocabulary(mode, labels, [cnt for _, _, cnt in rows])
+    try:
+        return ClassVocabulary(mode, [label for _, label, _ in rows], [cnt for _, _, cnt in rows])
+    except VocabularyError as exc:
+        raise ParseError(path, rows[exc.class_id][0], str(exc)) from None
+    except InvalidConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # -- report persistence --------------------------------------------------------

@@ -37,9 +37,8 @@ NO_INTERACTION = 0
 #: class index must not size them (2**26 float64 cells are 512 MiB).
 MAX_NODE_CLASS_CELLS = 2**26
 
-#: Rows per step when a (pairs, n_classes) or (pairs, d) matrix is filled or
-#: updated in place; any value gives the same bits, and no temporary grows
-#: beyond one step.
+#: Most rows per row_chunks slice, so a chunk of a pair array holds
+#: (rows, d) and (rows, n_classes) temporaries of at most this many rows.
 PAIR_CHUNK_ROWS = 1024
 
 
@@ -95,8 +94,14 @@ def check_dimensions(n_drugs: int, n_classes: int) -> None:
 
 
 def row_chunks(m: int):
-    """Slices of PAIR_CHUNK_ROWS consecutive rows that cover rows 0..m-1 in order."""
-    return (slice(lo, lo + PAIR_CHUNK_ROWS) for lo in range(0, m, PAIR_CHUNK_ROWS))
+    """The fewest near-equal slices of at most PAIR_CHUNK_ROWS rows that cover rows 0..m-1 in order.
+
+    The one chunk rule for pair arrays. Beyond one slice each has at least
+    PAIR_CHUNK_ROWS // 2 rows: BLAS may take another kernel path, with other
+    rounding, for a handful of rows.
+    """
+    n = -(-m // PAIR_CHUNK_ROWS)
+    return (slice(m * c // n, m * (c + 1) // n) for c in range(n))
 
 
 def _integers(values) -> np.ndarray:
@@ -223,12 +228,8 @@ class TypedInteractionGraph:
         pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
         return np.where(keys[pos] == query, self._classes[pos], -1)
 
-    def lookup(self, a: int, b: int) -> Optional[int]:
-        c = int(self.edge_classes([a], [b])[0])
-        return None if c < 0 else c
-
     def has_edge(self, a: int, b: int) -> bool:
-        return self.lookup(a, b) is not None
+        return bool(self.edge_classes([a], [b])[0] >= 0)
 
     def edge_list(self) -> np.ndarray:
         """(num_edges, 3) int64 rows (i, j, class), i < j, in ascending (i, j) order."""

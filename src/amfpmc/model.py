@@ -29,7 +29,7 @@ from .errors import (
     InvalidDimensionsError,
     ShapeMismatchError,
 )
-from .graph import check_pairs, row_chunks
+from .graph import check_pairs
 from .propagation import check_alpha
 
 LOG_CLAMP = 1e-12
@@ -182,19 +182,11 @@ def _drop(x: np.ndarray, mask: np.ndarray, dropout: float) -> None:
     x *= 1.0 / (1.0 - dropout)
 
 
-def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray,
-          out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(B, K) logits h @ W.T + c + u * pair_bias[:, None], summed in that order in out.
-
-    out defaults to a new array. The u * pair_bias products are formed one
-    row_chunks step at a time, so a scoring chunk holds no second (B, K)
-    array beside its logits.
-    """
-    logits = np.matmul(h, params.class_proj.T, out=out)
+def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.ndarray:
+    """(B, K) logits h @ W.T + c + u * pair_bias[:, None], summed in that order."""
+    logits = h @ params.class_proj.T
     logits += params.class_bias
-    for rows in row_chunks(len(logits)):
-        part = logits[rows]
-        part += params.bias_coupling * pair_bias[rows, None]
+    logits += params.bias_coupling * pair_bias[:, None]
     return logits
 
 
@@ -220,19 +212,16 @@ def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropou
     return Ei, Ej, masks, h, pair_bias, _head(params, h, pair_bias)
 
 
-def forward_batch(params: ModelParameters, i, j, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Inference logits for a batch of pairs, shape (B, K), in out; symmetric in (i, j).
+def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
+    """Inference logits for a batch of pairs, shape (B, K); symmetric in (i, j).
 
-    The j rows are multiplied into the i slot's gather one row_chunks step at
-    a time, so one (B, d) array is live, not three as in training.
+    The j rows are multiplied into the i slot's gather, so two (B, d) arrays
+    are live, not three as in training.
     """
     I, J = check_pairs(i, j, params.n_drugs)
-    E = params.embeddings
-    h = E[I]
-    for rows in row_chunks(I.size):
-        part = h[rows]
-        part *= E[J[rows]]
-    return _head(params, h, params.drug_bias[I] + params.drug_bias[J], out)
+    h = params.embeddings[I]
+    h *= params.embeddings[J]
+    return _head(params, h, params.drug_bias[I] + params.drug_bias[J])
 
 
 def predict(params: ModelParameters, i: int, j: int) -> np.ndarray:
@@ -240,13 +229,12 @@ def predict(params: ModelParameters, i: int, j: int) -> np.ndarray:
     return predict_batch(params, [i], [j])[0]
 
 
-def predict_batch(params: ModelParameters, i, j, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Softmax class distributions for a batch of pairs, shape (B, K), in out.
+def predict_batch(params: ModelParameters, i, j) -> np.ndarray:
+    """Softmax class distributions for a batch of pairs, shape (B, K).
 
-    out defaults to a new array; the logits are written there and
-    normalized in place, so no second (B, K) array is held.
+    The logits are normalized in place, so no second (B, K) array is held.
     """
-    logits = forward_batch(params, i, j, out)
+    logits = forward_batch(params, i, j)
     return softmax(logits, out=logits)
 
 

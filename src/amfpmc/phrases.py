@@ -23,6 +23,7 @@ from .errors import (
     InvalidConfigError,
     ParseError,
     UnknownPhraseError,
+    VocabularyError,
 )
 from .graph import RETROSPECTIVE, check_mode
 
@@ -151,23 +152,48 @@ def extract_phrase(
 class ClassVocabulary:
     """A class vocabulary as its file holds it: class k's label and count.
 
-    labels[k] is a phrase's canonical text, except in retrospective mode,
-    where class 0 is NO_INTERACTION_MARKER and the last class is
-    OTHER_MARKER, under which the phrases beyond top_n are grouped. Holdout
-    mode has no markers, and encoding a phrase it lacks raises
-    UnknownPhraseError.
+    labels[k] is a phrase's canonical text (KeywordPhrase.from_text), except
+    in retrospective mode, where class 0 is NO_INTERACTION_MARKER and the
+    last class is OTHER_MARKER, under which the phrases beyond top_n are
+    grouped. Holdout mode has no markers, and encoding a phrase it lacks
+    raises UnknownPhraseError.
+
+    The one home of the vocabulary file's rules: labels and counts of equal
+    length and at least one class (two in retrospective mode), else
+    InvalidConfigError; then, class by class, the markers where the mode
+    puts them and nowhere else, every phrase of at least one token and
+    distinct, and no count below 0, else VocabularyError naming the class.
     """
 
     def __init__(self, mode: str, labels: list[str], counts: list[int]):
         self.mode = check_mode(mode)
-        self.labels = list(labels)
-        self.counts = list(counts)
+        n = len(labels)
+        if n != len(counts):
+            raise InvalidConfigError(f"{n} labels but {len(counts)} counts")
         retro = self.mode == RETROSPECTIVE
-        self.other_class = len(self.labels) - 1 if retro else None
-        phrase_classes = range(1, self.other_class) if retro else range(len(self.labels))
-        self._by_key = {KeywordPhrase.from_text(self.labels[k]).key: k for k in phrase_classes}
-        if len(self._by_key) != len(phrase_classes):
-            raise InvalidConfigError("duplicate phrases in vocabulary")
+        least = 2 if retro else 1
+        if n < least:
+            raise InvalidConfigError(f"a {mode} vocabulary needs {least} or more classes, got {n}")
+        markers = {0: NO_INTERACTION_MARKER, n - 1: OTHER_MARKER} if retro else {}
+        self.other_class = n - 1 if retro else None
+        self.labels, self.counts = [], list(counts)
+        self._by_key: dict[tuple[str, ...], int] = {}
+        for k, (label, count) in enumerate(zip(labels, counts)):
+            due = markers.get(k)
+            if not due:
+                try:
+                    phrase = KeywordPhrase.from_text(label)
+                except EmptyInputError as exc:
+                    raise VocabularyError(k, str(exc)) from None
+                label, first = phrase.text, self._by_key.setdefault(phrase.key, k)
+            if label != due and (due or label in (NO_INTERACTION_MARKER, OTHER_MARKER)):
+                raise VocabularyError(k, f"class {k} of a {mode} vocabulary must be "
+                                         f"{repr(due) if due else 'a phrase'}, got {label!r}")
+            if not due and first != k:
+                raise VocabularyError(k, f"phrase {label!r} repeats the phrase of class {first}")
+            if count < 0:
+                raise VocabularyError(k, f"negative count {count}")
+            self.labels.append(label)
 
     @property
     def n_classes(self) -> int:

@@ -34,6 +34,7 @@ from .graph import (
     build_graph,
     check_pairs,
     pair_rows,
+    row_chunks,
 )
 from .metrics import MultiClassReport, _by_support, mean_report, multiclass_report
 from .model import (
@@ -50,10 +51,6 @@ from .propagation import _pair_totals, _target_rows, check_alpha, check_labels, 
 #: Full enumeration of the retrospective test universe is the default; only
 #: beyond this many pairs is a seeded subsample taken.
 DEFAULT_TEST_PAIR_CAP = 5_000_000
-
-#: Most rows per predict_batch call in scored_chunks; above every test set the
-#: benchmark scores, so those are scored in one piece.
-SCORE_CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -148,32 +145,24 @@ def train(
     return params
 
 
-def scored_chunks(params: ModelParameters, pairs, out: Optional[np.ndarray] = None):
-    """(start, probs) for each chunk of the (m, 2) pairs (i, j) in order, probs (rows, K).
+def scored_chunks(params: ModelParameters, pairs):
+    """(start, probs) for each graph.row_chunks slice of the (m, 2) pairs (i, j), in order.
 
-    The pairs are split into the fewest near-equal chunks of at most
-    SCORE_CHUNK_ROWS rows, so the (rows, d) temporaries stay bounded however
-    many pairs there are, and beyond one chunk each has at least half of
-    SCORE_CHUNK_ROWS: BLAS may take another kernel path, with other
-    rounding, for a handful of rows. Every scored pair set is chunked here.
-    Given an (m, K) out, each chunk is scored into its rows of out and
-    probs is that view; otherwise each chunk is a new array.
+    probs is the slice's (rows, K) distributions. Every scored pair set is
+    chunked here, so scoring holds one chunk's (rows, d) and (rows, K)
+    arrays however many pairs there are.
     """
     ends = pair_rows(pairs, width=2)
-    m = len(ends)
-    n_chunks = max(1, -(-m // SCORE_CHUNK_ROWS))
-    bounds = [m * c // n_chunks for c in range(n_chunks + 1)]
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = None if out is None else out[start:stop]
-        yield start, predict_batch(params, ends[start:stop, 0], ends[start:stop, 1], rows)
+    for rows in row_chunks(len(ends)):
+        yield rows.start, predict_batch(params, ends[rows, 0], ends[rows, 1])
 
 
 def score_pairs(params: ModelParameters, pairs) -> np.ndarray:
-    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K), scored by scored_chunks in place."""
+    """Prediction distributions for (B, 2) pairs (i, j), shape (B, K): each scored_chunks chunk copied in."""
     ends = pair_rows(pairs, width=2)
     probs = np.empty((len(ends), params.n_classes), dtype=np.float64)
-    for _ in scored_chunks(params, ends, probs):
-        pass
+    for start, chunk in scored_chunks(params, ends):
+        probs[start:start + len(chunk)] = chunk
     return probs
 
 

@@ -91,7 +91,7 @@ def neighborhood_distributions(graph: TypedInteractionGraph, I, J) -> np.ndarray
     When both endpoints of a pair are isolated its histogram is all-zero and
     the row falls back to the one-hot on the no-interaction class in
     retrospective mode, the uniform distribution in holdout mode. Built one
-    row_chunks step at a time, so no temporary grows beyond one step.
+    row_chunks chunk at a time, so no temporary grows beyond one chunk.
     """
     I, J = check_pairs(I, J, graph.n_drugs)
     dist = np.empty((I.size, graph.n_classes), dtype=np.float64)

@@ -14,7 +14,7 @@ from amfpmc import cli, formats, pipeline
 from amfpmc.cli import main
 from amfpmc.formats import read_model, read_vocabulary
 from amfpmc.graph import Roster
-from amfpmc.model import Hyperparameters, init_model
+from amfpmc.model import Hyperparameters, init_model, predict_batch
 from amfpmc.pipeline import holdout_evaluate
 from amfpmc.synth import SyntheticConfig
 
@@ -835,7 +835,7 @@ def _write_pairs(path, n_pairs, n=50, seed=0):
 
 @pytest.mark.parametrize("n_pairs", [16_384, 16_385, 24_575, 24_576, 40_000, 50_001])
 def test_predict_is_bitwise_one_piece_scoring(tmp_path, capsys, n_pairs):
-    # the chunk boundaries of score_pairs: one chunk, two, and three near-equal ones
+    # predict's 16 to 49 near-equal chunks give the bytes of scoring every pair in one piece
     model = _random_model(tmp_path)
     pairs = tmp_path / "pairs.tsv"
     ends = _write_pairs(pairs, n_pairs)
@@ -843,7 +843,7 @@ def test_predict_is_bitwise_one_piece_scoring(tmp_path, capsys, n_pairs):
     rc = main(["predict", "--model", str(model), "--pairs", str(pairs), "--top-k", "2",
                "--out", str(out)])
     assert rc == 0
-    probs = pipeline.score_pairs(read_model(str(model)), ends)
+    probs = predict_batch(read_model(str(model)), ends[:, 0], ends[:, 1])
     top = np.argsort(-probs, axis=1, kind="stable")[:, :2]
     values = np.take_along_axis(probs, top, axis=1)
     expected = "".join(
@@ -884,9 +884,10 @@ def test_predict_without_data_lines_writes_nothing(tmp_path, capsys):
 
 
 #: What predict's traced peak may grow by beyond 16 bytes of codes per added pair:
-#: its chunks hold 15,000 rows at 120,000 pairs against 13,334 at 40,000 (0.66 MB
-#: measured at d=8, K=5, --top-k 1; holding every pair whole grew by 35 MB).
-PREDICT_SLACK_BYTES = 1 << 20
+#: its chunks hold at most 1,017 rows at 120,000 pairs and 1,000 at 40,000 (10 KB
+#: measured at d=8, K=5, --top-k 1; chunks of up to 16,384 rows grew by 0.82 MB,
+#: holding every pair whole by 35 MB).
+PREDICT_SLACK_BYTES = 1 << 16
 
 
 def test_predict_memory_grows_only_by_the_pair_codes(tmp_path, capsys):

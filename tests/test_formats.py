@@ -100,7 +100,7 @@ class TestInteractionsParsing:
         g = graph_from_index_records(parse_interactions_file(str(p), "indices"), "holdout")
         assert g.roster.external_ids == ["DA", "DM", "DZ"]
         assert g.n_classes == 3
-        assert g.lookup(g.roster.index_of("DZ"), g.roster.index_of("DA")) == 1
+        assert g.edge_classes(g.roster.index_of("DZ"), g.roster.index_of("DA")).tolist() == [1]
 
     def test_graph_interactions_file_roundtrip(self, tmp_path):
         data = generate_synthetic(SyntheticConfig(n_drugs=20, n_blocks=2, n_classes=4,
@@ -791,6 +791,39 @@ class TestVocabularyFile:
         assert (tmp_path / "back.tsv").read_text() == (
             "mode\tretrospective\n0\t<no-interaction>\t0\n"
             "1\tdecreased metabolism\t7\n2\t<other>\t1\n")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_built_vocabulary_round_trips(self, tmp_path, seed):
+        # phrases over extract's token characters and '#', token order shuffled,
+        # under several groupings of each mode
+        rng = np.random.default_rng(seed)
+        tokens = ["".join(rng.choice(list("abz09'-#é"), rng.integers(1, 4))) for _ in range(10)]
+        pool = [tuple(rng.choice(tokens, rng.integers(1, 4))) for _ in range(8)]
+        phrases = [KeywordPhrase(tuple(rng.permutation(pool[k]))) for k in rng.integers(0, 8, 40)]
+        vocabs = [build_vocabulary(phrases, "retrospective", top_n=n) for n in (1, 3, 100)]
+        vocabs += [build_vocabulary(phrases, "holdout", min_count=n) for n in (1, 2)]
+        path = tmp_path / "vocab.tsv"
+        for vocab in vocabs:
+            write_vocabulary(vocab, str(path))
+            back = read_vocabulary(str(path))
+            assert (back.mode, back.labels, back.counts) == (vocab.mode, vocab.labels, vocab.counts)
+            assert back.other_class == vocab.other_class
+            for k, label in enumerate(back.labels):
+                if back.decode(k) is not None:
+                    assert back.encode(back.decode(k)) == vocab.encode(KeywordPhrase.from_text(label)) == k
+
+    @pytest.mark.parametrize("lines, error, message", [
+        # read as the phrase '<other>' and written back so, refused on the next read
+        (["holdout", "0\ta b\t1", "1\t<OTHER>\t1"], ParseError, ":3: class 1 of a holdout "
+         "vocabulary must be a phrase, got '<other>'"),
+        (["retrospective", "0\t<other>\t0"], FormatError, "needs 2 or more classes, got 1"),
+        (["holdout"], FormatError, "needs 1 or more classes, got 0"),
+    ], ids=["phrase-folding-to-a-marker", "one-class-retrospective", "no-class"])
+    def test_refusals_of_the_vocabulary_rules_name_the_file(self, tmp_path, lines, error, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("\n".join([f"mode\t{lines[0]}"] + lines[1:]) + "\n")
+        with pytest.raises(error, match=re.escape(f"{path}") + ".*" + re.escape(message)):
+            read_vocabulary(str(path))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vocab.tsv"

@@ -10,14 +10,20 @@ from amfpmc.errors import (
     ShapeMismatchError,
     UnknownDrugError,
 )
-from amfpmc.graph import MAX_NODE_CLASS_CELLS, Roster, TypedInteractionGraph, build_graph
+from amfpmc.graph import (
+    MAX_NODE_CLASS_CELLS,
+    PAIR_CHUNK_ROWS,
+    Roster,
+    TypedInteractionGraph,
+    build_graph,
+    row_chunks,
+)
 from amfpmc.propagation import neighborhood_distributions
 
 
 def test_add_and_symmetric_lookup():
     g = TypedInteractionGraph(6, 8, "holdout", [(1, 5, 4)])
-    assert g.lookup(5, 1) == 4
-    assert g.lookup(1, 5) == 4
+    assert g.edge_classes([5, 1], [1, 5]).tolist() == [4, 4]
     assert g.num_edges == 1
 
 
@@ -41,7 +47,20 @@ def test_self_loop_and_unknown_drug():
         TypedInteractionGraph(3, 4, "holdout", [(0.5, 1, 2)])
     g = TypedInteractionGraph(3, 4, "holdout")
     with pytest.raises(UnknownDrugError):
-        g.lookup(0, -1)
+        g.has_edge(0, -1)
+
+
+@pytest.mark.parametrize("m", [0, 1, 511, 1_023, 1_024, 1_025, 1_536, 2_048, 2_049, 2_559, 40_000])
+def test_row_chunks_are_the_fewest_near_equal_slices(m):
+    chunks = list(row_chunks(m))
+    sizes = [c.stop - c.start for c in chunks]
+    assert len(chunks) == -(-m // PAIR_CHUNK_ROWS)
+    assert all(size <= PAIR_CHUNK_ROWS for size in sizes)
+    if len(chunks) > 1:
+        assert min(sizes) >= PAIR_CHUNK_ROWS // 2 and max(sizes) - min(sizes) <= 1
+    # rows 0..m-1, in order, each once
+    stops = [0] + [c.stop for c in chunks]
+    assert [c.start for c in chunks] == stops[:-1] and stops[-1] == m
 
 
 def test_node_class_cells_are_bounded():
@@ -56,7 +75,7 @@ def test_node_class_cells_are_bounded():
 
 def test_class_validation_per_mode():
     g = TypedInteractionGraph(3, 4, "holdout", [(0, 1, 0)])  # class 0 is a real interaction in holdout mode
-    assert g.lookup(0, 1) == 0
+    assert g.edge_classes([0], [1]).tolist() == [0]
     with pytest.raises(InvalidClassError):
         TypedInteractionGraph(3, 4, "holdout", [(0, 2, 4)])
     with pytest.raises(InvalidClassError):
@@ -65,7 +84,7 @@ def test_class_validation_per_mode():
 
 def test_missing_pair_lookup_is_none():
     g = build_graph(6, 8, "holdout", [(1, 5, 4)])
-    assert g.lookup(2, 3) is None
+    assert g.edge_classes([2], [3]).tolist() == [-1]
     assert not g.has_edge(2, 3) and g.has_edge(5, 1)
 
 
@@ -142,8 +161,8 @@ def test_property_reversed_requery_matches():
     rng = np.random.default_rng(0)
     for _ in range(10):
         g = _random_graph(rng)
-        for i, j, c in g.edge_list():
-            assert g.lookup(j, i) == c
+        i, j, c = g.edge_list().T
+        assert g.edge_classes(j, i).tolist() == c.tolist()
 
 
 def test_property_degree_sum_is_twice_edges():
@@ -275,7 +294,7 @@ def test_edge_classes_and_lookup_match_brute_force():
         brute = [stored.get((min(a, b), max(a, b)), -1) for a, b in zip(I.tolist(), J.tolist())]
         assert g.edge_classes(I, J).tolist() == brute
         for a, b, c in zip(I.tolist(), J.tolist(), brute):
-            assert g.lookup(a, b) == (None if c < 0 else c)
+            assert g.has_edge(a, b) == (c >= 0)
     empty = TypedInteractionGraph(3, 2, "holdout")
     assert empty.edge_classes([0, 1], [1, 2]).tolist() == [-1, -1]
 

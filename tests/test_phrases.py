@@ -180,11 +180,34 @@ class TestVocabulary:
         assert [holdout.encode(holdout.decode(idx)) for idx in range(3)] == [0, 1, 2]
 
     def test_repeated_phrase_refused(self):
-        with pytest.raises(InvalidConfigError, match="duplicate phrases"):
+        with pytest.raises(InvalidConfigError, match="repeats the phrase of class 0"):
             ClassVocabulary("holdout", ["beta two", "two beta"], [1, 1])
-        with pytest.raises(InvalidConfigError, match="duplicate phrases"):
+        with pytest.raises(InvalidConfigError, match="repeats the phrase of class 1"):
             ClassVocabulary("retrospective", ["<no-interaction>", "a b", "b a", "<other>"],
                             [0, 1, 1, 0])
+
+    @pytest.mark.parametrize("mode, labels, counts, class_id, message", [
+        ("retrospective", ["a b", "c d", "e f"], [0, 1, 1], 0, "must be '<no-interaction>'"),
+        ("holdout", ["<other>", "c d"], [1, 1], 0, "must be a phrase, got '<other>'"),
+        ("holdout", ["a b", "c d"], [1, -4], 1, "negative count -4"),
+        # every phrase would be encoded as class 0, no interaction
+        ("retrospective", ["<no-interaction>"], [0], None, "needs 2 or more classes, got 1"),
+        # zip would write one class
+        ("holdout", ["a b", "c d"], [1], None, "2 labels but 1 counts"),
+        # a phrase that reads as a marker, and one a file line cannot hold
+        ("holdout", ["a b", "<OTHER>"], [1, 1], 1, "must be a phrase, got '<other>'"),
+        ("holdout", ["a b", "\t \n"], [1, 1], 1, "at least one token"),
+    ], ids=["retrospective-without-markers", "marker-in-holdout", "negative-count",
+            "one-class-retrospective", "fewer-counts", "marker-after-folding", "blank-phrase"])
+    def test_what_the_file_refuses_is_refused(self, mode, labels, counts, class_id, message):
+        with pytest.raises(InvalidConfigError, match=message) as err:
+            ClassVocabulary(mode, labels, counts)
+        assert getattr(err.value, "class_id", None) == class_id
+
+    def test_labels_are_canonical_text(self):
+        vocab = ClassVocabulary("holdout", [" Decreased\tMETABOLISM ", "a b"], [2, 1])
+        assert vocab.labels == ["decreased metabolism", "a b"]
+        assert vocab.encode(P("metabolism decreased")) == 0
 
     def test_grouping_arguments_validated(self):
         with pytest.raises(InvalidConfigError):

@@ -26,7 +26,6 @@ from amfpmc.metrics import multiclass_report
 from amfpmc.model import Hyperparameters, init_model, predict_batch, softmax
 from amfpmc.propagation import propagate_targets
 from amfpmc.pipeline import (
-    SCORE_CHUNK_ROWS,
     GridSpec,
     attach_targets,
     baseline_majority,
@@ -442,7 +441,7 @@ class TestRetrospectiveSplit:
         t0, t1 = two_snapshots()
         split = retrospective_split(t0, t1, negative_ratio=1.0, seed=0)
         for i, j, _ in split.test_items:
-            assert t0.lookup(i, j) is None
+            assert not t0.has_edge(i, j)
 
     def test_identical_snapshots_give_zero_truths(self):
         t0, _ = two_snapshots()
@@ -486,8 +485,7 @@ class TestRetrospectiveSplit:
             )
 
 
-@pytest.mark.parametrize("m", [SCORE_CHUNK_ROWS - 1, SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 1,
-                               2 * SCORE_CHUNK_ROWS + SCORE_CHUNK_ROWS // 2 - 1])
+@pytest.mark.parametrize("m", [1_023, 1_024, 1_025, 2_559, 40_000])
 def test_chunked_scoring_equals_one_batch(m):
     # holds on a BLAS build whose row results do not depend on the row count
     rng = np.random.default_rng(m)
@@ -499,13 +497,11 @@ def test_chunked_scoring_equals_one_batch(m):
 
 
 def test_scoring_chunk_holds_one_embedding_array():
-    # one SCORE_CHUNK_ROWS chunk at d = 512 scores to the bytes of the two-array
-    # form (h = E[i]; h *= E[j]) while holding one (rows, d) array: the j rows
-    # are multiplied in one PAIR_CHUNK_ROWS step at a time. At the paper's 65
-    # classes it holds one (rows, K) array too: the logits are written into
-    # the result's rows and normalized there
+    # at d = 512 and the paper's 65 classes, scoring holds the (m, K) result
+    # and one row_chunks chunk's arrays, not one (m, d) array, and gives the
+    # bytes of scoring the pairs in one piece
     rng = np.random.default_rng(44)
-    n, K, d, m = 200, 65, 512, SCORE_CHUNK_ROWS
+    n, K, d, m = 200, 65, 512, 16_384
     params = init_model(n, K, quick_hp(embedding_dim=d), rng=rng)
     i = rng.integers(0, n, m)
     j = (i + rng.integers(1, n, m)) % n
@@ -517,9 +513,9 @@ def test_scoring_chunk_holds_one_embedding_array():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    rows_d = m * d * 8
-    # a step of the j rows, the result and a few (rows,) vectors
-    assert peak <= rows_d + PAIR_CHUNK_ROWS * d * 8 + m * K * 8 + 8 * m * 8, peak
+    # the result; a chunk's i rows, the j rows multiplied into them, its
+    # logits and one (rows, K) temporary; and a few (rows,) vectors
+    assert peak <= m * K * 8 + PAIR_CHUNK_ROWS * (2 * d + 2 * K + 8) * 8, peak
     h = params.embeddings[i]
     h *= params.embeddings[j]
     logits = h @ params.class_proj.T
