@@ -86,7 +86,7 @@ def _add_hp_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _hp_from_args(args: argparse.Namespace) -> Hyperparameters:
-    return Hyperparameters(**_fields(args, _HP_FLAGS), balance_classes=not args.no_balance).validate()
+    return Hyperparameters(**_fields(args, _HP_FLAGS), balance_classes=not args.no_balance)
 
 
 def _grid_point_text(hp: Hyperparameters) -> str:
@@ -153,6 +153,14 @@ def _read_graphs(paths, mode: str, n_classes: Optional[int]):
     return [formats.graph_from_index_records(rec, mode, n_classes) for rec in records]
 
 
+def _training_rows(graph, seed: int) -> np.ndarray:
+    """The (i, j, label) rows train and gridsearch fit: the graph's edges, and in retrospective
+    mode the sampled no-interaction pairs evaluate retrospective adds to them, drawn the same way."""
+    if graph.mode == HOLDOUT:
+        return graph.edge_list()
+    return retrospective_split(graph, graph, seed=seed, test_pair_cap=1).train_items
+
+
 def _emit_report(report, args, class_names=None) -> None:
     sys.stdout.write(formats.format_report_text(report, class_names))
     if args.report:
@@ -196,7 +204,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     hp = _hp_from_args(args)
     [graph] = _read_graphs([args.interactions], args.mode, args.classes)
-    params = train(attach_targets(graph.edge_list(), graph, hp.alpha),
+    params = train(attach_targets(_training_rows(graph, args.seed), graph, hp.alpha),
                    hp, graph.n_drugs, graph.n_classes)
     if not np.all(np.isfinite(params.flat)):
         raise NonFiniteError("trained parameters are not finite (did training diverge?)")
@@ -248,7 +256,7 @@ def cmd_gridsearch(args) -> int:
     [graph] = _read_graphs([args.interactions], args.mode, args.classes)
     grid = formats.parse_grid_file(args.grid)
     best, results = grid_search(
-        graph.edge_list(),
+        _training_rows(graph, args.seed),
         graph.n_drugs,
         graph.n_classes,
         args.mode,

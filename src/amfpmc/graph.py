@@ -176,7 +176,6 @@ class TypedInteractionGraph:
         self.roster = roster
         self._keys, self._classes = self._stored_edges(pair_rows(edges))
         self._node_counts: Optional[np.ndarray] = None
-        self._degrees: Optional[np.ndarray] = None
 
     def _stored_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ascending unique keys of rows and their classes.
@@ -247,12 +246,6 @@ class TypedInteractionGraph:
             cells = np.concatenate([self._keys // n, self._keys % n]) * K + np.tile(self._classes, 2)
             self._node_counts = np.bincount(cells, minlength=n * K).reshape(n, K).astype(np.float64)
         return self._node_counts
-
-    def node_degrees(self) -> np.ndarray:
-        """(n_drugs,) float64 count of incident edges, cached: the row sums of node_class_counts."""
-        if self._degrees is None:
-            self._degrees = self.node_class_counts().sum(axis=1)
-        return self._degrees
 
 
 def build_graph(

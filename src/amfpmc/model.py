@@ -40,9 +40,13 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 15
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparameters:
-    """Training knobs; defaults follow the tuned holdout configuration."""
+    """Training knobs; defaults follow the tuned holdout configuration.
+
+    Checked when built, by the constructor or dataclasses.replace, so every
+    instance is valid.
+    """
 
     embedding_dim: int = 512
     dropout: float = 0.3
@@ -53,7 +57,7 @@ class Hyperparameters:
     seed: int = 0
     balance_classes: bool = True
 
-    def validate(self) -> "Hyperparameters":
+    def __post_init__(self):
         if self.embedding_dim < 1:
             raise InvalidDimensionsError("embedding_dim must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -67,7 +71,6 @@ class Hyperparameters:
         check_alpha(self.alpha)
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
 
 
 def parameter_shapes(n_drugs: int, n_classes: int, embedding_dim: int) -> list[tuple[int, ...]]:
@@ -113,9 +116,6 @@ class ModelParameters:
     def arrays(self) -> list[np.ndarray]:
         return [self.embeddings, self.drug_bias, self.class_proj, self.class_bias, self.bias_coupling]
 
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(self.n_drugs, self.n_classes, self.embedding_dim, self.flat.copy())
-
 
 @dataclass
 class OptimizerState:
@@ -148,7 +148,6 @@ def init_model(
 ) -> ModelParameters:
     """Seeded initialization: E, W uniform on +-1/sqrt(d); b, c zero; u one."""
     check_model_dimensions(n_drugs, n_classes, hp.embedding_dim)
-    hp.validate()
     if rng is None:
         rng = np.random.default_rng(hp.seed)
     d = hp.embedding_dim

@@ -118,9 +118,9 @@ def extract_phrase(
 ) -> KeywordPhrase:
     """Deterministic sentence-to-phrase reduction.
 
-    Both drug surface forms (and the generic "Drug a"/"Drug b" placeholders)
-    are removed, stop words dropped, direction verbs normalized through the
-    verb table with the first one moved to the front.
+    Both drug surface forms (and the generic placeholders, InteractionSentence's
+    defaults) are removed, stop words dropped, direction verbs normalized
+    through the verb table with the first one moved to the front.
     """
     if not sentence.text.strip():
         raise EmptyInputError("empty sentence")
@@ -128,7 +128,8 @@ def extract_phrase(
     verb_forms = load_verb_forms() if verb_forms is None else verb_forms
 
     text = sentence.text
-    for surface in (sentence.drug_a_surface, sentence.drug_b_surface, "Drug a", "Drug b"):
+    for surface in (sentence.drug_a_surface, sentence.drug_b_surface,
+                    InteractionSentence.drug_a_surface, InteractionSentence.drug_b_surface):
         if surface and surface.strip():
             text = re.sub(re.escape(surface), " ", text, flags=re.IGNORECASE)
 
@@ -206,13 +207,6 @@ class ClassVocabulary:
         if self.mode == RETROSPECTIVE:
             return self.other_class
         raise UnknownPhraseError(f"phrase {phrase.text!r} not in holdout vocabulary")
-
-    def decode(self, class_id: int) -> Optional[KeywordPhrase]:
-        """Phrase of a class; None for the two marker classes."""
-        label = self.labels[class_id]
-        if label in (NO_INTERACTION_MARKER, OTHER_MARKER):
-            return None
-        return KeywordPhrase.from_text(label)
 
 
 def check_grouping(mode: str, top_n: Optional[int] = None, min_count: Optional[int] = None) -> None:

@@ -46,7 +46,8 @@ from .model import (
     init_model,
     predict_batch,
 )
-from .propagation import _pair_totals, _target_rows, check_alpha, check_labels, neighborhood_distributions
+from .propagation import (_blend_labels, _distribution_rows, check_alpha, check_labels,
+                          neighborhood_distributions)
 
 #: Full enumeration of the retrospective test universe is the default; only
 #: beyond this many pairs is a seeded subsample taken.
@@ -57,25 +58,27 @@ DEFAULT_TEST_PAIR_CAP = 5_000_000
 class LabeledPairs:
     """A training set: (m, 3) rows (i, j, label) with i < j, and what their soft targets are propagated from.
 
-    own[r] is the class the graph stores for row r's pair (-1 if none) and
-    total[r] the sum of its class histogram; targets(idx) builds the rows idx
-    asks for, so no (m, n_classes) matrix is held. Build it with
-    attach_targets, which checks the rows once.
+    own[r] is the class the graph stores for row r's pair (-1 if none);
+    targets(idx) builds the rows idx asks for, so no (m, n_classes) matrix
+    is held. Build it with attach_targets, which checks the rows once.
     """
 
     items: np.ndarray
     graph: TypedInteractionGraph
     alpha: float
     own: np.ndarray
-    total: np.ndarray
 
     def __len__(self) -> int:
         return len(self.items)
 
     def targets(self, idx) -> np.ndarray:
-        """(len(idx), n_classes) targets of the rows idx, in that order."""
+        """(len(idx), n_classes) targets of the rows idx, in that order, with no check.
+
+        Row r depends on row r alone, so any subset of rows, in any order,
+        gets the bits of the same rows of propagate_targets over all of them.
+        """
         I, J, labels = self.items[idx].T
-        return _target_rows(self.graph, I, J, self.own[idx], self.total[idx], labels, self.alpha)
+        return _blend_labels(_distribution_rows(self.graph, I, J, self.own[idx]), labels, self.alpha)
 
 
 def _canonical_rows(items) -> np.ndarray:
@@ -90,15 +93,14 @@ def attach_targets(items, graph: TypedInteractionGraph, alpha: float) -> Labeled
 
     The graph passed here decides what the propagation can see; hand it the
     training-fold graph, never the full one. alpha, the labels and the drug
-    indices are checked and each row's own edge and histogram sum are found
-    here, once, so train builds each batch's targets with no check or lookup.
+    indices are checked and each row's own edge is found here, once, so train
+    builds each batch's targets with no check or lookup.
     """
     rows = _canonical_rows(items)
     alpha = check_alpha(alpha)
     check_labels(rows[:, 2], graph.n_classes)
     I, J = check_pairs(rows[:, 0], rows[:, 1], graph.n_drugs)
-    own = graph.edge_classes(I, J)
-    return LabeledPairs(rows, graph, alpha, own, _pair_totals(graph, I, J, own))
+    return LabeledPairs(rows, graph, alpha, graph.edge_classes(I, J))
 
 
 def one_hot_pairs(items, n_classes: int) -> LabeledPairs:
@@ -120,7 +122,6 @@ def train(
     targets are pairs.targets of its rows (build the pairs with
     attach_targets on the training graph).
     """
-    hp.validate()
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
     I, J, labels = pairs.items.T
@@ -444,12 +445,12 @@ class GridSpec:
                 raise EmptyGridError(f"grid dimension {name!r} is empty")
 
     def candidates(self, base: Hyperparameters) -> list[Hyperparameters]:
-        """Every combination in enumeration order, each validated before any is trained."""
+        """Every combination in enumeration order, each built, so checked, before any is trained."""
         dims = [name for name in GRID_FIELDS if name in self.values]
         if not dims:
             raise EmptyGridError("grid has no dimensions")
         return [
-            replace(base, **dict(zip(dims, combo))).validate()
+            replace(base, **dict(zip(dims, combo)))
             for combo in itertools.product(*(self.values[name] for name in dims))
         ]
 

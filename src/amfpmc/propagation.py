@@ -34,29 +34,21 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _pair_totals(graph: TypedInteractionGraph, I, J, own) -> np.ndarray:
-    """Class-histogram sums of checked pairs, own being their edge_classes.
-
-    A pair's histogram sums to deg(a) + deg(b), less 2 for a stored (a, b):
-    whole numbers below 2**53, so each is the float of the row's sum in any
-    order.
-    """
-    degrees = graph.node_degrees()
-    return degrees[I] + degrees[J] - 2.0 * (own >= 0)
-
-
-def _distribution_rows(graph: TypedInteractionGraph, I, J, own, total) -> np.ndarray:
-    """neighborhood_distributions of checked pairs, own and total being their edge_classes and _pair_totals.
+def _distribution_rows(graph: TypedInteractionGraph, I, J, own) -> np.ndarray:
+    """neighborhood_distributions of checked pairs, own being their edge_classes.
 
     Row r is the class counts of the edges incident to a or b, less the
-    (a, b) edge itself, over total[r]: the a rows of the graph's float64
-    counts are gathered, the b rows added and the own edge taken off.
+    (a, b) edge itself, over their sum: the a rows of the graph's float64
+    counts are gathered, the b rows added and the own edge taken off. The
+    counts are whole numbers below 2**53, so each row sum is exact in any
+    order.
     """
     counts = graph.node_class_counts()
     dist = counts.take(I, axis=0)
     dist += counts.take(J, axis=0)
     at = np.flatnonzero(own >= 0)
     dist[at, own[at]] -= 2.0
+    total = dist.sum(axis=1)
     # an isolated row stays all zero, then takes its fallback
     isolated = total == 0.0
     dist /= np.where(isolated, 1.0, total)[:, None]
@@ -74,17 +66,6 @@ def _blend_labels(dist: np.ndarray, labels: np.ndarray, alpha: float) -> np.ndar
     return dist
 
 
-def _target_rows(graph: TypedInteractionGraph, I, J, own, total, labels, alpha: float) -> np.ndarray:
-    """propagate_targets of checked pairs, labels and alpha, own and total being the pairs' edge_classes and _pair_totals.
-
-    Nothing is checked here: attach_targets checks the rows once and
-    LabeledPairs.targets calls this for each batch. Row r depends on row r
-    alone, so any subset of rows, in any order, gets the bits of the same
-    rows of the whole matrix.
-    """
-    return _blend_labels(_distribution_rows(graph, I, J, own, total), labels, alpha)
-
-
 def neighborhood_distributions(graph: TypedInteractionGraph, I, J) -> np.ndarray:
     """(B, n_classes) normalized pair class histograms of (I[r], J[r]).
 
@@ -97,8 +78,7 @@ def neighborhood_distributions(graph: TypedInteractionGraph, I, J) -> np.ndarray
     dist = np.empty((I.size, graph.n_classes), dtype=np.float64)
     for rows in row_chunks(I.size):
         i, j = I[rows], J[rows]
-        own = graph.edge_classes(i, j)
-        dist[rows] = _distribution_rows(graph, i, j, own, _pair_totals(graph, i, j, own))
+        dist[rows] = _distribution_rows(graph, i, j, graph.edge_classes(i, j))
     return dist
 
 

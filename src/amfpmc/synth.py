@@ -17,8 +17,10 @@ from .errors import InvalidConfigError
 from .graph import HOLDOUT, RETROSPECTIVE, Roster, TypedInteractionGraph, check_mode
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
+    """Block-model shape and noise, checked when built (constructor or dataclasses.replace)."""
+
     n_drugs: int = 200
     n_blocks: int = 4
     n_classes: int = 16
@@ -28,7 +30,7 @@ class SyntheticConfig:
     seed: int = 0
     mode: str = HOLDOUT
 
-    def validate(self) -> "SyntheticConfig":
+    def __post_init__(self):
         check_mode(self.mode)
         if self.n_blocks < 1 or self.n_drugs < 2 * self.n_blocks:
             raise InvalidConfigError("need n_blocks >= 1 and at least 2 drugs per block")
@@ -47,7 +49,6 @@ class SyntheticConfig:
             raise InvalidConfigError("holdout_fraction must be in [0, 1)")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
 
     @property
     def class_offset(self) -> int:
@@ -83,7 +84,6 @@ def synthetic_roster(n_drugs: int) -> Roster:
 
 def generate_synthetic(cfg: SyntheticConfig) -> SyntheticData:
     """Sample the two snapshots; deterministic given cfg.seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n, B = cfg.n_drugs, cfg.n_blocks
     block_of = (np.arange(n) * B) // n

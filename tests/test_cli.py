@@ -207,6 +207,37 @@ def test_fold_left_empty_is_refused_before_training(tmp_path, capsys, monkeypatc
     assert calls == []
 
 
+def test_retrospective_train_and_gridsearch_fit_sampled_negatives(tmp_path, capsys, monkeypatch):
+    # as evaluate retrospective does, both fit T0's edges plus as many class-0
+    # pairs unlabeled in T0, so a trained model scores most of those pairs class 0
+    t0, model = tmp_path / "t0.tsv", tmp_path / "m.txt"
+    assert main(["synth", "--n", "200", "--blocks", "3", "--k", "10", "--p", "0.1",
+                 "--holdout", "0.2", "--mode", "retrospective", "--seed", "1",
+                 "--out-t0", str(t0)]) == 0
+    assert main(["train", "--interactions", str(t0), "--mode", "retrospective", "--dim", "16",
+                 "--epochs", "5", "--no-balance", "--out", str(model)]) == 0
+    graph = formats.graph_from_index_records(formats.parse_interactions_file(str(t0), "indices"),
+                                             "retrospective")
+    I, J = np.triu_indices(graph.n_drugs, k=1)
+    unlabeled = graph.edge_classes(I, J) < 0
+    probs = pipeline.score_pairs(read_model(str(model)), np.column_stack([I, J])[unlabeled])
+    assert np.mean(probs.argmax(axis=1) == 0) > 0.5
+
+    seen = []
+    split = pipeline.stratified_validation_split
+    monkeypatch.setattr(pipeline, "stratified_validation_split",
+                        lambda items, *a: seen.append(items) or split(items, *a))
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha 0.5\n")
+    assert main(["gridsearch", "--interactions", str(t0), "--mode", "retrospective",
+                 "--grid", str(grid), "--dim", "4", "--epochs", "1"]) == 0
+    [rows] = seen
+    negatives = rows[rows[:, 2] == 0]
+    assert len(negatives) == graph.num_edges
+    assert np.all(graph.edge_classes(negatives[:, 0], negatives[:, 1]) < 0)
+    assert np.array_equal(rows[rows[:, 2] != 0], graph.edge_list())
+
+
 def test_gridsearch_cli(synth_files, tmp_path, capsys):
     t0, _, _ = synth_files
     grid = tmp_path / "grid.txt"

@@ -171,7 +171,6 @@ def test_property_degree_sum_is_twice_edges():
         g = _random_graph(rng)
         degrees = g.node_class_counts().sum(axis=1)
         assert degrees.sum() == 2 * g.num_edges
-        assert g.node_degrees().tobytes() == degrees.tobytes()
         ends = g.edge_list()[:, :2]
         assert degrees.tolist() == [int((ends == v).sum()) for v in range(g.n_drugs)]
 

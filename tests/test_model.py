@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +12,7 @@ from amfpmc import formats
 from amfpmc import model as model_mod
 from amfpmc import pipeline
 from amfpmc.errors import (
+    AmfpmcError,
     EmptyBatchError,
     InvalidConfigError,
     InvalidDimensionsError,
@@ -34,6 +38,7 @@ from amfpmc.model import (
 from amfpmc.graph import build_graph
 from amfpmc.pipeline import LabeledPairs, attach_targets, train
 from amfpmc.propagation import check_alpha, propagate_targets
+from amfpmc.synth import SyntheticConfig
 
 
 def tiny_hp(d=4, seed=0, **kw):
@@ -100,10 +105,32 @@ class TestInit:
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
     def test_alpha_checked_as_propagation_does(self, alpha):
         with pytest.raises(InvalidConfigError) as from_hp:
-            Hyperparameters(alpha=alpha).validate()
+            Hyperparameters(alpha=alpha)
         with pytest.raises(InvalidConfigError) as from_propagation:
             check_alpha(alpha)
         assert str(from_hp.value) == str(from_propagation.value)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    (Hyperparameters, "embedding_dim", 0),
+    (Hyperparameters, "dropout", 1.0),
+    (Hyperparameters, "learning_rate", float("nan")),
+    (Hyperparameters, "alpha", 1.5),
+    (Hyperparameters, "seed", -1),
+    (SyntheticConfig, "n_classes", 3),
+    (SyntheticConfig, "label_noise", 1.0),
+    (SyntheticConfig, "mode", "neither"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_no_configuration_holds_a_bad_value(kind, field, value):
+    # dataclasses.replace refuses what the constructor refuses, with its message,
+    # and a built configuration cannot be changed
+    config = kind()
+    with pytest.raises(AmfpmcError) as built:
+        kind(**{field: value})
+    with pytest.raises(type(built.value), match=re.escape(str(built.value))):
+        dataclasses.replace(config, **{field: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
 
 
 class TestParameterVector:
@@ -116,11 +143,11 @@ class TestParameterVector:
         with pytest.raises(ShapeMismatchError):
             ModelParameters(5, 4, 3, np.zeros(params.flat.size + 1))
 
-    @pytest.mark.parametrize("how", ["copy", "read_model", "pickle"])
+    @pytest.mark.parametrize("how", ["deepcopy", "read_model", "pickle"])
     def test_a_copy_has_views_of_its_own_vector(self, tmp_path, how):
         params = random_model(np.random.default_rng(41))
-        if how == "copy":
-            got = params.copy()
+        if how == "deepcopy":
+            got = copy.deepcopy(params)
         elif how == "read_model":
             formats.write_model(params, str(tmp_path / "model.txt"))
             got = formats.read_model(str(tmp_path / "model.txt"))
@@ -314,7 +341,7 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = init_model(4, 3, tiny_hp())
-        before = params.copy()
+        before = copy.deepcopy(params)
         grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
         state = OptimizerState.for_params(params)
         adam_step(params, grads, state, 0.05)
@@ -500,7 +527,7 @@ class TestBitwiseReferences:
         if block:
             monkeypatch.setattr(model_mod, "ADAM_BLOCK", block)
         params = random_model(rng, n=n, d=d, K=5)
-        ref_params = params.copy()
+        ref_params = copy.deepcopy(params)
         state = OptimizerState.for_params(params)
         ref_state = OptimizerState.for_params(ref_params)
         for _ in range(4):

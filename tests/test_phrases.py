@@ -9,6 +9,8 @@ from amfpmc.errors import (
     UnknownPhraseError,
 )
 from amfpmc.phrases import (
+    NO_INTERACTION_MARKER,
+    OTHER_MARKER,
     ClassVocabulary,
     InteractionSentence,
     KeywordPhrase,
@@ -165,19 +167,19 @@ class TestVocabulary:
         with pytest.raises(UnknownPhraseError):
             hv.encode(P("totally unseen"))
 
-    def test_encode_decode_identity(self):
+    def test_encode_label_identity(self):
         phrases = [P("alpha one")] * 3 + [P("beta two")] * 2 + [P("gamma three")]
         vocab = build_vocabulary(phrases, "retrospective", top_n=2)
         assert vocab.labels == ["<no-interaction>", "alpha one", "beta two", "<other>"]
         assert vocab.counts == [0, 3, 2, 1]
         for idx, label in enumerate(vocab.labels[1:-1], 1):
-            assert vocab.decode(idx) == P(label)
-            assert vocab.encode(vocab.decode(idx)) == idx
-        assert vocab.decode(0) is None
-        assert vocab.decode(vocab.other_class) is None
+            assert P(label).text == label
+            assert vocab.encode(P(label)) == idx
+        assert vocab.labels[0] == NO_INTERACTION_MARKER
+        assert vocab.labels[vocab.other_class] == OTHER_MARKER
         holdout = build_vocabulary(phrases, "holdout", min_count=1)
         assert holdout.labels == ["alpha one", "beta two", "gamma three"]
-        assert [holdout.encode(holdout.decode(idx)) for idx in range(3)] == [0, 1, 2]
+        assert [holdout.encode(P(holdout.labels[idx])) for idx in range(3)] == [0, 1, 2]
 
     def test_repeated_phrase_refused(self):
         with pytest.raises(InvalidConfigError, match="repeats the phrase of class 0"):

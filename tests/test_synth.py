@@ -80,17 +80,17 @@ def test_retrospective_mode_reserves_class_zero():
 
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
-        SyntheticConfig(n_drugs=40, n_blocks=2, n_classes=3).validate()  # needs 4
+        SyntheticConfig(n_drugs=40, n_blocks=2, n_classes=3)  # needs 4
     with pytest.raises(InvalidConfigError):
-        SyntheticConfig(n_drugs=40, n_blocks=2, n_classes=4, mode="retrospective").validate()
+        SyntheticConfig(n_drugs=40, n_blocks=2, n_classes=4, mode="retrospective")
     with pytest.raises(InvalidConfigError):
-        SyntheticConfig(n_drugs=3, n_blocks=2, n_classes=4).validate()
+        SyntheticConfig(n_drugs=3, n_blocks=2, n_classes=4)
     with pytest.raises(InvalidConfigError):
-        SyntheticConfig(edge_probability=1.5).validate()
+        SyntheticConfig(edge_probability=1.5)
     with pytest.raises(InvalidConfigError):
-        SyntheticConfig(label_noise=1.0).validate()
+        SyntheticConfig(label_noise=1.0)
     with pytest.raises(InvalidConfigError):
-        SyntheticConfig(holdout_fraction=1.0).validate()
+        SyntheticConfig(holdout_fraction=1.0)
 
 
 def test_block_sizes_contiguous_and_even():
