@@ -6,6 +6,26 @@ distributions (label propagation), and ships holdout plus retrospective
 evaluation harnesses with a CLI front end.
 """
 
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    # One BLAS thread: at this package's shapes a second one saves no wall time,
+    # spins on its core, and changes the last bits of matrix products. The BLAS
+    # library reads these variables once, when numpy loads it, so each is put back
+    # (or unset) right after: the caller's environment and child processes keep theirs.
+    _saved = {var: _os.environ.get(var)
+              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    _os.environ.update(dict.fromkeys(_saved, "1"))
+    try:
+        import numpy  # noqa: F401
+    finally:
+        for _var, _value in _saved.items():
+            if _value is None:
+                del _os.environ[_var]
+            else:
+                _os.environ[_var] = _value
+
 from .errors import AmfpmcError
 from .graph import HOLDOUT, NO_INTERACTION, RETROSPECTIVE, Roster, TypedInteractionGraph, build_graph
 from .metrics import MultiClassReport, average_precision, class_weights, multiclass_report, roc_auc

@@ -204,8 +204,11 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     hp = _hp_from_args(args)
     [graph] = _read_graphs([args.interactions], args.mode, args.classes)
-    params = train(attach_targets(_training_rows(graph, args.seed), graph, hp.alpha),
-                   hp, graph.n_drugs, graph.n_classes)
+    rows = _training_rows(graph, args.seed)
+    fitted = f"{graph.num_edges} edges"
+    if graph.mode == RETROSPECTIVE:
+        fitted += f" and {len(rows) - graph.num_edges} sampled no-interaction pairs"
+    params = train(attach_targets(rows, graph, hp.alpha), hp, graph.n_drugs, graph.n_classes)
     if not np.all(np.isfinite(params.flat)):
         raise NonFiniteError("trained parameters are not finite (did training diverge?)")
     formats.write_model(params, args.out)
@@ -216,7 +219,7 @@ def cmd_train(args) -> int:
         os.remove(args.out)
         raise
     print(
-        f"trained on {graph.num_edges} edges: n={graph.n_drugs} K={graph.n_classes} "
+        f"trained on {fitted}: n={graph.n_drugs} K={graph.n_classes} "
         f"d={hp.embedding_dim} -> {args.out}"
     )
     return 0

@@ -238,6 +238,27 @@ def test_retrospective_train_and_gridsearch_fit_sampled_negatives(tmp_path, caps
     assert np.array_equal(rows[rows[:, 2] != 0], graph.edge_list())
 
 
+def test_train_names_what_it_fitted(tmp_path, capsys):
+    # retrospective mode fits T0's edges and as many sampled class-0 pairs
+    paths = {mode: (tmp_path / f"{mode}.tsv", tmp_path / f"{mode}-model.txt")
+             for mode in ("holdout", "retrospective")}
+    for mode, (data, _) in paths.items():
+        assert main(["synth", "--n", "30", "--blocks", "2", "--k", "5", "--p", "0.4",
+                     "--holdout", "0.3", "--mode", mode, "--seed", "1",
+                     "--out-t0", str(data)]) == 0
+    lines = []
+    for mode, (data, model) in paths.items():
+        capsys.readouterr()
+        assert main(["train", "--interactions", str(data), "--mode", mode, "--dim", "8",
+                     "--epochs", "1", "--out", str(model)]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[-1])
+    assert lines == [
+        f"trained on 129 edges: n=30 K=4 d=8 -> {paths['holdout'][1]}",
+        f"trained on 129 edges and 129 sampled no-interaction pairs: n=30 K=5 d=8 "
+        f"-> {paths['retrospective'][1]}",
+    ]
+
+
 def test_gridsearch_cli(synth_files, tmp_path, capsys):
     t0, _, _ = synth_files
     grid = tmp_path / "grid.txt"

@@ -7,9 +7,15 @@ inputs are generated once, with PARENT's perfbench/workloads.py, into a
 temporary directory. Each pair then runs PARENT's and CHANGE's own
 perfbench/worker.py once each, in fresh processes: parent first in even
 pairs, change first in odd ones, after one discarded warm-up iteration of
-each. Prints, for setup_s, run_s and peak_rss_mb, each side's median and
-quartiles and the number of pairs in which the change is lower, and whether
-the report digests agree. Nothing is written under either checkout.
+each. Prints, for setup_s, run_s, cpu_s and peak_rss_mb, each side's median
+and quartiles and the number of pairs in which the change is lower, and
+whether the report digests agree. cpu_s is the user plus system time of the
+whole worker process, set-up included. Nothing is written under either
+checkout.
+
+Each worker gets the BLAS thread variables set to the number of usable cores,
+as perfbench/run.py sets them. A tree whose amfpmc pins one BLAS thread on
+import ignores them; a tree without the pin runs that many threads.
 
 peak_rss_mb moves with the length of the checkout path, so checkouts whose
 absolute paths differ in length are refused.
@@ -20,16 +26,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 
-METRICS = ("setup_s", "run_s", "peak_rss_mb")
+METRICS = ("setup_s", "run_s", "cpu_s", "peak_rss_mb")
 
 
 def worker(root: str, manifest: str, workload: str, work_dir: str) -> dict:
-    """One untraced iteration of root's worker; its result JSON."""
+    """One untraced iteration of root's worker; its result JSON, with the worker's cpu_s."""
     result_path = os.path.join(work_dir, "result.json")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     threads = str(len(os.sched_getaffinity(0)))
@@ -37,13 +44,16 @@ def worker(root: str, manifest: str, workload: str, work_dir: str) -> dict:
         env[var] = threads
     cmd = [sys.executable, os.path.join(root, "perfbench", "worker.py"), manifest, workload,
            "0", "run", result_path]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, env=env, cwd=root, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
         raise RuntimeError(f"worker of {root} exited {proc.returncode}: {tail[0]}")
     with open(result_path, encoding="utf-8") as fh:
         result = json.load(fh)
     os.remove(result_path)
+    result["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     src = os.path.join(root, "src") + os.sep
     if not os.path.realpath(result["amfpmc_file"]).startswith(src):
         raise RuntimeError(f"worker of {root} imported amfpmc from {result['amfpmc_file']}")
