@@ -12,12 +12,19 @@ Dropout masks are inverted and drawn independently per slot during training
 only; with training off the forward pass is exactly symmetric in (i, j).
 Training minimizes class-weighted cross-entropy against soft targets with
 hand-written gradients and a plain Adam optimizer, all in float64 so runs are
-bitwise reproducible given a seed.
+bitwise reproducible given a seed. A large training run may take one helper
+thread (step_helper), which draws the next step's dropout masks and runs half
+of each Adam update; neither changes a bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +45,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 #: Elements per Adam slice; any value gives the same bits.
 ADAM_BLOCK = 1 << 15
+#: Uniform draws per piece of a dropout mask draw; any value gives the same masks.
+MASK_BLOCK = 1 << 14
+#: Parameter count from which a training run takes a helper thread.
+HELPER_MIN_PARAMETERS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -181,6 +192,54 @@ def _drop(x: np.ndarray, mask: np.ndarray, dropout: float) -> None:
     x *= 1.0 / (1.0 - dropout)
 
 
+def _draw_keep_mask(rng: np.random.Generator, dropout: float, mask: np.ndarray,
+                    block: np.ndarray) -> None:
+    """mask[...] = rng.random(mask.shape) >= dropout, a few rows at a time through block.
+
+    block is a (rows, d) float64 array. Generator.random fills it in C order,
+    so the pieces take the draws of one rng.random(mask.shape), in order.
+    """
+    for lo in range(0, len(mask), len(block)):
+        rows = mask[lo : lo + len(block)]
+        np.greater_equal(rng.random(out=block[: len(rows)]), dropout, out=rows)
+
+
+def _mask_block(rows: int, d: int) -> np.ndarray:
+    """The float block _draw_keep_mask draws through: at most MASK_BLOCK entries, or one row."""
+    return np.empty((min(rows, max(1, MASK_BLOCK // d)), d), dtype=np.float64)
+
+
+class DrawnMasks:
+    """Stands in for the Generator of one backward call with keep masks drawn ahead.
+
+    random(shape) hands out the next mask, the i slot's first. For
+    0 < dropout < 1 a boolean mask >= dropout is the mask itself, so a step
+    written as rng.random(shape) >= dropout gets the masks the Generator
+    would have given it.
+    """
+
+    def __init__(self, masks):
+        self._masks = iter(masks)
+
+    def random(self, shape) -> np.ndarray:
+        return next(self._masks)
+
+
+def _keep_masks(rng, shape: tuple[int, int], dropout: float):
+    """The i and j slots' boolean keep masks of shape (B, d), rng.random(shape) >= dropout each, i first."""
+    if rng is None:
+        raise InvalidConfigError("dropout requires an rng")
+    if isinstance(rng, DrawnMasks):
+        return rng.random(shape), rng.random(shape)
+    # the i mask's rows, then the j mask's: the order of two draws of shape
+    masks = np.empty((2 * shape[0], shape[1]), dtype=bool)
+    if masks.size <= MASK_BLOCK:  # one piece: a block would only add calls
+        np.greater_equal(rng.random(masks.shape), dropout, out=masks)
+    else:
+        _draw_keep_mask(rng, dropout, masks, _mask_block(*masks.shape))
+    return masks[: shape[0]], masks[shape[0] :]
+
+
 def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.ndarray:
     """(B, K) logits h @ W.T + c + u * pair_bias[:, None], summed in that order."""
     logits = h @ params.class_proj.T
@@ -191,24 +250,23 @@ def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.n
 
 def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropout: float,
                    rng: Optional[np.random.Generator]):
-    """Gather both slots, drop out (the i mask drawn before the j mask), multiply, project.
+    """Gather both slots in one array, drop out (the i mask drawn before the j mask), multiply, project.
 
-    Returns (Ei, Ej, masks, h, pair_bias, logits): the slot rows after dropout,
-    the two boolean keep masks or None, their product, b[i] + b[j] and the
-    (B, K) logits.
+    Returns (slots, masks, h, pair_bias, logits): the (2B, d) slot rows after
+    dropout, the j slot's over the i slot's, the two boolean keep masks or
+    None, the product of the halves, b[i] + b[j] and the (B, K) logits.
     """
-    Ei = params.embeddings[I]
-    Ej = params.embeddings[J]
+    B = I.size
+    slots = params.embeddings[np.concatenate([J, I])]
+    Ej, Ei = slots[:B], slots[B:]
     masks = None
     if dropout > 0.0:
-        if rng is None:
-            raise InvalidConfigError("dropout requires an rng")
-        masks = (rng.random(Ei.shape) >= dropout, rng.random(Ej.shape) >= dropout)
+        masks = _keep_masks(rng, Ei.shape, dropout)
         _drop(Ei, masks[0], dropout)
         _drop(Ej, masks[1], dropout)
     h = Ei * Ej
     pair_bias = params.drug_bias[I] + params.drug_bias[J]
-    return Ei, Ej, masks, h, pair_bias, _head(params, h, pair_bias)
+    return slots, masks, h, pair_bias, _head(params, h, pair_bias)
 
 
 def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
@@ -293,7 +351,9 @@ def backward(
     """Loss and exact analytic gradients for one mini-batch, as ModelParameters.
 
     Shared parameters accumulate contributions from both slots; embedding rows
-    and bias entries of drugs absent from the batch keep zero gradient.
+    and bias entries of drugs absent from the batch keep zero gradient. With
+    dropout, rng is the Generator the keep masks are drawn from, or a
+    DrawnMasks that holds them.
     """
     I, J = check_pairs(i, j, params.n_drugs)
     if I.size == 0:
@@ -303,14 +363,15 @@ def backward(
         raise ShapeMismatchError(f"targets shape {T.shape}, expected {(I.size, params.n_classes)}")
     B = I.size
 
-    # Each forward array is dropped at its last use, and the W, c, u and b
-    # gradients are formed before the embedding rows are scattered, so
-    # _scatter_rows runs beside dE and the gradient vector only. A step at
-    # the paper's shape (572 drugs, K = 65, d = 512, B = 256, dropout 0.3)
-    # peaks at 6.8 MB under tracemalloc, against 11.5 MB with Ei, Ej, h, dh
-    # and the masks held through the scatter. The gradient vector is still
-    # allocated after dE: allocated first, it multiplied a step's page faults.
-    Ei, Ej, masks, h, pair_bias, logits = _forward_parts(params, I, J, dropout, rng)
+    # Each forward array is dropped at its last use, dE is computed in place
+    # of the slot rows, and the W, c, u and b gradients are formed before the
+    # embedding rows are scattered, so _scatter_rows runs beside dE and the
+    # gradient vector only. A step at the paper's shape (572 drugs, K = 65,
+    # d = 512, B = 256, dropout 0.3) peaks at 6.8 MB under tracemalloc,
+    # against 11.5 MB with Ei, Ej, h, dh and the masks held through the
+    # scatter. The gradient vector is still allocated after dE: allocated
+    # first, it multiplied a step's page faults.
+    dE, masks, h, pair_bias, logits = _forward_parts(params, I, J, dropout, rng)
     P = softmax(logits)
     del logits
     w, batch_loss = _weighted_cross_entropy(P, T, class_weights)
@@ -319,13 +380,13 @@ def backward(
     G = (w[:, None] * (P - T)) / B
     del P
 
-    # gradient rows of the i slot, then of the j slot, in the order add.at would sum them
+    # dh times the j rows (the upper half) is the i slot's gradient, and
+    # times the i rows the j slot's: the i slot's rows, then the j slot's,
+    # the order add.at would sum them
     dh = G @ params.class_proj
-    dE = np.empty((2 * B, params.embedding_dim), dtype=np.float64)
-    np.multiply(dh, Ej, out=dE[:B])
-    del Ej
-    np.multiply(dh, Ei, out=dE[B:])
-    del Ei, dh
+    np.multiply(dh, dE[:B], out=dE[:B])
+    np.multiply(dh, dE[B:], out=dE[B:])
+    del dh
     if masks is not None:
         _drop(dE[:B], masks[0], dropout)
         _drop(dE[B:], masks[1], dropout)
@@ -357,7 +418,8 @@ def adam_step(
     buffers, so the live slices stay in cache. Every operation is
     elementwise and runs in the order of
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result does not
-    depend on the block size.
+    depend on the block size, nor on which thread updates which half: inside
+    a training run with a step_helper, the helper updates the upper half.
     """
     p, g, m, v = params.flat, grads.flat, state.m, state.v
     if not p.shape == g.shape == m.shape == v.shape:
@@ -366,7 +428,26 @@ def adam_step(
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    buffers = np.empty((2, min(p.size, ADAM_BLOCK)), dtype=np.float64)
+    helper = _STEP_HELPER.get()
+    if helper is None:
+        buffers = np.empty((2, min(p.size, ADAM_BLOCK)), dtype=np.float64)
+        _adam_slices(p, g, m, v, learning_rate, bc1, bc2, buffers)
+    else:
+        mid = p.size // 2
+        helper.run_beside(_adam_slices,
+                          (p[mid:], g[mid:], m[mid:], v[mid:], learning_rate, bc1, bc2,
+                           helper.adam_buffers[1]),
+                          (p[:mid], g[:mid], m[:mid], v[:mid], learning_rate, bc1, bc2,
+                           helper.adam_buffers[0]))
+    return params, state
+
+
+def _adam_slices(p, g, m, v, learning_rate: float, bc1: float, bc2: float,
+                 buffers: np.ndarray) -> None:
+    """The Adam update of adam_step over the vectors p, g, m and v, one ADAM_BLOCK slice at a time.
+
+    buffers is a (2, >= min(p.size, ADAM_BLOCK)) float64 scratch array.
+    """
     for lo in range(0, p.size, ADAM_BLOCK):
         ps, gs, ms, vs = (x[lo : lo + ADAM_BLOCK] for x in (p, g, m, v))
         num, den = buffers[:, : ps.size]
@@ -377,7 +458,166 @@ def adam_step(
         np.multiply(learning_rate, np.divide(ms, bc1, out=num), out=num)
         np.add(np.sqrt(np.divide(vs, bc2, out=den), out=den), ADAM_EPS, out=den)
         ps -= np.divide(num, den, out=num)
-    return params, state
+
+
+# -- the helper thread of a training run ----------------------------------------
+
+
+class _Task:
+    """One call for the helper thread, which the caller runs itself if the helper has not begun it.
+
+    Either way it runs once, under the numpy error state of the thread that
+    made it: numpy keeps its error state per thread (a context variable
+    since numpy 2, which a new thread does not inherit), so without it the
+    CLI's errstate(all="ignore") or a caller's errstate(all="raise") would
+    not hold in the helper's part of the work.
+    """
+
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+        self.errstate = dict(np.geterr(), call=np.geterrcall())
+        self._taken = threading.Lock()
+        self._done = threading.Event()
+        self.value = self.error = None
+
+    def run(self) -> None:
+        """Run the call here, unless another thread has taken it."""
+        if not self._taken.acquire(blocking=False):
+            return
+        try:
+            with np.errstate(**self.errstate):
+                self.value = self.fn(*self.args)
+        except BaseException as exc:  # raised again by result(), in the caller
+            self.error = exc
+        finally:
+            self._done.set()
+
+    def wait(self) -> None:
+        """Return once the call has run: here, if the helper has not begun it."""
+        self.run()
+        self._done.wait()
+
+    def result(self):
+        self.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class StepHelper:
+    """One helper thread of a training run, and the arrays it writes into.
+
+    The caller allocates every array the helper writes: the keep masks of
+    two steps (the one in use and the next), the float block they are drawn
+    through and Adam's scratch buffers for both halves. The helper never
+    calls a pipeline name that a tracer may wrap, only numpy and the
+    Generator.
+    """
+
+    def __init__(self, params: ModelParameters, batch_rows: int, dropout: float):
+        d = params.embedding_dim
+        self._dropout = dropout
+        self.adam_buffers = np.empty((2, 2, min(params.flat.size, ADAM_BLOCK)), dtype=np.float64)
+        # two steps' i and j masks; of no rows, so none is drawn, without dropout
+        self._masks = np.empty((2, 2 * batch_rows if dropout > 0.0 else 0, d), dtype=bool)
+        self._block = _mask_block(2 * batch_rows, d)
+        self._tasks: deque = deque()
+        self._queued = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="amfpmc-step-helper", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._queued.acquire()
+            task = self._tasks.popleft()
+            if task is None:
+                return
+            task.run()
+
+    def _put(self, task: Optional[_Task]) -> None:
+        self._tasks.append(task)
+        self._queued.release()
+
+    def _submit(self, fn, *args) -> _Task:
+        task = _Task(fn, args)
+        self._put(task)
+        return task
+
+    def close(self) -> None:
+        """Finish every task submitted and end the thread."""
+        self._put(None)
+        self._thread.join()
+
+    def run_beside(self, fn, helper_args: tuple, own_args: tuple) -> None:
+        """fn(*helper_args) on the helper while the caller runs fn(*own_args).
+
+        Returns once both are done; the caller runs both when the helper has
+        not begun its part by then. The caller's exception comes first, and
+        nothing is raised before the helper's part has finished.
+        """
+        task = self._submit(fn, *helper_args)
+        try:
+            fn(*own_args)
+        finally:
+            task.wait()
+        task.result()
+
+    def prefetch(self, batches, rng: np.random.Generator):
+        """(rows, DrawnMasks) for each batch of rows that batches yields.
+
+        The helper takes step s + 1's rows and keep masks while the caller
+        runs step s; the caller takes them itself if the helper has not begun
+        by the time they are needed. Step s + 2's are asked for only once
+        step s + 1's are drawn, so the draws are made one at a time and in
+        the serial order: batches draws an epoch's permutation before its
+        first step's masks, and each step's i mask comes before its j mask.
+        """
+        def draw(masks):
+            rows = next(batches, None)
+            if rows is None:
+                return None
+            masks = masks[: 2 * rows.size]
+            _draw_keep_mask(rng, self._dropout, masks, self._block)
+            return rows, DrawnMasks(np.split(masks, 2))
+
+        k = 0
+        pending = self._submit(draw, self._masks[k])
+        while (step := pending.result()) is not None:
+            k ^= 1
+            pending = self._submit(draw, self._masks[k])
+            yield step
+
+
+_STEP_HELPER: ContextVar[Optional[StepHelper]] = ContextVar("step_helper", default=None)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def step_helper(params: ModelParameters, batch_rows: int, dropout: float):
+    """A StepHelper for one training run, which adam_step uses while it is open, or None.
+
+    None where one thread does as well: when the process may run on one CPU
+    only, or when the model has fewer than HELPER_MIN_PARAMETERS parameters,
+    where handing work over costs more than it saves. On exit the
+    helper finishes its tasks and its thread ends, before any exception of
+    the run is passed on.
+    """
+    if params.flat.size < HELPER_MIN_PARAMETERS or _usable_cpus() < 2:
+        yield None
+        return
+    helper = StepHelper(params, batch_rows, dropout)
+    token = _STEP_HELPER.set(helper)
+    try:
+        yield helper
+    finally:
+        _STEP_HELPER.reset(token)
+        helper.close()
 
 
 def gradient_check(

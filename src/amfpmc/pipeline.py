@@ -45,6 +45,7 @@ from .model import (
     backward,
     init_model,
     predict_batch,
+    step_helper,
 )
 from .propagation import (_blend_labels, _distribution_rows, check_alpha, check_labels,
                           neighborhood_distributions)
@@ -120,7 +121,11 @@ def train(
 
     Class weights come from the hard labels of the given pairs; each batch's
     targets are pairs.targets of its rows (build the pairs with
-    attach_targets on the training graph).
+    attach_targets on the training graph). A large run takes a helper thread
+    (model.step_helper), which draws each next step's rows and dropout masks,
+    in the serial order, while this thread runs the step. backward and
+    adam_step are called once per step either way, and the parameters have
+    the same bits.
     """
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
@@ -134,16 +139,23 @@ def train(
     rng = np.random.default_rng(hp.seed)
     params = init_model(n_drugs, n_classes, hp, rng=rng)
     state = OptimizerState.for_params(params)
-    n_pairs = len(pairs)
-    for _ in range(hp.epochs):
-        order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
+    batches = _batches(rng, len(pairs), hp)
+    with step_helper(params, min(hp.batch_size, len(pairs)), hp.dropout) as helper:
+        steps = ((idx, rng) for idx in batches) if helper is None else helper.prefetch(batches, rng)
+        for idx, step_rng in steps:
             _, grads = backward(
-                params, I[idx], J[idx], pairs.targets(idx), weights, dropout=hp.dropout, rng=rng
+                params, I[idx], J[idx], pairs.targets(idx), weights, dropout=hp.dropout, rng=step_rng
             )
             adam_step(params, grads, state, hp.learning_rate)
     return params
+
+
+def _batches(rng: np.random.Generator, n_pairs: int, hp: Hyperparameters):
+    """Each training step's rows: one rng.permutation per epoch, cut into batches."""
+    for _ in range(hp.epochs):
+        order = rng.permutation(n_pairs)
+        for start in range(0, n_pairs, hp.batch_size):
+            yield order[start : start + hp.batch_size]
 
 
 def scored_chunks(params: ModelParameters, pairs):

@@ -639,6 +639,23 @@ def test_diverged_training_exits_with_one_line(synth_files, tmp_path, command):
     assert not (tmp_path / "diverged-model.txt").exists()
 
 
+def test_diverged_training_with_a_helper_thread_exits_with_one_line(synth_files, tmp_path):
+    # 40 drugs at d = 4,096 is above model.HELPER_MIN_PARAMETERS, so on two
+    # CPUs the helper runs half of each Adam update; at this rate the squared
+    # gradients overflow there, which the CLI's error state ignores
+    t0, _, _ = synth_files
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amfpmc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amfpmc.cli", "train", "--mode", "holdout", "--out", "model.txt",
+         "--interactions", str(t0), "--dim", "4096", "--epochs", "3", "--batch", "64",
+         "--lr", "1e150"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1
+    _assert_one_line_error(proc.stderr, "NonFiniteError")
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_diverged_grid_candidate_exits_with_one_line(synth_files, tmp_path):
     t0, _, _ = synth_files
     grid = tmp_path / "grid.txt"
