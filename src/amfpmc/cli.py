@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import formats
-from .errors import AmfpmcError, InvalidConfigError, NonFiniteError, ParseError, ShapeMismatchError
+from .errors import AmfpmcError, InvalidConfigError, ParseError, ShapeMismatchError
 from .graph import HOLDOUT, MODES, RETROSPECTIVE
 from .model import Hyperparameters
 from .phrases import build_vocabulary, check_grouping, extract_phrase, load_stoplist, load_verb_forms
@@ -209,8 +209,6 @@ def cmd_train(args) -> int:
     if graph.mode == RETROSPECTIVE:
         fitted += f" and {len(rows) - graph.num_edges} sampled no-interaction pairs"
     params = train(attach_targets(rows, graph, hp.alpha), hp, graph.n_drugs, graph.n_classes)
-    if not np.all(np.isfinite(params.flat)):
-        raise NonFiniteError("trained parameters are not finite (did training diverge?)")
     formats.write_model(params, args.out)
     try:
         formats.write_roster(graph.roster, _roster_path(args.out, args.out_roster))

@@ -12,24 +12,20 @@ Dropout masks are inverted and drawn independently per slot during training
 only; with training off the forward pass is exactly symmetric in (i, j).
 Training minimizes class-weighted cross-entropy against soft targets with
 hand-written gradients and a plain Adam optimizer, all in float64 so runs are
-bitwise reproducible given a seed. A large training run may take one helper
-thread (step_helper), which draws the next step's dropout masks and runs half
-of each Adam update; neither changes a bit.
+bitwise reproducible given a seed. training_steps draws every step's rows and
+dropout masks; a helper thread (cores) may draw the next step's and run half
+of each Adam update, and neither changes a bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import cores
 from .errors import (
     EmptyBatchError,
     InvalidConfigError,
@@ -204,11 +200,6 @@ def _draw_keep_mask(rng: np.random.Generator, dropout: float, mask: np.ndarray,
         np.greater_equal(rng.random(out=block[: len(rows)]), dropout, out=rows)
 
 
-def _mask_block(rows: int, d: int) -> np.ndarray:
-    """The float block _draw_keep_mask draws through: at most MASK_BLOCK entries, or one row."""
-    return np.empty((min(rows, max(1, MASK_BLOCK // d)), d), dtype=np.float64)
-
-
 class DrawnMasks:
     """Stands in for the Generator of one backward call with keep masks drawn ahead.
 
@@ -226,18 +217,40 @@ class DrawnMasks:
 
 
 def _keep_masks(rng, shape: tuple[int, int], dropout: float):
-    """The i and j slots' boolean keep masks of shape (B, d), rng.random(shape) >= dropout each, i first."""
+    """The i and j slots' (B, d) boolean keep masks, i first: rng.random(shape) >= dropout each.
+
+    A DrawnMasks hands over its masks as they are.
+    """
     if rng is None:
         raise InvalidConfigError("dropout requires an rng")
     if isinstance(rng, DrawnMasks):
         return rng.random(shape), rng.random(shape)
-    # the i mask's rows, then the j mask's: the order of two draws of shape
-    masks = np.empty((2 * shape[0], shape[1]), dtype=bool)
-    if masks.size <= MASK_BLOCK:  # one piece: a block would only add calls
-        np.greater_equal(rng.random(masks.shape), dropout, out=masks)
-    else:
-        _draw_keep_mask(rng, dropout, masks, _mask_block(*masks.shape))
-    return masks[: shape[0]], masks[shape[0] :]
+    return rng.random(shape) >= dropout, rng.random(shape) >= dropout
+
+
+def training_steps(rng: np.random.Generator, n_pairs: int, hp: Hyperparameters):
+    """(rows, masks) for each training step: its batch's row indices and keep masks.
+
+    masks is a DrawnMasks for backward's rng, or None without dropout. Each
+    epoch draws one rng.permutation(n_pairs), cut into batches of
+    hp.batch_size rows; each batch then draws its i mask and its j mask, the
+    draws of rng.random((B, d)) >= hp.dropout twice, through a block of at
+    most MASK_BLOCK floats. Steps take turns between two mask buffers, so
+    step s + 1's masks may be drawn while step s's are in use.
+    """
+    d, most = hp.embedding_dim, min(hp.batch_size, n_pairs)
+    buffers = np.empty((2, 2 * most, d), dtype=bool)
+    block = np.empty((min(2 * most, max(1, MASK_BLOCK // d)), d), dtype=np.float64)
+    k = 0
+    for _ in range(hp.epochs):
+        order = rng.permutation(n_pairs)
+        for start in range(0, n_pairs, hp.batch_size):
+            rows, masks = order[start : start + hp.batch_size], None
+            if hp.dropout > 0.0:
+                masks = buffers[k, : 2 * rows.size]
+                _draw_keep_mask(rng, hp.dropout, masks, block)
+                masks, k = DrawnMasks((masks[: rows.size], masks[rows.size :])), k ^ 1
+            yield rows, masks
 
 
 def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.ndarray:
@@ -352,8 +365,8 @@ def backward(
 
     Shared parameters accumulate contributions from both slots; embedding rows
     and bias entries of drugs absent from the batch keep zero gradient. With
-    dropout, rng is the Generator the keep masks are drawn from, or a
-    DrawnMasks that holds them.
+    dropout, rng is the Generator the keep masks are drawn from, or the
+    DrawnMasks of a training_steps step.
     """
     I, J = check_pairs(i, j, params.n_drugs)
     if I.size == 0:
@@ -419,7 +432,7 @@ def adam_step(
     elementwise and runs in the order of
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result does not
     depend on the block size, nor on which thread updates which half: inside
-    a training run with a step_helper, the helper updates the upper half.
+    an open cores.helper block, the helper updates the upper half.
     """
     p, g, m, v = params.flat, grads.flat, state.m, state.v
     if not p.shape == g.shape == m.shape == v.shape:
@@ -428,17 +441,15 @@ def adam_step(
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    helper = _STEP_HELPER.get()
+    helper = cores.current()
+    buffers = np.empty((1 if helper is None else 2, 2, min(p.size, ADAM_BLOCK)), dtype=np.float64)
     if helper is None:
-        buffers = np.empty((2, min(p.size, ADAM_BLOCK)), dtype=np.float64)
-        _adam_slices(p, g, m, v, learning_rate, bc1, bc2, buffers)
+        _adam_slices(p, g, m, v, learning_rate, bc1, bc2, buffers[0])
     else:
         mid = p.size // 2
         helper.run_beside(_adam_slices,
-                          (p[mid:], g[mid:], m[mid:], v[mid:], learning_rate, bc1, bc2,
-                           helper.adam_buffers[1]),
-                          (p[:mid], g[:mid], m[:mid], v[:mid], learning_rate, bc1, bc2,
-                           helper.adam_buffers[0]))
+                          (p[mid:], g[mid:], m[mid:], v[mid:], learning_rate, bc1, bc2, buffers[1]),
+                          (p[:mid], g[:mid], m[:mid], v[:mid], learning_rate, bc1, bc2, buffers[0]))
     return params, state
 
 
@@ -458,166 +469,6 @@ def _adam_slices(p, g, m, v, learning_rate: float, bc1: float, bc2: float,
         np.multiply(learning_rate, np.divide(ms, bc1, out=num), out=num)
         np.add(np.sqrt(np.divide(vs, bc2, out=den), out=den), ADAM_EPS, out=den)
         ps -= np.divide(num, den, out=num)
-
-
-# -- the helper thread of a training run ----------------------------------------
-
-
-class _Task:
-    """One call for the helper thread, which the caller runs itself if the helper has not begun it.
-
-    Either way it runs once, under the numpy error state of the thread that
-    made it: numpy keeps its error state per thread (a context variable
-    since numpy 2, which a new thread does not inherit), so without it the
-    CLI's errstate(all="ignore") or a caller's errstate(all="raise") would
-    not hold in the helper's part of the work.
-    """
-
-    def __init__(self, fn, args):
-        self.fn, self.args = fn, args
-        self.errstate = dict(np.geterr(), call=np.geterrcall())
-        self._taken = threading.Lock()
-        self._done = threading.Event()
-        self.value = self.error = None
-
-    def run(self) -> None:
-        """Run the call here, unless another thread has taken it."""
-        if not self._taken.acquire(blocking=False):
-            return
-        try:
-            with np.errstate(**self.errstate):
-                self.value = self.fn(*self.args)
-        except BaseException as exc:  # raised again by result(), in the caller
-            self.error = exc
-        finally:
-            self._done.set()
-
-    def wait(self) -> None:
-        """Return once the call has run: here, if the helper has not begun it."""
-        self.run()
-        self._done.wait()
-
-    def result(self):
-        self.wait()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-class StepHelper:
-    """One helper thread of a training run, and the arrays it writes into.
-
-    The caller allocates every array the helper writes: the keep masks of
-    two steps (the one in use and the next), the float block they are drawn
-    through and Adam's scratch buffers for both halves. The helper never
-    calls a pipeline name that a tracer may wrap, only numpy and the
-    Generator.
-    """
-
-    def __init__(self, params: ModelParameters, batch_rows: int, dropout: float):
-        d = params.embedding_dim
-        self._dropout = dropout
-        self.adam_buffers = np.empty((2, 2, min(params.flat.size, ADAM_BLOCK)), dtype=np.float64)
-        # two steps' i and j masks; of no rows, so none is drawn, without dropout
-        self._masks = np.empty((2, 2 * batch_rows if dropout > 0.0 else 0, d), dtype=bool)
-        self._block = _mask_block(2 * batch_rows, d)
-        self._tasks: deque = deque()
-        self._queued = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="amfpmc-step-helper", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self._queued.acquire()
-            task = self._tasks.popleft()
-            if task is None:
-                return
-            task.run()
-
-    def _put(self, task: Optional[_Task]) -> None:
-        self._tasks.append(task)
-        self._queued.release()
-
-    def _submit(self, fn, *args) -> _Task:
-        task = _Task(fn, args)
-        self._put(task)
-        return task
-
-    def close(self) -> None:
-        """Finish every task submitted and end the thread."""
-        self._put(None)
-        self._thread.join()
-
-    def run_beside(self, fn, helper_args: tuple, own_args: tuple) -> None:
-        """fn(*helper_args) on the helper while the caller runs fn(*own_args).
-
-        Returns once both are done; the caller runs both when the helper has
-        not begun its part by then. The caller's exception comes first, and
-        nothing is raised before the helper's part has finished.
-        """
-        task = self._submit(fn, *helper_args)
-        try:
-            fn(*own_args)
-        finally:
-            task.wait()
-        task.result()
-
-    def prefetch(self, batches, rng: np.random.Generator):
-        """(rows, DrawnMasks) for each batch of rows that batches yields.
-
-        The helper takes step s + 1's rows and keep masks while the caller
-        runs step s; the caller takes them itself if the helper has not begun
-        by the time they are needed. Step s + 2's are asked for only once
-        step s + 1's are drawn, so the draws are made one at a time and in
-        the serial order: batches draws an epoch's permutation before its
-        first step's masks, and each step's i mask comes before its j mask.
-        """
-        def draw(masks):
-            rows = next(batches, None)
-            if rows is None:
-                return None
-            masks = masks[: 2 * rows.size]
-            _draw_keep_mask(rng, self._dropout, masks, self._block)
-            return rows, DrawnMasks(np.split(masks, 2))
-
-        k = 0
-        pending = self._submit(draw, self._masks[k])
-        while (step := pending.result()) is not None:
-            k ^= 1
-            pending = self._submit(draw, self._masks[k])
-            yield step
-
-
-_STEP_HELPER: ContextVar[Optional[StepHelper]] = ContextVar("step_helper", default=None)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@contextmanager
-def step_helper(params: ModelParameters, batch_rows: int, dropout: float):
-    """A StepHelper for one training run, which adam_step uses while it is open, or None.
-
-    None where one thread does as well: when the process may run on one CPU
-    only, or when the model has fewer than HELPER_MIN_PARAMETERS parameters,
-    where handing work over costs more than it saves. On exit the
-    helper finishes its tasks and its thread ends, before any exception of
-    the run is passed on.
-    """
-    if params.flat.size < HELPER_MIN_PARAMETERS or _usable_cpus() < 2:
-        yield None
-        return
-    helper = StepHelper(params, batch_rows, dropout)
-    token = _STEP_HELPER.set(helper)
-    try:
-        yield helper
-    finally:
-        _STEP_HELPER.reset(token)
-        helper.close()
 
 
 def gradient_check(

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics as metrics_mod
+from .cores import helper
 from .errors import (
     EmptyDatasetError,
     EmptyGridError,
@@ -38,6 +39,7 @@ from .graph import (
 )
 from .metrics import MultiClassReport, _by_support, mean_report, multiclass_report
 from .model import (
+    HELPER_MIN_PARAMETERS,
     Hyperparameters,
     ModelParameters,
     OptimizerState,
@@ -45,7 +47,7 @@ from .model import (
     backward,
     init_model,
     predict_batch,
-    step_helper,
+    training_steps,
 )
 from .propagation import (_blend_labels, _distribution_rows, check_alpha, check_labels,
                           neighborhood_distributions)
@@ -121,11 +123,13 @@ def train(
 
     Class weights come from the hard labels of the given pairs; each batch's
     targets are pairs.targets of its rows (build the pairs with
-    attach_targets on the training graph). A large run takes a helper thread
-    (model.step_helper), which draws each next step's rows and dropout masks,
-    in the serial order, while this thread runs the step. backward and
-    adam_step are called once per step either way, and the parameters have
-    the same bits.
+    attach_targets on the training graph). Every step's rows and dropout
+    masks come from model.training_steps. A model of at least
+    HELPER_MIN_PARAMETERS parameters takes a helper thread (cores.helper),
+    which draws each next step while this thread runs the current one, in
+    the same order, and runs half of each Adam update: the parameters have
+    the same bits either way. A run whose parameters or Adam moments are not
+    finite at the end is refused with NonFiniteError.
     """
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
@@ -139,23 +143,18 @@ def train(
     rng = np.random.default_rng(hp.seed)
     params = init_model(n_drugs, n_classes, hp, rng=rng)
     state = OptimizerState.for_params(params)
-    batches = _batches(rng, len(pairs), hp)
-    with step_helper(params, min(hp.batch_size, len(pairs)), hp.dropout) as helper:
-        steps = ((idx, rng) for idx in batches) if helper is None else helper.prefetch(batches, rng)
-        for idx, step_rng in steps:
+    steps = training_steps(rng, len(pairs), hp)
+    with helper(params.flat.size >= HELPER_MIN_PARAMETERS) as beside:
+        for idx, masks in steps if beside is None else beside.ahead(steps):
             _, grads = backward(
-                params, I[idx], J[idx], pairs.targets(idx), weights, dropout=hp.dropout, rng=step_rng
+                params, I[idx], J[idx], pairs.targets(idx), weights, dropout=hp.dropout, rng=masks
             )
             adam_step(params, grads, state, hp.learning_rate)
+    # an overflowed second moment stays infinite, so this finds every diverged run
+    if not (np.isfinite(params.flat).all() and np.isfinite(state.v).all()):
+        raise NonFiniteError("training diverged: parameters or Adam moments are not finite "
+                             "(is the learning rate too high?)")
     return params
-
-
-def _batches(rng: np.random.Generator, n_pairs: int, hp: Hyperparameters):
-    """Each training step's rows: one rng.permutation per epoch, cut into batches."""
-    for _ in range(hp.epochs):
-        order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, hp.batch_size):
-            yield order[start : start + hp.batch_size]
 
 
 def scored_chunks(params: ModelParameters, pairs):
@@ -516,7 +515,10 @@ def grid_search(
 
     results: list[tuple[Hyperparameters, float]] = []
     for hp_c in candidates:
-        probs = fit_and_score(train_items, train_graph, val_pairs, hp_c)
+        try:
+            probs = fit_and_score(train_items, train_graph, val_pairs, hp_c)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"candidate {hp_c}: {exc}") from None
         if not np.all(np.isfinite(probs)):
             raise NonFiniteError(
                 f"candidate {hp_c} gives non-finite validation probabilities (did training diverge?)"

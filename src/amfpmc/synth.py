@@ -74,9 +74,6 @@ class SyntheticData:
         g, h = min(g, h), max(g, h)
         return g * self.config.n_blocks + h + self.config.class_offset
 
-    def true_pair_class(self, i: int, j: int) -> int:
-        return self.block_pair_class(int(self.block_of[i]), int(self.block_of[j]))
-
 
 def synthetic_roster(n_drugs: int) -> Roster:
     return Roster([f"D{i:04d}" for i in range(n_drugs)])

@@ -656,6 +656,26 @@ def test_diverged_training_with_a_helper_thread_exits_with_one_line(synth_files,
     assert not (tmp_path / "model.txt").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["evaluate", "holdout"],
+    ["train", "--mode", "holdout", "--out", "model.txt"],
+])
+def test_diverged_run_with_finite_parameters_exits_with_one_line(synth_files, tmp_path, command):
+    # at this rate the parameters stay finite (the largest about 1e81) while
+    # Adam's second moments overflow to inf: train refuses the run itself
+    t0, _, _ = synth_files
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amfpmc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amfpmc.cli", *command, "--interactions", str(t0),
+         "--dim", "4096", "--epochs", "3", "--batch", "64", "--lr", "1e80"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1
+    _assert_one_line_error(proc.stderr, "NonFiniteError")
+    assert "training diverged" in proc.stderr
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_diverged_grid_candidate_exits_with_one_line(synth_files, tmp_path):
     t0, _, _ = synth_files
     grid = tmp_path / "grid.txt"

@@ -1,6 +1,6 @@
 """Training with a helper thread gives the bits of training on one thread.
 
-pipeline.train takes a helper thread (model.step_helper) when the model has
+pipeline.train takes a helper thread (cores.helper) when the model has
 at least HELPER_MIN_PARAMETERS parameters and the process may run on two
 CPUs. The runs without it are made in a fresh interpreter pinned to one CPU
 with os.sched_setaffinity, the way a one-CPU machine or `taskset -c 0`
@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import amfpmc
-from amfpmc import model as model_mod
 from amfpmc import pipeline
+from amfpmc.errors import NonFiniteError
 from amfpmc.graph import HOLDOUT, RETROSPECTIVE
-from amfpmc.model import DrawnMasks, Hyperparameters
+from amfpmc.model import Hyperparameters
 from amfpmc.pipeline import attach_targets, train, training_graph
 
 SRC = os.path.dirname(os.path.dirname(amfpmc.__file__))
@@ -69,31 +69,36 @@ def digests():
     return [_digest(config) for config in CONFIGS]
 
 
-# pins the process to one CPU, checks that no step got drawn masks, and
-# prints the digests of CONFIGS
+# pins the process to one CPU, records the live thread count in each
+# backward call, and prints it with the digests of CONFIGS
 ONE_CPU = """
-import json, os, sys
+import json, os, sys, threading
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, sys.argv[1])
 import test_step_helper as t
 from amfpmc import pipeline
+before = threading.active_count()
 seen = []
 backward = pipeline.backward
 def recording(*args, **kwargs):
-    seen.append(type(kwargs["rng"]).__name__)
+    seen.append(threading.active_count())
     return backward(*args, **kwargs)
 pipeline.backward = recording
-print(json.dumps({"digests": t.digests(), "rngs": sorted(set(seen))}))
+print(json.dumps({"digests": t.digests(), "extra_threads": sorted({n - before for n in seen})}))
 """
 
 
+def _helper_threads():
+    return sum(thread.name == "amfpmc-helper" for thread in threading.enumerate())
+
+
 def _recorded_backward(monkeypatch):
-    """Record, for each backward call, the rng's type and the live thread count."""
+    """Record, for each backward call, the live thread count and how many of those threads are helpers."""
     calls = []
     backward = pipeline.backward
 
     def recording(*args, **kwargs):
-        calls.append((type(kwargs["rng"]), threading.active_count()))
+        calls.append((threading.active_count(), _helper_threads()))
         return backward(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "backward", recording)
@@ -106,23 +111,24 @@ def _task_count():
 
 @needs_two_cpus
 def test_helper_and_one_cpu_give_the_same_bits(monkeypatch):
+    before = threading.active_count()
     calls = _recorded_backward(monkeypatch)
     with_helper = digests()
-    assert {rng for rng, _ in calls} == {DrawnMasks}
+    assert set(calls) == {(before + 1, 1)}
     proc = subprocess.run([sys.executable, "-c", ONE_CPU, TESTS], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
     assert proc.returncode == 0, proc.stderr
     one_cpu = json.loads(proc.stdout)
-    assert one_cpu["rngs"] == ["Generator"]
+    assert one_cpu["extra_threads"] == [0]
     assert one_cpu["digests"] == with_helper
 
 
 def test_small_model_trains_on_one_thread(monkeypatch):
     calls = _recorded_backward(monkeypatch)
-    monkeypatch.setattr(model_mod, "HELPER_MIN_PARAMETERS", N_DRUGS * DIM * 2)
+    monkeypatch.setattr(pipeline, "HELPER_MIN_PARAMETERS", N_DRUGS * DIM * 2)
     before = threading.active_count()
     _run(HOLDOUT, 260, 37, 0.3)
-    assert calls and all(rng is np.random.Generator and count == before for rng, count in calls)
+    assert calls and set(calls) == {(before, 0)}
 
 
 @needs_two_cpus
@@ -130,7 +136,7 @@ def test_no_thread_outlives_train(monkeypatch):
     calls = _recorded_backward(monkeypatch)
     before = threading.active_count(), _task_count()
     _run(HOLDOUT, 300, 64, 0.3)
-    assert {count for _, count in calls} == {before[0] + 1}
+    assert {count for count, _ in calls} == {before[0] + 1}
     assert (threading.active_count(), _task_count()) == before
 
 
@@ -140,8 +146,8 @@ def test_helper_errors_reach_the_caller_after_the_helper_stops(monkeypatch):
     # has ended by then
     before = threading.active_count(), _task_count()
     raised = []
-    for threshold in (model_mod.HELPER_MIN_PARAMETERS, np.inf):
-        monkeypatch.setattr(model_mod, "HELPER_MIN_PARAMETERS", threshold)
+    for threshold in (pipeline.HELPER_MIN_PARAMETERS, np.inf):
+        monkeypatch.setattr(pipeline, "HELPER_MIN_PARAMETERS", threshold)
         with np.errstate(all="raise"), pytest.raises(ArithmeticError) as info:
             _run(HOLDOUT, 300, 64, 0.3, learning_rate=1e200)
         raised.append(type(info.value))
@@ -152,12 +158,21 @@ def test_helper_errors_reach_the_caller_after_the_helper_stops(monkeypatch):
 @needs_two_cpus
 def test_helper_runs_under_the_callers_error_state(monkeypatch):
     # warnings are errors in this suite: a helper under numpy's default
-    # error state would warn, and raise, where the caller ignores
+    # error state would warn, and raise, where the caller ignores. Both runs
+    # diverge to the same bits and are refused after their last step.
     runs = []
-    for threshold in (model_mod.HELPER_MIN_PARAMETERS, np.inf):
-        monkeypatch.setattr(model_mod, "HELPER_MIN_PARAMETERS", threshold)
-        with np.errstate(all="ignore"):
-            runs.append(_run(HOLDOUT, 300, 64, 0.3, learning_rate=1e200).flat)
+    adam_step = pipeline.adam_step
+
+    def recording(params, *args):
+        runs[-1] = params.flat
+        return adam_step(params, *args)
+
+    monkeypatch.setattr(pipeline, "adam_step", recording)
+    for threshold in (pipeline.HELPER_MIN_PARAMETERS, np.inf):
+        monkeypatch.setattr(pipeline, "HELPER_MIN_PARAMETERS", threshold)
+        runs.append(None)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            _run(HOLDOUT, 300, 64, 0.3, learning_rate=1e200)
     assert not np.isfinite(runs[0]).all()
     assert runs[0].tobytes() == runs[1].tobytes()
 
@@ -166,7 +181,7 @@ def test_helper_runs_under_the_callers_error_state(monkeypatch):
 def test_concurrent_runs_keep_their_bits(monkeypatch):
     # three runs at once, each on its own thread with its own helper, and a
     # short switch interval: more threads than CPUs, switching inside steps
-    monkeypatch.setattr(model_mod, "HELPER_MIN_PARAMETERS", np.inf)
+    monkeypatch.setattr(pipeline, "HELPER_MIN_PARAMETERS", np.inf)
     want = [_digest(config) for config in CONFIGS[:3]]
     monkeypatch.undo()
     calls = _recorded_backward(monkeypatch)
@@ -186,5 +201,6 @@ def test_concurrent_runs_keep_their_bits(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert {rng for rng, _ in calls} == {DrawnMasks}
+    # each run's backward calls see its own helper, and at most the other two
+    assert calls and {helpers for _, helpers in calls} <= {1, 2, 3}
     assert got == want

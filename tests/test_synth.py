@@ -36,11 +36,11 @@ def test_complete_noiseless_graph_is_fully_determined():
     data = generate_synthetic(cfg)
     assert data.graph_t1.num_edges == 20 * 19 // 2
     for i, j, c in data.graph_t1.edge_list():
-        assert c == data.true_pair_class(i, j)
+        assert c == data.block_pair_class(int(data.block_of[i]), int(data.block_of[j]))
     # reading the block map scores the held-out edges perfectly
     probs = np.zeros((len(data.held_out), cfg.n_classes))
     for row, (i, j, _) in enumerate(data.held_out):
-        probs[row, data.true_pair_class(i, j)] = 1.0
+        probs[row, data.block_pair_class(int(data.block_of[i]), int(data.block_of[j]))] = 1.0
     rep = multiclass_report(probs, [c for _, _, c in data.held_out])
     assert rep.accuracy == 1.0 and rep.macro_auroc == 1.0
 
@@ -63,7 +63,7 @@ def test_noise_stays_among_planted_classes():
     flipped = 0
     for i, j, c in data.graph_t1.edge_list():
         assert c in planted
-        if c != data.true_pair_class(i, j):
+        if c != data.block_pair_class(int(data.block_of[i]), int(data.block_of[j])):
             flipped += 1
     m = data.graph_t1.num_edges
     assert abs(flipped / m - 0.3) < 0.05
