@@ -39,7 +39,7 @@ class _Task:
         self.value = self.error = None
 
     def run(self) -> None:
-        """Run the call here, unless another thread has taken it."""
+        """Run the call here, unless another thread has taken it, then drop the call and its arguments."""
         if not self._taken.acquire(blocking=False):
             return
         try:
@@ -48,6 +48,7 @@ class _Task:
         except BaseException as exc:  # raised again by result(), in the caller
             self.error = exc
         finally:
+            self.fn = self.args = None
             self._done.set()
 
     def wait(self) -> None:
@@ -65,9 +66,11 @@ class _Task:
 class Helper:
     """One helper thread, which runs submitted tasks in order until close().
 
-    It allocates nothing of its own: a task writes into arrays its caller
-    made. A task should not call a name the benchmark's tracer wraps
-    (perfbench/spans.py), whose spans nest by call order on one thread.
+    A task writes its arrays into buffers its caller made; of its own it
+    allocates only vectors of batch or drug length, such as index arrays,
+    so the helper thread's memory stays small. A task should not call a
+    name the benchmark's tracer wraps (perfbench/spans.py), whose spans nest
+    by call order on one thread.
     """
 
     def __init__(self):
@@ -135,6 +138,36 @@ _CURRENT: ContextVar[Optional[Helper]] = ContextVar("amfpmc_helper", default=Non
 def current() -> Optional[Helper]:
     """The helper of the innermost open helper() block on this thread, or None."""
     return _CURRENT.get()
+
+
+class _Ran:
+    """A call run in line, with the wait() and result() of a _Task.
+
+    It takes no lock, event or error state: a _Task's cost a few percent of
+    a small training step.
+    """
+
+    def __init__(self, fn, args):
+        self.value = self.error = None
+        try:
+            self.value = fn(*args)
+        except BaseException as exc:  # raised again by result()
+            self.error = exc
+
+    def wait(self) -> None:
+        pass
+
+    result = _Task.result
+
+
+def start(fn, *args):
+    """fn(*args) as a task of the current() helper, or run here and now when there is none.
+
+    Either way the returned task's result() returns or raises what the call
+    did, once it has run.
+    """
+    beside = current()
+    return _Ran(fn, args) if beside is None else beside.submit(fn, *args)
 
 
 def usable_cpus() -> int:

@@ -13,8 +13,10 @@ only; with training off the forward pass is exactly symmetric in (i, j).
 Training minimizes class-weighted cross-entropy against soft targets with
 hand-written gradients and a plain Adam optimizer, all in float64 so runs are
 bitwise reproducible given a seed. training_steps draws every step's rows and
-dropout masks; a helper thread (cores) may draw the next step's and run half
-of each Adam update, and neither changes a bit.
+dropout masks. A helper thread (cores) may prepare the next step, compute
+backward's head gradients and loss while the caller computes the embedding
+gradients, and run half of each Adam update; none of it changes a bit, and
+every matrix product runs whole on one thread.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ ADAM_BLOCK = 1 << 15
 #: Uniform draws per piece of a dropout mask draw; any value gives the same masks.
 MASK_BLOCK = 1 << 14
 #: Parameter count from which a training run takes a helper thread.
-HELPER_MIN_PARAMETERS = 1 << 17
+HELPER_MIN_PARAMETERS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -200,17 +202,19 @@ def _draw_keep_mask(rng: np.random.Generator, dropout: float, mask: np.ndarray,
         np.greater_equal(rng.random(out=block[: len(rows)]), dropout, out=rows)
 
 
-class DrawnMasks:
-    """Stands in for the Generator of one backward call with keep masks drawn ahead.
+class PreparedStep:
+    """Stands in for the Generator of one backward call, with what its training step made ahead.
 
-    random(shape) hands out the next mask, the i slot's first. For
+    random(shape) hands out the next of masks, the i slot's first. For
     0 < dropout < 1 a boolean mask >= dropout is the mask itself, so a step
     written as rng.random(shape) >= dropout gets the masks the Generator
-    would have given it.
+    would have given it. plan is _scatter_plan(np.concatenate([I, J])) of
+    the step's batch, which backward's scatter then follows.
     """
 
-    def __init__(self, masks):
+    def __init__(self, masks, plan):
         self._masks = iter(masks)
+        self.plan = plan
 
     def random(self, shape) -> np.ndarray:
         return next(self._masks)
@@ -219,11 +223,11 @@ class DrawnMasks:
 def _keep_masks(rng, shape: tuple[int, int], dropout: float):
     """The i and j slots' (B, d) boolean keep masks, i first: rng.random(shape) >= dropout each.
 
-    A DrawnMasks hands over its masks as they are.
+    A PreparedStep hands over its masks as they are.
     """
     if rng is None:
         raise InvalidConfigError("dropout requires an rng")
-    if isinstance(rng, DrawnMasks):
+    if isinstance(rng, PreparedStep):
         return rng.random(shape), rng.random(shape)
     return rng.random(shape) >= dropout, rng.random(shape) >= dropout
 
@@ -231,7 +235,7 @@ def _keep_masks(rng, shape: tuple[int, int], dropout: float):
 def training_steps(rng: np.random.Generator, n_pairs: int, hp: Hyperparameters):
     """(rows, masks) for each training step: its batch's row indices and keep masks.
 
-    masks is a DrawnMasks for backward's rng, or None without dropout. Each
+    masks is the i and then the j slot's (B, d) boolean keep mask, or () without dropout. Each
     epoch draws one rng.permutation(n_pairs), cut into batches of
     hp.batch_size rows; each batch then draws its i mask and its j mask, the
     draws of rng.random((B, d)) >= hp.dropout twice, through a block of at
@@ -245,11 +249,11 @@ def training_steps(rng: np.random.Generator, n_pairs: int, hp: Hyperparameters):
     for _ in range(hp.epochs):
         order = rng.permutation(n_pairs)
         for start in range(0, n_pairs, hp.batch_size):
-            rows, masks = order[start : start + hp.batch_size], None
+            rows, masks = order[start : start + hp.batch_size], ()
             if hp.dropout > 0.0:
                 masks = buffers[k, : 2 * rows.size]
                 _draw_keep_mask(rng, hp.dropout, masks, block)
-                masks, k = DrawnMasks((masks[: rows.size], masks[rows.size :])), k ^ 1
+                masks, k = (masks[: rows.size], masks[rows.size :]), k ^ 1
             yield rows, masks
 
 
@@ -308,12 +312,17 @@ def predict_batch(params: ModelParameters, i, j) -> np.ndarray:
     return softmax(logits, out=logits)
 
 
-def _weighted_cross_entropy(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray):
-    """Per-sample weights w[argmax t] and the batch mean of w * cross_entropy(t, p)."""
-    # the weight is looked up at the argmax of the (possibly soft) target
-    w = class_weights[np.argmax(targets, axis=1)]
-    ce = -(targets * np.log(np.maximum(probs, LOG_CLAMP))).sum(axis=1)
-    return w, float(np.mean(w * ce))
+def _sample_weights(targets: np.ndarray, class_weights: np.ndarray) -> np.ndarray:
+    """w[argmax t] per sample: the weight is looked up at the argmax of the (possibly soft) target."""
+    return class_weights[np.argmax(targets, axis=1)]
+
+
+def _mean_weighted_ce(probs: np.ndarray, targets: np.ndarray, w: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> float:
+    """The batch mean of w * cross_entropy(t, p); out=probs computes it in place of probs."""
+    logs = np.log(np.maximum(probs, LOG_CLAMP, out=out), out=out)
+    ce = -np.multiply(targets, logs, out=out).sum(axis=1)
+    return float(np.mean(w * ce))
 
 
 def loss(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray) -> float:
@@ -324,18 +333,17 @@ def loss(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray) -> f
         raise ShapeMismatchError(f"probs {probs.shape} vs targets {targets.shape}")
     if class_weights.shape != (probs.shape[1],):
         raise ShapeMismatchError("class_weights length must equal the class count")
-    return _weighted_cross_entropy(probs, targets, class_weights)[1]
+    return _mean_weighted_ce(probs, targets, _sample_weights(targets, class_weights))
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Sum rows[k] into row index[k] of out, an (n, d) zero matrix, bitwise as np.add.at.
+def _scatter_plan(index: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(targets, rounds): how _scatter_rows sums rows into the rows of out that index names.
 
     np.add.at adds in index order, and a stable sort keeps that order within
     each target row. The targets are ranked by occurrence count, most first,
-    so those still pending at round r are a prefix of one (targets, d)
-    accumulator, and round r adds each one's r-th occurrence with one slice
-    +=. Round 0 computes x + 0.0, which is 0.0 + x bitwise, so a -0.0 entry
-    lands as +0.0 as in add.at. The dense result is written once, at the end.
+    so those still pending at round r are a prefix of them, and rounds[r]
+    holds the positions in index of their r-th occurrences. The plan reads
+    index alone, so it can be made before the rows exist.
     """
     order = np.argsort(index, kind="stable")
     sorted_index = index[order]
@@ -343,13 +351,30 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     counts = np.diff(starts, append=index.size)
     most_first = np.argsort(-counts, kind="stable")
     starts, counts = starts[most_first], counts[most_first]
-    acc = rows[order[starts]]
+    # targets with more than r occurrences, for r = 0 .. largest count - 1
+    pending = np.searchsorted(-counts, -np.arange(counts[0]), "left")
+    return sorted_index[starts], [order[starts[:k] + r] for r, k in enumerate(pending)]
+
+
+def _scatter_planned(plan, rows: np.ndarray, out: np.ndarray) -> None:
+    """Sum rows into out, an (n, d) zero matrix, as the _scatter_plan plan says.
+
+    One (targets, d) accumulator takes round 0's rows and each later round
+    is one slice +=. Round 0 computes x + 0.0, which is 0.0 + x bitwise, so
+    a -0.0 entry lands as +0.0 as in add.at. The dense result is written
+    once, at the end.
+    """
+    targets, rounds = plan
+    acc = rows[rounds[0]]
     acc += 0.0
-    # targets with more than r occurrences, for r = 1 .. largest count - 1
-    pending = np.searchsorted(-counts, -np.arange(1, counts[0]), "left")
-    for r, k in enumerate(pending, 1):
-        acc[:k] += rows[order[starts[:k] + r]]
-    out[sorted_index[starts]] = acc
+    for at in rounds[1:]:
+        acc[: at.size] += rows[at]
+    out[targets] = acc
+
+
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Sum rows[k] into row index[k] of out, an (n, d) zero matrix, bitwise as np.add.at."""
+    _scatter_planned(_scatter_plan(index), rows, out)
 
 
 def backward(
@@ -365,8 +390,15 @@ def backward(
 
     Shared parameters accumulate contributions from both slots; embedding rows
     and bias entries of drugs absent from the batch keep zero gradient. With
-    dropout, rng is the Generator the keep masks are drawn from, or the
-    DrawnMasks of a training_steps step.
+    dropout, rng is the Generator the keep masks are drawn from. A training
+    step passes its PreparedStep as rng, with or without dropout, and the
+    embedding gradients are scattered by its plan.
+
+    Once the logit gradient G is known, the head branch (the W, c, u and b
+    gradients and the loss) runs as a cores.start task, on the helper inside
+    an open cores.helper block and in line before the embedding branch
+    otherwise, while this thread computes the embedding gradients. The two
+    write disjoint parts of the gradients and are joined before returning.
     """
     I, J = check_pairs(i, j, params.n_drugs)
     if I.size == 0:
@@ -376,47 +408,63 @@ def backward(
         raise ShapeMismatchError(f"targets shape {T.shape}, expected {(I.size, params.n_classes)}")
     B = I.size
 
-    # Each forward array is dropped at its last use, dE is computed in place
-    # of the slot rows, and the W, c, u and b gradients are formed before the
-    # embedding rows are scattered, so _scatter_rows runs beside dE and the
-    # gradient vector only. A step at the paper's shape (572 drugs, K = 65,
-    # d = 512, B = 256, dropout 0.3) peaks at 6.8 MB under tracemalloc,
-    # against 11.5 MB with Ei, Ej, h, dh and the masks held through the
-    # scatter. The gradient vector is still allocated after dE: allocated
-    # first, it multiplied a step's page faults.
+    # Each forward array is dropped at its last use and dE is computed in
+    # place of the slot rows. Without a helper the head branch runs first and
+    # frees h and P, so the scatter runs beside dE and the gradient vector
+    # only: a step at the paper's shape (572 drugs, K = 65, d = 512, B = 256,
+    # dropout 0.3) peaks at 6.8 MB under tracemalloc, against 11.5 MB with
+    # Ei, Ej, h, dh and the masks held through the scatter. With a helper,
+    # h and P live until the head branch has run. The gradient vector is
+    # still allocated after dE: allocated first, it multiplied a step's page
+    # faults.
     dE, masks, h, pair_bias, logits = _forward_parts(params, I, J, dropout, rng)
-    P = softmax(logits)
+    P = softmax(logits, out=logits)
     del logits
-    w, batch_loss = _weighted_cross_entropy(P, T, class_weights)
+    w = _sample_weights(T, class_weights)
 
     # d(mean loss)/dlogits; softmax-cross-entropy collapses to w * (p - t) / B
-    G = (w[:, None] * (P - T)) / B
-    del P
+    G = np.subtract(P, T)
+    G *= w[:, None]
+    G /= B
 
-    # dh times the j rows (the upper half) is the i slot's gradient, and
-    # times the i rows the j slot's: the i slot's rows, then the j slot's,
-    # the order add.at would sum them
-    dh = G @ params.class_proj
-    np.multiply(dh, dE[:B], out=dE[:B])
-    np.multiply(dh, dE[B:], out=dE[B:])
-    del dh
-    if masks is not None:
-        _drop(dE[:B], masks[0], dropout)
-        _drop(dE[B:], masks[1], dropout)
-    del masks
-    grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
-    np.matmul(G.T, h, out=grads.class_proj)
-    del h
-    np.sum(G, axis=0, out=grads.class_bias)
-    np.sum(G * pair_bias[:, None], axis=0, out=grads.bias_coupling)
-
-    # bincount sums in index order from 0.0, the bits of np.add.at into zeros
     slots = np.concatenate([I, J])
+    grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
+    head = cores.start(_head_gradients, params, grads, G, h, P, T, w, pair_bias, slots)
+    del h, P, pair_bias
+    try:
+        # dh times the j rows (the upper half) is the i slot's gradient, and
+        # times the i rows the j slot's: the i slot's rows, then the j slot's,
+        # the order add.at would sum them
+        dh = G @ params.class_proj
+        np.multiply(dh, dE[:B], out=dE[:B])
+        np.multiply(dh, dE[B:], out=dE[B:])
+        del dh
+        if masks is not None:
+            _drop(dE[:B], masks[0], dropout)
+            _drop(dE[B:], masks[1], dropout)
+        del masks
+        plan = rng.plan if isinstance(rng, PreparedStep) else _scatter_plan(slots)
+        _scatter_planned(plan, dE, grads.embeddings)
+    finally:
+        head.wait()
+    return head.result(), grads
+
+
+def _head_gradients(params, grads, G, h, P, T, w, pair_bias, slots) -> float:
+    """backward's W, c, u and b gradients, written into grads, and the batch loss.
+
+    The loss is computed in place of P, which then holds G * pair_bias, so
+    the branch allocates only vectors of batch or drug length.
+    """
+    batch_loss = _mean_weighted_ce(P, T, w, out=P)
+    np.matmul(G.T, h, out=grads.class_proj)
+    np.sum(G, axis=0, out=grads.class_bias)
+    np.sum(np.multiply(G, pair_bias[:, None], out=P), axis=0, out=grads.bias_coupling)
+    # bincount sums in index order from 0.0, the bits of np.add.at into zeros
     db_pair = G @ params.bias_coupling
     grads.drug_bias[...] = np.bincount(slots, weights=np.concatenate([db_pair, db_pair]),
                                        minlength=params.n_drugs)
-    _scatter_rows(slots, dE, grads.embeddings)
-    return batch_loss, grads
+    return batch_loss
 
 
 def adam_step(

@@ -43,6 +43,8 @@ from .model import (
     Hyperparameters,
     ModelParameters,
     OptimizerState,
+    PreparedStep,
+    _scatter_plan,
     adam_step,
     backward,
     init_model,
@@ -62,8 +64,9 @@ class LabeledPairs:
     """A training set: (m, 3) rows (i, j, label) with i < j, and what their soft targets are propagated from.
 
     own[r] is the class the graph stores for row r's pair (-1 if none);
-    targets(idx) builds the rows idx asks for, so no (m, n_classes) matrix
-    is held. Build it with attach_targets, which checks the rows once.
+    batch(idx) and targets(idx) build the rows idx asks for, so no
+    (m, n_classes) matrix is held. Build it with attach_targets, which
+    checks the rows once.
     """
 
     items: np.ndarray
@@ -74,14 +77,22 @@ class LabeledPairs:
     def __len__(self) -> int:
         return len(self.items)
 
-    def targets(self, idx) -> np.ndarray:
-        """(len(idx), n_classes) targets of the rows idx, in that order, with no check.
+    def batch(self, idx, out=None, scratch=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(I, J, targets) of the rows idx, in that order, with no check.
 
-        Row r depends on row r alone, so any subset of rows, in any order,
-        gets the bits of the same rows of propagate_targets over all of them.
+        The rows are gathered once. targets is built in out, with scratch
+        for the distributions' second gather, as propagation's
+        _distribution_rows takes them. Row r depends on row r alone, so any
+        subset of rows, in any order, gets the bits of the same rows of
+        propagate_targets over all of them.
         """
         I, J, labels = self.items[idx].T
-        return _blend_labels(_distribution_rows(self.graph, I, J, self.own[idx]), labels, self.alpha)
+        dist = _distribution_rows(self.graph, I, J, self.own[idx], out, scratch)
+        return I, J, _blend_labels(dist, labels, self.alpha)
+
+    def targets(self, idx) -> np.ndarray:
+        """(len(idx), n_classes) targets of the rows idx: batch(idx)'s third part."""
+        return self.batch(idx)[2]
 
 
 def _canonical_rows(items) -> np.ndarray:
@@ -113,6 +124,22 @@ def one_hot_pairs(items, n_classes: int) -> LabeledPairs:
     return attach_targets(rows, build_graph(n_drugs, n_classes, HOLDOUT, []), 0.0)
 
 
+def _prepared_steps(pairs: LabeledPairs, rng: np.random.Generator, hp: Hyperparameters):
+    """(I, J, targets, PreparedStep) for each step of model.training_steps.
+
+    Everything of a step that reads its rows alone is made here: the rows
+    gathered once, their targets, the keep masks and backward's scatter
+    plan, the last two in the PreparedStep that train passes as backward's
+    rng. Targets take turns between two buffers, as the masks do, so step
+    s + 1 may be prepared while step s is in use.
+    """
+    most = min(hp.batch_size, len(pairs))
+    buffers = np.empty((3, most, pairs.graph.n_classes), dtype=np.float64)
+    for k, (idx, masks) in enumerate(training_steps(rng, len(pairs), hp)):
+        I, J, T = pairs.batch(idx, buffers[k % 2, : idx.size], buffers[2, : idx.size])
+        yield I, J, T, PreparedStep(masks, _scatter_plan(np.concatenate([I, J])))
+
+
 def train(
     pairs: LabeledPairs,
     hp: Hyperparameters,
@@ -122,33 +149,31 @@ def train(
     """Mini-batch Adam training, deterministic given hp.seed.
 
     Class weights come from the hard labels of the given pairs; each batch's
-    targets are pairs.targets of its rows (build the pairs with
+    targets are pairs.batch's of its rows (build the pairs with
     attach_targets on the training graph). Every step's rows and dropout
-    masks come from model.training_steps. A model of at least
+    masks come from model.training_steps, and _prepared_steps makes all of
+    a step that reads its rows alone. A model of at least
     HELPER_MIN_PARAMETERS parameters takes a helper thread (cores.helper),
-    which draws each next step while this thread runs the current one, in
-    the same order, and runs half of each Adam update: the parameters have
-    the same bits either way. A run whose parameters or Adam moments are not
-    finite at the end is refused with NonFiniteError.
+    which prepares each next step while this thread runs the current one,
+    in the same order, computes backward's head gradients beside its
+    embedding gradients and runs half of each Adam update: the parameters
+    have the same bits either way. A run whose parameters or Adam moments
+    are not finite at the end is refused with NonFiniteError.
     """
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
-    I, J, labels = pairs.items.T
-
     if hp.balance_classes:
-        weights = metrics_mod.class_weights(np.bincount(labels, minlength=n_classes))
+        weights = metrics_mod.class_weights(np.bincount(pairs.items[:, 2], minlength=n_classes))
     else:
         weights = np.ones(n_classes, dtype=np.float64)
 
     rng = np.random.default_rng(hp.seed)
     params = init_model(n_drugs, n_classes, hp, rng=rng)
     state = OptimizerState.for_params(params)
-    steps = training_steps(rng, len(pairs), hp)
+    steps = _prepared_steps(pairs, rng, hp)
     with helper(params.flat.size >= HELPER_MIN_PARAMETERS) as beside:
-        for idx, masks in steps if beside is None else beside.ahead(steps):
-            _, grads = backward(
-                params, I[idx], J[idx], pairs.targets(idx), weights, dropout=hp.dropout, rng=masks
-            )
+        for I, J, T, step in steps if beside is None else beside.ahead(steps):
+            _, grads = backward(params, I, J, T, weights, dropout=hp.dropout, rng=step)
             adam_step(params, grads, state, hp.learning_rate)
     # an overflowed second moment stays infinite, so this finds every diverged run
     if not (np.isfinite(params.flat).all() and np.isfinite(state.v).all()):

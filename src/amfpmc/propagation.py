@@ -34,18 +34,20 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _distribution_rows(graph: TypedInteractionGraph, I, J, own) -> np.ndarray:
+def _distribution_rows(graph: TypedInteractionGraph, I, J, own, out=None, scratch=None) -> np.ndarray:
     """neighborhood_distributions of checked pairs, own being their edge_classes.
 
     Row r is the class counts of the edges incident to a or b, less the
     (a, b) edge itself, over their sum: the a rows of the graph's float64
     counts are gathered, the b rows added and the own edge taken off. The
     counts are whole numbers below 2**53, so each row sum is exact in any
-    order.
+    order. The rows are built in out and the b rows gathered into scratch,
+    two (len(I), n_classes) float64 arrays, or new arrays when None.
     """
     counts = graph.node_class_counts()
-    dist = counts.take(I, axis=0)
-    dist += counts.take(J, axis=0)
+    # the indices are checked, so take need not buffer out to check them
+    dist = counts.take(I, axis=0, out=out, mode="clip")
+    dist += counts.take(J, axis=0, out=scratch, mode="clip")
     at = np.flatnonzero(own >= 0)
     dist[at, own[at]] -= 2.0
     total = dist.sum(axis=1)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -90,6 +91,29 @@ def test_run_beside_raises_the_callers_error_after_the_helpers_part():
                               ("helper",), ("caller",))
     finally:
         helper.close()
+
+
+def test_a_task_drops_its_call_once_it_has_run():
+    # a finished task that is still held keeps no argument of its call alive,
+    # whichever thread ran it: the helper, the caller, or start() in line
+    def payloads(n):
+        arrays = [np.arange(3.0) for _ in range(n)]
+        return arrays, [weakref.ref(a) for a in arrays]
+
+    helper = cores.Helper()
+    release = threading.Event()
+    blocker = helper.submit(release.wait, 10)
+    arrays, refs = payloads(3)
+    queued = [helper.submit(np.sum, arrays[0]), helper.submit(np.sum, arrays[1])]
+    in_line = cores.start(np.sum, arrays[2])
+    del arrays
+    assert refs[0]() is not None and refs[1]() is not None and refs[2]() is None
+    assert queued[0].result() == 3.0  # run by the caller, the helper being blocked
+    assert refs[0]() is None and refs[1]() is not None
+    release.set()
+    helper.close()  # the helper runs the other before it ends
+    assert blocker.result() is True and queued[1].result() == in_line.result() == 3.0
+    assert refs[1]() is None
 
 
 def test_tasks_run_under_the_submitters_error_state(beside):

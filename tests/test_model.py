@@ -25,6 +25,7 @@ from amfpmc.model import (
     Hyperparameters,
     ModelParameters,
     OptimizerState,
+    PreparedStep,
     adam_step,
     backward,
     forward_batch,
@@ -316,6 +317,22 @@ class TestBackward:
         with pytest.raises(InvalidConfigError):
             backward(params, I, J, T, w, dropout=0.5)
 
+    def test_prepared_step_gives_the_generators_bits(self):
+        # the keep masks drawn ahead and the scatter planned ahead, as a
+        # training step passes them, against the Generator they came from
+        rng = np.random.default_rng(46)
+        params = random_model(rng, n=30, d=16, K=5)
+        I, J, T, w = random_batch(rng, params, size=200)
+        plan = model_mod._scatter_plan(np.concatenate([I, J]))
+        for dropout in (0.0, 0.3):
+            masks = ()
+            if dropout:
+                draws = np.random.default_rng(3)
+                masks = [draws.random((I.size, 16)) >= dropout for _ in range(2)]
+            want = backward(params, I, J, T, w, dropout, np.random.default_rng(3))
+            got = backward(params, I, J, T, w, dropout, PreparedStep(masks, plan))
+            assert got[0] == want[0] and got[1].flat.tobytes() == want[1].flat.tobytes()
+
     def test_scatter_runs_beside_the_gradients_only(self):
         # the paper's step (572 drugs, 65 classes, d = 512, B = 256, dropout
         # 0.3): the forward arrays are dropped before the embedding rows are
@@ -436,6 +453,28 @@ def reference_adam_step(params, grads, state, learning_rate):
     v += (1.0 - 0.999) * np.square(g)
     p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
     return params, state
+
+
+def test_planned_scatter_equals_add_at():
+    # one plan, made from the index alone, serves several row sets: heavy
+    # duplicates (drug 7 in 40 slots, so 40 rounds) and -0.0 entries, whole
+    # rows of them included
+    rng = np.random.default_rng(47)
+    n, d = 50, 8
+    index = np.concatenate([np.full(40, 7), np.full(12, 3), rng.integers(0, n, 150)])
+    rng.shuffle(index)
+    plan = model_mod._scatter_plan(index)
+    assert len(plan[1]) == np.bincount(index).max() > 5
+    for _ in range(3):
+        rows = rng.standard_normal((index.size, d))
+        rows[rng.random(rows.shape) < 0.5] = -0.0
+        rows[index == 3] = -0.0
+        rows[np.flatnonzero(index == 7)[::2], :3] = -0.0
+        expected = np.zeros((n, d))
+        got = np.zeros((n, d))
+        np.add.at(expected, index, rows)
+        model_mod._scatter_planned(plan, rows, got)
+        assert got.tobytes() == expected.tobytes()
 
 
 def assert_bitwise_equal(xs, ys):

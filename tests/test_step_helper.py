@@ -18,24 +18,31 @@ import numpy as np
 import pytest
 
 import amfpmc
-from amfpmc import pipeline
+from amfpmc import cores, pipeline
 from amfpmc.errors import NonFiniteError
 from amfpmc.graph import HOLDOUT, RETROSPECTIVE
-from amfpmc.model import Hyperparameters
+from amfpmc.model import HELPER_MIN_PARAMETERS, Hyperparameters, backward, init_model
 from amfpmc.pipeline import attach_targets, train, training_graph
 
 SRC = os.path.dirname(os.path.dirname(amfpmc.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
 N_DRUGS, N_CLASSES, DIM = 260, 5, 512
 
-# (mode, training rows, batch size, dropout); 260 rows in batches of 37 end
-# in a 1-row batch, 300 in batches of 64 in a 44-row one
+# retrospective d = 64, the retro-wide width: 1,010 drugs are just above
+# HELPER_MIN_PARAMETERS (2**16), and drug 0 is in a third of the rows, so a
+# batch's scatter runs about 20 rounds
+RETRO_DRUGS, RETRO_DIM = 1010, 64
+
+# (mode, training rows, batch size, dropout[, drugs, width, hub]); 260 rows
+# in batches of 37 end in a 1-row batch, 300 in batches of 64 in a 44-row one
 CONFIGS = [
     (HOLDOUT, 260, 37, 0.3),
     (HOLDOUT, 260, 37, 0.0),
     (HOLDOUT, 300, 64, 0.3),
     (RETROSPECTIVE, 260, 37, 0.3),
     (RETROSPECTIVE, 300, 64, 0.0),
+    (RETROSPECTIVE, 300, 64, 0.3, RETRO_DRUGS, RETRO_DIM, True),
+    (RETROSPECTIVE, 300, 64, 0.0, RETRO_DRUGS, RETRO_DIM, True),
 ]
 
 needs_two_cpus = pytest.mark.skipif(
@@ -44,21 +51,28 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
-def _run(mode, m, batch, dropout, learning_rate=0.01):
-    """Parameters trained on m distinct seeded pairs, two epochs."""
+def _run(mode, m, batch, dropout, n_drugs=N_DRUGS, dim=DIM, hub=False, learning_rate=0.01):
+    """Parameters trained on m distinct seeded pairs, two epochs.
+
+    With hub, drug 0 is paired with drugs 1 .. m // 3 and the other rows
+    leave it out.
+    """
     rng = np.random.default_rng(m + batch)
-    keys = rng.choice(N_DRUGS * N_DRUGS, size=4 * m, replace=False)
-    i, j = np.divmod(keys, N_DRUGS)
-    keep = np.flatnonzero(i < j)[:m]
+    keys = rng.choice(n_drugs * n_drugs, size=4 * m, replace=False)
+    i, j = np.divmod(keys, n_drugs)
+    keep = np.flatnonzero((i < j) & (i > 0) if hub else i < j)[:m]
+    i, j = i[keep], j[keep]
+    if hub:
+        i[: m // 3], j[: m // 3] = 0, np.arange(1, m // 3 + 1)
     low = 0 if mode == HOLDOUT else 1
     labels = rng.integers(low, N_CLASSES, m)
     if mode == RETROSPECTIVE:
         labels[::3] = 0  # sampled no-interaction rows, trained on but not stored
-    rows = np.column_stack([i[keep], j[keep], labels])
-    graph = training_graph(N_DRUGS, N_CLASSES, mode, rows)
-    hp = Hyperparameters(embedding_dim=DIM, dropout=dropout, epochs=2, batch_size=batch,
+    rows = np.column_stack([i, j, labels])
+    graph = training_graph(n_drugs, N_CLASSES, mode, rows)
+    hp = Hyperparameters(embedding_dim=dim, dropout=dropout, epochs=2, batch_size=batch,
                          learning_rate=learning_rate, alpha=0.6, seed=m)
-    return train(attach_targets(rows, graph, hp.alpha), hp, N_DRUGS, N_CLASSES)
+    return train(attach_targets(rows, graph, hp.alpha), hp, n_drugs, N_CLASSES)
 
 
 def _digest(config):
@@ -123,12 +137,36 @@ def test_helper_and_one_cpu_give_the_same_bits(monkeypatch):
     assert one_cpu["digests"] == with_helper
 
 
+def test_retrospective_d64_shape_is_just_above_the_threshold():
+    size = init_model(RETRO_DRUGS, N_CLASSES, Hyperparameters(embedding_dim=RETRO_DIM)).flat.size
+    assert HELPER_MIN_PARAMETERS <= size < 1.01 * HELPER_MIN_PARAMETERS
+
+
 def test_small_model_trains_on_one_thread(monkeypatch):
+    # grid-small's model: the paper's 572 drugs at d = 32
     calls = _recorded_backward(monkeypatch)
-    monkeypatch.setattr(pipeline, "HELPER_MIN_PARAMETERS", N_DRUGS * DIM * 2)
     before = threading.active_count()
-    _run(HOLDOUT, 260, 37, 0.3)
+    params = _run(HOLDOUT, 260, 37, 0.3, n_drugs=572, dim=32)
+    assert params.flat.size < pipeline.HELPER_MIN_PARAMETERS
     assert calls and set(calls) == {(before, 0)}
+
+
+@needs_two_cpus
+def test_backward_gives_the_same_loss_and_gradients_with_a_helper():
+    rng = np.random.default_rng(5)
+    params = init_model(300, 7, Hyperparameters(embedding_dim=64, seed=5))
+    I = rng.integers(0, 300, 512)
+    J = (I + 1 + rng.integers(0, 299, I.size)) % 300
+    T = rng.dirichlet(np.ones(7), size=I.size)
+    weights = rng.random(7) + 0.5
+    runs = []
+    for wanted in (False, True):
+        with cores.helper(wanted) as beside:
+            assert (beside is None) != wanted
+            runs.append(backward(params, I, J, T, weights, dropout=0.3, rng=np.random.default_rng(9)))
+    (loss, grads), (helper_loss, helper_grads) = runs
+    assert isinstance(helper_loss, float) and helper_loss.hex() == loss.hex()
+    assert helper_grads.flat.tobytes() == grads.flat.tobytes()
 
 
 @needs_two_cpus
