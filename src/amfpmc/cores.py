@@ -6,7 +6,9 @@ needed, so a busy or slow helper costs no more than doing the work in
 line. Every task runs under the numpy error state of the thread that
 submitted it, and an exception is raised in the caller. Work is placed by
 the caller, never split inside a numpy call, so results do not depend on
-which thread ran what.
+which thread ran what. start, run_beside and ahead hand work to the
+helper of the innermost open helper() block on this thread, and run it in
+line when there is none, so a caller writes one path for both.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class _Task:
 
 
 class Helper:
-    """One helper thread, which runs submitted tasks in order until close().
+    """One helper thread, which runs submitted tasks in order until close(); helper() opens one.
 
     A task writes its arrays into buffers its caller made; of its own it
     allocates only vectors of batch or drug length, such as index arrays,
@@ -102,42 +104,9 @@ class Helper:
         self._put(None)
         self._thread.join()
 
-    def run_beside(self, fn, helper_args: tuple, own_args: tuple) -> None:
-        """fn(*helper_args) on the helper while the caller runs fn(*own_args).
 
-        Returns once both are done; the caller runs both when the helper has
-        not begun its part by then. The caller's exception comes first, and
-        nothing is raised before the helper's part has finished.
-        """
-        task = self.submit(fn, *helper_args)
-        try:
-            fn(*own_args)
-        finally:
-            task.wait()
-        task.result()
-
-    def ahead(self, items):
-        """The iterator's items in order, the helper taking item s + 1 while the caller uses item s.
-
-        The caller takes the first item, and any the helper has not begun
-        when it is needed. Item s + 2 is asked for only once item s + 1 is
-        in hand, so the iterator is advanced one item at a time, in order,
-        whichever thread advances it.
-        """
-        end = object()
-        item = next(items, end)
-        while item is not end:
-            pending = self.submit(next, items, end)
-            yield item
-            item = pending.result()
-
-
+#: The helper of the innermost open helper() block on this thread, or None.
 _CURRENT: ContextVar[Optional[Helper]] = ContextVar("amfpmc_helper", default=None)
-
-
-def current() -> Optional[Helper]:
-    """The helper of the innermost open helper() block on this thread, or None."""
-    return _CURRENT.get()
 
 
 class _Ran:
@@ -161,13 +130,46 @@ class _Ran:
 
 
 def start(fn, *args):
-    """fn(*args) as a task of the current() helper, or run here and now when there is none.
+    """fn(*args) as a task of the open helper() block's helper, or run here and now when there is none.
 
     Either way the returned task's result() returns or raises what the call
     did, once it has run.
     """
-    beside = current()
+    beside = _CURRENT.get()
     return _Ran(fn, args) if beside is None else beside.submit(fn, *args)
+
+
+def run_beside(fn, helper_args: tuple, own_args: tuple) -> None:
+    """fn(*helper_args) as a start() task while the caller runs fn(*own_args).
+
+    Returns once both are done; the caller runs both when the helper has
+    not begun its part by then, or when there is no helper. The caller's
+    exception comes first, and nothing is raised before the helper's part
+    has finished.
+    """
+    task = start(fn, *helper_args)
+    try:
+        fn(*own_args)
+    finally:
+        task.wait()
+    task.result()
+
+
+def ahead(items):
+    """The iterator's items in order, a start() task taking item s + 1 while the caller uses item s.
+
+    The caller takes the first item, and any the helper has not begun
+    when it is needed; with no helper, item s + 1 is taken before item s is
+    handed over. Item s + 2 is asked for only once item s + 1 is in hand,
+    so the iterator is advanced one item at a time, in order, whichever
+    thread advances it.
+    """
+    end = object()
+    item = next(items, end)
+    while item is not end:
+        pending = start(next, items, end)
+        yield item
+        item = pending.result()
 
 
 def usable_cpus() -> int:
@@ -179,7 +181,7 @@ def usable_cpus() -> int:
 
 @contextmanager
 def helper(wanted: bool):
-    """A Helper, which current() returns while the block is open, or None.
+    """A Helper, which takes this thread's start() tasks while the block is open, or None.
 
     None unless the caller wants one and the process may run on two CPUs:
     on one CPU a second thread only takes turns with the first. On exit the

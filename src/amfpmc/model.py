@@ -12,11 +12,11 @@ Dropout masks are inverted and drawn independently per slot during training
 only; with training off the forward pass is exactly symmetric in (i, j).
 Training minimizes class-weighted cross-entropy against soft targets with
 hand-written gradients and a plain Adam optimizer, all in float64 so runs are
-bitwise reproducible given a seed. training_steps draws every step's rows and
-dropout masks. A helper thread (cores) may prepare the next step, compute
-backward's head gradients and loss while the caller computes the embedding
-gradients, and run half of each Adam update; none of it changes a bit, and
-every matrix product runs whole on one thread.
+bitwise reproducible given a seed. backward takes a step's keep masks (and,
+if made ahead, its scatter plan) from its caller. Through cores, a helper
+thread may compute backward's head gradients and loss while the caller
+computes the embedding gradients, and run half of each Adam update; none of
+it changes a bit, and every matrix product runs whole on one thread.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 #: Elements per Adam slice; any value gives the same bits.
 ADAM_BLOCK = 1 << 15
-#: Uniform draws per piece of a dropout mask draw; any value gives the same masks.
-MASK_BLOCK = 1 << 14
 #: Parameter count from which a training run takes a helper thread.
 HELPER_MIN_PARAMETERS = 1 << 16
 
@@ -190,73 +188,6 @@ def _drop(x: np.ndarray, mask: np.ndarray, dropout: float) -> None:
     x *= 1.0 / (1.0 - dropout)
 
 
-def _draw_keep_mask(rng: np.random.Generator, dropout: float, mask: np.ndarray,
-                    block: np.ndarray) -> None:
-    """mask[...] = rng.random(mask.shape) >= dropout, a few rows at a time through block.
-
-    block is a (rows, d) float64 array. Generator.random fills it in C order,
-    so the pieces take the draws of one rng.random(mask.shape), in order.
-    """
-    for lo in range(0, len(mask), len(block)):
-        rows = mask[lo : lo + len(block)]
-        np.greater_equal(rng.random(out=block[: len(rows)]), dropout, out=rows)
-
-
-class PreparedStep:
-    """Stands in for the Generator of one backward call, with what its training step made ahead.
-
-    random(shape) hands out the next of masks, the i slot's first. For
-    0 < dropout < 1 a boolean mask >= dropout is the mask itself, so a step
-    written as rng.random(shape) >= dropout gets the masks the Generator
-    would have given it. plan is _scatter_plan(np.concatenate([I, J])) of
-    the step's batch, which backward's scatter then follows.
-    """
-
-    def __init__(self, masks, plan):
-        self._masks = iter(masks)
-        self.plan = plan
-
-    def random(self, shape) -> np.ndarray:
-        return next(self._masks)
-
-
-def _keep_masks(rng, shape: tuple[int, int], dropout: float):
-    """The i and j slots' (B, d) boolean keep masks, i first: rng.random(shape) >= dropout each.
-
-    A PreparedStep hands over its masks as they are.
-    """
-    if rng is None:
-        raise InvalidConfigError("dropout requires an rng")
-    if isinstance(rng, PreparedStep):
-        return rng.random(shape), rng.random(shape)
-    return rng.random(shape) >= dropout, rng.random(shape) >= dropout
-
-
-def training_steps(rng: np.random.Generator, n_pairs: int, hp: Hyperparameters):
-    """(rows, masks) for each training step: its batch's row indices and keep masks.
-
-    masks is the i and then the j slot's (B, d) boolean keep mask, or () without dropout. Each
-    epoch draws one rng.permutation(n_pairs), cut into batches of
-    hp.batch_size rows; each batch then draws its i mask and its j mask, the
-    draws of rng.random((B, d)) >= hp.dropout twice, through a block of at
-    most MASK_BLOCK floats. Steps take turns between two mask buffers, so
-    step s + 1's masks may be drawn while step s's are in use.
-    """
-    d, most = hp.embedding_dim, min(hp.batch_size, n_pairs)
-    buffers = np.empty((2, 2 * most, d), dtype=bool)
-    block = np.empty((min(2 * most, max(1, MASK_BLOCK // d)), d), dtype=np.float64)
-    k = 0
-    for _ in range(hp.epochs):
-        order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, hp.batch_size):
-            rows, masks = order[start : start + hp.batch_size], ()
-            if hp.dropout > 0.0:
-                masks = buffers[k, : 2 * rows.size]
-                _draw_keep_mask(rng, hp.dropout, masks, block)
-                masks, k = (masks[: rows.size], masks[rows.size :]), k ^ 1
-            yield rows, masks
-
-
 def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.ndarray:
     """(B, K) logits h @ W.T + c + u * pair_bias[:, None], summed in that order."""
     logits = h @ params.class_proj.T
@@ -265,25 +196,23 @@ def _head(params: ModelParameters, h: np.ndarray, pair_bias: np.ndarray) -> np.n
     return logits
 
 
-def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropout: float,
-                   rng: Optional[np.random.Generator]):
-    """Gather both slots in one array, drop out (the i mask drawn before the j mask), multiply, project.
+def _forward_parts(params: ModelParameters, I: np.ndarray, J: np.ndarray, dropout: float, masks):
+    """Gather both slots in one array, drop out, multiply, project.
 
-    Returns (slots, masks, h, pair_bias, logits): the (2B, d) slot rows after
-    dropout, the j slot's over the i slot's, the two boolean keep masks or
-    None, the product of the halves, b[i] + b[j] and the (B, K) logits.
+    masks is the i slot's keep mask, then the j slot's. Returns (slots, h,
+    pair_bias, logits): the (2B, d) slot rows after dropout, the j slot's
+    over the i slot's, the product of the halves, b[i] + b[j] and the (B, K)
+    logits.
     """
     B = I.size
     slots = params.embeddings[np.concatenate([J, I])]
     Ej, Ei = slots[:B], slots[B:]
-    masks = None
     if dropout > 0.0:
-        masks = _keep_masks(rng, Ei.shape, dropout)
         _drop(Ei, masks[0], dropout)
         _drop(Ej, masks[1], dropout)
     h = Ei * Ej
     pair_bias = params.drug_bias[I] + params.drug_bias[J]
-    return slots, masks, h, pair_bias, _head(params, h, pair_bias)
+    return slots, h, pair_bias, _head(params, h, pair_bias)
 
 
 def forward_batch(params: ModelParameters, i, j) -> np.ndarray:
@@ -337,7 +266,7 @@ def loss(probs: np.ndarray, targets: np.ndarray, class_weights: np.ndarray) -> f
 
 
 def _scatter_plan(index: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(targets, rounds): how _scatter_rows sums rows into the rows of out that index names.
+    """(targets, rounds): how _scatter_planned sums rows[k] into row index[k] of out, bitwise as np.add.at.
 
     np.add.at adds in index order, and a stable sort keeps that order within
     each target row. The targets are ranked by occurrence count, most first,
@@ -372,11 +301,6 @@ def _scatter_planned(plan, rows: np.ndarray, out: np.ndarray) -> None:
     out[targets] = acc
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Sum rows[k] into row index[k] of out, an (n, d) zero matrix, bitwise as np.add.at."""
-    _scatter_planned(_scatter_plan(index), rows, out)
-
-
 def backward(
     params: ModelParameters,
     i,
@@ -384,15 +308,16 @@ def backward(
     targets: np.ndarray,
     class_weights: np.ndarray,
     dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
+    masks=None,
+    plan=None,
 ) -> tuple[float, ModelParameters]:
     """Loss and exact analytic gradients for one mini-batch, as ModelParameters.
 
     Shared parameters accumulate contributions from both slots; embedding rows
     and bias entries of drugs absent from the batch keep zero gradient. With
-    dropout, rng is the Generator the keep masks are drawn from. A training
-    step passes its PreparedStep as rng, with or without dropout, and the
-    embedding gradients are scattered by its plan.
+    dropout, masks is the i and then the j slot's (B, d) boolean keep mask.
+    The embedding gradients are scattered by plan, which defaults to
+    _scatter_plan(np.concatenate([I, J])); a training step makes it ahead.
 
     Once the logit gradient G is known, the head branch (the W, c, u and b
     gradients and the loss) runs as a cores.start task, on the helper inside
@@ -407,6 +332,12 @@ def backward(
     if T.shape != (I.size, params.n_classes):
         raise ShapeMismatchError(f"targets shape {T.shape}, expected {(I.size, params.n_classes)}")
     B = I.size
+    if dropout > 0.0:
+        if masks is None:
+            raise InvalidConfigError("dropout requires keep masks")
+        shapes = [np.shape(mask) for mask in masks]
+        if shapes != [(B, params.embedding_dim)] * 2:
+            raise ShapeMismatchError(f"keep masks {shapes}, expected two of {(B, params.embedding_dim)}")
 
     # Each forward array is dropped at its last use and dE is computed in
     # place of the slot rows. Without a helper the head branch runs first and
@@ -417,7 +348,7 @@ def backward(
     # h and P live until the head branch has run. The gradient vector is
     # still allocated after dE: allocated first, it multiplied a step's page
     # faults.
-    dE, masks, h, pair_bias, logits = _forward_parts(params, I, J, dropout, rng)
+    dE, h, pair_bias, logits = _forward_parts(params, I, J, dropout, masks)
     P = softmax(logits, out=logits)
     del logits
     w = _sample_weights(T, class_weights)
@@ -439,12 +370,10 @@ def backward(
         np.multiply(dh, dE[:B], out=dE[:B])
         np.multiply(dh, dE[B:], out=dE[B:])
         del dh
-        if masks is not None:
+        if dropout > 0.0:
             _drop(dE[:B], masks[0], dropout)
             _drop(dE[B:], masks[1], dropout)
-        del masks
-        plan = rng.plan if isinstance(rng, PreparedStep) else _scatter_plan(slots)
-        _scatter_planned(plan, dE, grads.embeddings)
+        _scatter_planned(_scatter_plan(slots) if plan is None else plan, dE, grads.embeddings)
     finally:
         head.wait()
     return head.result(), grads
@@ -479,8 +408,9 @@ def adam_step(
     buffers, so the live slices stay in cache. Every operation is
     elementwise and runs in the order of
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result does not
-    depend on the block size, nor on which thread updates which half: inside
-    an open cores.helper block, the helper updates the upper half.
+    depend on the block size, nor on which thread updates which half: the
+    upper half is a cores.run_beside task, which the helper of an open
+    cores.helper block takes.
     """
     p, g, m, v = params.flat, grads.flat, state.m, state.v
     if not p.shape == g.shape == m.shape == v.shape:
@@ -489,15 +419,11 @@ def adam_step(
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    helper = cores.current()
-    buffers = np.empty((1 if helper is None else 2, 2, min(p.size, ADAM_BLOCK)), dtype=np.float64)
-    if helper is None:
-        _adam_slices(p, g, m, v, learning_rate, bc1, bc2, buffers[0])
-    else:
-        mid = p.size // 2
-        helper.run_beside(_adam_slices,
-                          (p[mid:], g[mid:], m[mid:], v[mid:], learning_rate, bc1, bc2, buffers[1]),
-                          (p[:mid], g[:mid], m[:mid], v[:mid], learning_rate, bc1, bc2, buffers[0]))
+    mid = p.size // 2
+    buffers = np.empty((2, 2, min(p.size - mid, ADAM_BLOCK)), dtype=np.float64)
+    cores.run_beside(_adam_slices,
+                     (p[mid:], g[mid:], m[mid:], v[mid:], learning_rate, bc1, bc2, buffers[1]),
+                     (p[:mid], g[:mid], m[:mid], v[:mid], learning_rate, bc1, bc2, buffers[0]))
     return params, state
 
 

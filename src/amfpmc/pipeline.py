@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import cores
 from . import metrics as metrics_mod
-from .cores import helper
 from .errors import (
     EmptyDatasetError,
     EmptyGridError,
@@ -43,13 +43,11 @@ from .model import (
     Hyperparameters,
     ModelParameters,
     OptimizerState,
-    PreparedStep,
     _scatter_plan,
     adam_step,
     backward,
     init_model,
     predict_batch,
-    training_steps,
 )
 from .propagation import (_blend_labels, _distribution_rows, check_alpha, check_labels,
                           neighborhood_distributions)
@@ -57,6 +55,8 @@ from .propagation import (_blend_labels, _distribution_rows, check_alpha, check_
 #: Full enumeration of the retrospective test universe is the default; only
 #: beyond this many pairs is a seeded subsample taken.
 DEFAULT_TEST_PAIR_CAP = 5_000_000
+#: Uniform draws per piece of a dropout mask draw; any value gives the same masks.
+MASK_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ class LabeledPairs:
     """A training set: (m, 3) rows (i, j, label) with i < j, and what their soft targets are propagated from.
 
     own[r] is the class the graph stores for row r's pair (-1 if none);
-    batch(idx) and targets(idx) build the rows idx asks for, so no
-    (m, n_classes) matrix is held. Build it with attach_targets, which
-    checks the rows once.
+    batch(idx) builds the rows idx asks for, so no (m, n_classes) matrix is
+    held. Build it with attach_targets, which checks the rows once.
     """
 
     items: np.ndarray
@@ -89,10 +88,6 @@ class LabeledPairs:
         I, J, labels = self.items[idx].T
         dist = _distribution_rows(self.graph, I, J, self.own[idx], out, scratch)
         return I, J, _blend_labels(dist, labels, self.alpha)
-
-    def targets(self, idx) -> np.ndarray:
-        """(len(idx), n_classes) targets of the rows idx: batch(idx)'s third part."""
-        return self.batch(idx)[2]
 
 
 def _canonical_rows(items) -> np.ndarray:
@@ -124,20 +119,37 @@ def one_hot_pairs(items, n_classes: int) -> LabeledPairs:
     return attach_targets(rows, build_graph(n_drugs, n_classes, HOLDOUT, []), 0.0)
 
 
-def _prepared_steps(pairs: LabeledPairs, rng: np.random.Generator, hp: Hyperparameters):
-    """(I, J, targets, PreparedStep) for each step of model.training_steps.
+def _training_steps(pairs: LabeledPairs, rng: np.random.Generator, hp: Hyperparameters):
+    """(I, J, targets, masks, plan) for each training step, in the order train runs them.
 
-    Everything of a step that reads its rows alone is made here: the rows
-    gathered once, their targets, the keep masks and backward's scatter
-    plan, the last two in the PreparedStep that train passes as backward's
-    rng. Targets take turns between two buffers, as the masks do, so step
-    s + 1 may be prepared while step s is in use.
+    Each epoch draws one rng.permutation(len(pairs)), cut into batches of
+    hp.batch_size rows; each batch then draws its i and then its j slot's
+    (B, d) boolean keep mask, the draws of rng.random((B, d)) >= hp.dropout
+    twice, through a block of at most MASK_BLOCK floats (masks is None
+    without dropout). I, J and targets are pairs.batch's of the rows, and
+    plan is backward's scatter plan, _scatter_plan(np.concatenate([I, J])).
+    Masks and targets take turns between two buffers each, so step s + 1
+    may be made while step s is in use.
     """
-    most = min(hp.batch_size, len(pairs))
-    buffers = np.empty((3, most, pairs.graph.n_classes), dtype=np.float64)
-    for k, (idx, masks) in enumerate(training_steps(rng, len(pairs), hp)):
-        I, J, T = pairs.batch(idx, buffers[k % 2, : idx.size], buffers[2, : idx.size])
-        yield I, J, T, PreparedStep(masks, _scatter_plan(np.concatenate([I, J])))
+    n, d, most = len(pairs), hp.embedding_dim, min(hp.batch_size, len(pairs))
+    targets = np.empty((3, most, pairs.graph.n_classes), dtype=np.float64)
+    keep = np.empty((2, 2 * most, d), dtype=bool)
+    block = np.empty((min(2 * most, max(1, MASK_BLOCK // d)), d), dtype=np.float64)
+    k = 0
+    for _ in range(hp.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            masks = None
+            if hp.dropout > 0.0:
+                both = keep[k, : 2 * idx.size]
+                for lo in range(0, len(both), len(block)):
+                    piece = both[lo : lo + len(block)]
+                    np.greater_equal(rng.random(out=block[: len(piece)]), hp.dropout, out=piece)
+                masks = both[: idx.size], both[idx.size :]
+            I, J, T = pairs.batch(idx, targets[k, : idx.size], targets[2, : idx.size])
+            k ^= 1
+            yield I, J, T, masks, _scatter_plan(np.concatenate([I, J]))
 
 
 def train(
@@ -150,15 +162,16 @@ def train(
 
     Class weights come from the hard labels of the given pairs; each batch's
     targets are pairs.batch's of its rows (build the pairs with
-    attach_targets on the training graph). Every step's rows and dropout
-    masks come from model.training_steps, and _prepared_steps makes all of
-    a step that reads its rows alone. A model of at least
-    HELPER_MIN_PARAMETERS parameters takes a helper thread (cores.helper),
-    which prepares each next step while this thread runs the current one,
-    in the same order, computes backward's head gradients beside its
-    embedding gradients and runs half of each Adam update: the parameters
-    have the same bits either way. A run whose parameters or Adam moments
-    are not finite at the end is refused with NonFiniteError.
+    attach_targets on the training graph). Every step, and all of it that
+    reads its rows alone, comes from _training_steps, one step ahead
+    (cores.ahead). A model of at least HELPER_MIN_PARAMETERS parameters
+    opens a helper thread (cores.helper), which makes each next step while
+    this thread runs the current one, in the same order, computes
+    backward's head gradients beside its embedding gradients and runs half
+    of each Adam update; a smaller model, or a process on one CPU, runs all
+    of it in line. The parameters have the same bits either way. A run
+    whose parameters or Adam moments are not finite at the end is refused
+    with NonFiniteError.
     """
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
@@ -170,10 +183,9 @@ def train(
     rng = np.random.default_rng(hp.seed)
     params = init_model(n_drugs, n_classes, hp, rng=rng)
     state = OptimizerState.for_params(params)
-    steps = _prepared_steps(pairs, rng, hp)
-    with helper(params.flat.size >= HELPER_MIN_PARAMETERS) as beside:
-        for I, J, T, step in steps if beside is None else beside.ahead(steps):
-            _, grads = backward(params, I, J, T, weights, dropout=hp.dropout, rng=step)
+    with cores.helper(params.flat.size >= HELPER_MIN_PARAMETERS):
+        for I, J, T, masks, plan in cores.ahead(_training_steps(pairs, rng, hp)):
+            _, grads = backward(params, I, J, T, weights, hp.dropout, masks, plan)
             adam_step(params, grads, state, hp.learning_rate)
     # an overflowed second moment stays infinite, so this finds every diverged run
     if not (np.isfinite(params.flat).all() and np.isfinite(state.v).all()):

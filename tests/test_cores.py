@@ -32,24 +32,35 @@ class Recorded:
         return item
 
 
-@pytest.fixture
-def beside():
-    helper = cores.Helper()
-    yield helper
-    helper.close()
+@pytest.fixture(params=["helper", "in line"])
+def beside(request, monkeypatch):
+    """An open helper block's Helper, even on one CPU, or None: no open block, so tasks run in line.
+
+    With no block, no thread may be started.
+    """
+    before = threading.active_count()
+    if request.param == "in line":
+        yield None
+        assert threading.active_count() == before
+        return
+    monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+    with cores.helper(True) as helper:
+        assert threading.active_count() == before + 1
+        yield helper
 
 
 def test_ahead_on_a_busy_helper_leaves_every_item_to_the_caller(beside):
     release = threading.Event()
-    blocker = beside.submit(release.wait, 10)
+    blocker = beside.submit(release.wait, 10) if beside else None
     items = Recorded(5)
     got = []
-    for item in beside.ahead(items):
-        # the item in hand has been taken, and no later one
-        assert len(items.takers) == item + 1
+    for item in cores.ahead(items):
+        # the item in hand has been taken, and no later one; in line, the
+        # next one is taken before the item in hand is handed over
+        assert len(items.takers) == min(item + 1 + (beside is None), 5)
         got.append(item)
     release.set()
-    assert blocker.result() is True
+    assert blocker is None or blocker.result() is True
     assert got == [0, 1, 2, 3, 4]
     assert items.takers == [threading.get_ident()] * 5
 
@@ -57,17 +68,19 @@ def test_ahead_on_a_busy_helper_leaves_every_item_to_the_caller(beside):
 def test_ahead_takes_one_item_beyond_the_one_in_hand(beside):
     items = Recorded(50)
     got = []
-    for item in beside.ahead(items):
+    for item in cores.ahead(items):
         assert item + 1 <= len(items.takers) <= item + 2
         got.append(item)
     assert got == list(range(50))
+    if beside is None:
+        assert set(items.takers) == {threading.get_ident()}
 
 
 def test_ahead_of_nothing_yields_nothing(beside):
-    assert list(beside.ahead(iter(()))) == []
+    assert list(cores.ahead(iter(()))) == []
 
 
-def test_run_beside_raises_the_callers_error_after_the_helpers_part():
+def test_run_beside_raises_the_callers_error_after_the_helpers_part(beside):
     events = []
     started = threading.Event()
 
@@ -80,17 +93,12 @@ def test_run_beside_raises_the_callers_error_after_the_helpers_part():
         started.wait(10)
         raise ValueError(who)
 
-    helper = cores.Helper()
-    try:
-        with pytest.raises(ValueError):
-            helper.run_beside(part, ("helper",), ("caller",))
-        assert events == ["helper done"]
-        # with the caller's part clean, the helper's error comes through
-        with pytest.raises(KeyError):
-            helper.run_beside(lambda who: None if who == "caller" else part(who),
-                              ("helper",), ("caller",))
-    finally:
-        helper.close()
+    with pytest.raises(ValueError):
+        cores.run_beside(part, ("helper",), ("caller",))
+    assert events == ["helper done"]
+    # with the caller's part clean, the helper's error comes through
+    with pytest.raises(KeyError):
+        cores.run_beside(lambda who: None if who == "caller" else part(who), ("helper",), ("caller",))
 
 
 def test_a_task_drops_its_call_once_it_has_run():
@@ -118,17 +126,22 @@ def test_a_task_drops_its_call_once_it_has_run():
 
 def test_tasks_run_under_the_submitters_error_state(beside):
     with np.errstate(divide="raise"):
-        task = beside.submit(np.divide, 1.0, np.zeros(1))
+        task = cores.start(np.divide, 1.0, np.zeros(1))
     with pytest.raises(FloatingPointError):
         task.result()
     with np.errstate(divide="ignore"):
-        task = beside.submit(np.divide, 1.0, np.zeros(1))
+        task = cores.start(np.divide, 1.0, np.zeros(1))
     assert np.isinf(task.result()).all()
+
+
+def in_line():
+    """Whether a start() task on this thread runs in line: no helper block is open here."""
+    return isinstance(cores.start(int), cores._Ran)
 
 
 def test_helper_not_wanted_is_none():
     with cores.helper(False) as beside:
-        assert beside is None and cores.current() is None
+        assert beside is None and in_line()
 
 
 def test_one_usable_cpu_gives_no_helper(monkeypatch):
@@ -139,17 +152,17 @@ def test_one_usable_cpu_gives_no_helper(monkeypatch):
 
 
 @pytest.mark.skipif(cores.usable_cpus() < 2, reason="a helper needs two usable CPUs")
-def test_helper_is_current_inside_its_block_only():
+def test_helper_takes_tasks_inside_its_block_only():
     before = threading.active_count()
     with cores.helper(True) as beside:
-        assert cores.current() is beside
+        assert isinstance(beside, cores.Helper) and not in_line()
         assert threading.active_count() == before + 1
-        seen = []  # a thread started inside the block has no current helper
-        other = threading.Thread(target=lambda: seen.append(cores.current()))
+        seen = []  # a thread started inside the block runs its tasks in line
+        other = threading.Thread(target=lambda: seen.append(in_line()))
         other.start()
         other.join()
-        assert seen == [None]
-    assert cores.current() is None
+        assert seen == [True]
+    assert in_line()
     assert threading.active_count() == before
 
 

@@ -25,7 +25,6 @@ from amfpmc.model import (
     Hyperparameters,
     ModelParameters,
     OptimizerState,
-    PreparedStep,
     adam_step,
     backward,
     forward_batch,
@@ -66,6 +65,12 @@ def random_batch(rng, params, size=6):
     T = rng.dirichlet(np.ones(K), size=size)
     w = class_weights(rng.integers(1, 10, K))
     return I, J, T, w
+
+
+def keep_masks(seed, shape, dropout):
+    """The i and then the j slot's keep masks: rng.random(shape) >= dropout twice, from one Generator."""
+    rng = np.random.default_rng(seed)
+    return [rng.random(shape) >= dropout for _ in range(2)]
 
 
 class TestInit:
@@ -304,34 +309,53 @@ class TestBackward:
         assert max(np.abs(a).max() for a in grads.arrays()) < 1e-12
         assert gradient_check(params, [0, 1], [2, 3], T, np.ones(3)) < 1e-6
 
-    def test_dropout_training_gradients_consume_rng(self):
+    def test_dropout_gradients_follow_the_masks(self):
         rng = np.random.default_rng(14)
         params = random_model(rng, n=6, d=4, K=3)
         I, J, T, w = random_batch(rng, params)
-        g_a = backward(params, I, J, T, w, dropout=0.5, rng=np.random.default_rng(0))[1]
-        g_b = backward(params, I, J, T, w, dropout=0.5, rng=np.random.default_rng(0))[1]
-        g_c = backward(params, I, J, T, w, dropout=0.5, rng=np.random.default_rng(1))[1]
+        g_a = backward(params, I, J, T, w, dropout=0.5, masks=keep_masks(0, (I.size, 4), 0.5))[1]
+        g_b = backward(params, I, J, T, w, dropout=0.5, masks=keep_masks(0, (I.size, 4), 0.5))[1]
+        g_c = backward(params, I, J, T, w, dropout=0.5, masks=keep_masks(1, (I.size, 4), 0.5))[1]
         for a, b in zip(g_a.arrays(), g_b.arrays()):
             assert np.array_equal(a, b)
         assert any(not np.array_equal(a, c) for a, c in zip(g_a.arrays(), g_c.arrays()))
         with pytest.raises(InvalidConfigError):
             backward(params, I, J, T, w, dropout=0.5)
+        for masks in (keep_masks(0, (4,), 0.5), keep_masks(0, (I.size, 4), 0.5)[:1]):
+            with pytest.raises(ShapeMismatchError):
+                backward(params, I, J, T, w, dropout=0.5, masks=masks)
 
-    def test_prepared_step_gives_the_generators_bits(self):
-        # the keep masks drawn ahead and the scatter planned ahead, as a
-        # training step passes them, against the Generator they came from
+    @pytest.mark.parametrize("dropout, mask_block", [(0.0, None), (0.3, None), (0.3, 5 * 16)])
+    def test_training_steps_give_the_generators_masks_and_plan(self, monkeypatch, dropout, mask_block):
+        # each step as train takes it, against one Generator's permutation
+        # and (B, d) draws in train's order and _scatter_plan of its slots;
+        # a 5-row block does not divide a step's 2B mask rows
+        if mask_block:
+            monkeypatch.setattr(pipeline, "MASK_BLOCK", mask_block)
         rng = np.random.default_rng(46)
-        params = random_model(rng, n=30, d=16, K=5)
-        I, J, T, w = random_batch(rng, params, size=200)
-        plan = model_mod._scatter_plan(np.concatenate([I, J]))
-        for dropout in (0.0, 0.3):
-            masks = ()
-            if dropout:
-                draws = np.random.default_rng(3)
-                masks = [draws.random((I.size, 16)) >= dropout for _ in range(2)]
-            want = backward(params, I, J, T, w, dropout, np.random.default_rng(3))
-            got = backward(params, I, J, T, w, dropout, PreparedStep(masks, plan))
-            assert got[0] == want[0] and got[1].flat.tobytes() == want[1].flat.tobytes()
+        n, K, d, m, batch = 30, 5, 16, 100, 37
+        I = rng.integers(0, n, m)
+        rows = np.column_stack([I, (I + 1 + rng.integers(0, n - 1, m)) % n, rng.integers(0, K, m)])
+        pairs = attach_targets(rows, build_graph(n, K, "holdout", rows[::3]), 0.4)
+        hp = Hyperparameters(embedding_dim=d, dropout=dropout, epochs=2, batch_size=batch, alpha=0.4)
+        draws, drawn = np.random.default_rng(3), np.random.default_rng(3)
+        steps = pipeline._training_steps(pairs, drawn, hp)
+        for _ in range(hp.epochs):
+            order = draws.permutation(m)
+            for start in range(0, m, batch):
+                idx = order[start : start + batch]
+                want_I, want_J, want_T = pairs.batch(idx)
+                want_masks = [draws.random((idx.size, d)) >= dropout for _ in range(2)] if dropout else None
+                I, J, T, masks, plan = next(steps)
+                assert_bitwise_equal([I, J, T], [want_I, want_J, want_T])
+                if dropout:
+                    assert_bitwise_equal(masks, want_masks)
+                else:
+                    assert masks is None
+                want_plan = model_mod._scatter_plan(np.concatenate([I, J]))
+                assert_bitwise_equal([plan[0], *plan[1]], [want_plan[0], *want_plan[1]])
+        assert next(steps, None) is None
+        assert drawn.bit_generator.state == draws.bit_generator.state
 
     def test_scatter_runs_beside_the_gradients_only(self):
         # the paper's step (572 drugs, 65 classes, d = 512, B = 256, dropout
@@ -342,10 +366,11 @@ class TestBackward:
         rng = np.random.default_rng(45)
         params = random_model(rng, n=n, d=d, K=K)
         I, J, T, w = random_batch(rng, params, size=B)
+        masks = keep_masks(0, (B, d), 0.3)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, grads = backward(params, I, J, T, w, 0.3, np.random.default_rng(0))
+            _, grads = backward(params, I, J, T, w, 0.3, masks)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -402,8 +427,8 @@ class TestAdam:
 # -- bitwise references: the straightforward forms the fast paths must equal --
 
 
-def reference_backward(params, i, j, targets, class_weights, dropout=0.0, rng=None):
-    """Two np.add.at row scatters over freshly multiplied slot gradients."""
+def reference_backward(params, i, j, targets, class_weights, dropout=0.0, masks=None, plan=None):
+    """Two np.add.at row scatters over freshly multiplied slot gradients; plan is not read."""
     I = np.asarray(i, dtype=np.int64)
     J = np.asarray(j, dtype=np.int64)
     T = np.asarray(targets, dtype=np.float64)
@@ -412,8 +437,8 @@ def reference_backward(params, i, j, targets, class_weights, dropout=0.0, rng=No
     Ej = params.embeddings[J]
     mask_i = mask_j = None
     if dropout > 0.0:
-        mask_i = (rng.random(Ei.shape) >= dropout) / (1.0 - dropout)
-        mask_j = (rng.random(Ej.shape) >= dropout) / (1.0 - dropout)
+        mask_i = masks[0] / (1.0 - dropout)
+        mask_j = masks[1] / (1.0 - dropout)
         Ei = Ei * mask_i
         Ej = Ej * mask_j
     h = Ei * Ej
@@ -504,7 +529,7 @@ class TestBitwiseReferences:
             got = np.zeros((n, d))
             with np.errstate(invalid="ignore"):
                 np.add.at(expected, index, rows)
-                model_mod._scatter_rows(index, rows, got)
+                model_mod._scatter_planned(model_mod._scatter_plan(index), rows, got)
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n, rows_in, d", [(572, 512, 512), (1200, 2048, 64)])
@@ -526,7 +551,7 @@ class TestBitwiseReferences:
         got = np.zeros((n, d))
         with np.errstate(invalid="ignore"):
             np.add.at(expected, index, rows)
-            model_mod._scatter_rows(index, rows, got)
+            model_mod._scatter_planned(model_mod._scatter_plan(index), rows, got)
         assert got.tobytes() == expected.tobytes()
 
     def test_backward_at_paper_width_equals_add_at_reference(self):
@@ -540,8 +565,9 @@ class TestBitwiseReferences:
         w = class_weights(rng.integers(1, 10, 65))
         params.embeddings[::7, ::3] = -0.0
         for seed in (0, 1):
-            loss_new, new = backward(params, I, J, T, w, 0.3, np.random.default_rng(seed))
-            loss_ref, ref = reference_backward(params, I, J, T, w, 0.3, np.random.default_rng(seed))
+            masks = keep_masks(seed, (I.size, 512), 0.3)
+            loss_new, new = backward(params, I, J, T, w, 0.3, masks)
+            loss_ref, ref = reference_backward(params, I, J, T, w, 0.3, masks)
             assert loss_new == loss_ref
             assert_bitwise_equal(new.arrays(), ref.arrays())
 
@@ -550,9 +576,9 @@ class TestBitwiseReferences:
         for n, d, K, size, dropout in [(5, 3, 2, 30, 0.0), (12, 16, 4, 50, 0.4), (40, 7, 5, 8, 0.3)]:
             params = random_model(rng, n=n, d=d, K=K)
             I, J, T, w = random_batch(rng, params, size=size)
-            seed = int(rng.integers(1 << 30))
-            loss_new, new = backward(params, I, J, T, w, dropout, np.random.default_rng(seed))
-            loss_ref, ref = reference_backward(params, I, J, T, w, dropout, np.random.default_rng(seed))
+            masks = keep_masks(int(rng.integers(1 << 30)), (size, d), dropout)
+            loss_new, new = backward(params, I, J, T, w, dropout, masks)
+            loss_ref, ref = reference_backward(params, I, J, T, w, dropout, masks)
             assert loss_new == loss_ref
             assert_bitwise_equal(new.arrays(), ref.arrays())
 
@@ -596,10 +622,19 @@ class TestBitwiseReferences:
                              learning_rate=0.01, alpha=0.37, seed=7)
         fast = train(pairs, hp, n, K)
         eager = propagate_targets(graph, *pairs.items.T, 0.37)
+        batched = []
+
+        def eager_batch(self, idx, out=None, scratch=None):
+            batched.append(idx.size)
+            I, J, _ = self.items[idx].T
+            return I, J, eager[idx]
+
         monkeypatch.setattr(pipeline, "backward", reference_backward)
         monkeypatch.setattr(pipeline, "adam_step", reference_adam_step)
-        monkeypatch.setattr(LabeledPairs, "targets", lambda self, idx: eager[idx])
+        monkeypatch.setattr(LabeledPairs, "batch", eager_batch)
         ref = train(pairs, hp, n, K)
+        # every step of the reference run took its targets from the eager matrix
+        assert sum(batched) == hp.epochs * len(pairs) and len(batched) == 2 * 5
         assert_bitwise_equal(fast.arrays(), ref.arrays())
 
     def test_softmax_equals_three_temporary_form(self):

@@ -158,10 +158,10 @@ class TestTrain:
         every = np.arange(3)
         for pairs in (attach_targets(reversed_rows, g, alpha=0.4), one_hot_pairs(reversed_rows, 3)):
             assert pairs.items.dtype == np.int64 and pairs.items.tolist() == expected
-            assert pairs.targets(every).shape == (3, 3) and len(pairs) == 3
-        canonical = attach_targets(expected, g, alpha=0.4).targets(every)
-        assert canonical.tobytes() == attach_targets(reversed_rows, g, alpha=0.4).targets(every).tobytes()
-        assert one_hot_pairs(expected, 3).targets(every).tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+            assert pairs.batch(every)[2].shape == (3, 3) and len(pairs) == 3
+        canonical = attach_targets(expected, g, alpha=0.4).batch(every)[2]
+        assert canonical.tobytes() == attach_targets(reversed_rows, g, alpha=0.4).batch(every)[2].tobytes()
+        assert one_hot_pairs(expected, 3).batch(every)[2].tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         with pytest.raises(InvalidClassError):
             one_hot_pairs([(0, 1, 3)], 3)
         # the rows are checked once, here; train's batches are not checked again
@@ -204,7 +204,7 @@ class TestTrain:
         batches = [np.arange(m), rng.permutation(m), np.arange(m)[::-1], rng.integers(0, m, 500),
                    rng.permutation(m)[:1], np.array([m - 1, 0, m - 1])]
         for idx in batches:
-            assert labeled.targets(idx).tobytes() == whole[idx].tobytes()
+            assert labeled.batch(idx)[2].tobytes() == whole[idx].tobytes()
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
@@ -271,7 +271,7 @@ class TestTrain:
         from amfpmc.metrics import class_weights
         from amfpmc.model import loss as model_loss
 
-        T = pairs.targets(np.arange(len(pairs)))
+        T = pairs.batch(np.arange(len(pairs)))[2]
         w = class_weights(np.bincount(pairs.items[:, 2], minlength=4))
         ij = pairs.items[:, :2]
         assert model_loss(score_pairs(params, ij), T, w) < model_loss(score_pairs(params0, ij), T, w)

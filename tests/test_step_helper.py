@@ -159,11 +159,12 @@ def test_backward_gives_the_same_loss_and_gradients_with_a_helper():
     J = (I + 1 + rng.integers(0, 299, I.size)) % 300
     T = rng.dirichlet(np.ones(7), size=I.size)
     weights = rng.random(7) + 0.5
+    masks = [rng.random((I.size, 64)) >= 0.3 for _ in range(2)]
     runs = []
     for wanted in (False, True):
         with cores.helper(wanted) as beside:
             assert (beside is None) != wanted
-            runs.append(backward(params, I, J, T, weights, dropout=0.3, rng=np.random.default_rng(9)))
+            runs.append(backward(params, I, J, T, weights, dropout=0.3, masks=masks))
     (loss, grads), (helper_loss, helper_grads) = runs
     assert isinstance(helper_loss, float) and helper_loss.hex() == loss.hex()
     assert helper_grads.flat.tobytes() == grads.flat.tobytes()
