@@ -13,7 +13,8 @@ only; with training off the forward pass is exactly symmetric in (i, j).
 Training minimizes class-weighted cross-entropy against soft targets with
 hand-written gradients and a plain Adam optimizer, all in float64 so runs are
 bitwise reproducible given a seed. backward takes a step's keep masks (and,
-if made ahead, its scatter plan) from its caller. Through cores, a helper
+if made ahead, its scatter plan) from its caller, and fills the gradient
+holder it is handed, one per training run. Through cores, a helper
 thread may compute backward's head gradients and loss while the caller
 computes the embedding gradients, and run half of each Adam update; none of
 it changes a bit, and every matrix product runs whole on one thread.
@@ -310,6 +311,7 @@ def backward(
     dropout: float = 0.0,
     masks=None,
     plan=None,
+    grads: Optional[ModelParameters] = None,
 ) -> tuple[float, ModelParameters]:
     """Loss and exact analytic gradients for one mini-batch, as ModelParameters.
 
@@ -318,6 +320,10 @@ def backward(
     dropout, masks is the i and then the j slot's (B, d) boolean keep mask.
     The embedding gradients are scattered by plan, which defaults to
     _scatter_plan(np.concatenate([I, J])); a training step makes it ahead.
+    The gradients are written into grads, a holder of the model's shapes,
+    whatever it held: its embedding rows are zeroed first and the rest is
+    overwritten whole. The holder is returned, so a training run passes one
+    to every step; grads defaults to fresh zeros.
 
     Once the logit gradient G is known, the head branch (the W, c, u and b
     gradients and the loss) runs as a cores.start task, on the helper inside
@@ -338,6 +344,13 @@ def backward(
         shapes = [np.shape(mask) for mask in masks]
         if shapes != [(B, params.embedding_dim)] * 2:
             raise ShapeMismatchError(f"keep masks {shapes}, expected two of {(B, params.embedding_dim)}")
+    if grads is None:
+        grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
+    elif grads.embeddings.shape != params.embeddings.shape or grads.n_classes != params.n_classes:
+        raise ShapeMismatchError(f"gradient holder {grads.embeddings.shape} with {grads.n_classes} "
+                                 f"classes, expected {params.embeddings.shape} with {params.n_classes}")
+    else:
+        grads.embeddings.fill(0.0)
 
     # Each forward array is dropped at its last use and dE is computed in
     # place of the slot rows. Without a helper the head branch runs first and
@@ -345,9 +358,7 @@ def backward(
     # only: a step at the paper's shape (572 drugs, K = 65, d = 512, B = 256,
     # dropout 0.3) peaks at 6.8 MB under tracemalloc, against 11.5 MB with
     # Ei, Ej, h, dh and the masks held through the scatter. With a helper,
-    # h and P live until the head branch has run. The gradient vector is
-    # still allocated after dE: allocated first, it multiplied a step's page
-    # faults.
+    # h and P live until the head branch has run.
     dE, h, pair_bias, logits = _forward_parts(params, I, J, dropout, masks)
     P = softmax(logits, out=logits)
     del logits
@@ -359,7 +370,6 @@ def backward(
     G /= B
 
     slots = np.concatenate([I, J])
-    grads = ModelParameters(params.n_drugs, params.n_classes, params.embedding_dim)
     head = cores.start(_head_gradients, params, grads, G, h, P, T, w, pair_bias, slots)
     del h, P, pair_bias
     try:

@@ -169,9 +169,10 @@ def train(
     this thread runs the current one, in the same order, computes
     backward's head gradients beside its embedding gradients and runs half
     of each Adam update; a smaller model, or a process on one CPU, runs all
-    of it in line. The parameters have the same bits either way. A run
-    whose parameters or Adam moments are not finite at the end is refused
-    with NonFiniteError.
+    of it in line. The parameters have the same bits either way. One
+    gradient holder serves every step: backward fills it and adam_step
+    reads what backward returned. A run whose parameters or Adam moments
+    are not finite at the end is refused with NonFiniteError.
     """
     if len(pairs) == 0:
         raise EmptyDatasetError("no training pairs")
@@ -183,9 +184,10 @@ def train(
     rng = np.random.default_rng(hp.seed)
     params = init_model(n_drugs, n_classes, hp, rng=rng)
     state = OptimizerState.for_params(params)
+    grads = ModelParameters(n_drugs, n_classes, hp.embedding_dim)
     with cores.helper(params.flat.size >= HELPER_MIN_PARAMETERS):
         for I, J, T, masks, plan in cores.ahead(_training_steps(pairs, rng, hp)):
-            _, grads = backward(params, I, J, T, weights, hp.dropout, masks, plan)
+            _, grads = backward(params, I, J, T, weights, hp.dropout, masks, plan, grads)
             adam_step(params, grads, state, hp.learning_rate)
     # an overflowed second moment stays infinite, so this finds every diverged run
     if not (np.isfinite(params.flat).all() and np.isfinite(state.v).all()):
@@ -296,7 +298,8 @@ def holdout_evaluate(
     the held-out edges, and reports. The returned mean report averages the
     scalar metrics over folds; its per-class table is computed from pooled
     out-of-fold predictions (each edge scored exactly once) and sorted by
-    support, descending.
+    support, descending. A fold's probabilities are dropped once reported
+    and pooled, so the next fold trains without them.
     """
     if graph.mode != HOLDOUT:
         raise InvalidConfigError("holdout evaluation needs a holdout-mode graph")
@@ -316,6 +319,7 @@ def holdout_evaluate(
                               items[in_test, :2], replace(hp, seed=hp.seed + f))
         fold_reports.append(multiclass_report(probs, labels[in_test]))
         pooled[in_test] = probs
+        del probs
 
     pooled_per_class = sorted(multiclass_report(pooled, labels).per_class, key=_by_support)
     return HoldoutResult(mean=mean_report(fold_reports, pooled_per_class), folds=fold_reports)
@@ -564,6 +568,7 @@ def grid_search(
             score = float(np.mean(np.argmax(probs, axis=1) == val_truths))
         else:
             score = multiclass_report(probs, val_truths).macro_auroc
+        del probs  # before the next candidate's fit
         results.append((hp_c, score))
     # max keeps the first of equal scores
     return max(results, key=lambda result: result[1])[0], results

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from amfpmc import formats
+from amfpmc import cores, formats
 from amfpmc import model as model_mod
 from amfpmc import pipeline
 from amfpmc.errors import (
@@ -325,6 +325,41 @@ class TestBackward:
             with pytest.raises(ShapeMismatchError):
                 backward(params, I, J, T, w, dropout=0.5, masks=masks)
 
+    @pytest.mark.parametrize("with_helper", [False, True])
+    def test_a_filled_holder_gives_the_bits_of_fresh_gradients(self, monkeypatch, with_helper):
+        # train passes one holder to every step; a step over other drugs has
+        # filled it, so each of those rows would keep its stale gradient
+        # unless backward zeroes it
+        monkeypatch.setattr(cores, "usable_cpus", lambda: 2)
+        rng = np.random.default_rng(48)
+        n, K, d, B = 40, 5, 16, 8
+        params = random_model(rng, n=n, d=d, K=K)
+        I, J, T, w = random_batch(rng, params, size=B)
+        masks = keep_masks(5, (B, d), 0.3)
+        want_loss, want = backward(params, I, J, T, w, 0.3, masks)
+        others = np.setdiff1d(np.arange(n), np.r_[I, J])[: 2 * B]
+        holder = ModelParameters(n, K, d)
+        with cores.helper(with_helper) as beside:
+            assert (beside is not None) == with_helper
+            backward(params, others[:B], others[B:], T, w, 0.3, keep_masks(6, (B, d), 0.3), None, holder)
+            assert holder.embeddings[others].any() and holder.drug_bias[others].any()
+            got_loss, got = backward(params, I, J, T, w, 0.3, masks, None, holder)
+        assert got is holder
+        assert got_loss.hex() == want_loss.hex()
+        assert holder.flat.tobytes() == want.flat.tobytes()
+
+    @pytest.mark.parametrize("shape", [(41, 5, 16), (40, 6, 16), (40, 5, 15), (20, 5, 32)])
+    def test_a_holder_of_another_shape_is_refused(self, shape):
+        # (20, 5, 32) has the model's embedding size but not its rows
+        rng = np.random.default_rng(49)
+        params = random_model(rng, n=40, d=16, K=5)
+        I, J, T, w = random_batch(rng, params)
+        holder = ModelParameters(*shape)
+        holder.flat[...] = 1.0
+        with pytest.raises(ShapeMismatchError):
+            backward(params, I, J, T, w, grads=holder)
+        assert (holder.flat == 1.0).all()
+
     @pytest.mark.parametrize("dropout, mask_block", [(0.0, None), (0.3, None), (0.3, 5 * 16)])
     def test_training_steps_give_the_generators_masks_and_plan(self, monkeypatch, dropout, mask_block):
         # each step as train takes it, against one Generator's permutation
@@ -427,8 +462,9 @@ class TestAdam:
 # -- bitwise references: the straightforward forms the fast paths must equal --
 
 
-def reference_backward(params, i, j, targets, class_weights, dropout=0.0, masks=None, plan=None):
-    """Two np.add.at row scatters over freshly multiplied slot gradients; plan is not read."""
+def reference_backward(params, i, j, targets, class_weights, dropout=0.0, masks=None, plan=None,
+                       grads=None):
+    """Two np.add.at row scatters over freshly multiplied slot gradients; plan and grads are not read."""
     I = np.asarray(i, dtype=np.int64)
     J = np.asarray(j, dtype=np.int64)
     T = np.asarray(targets, dtype=np.float64)

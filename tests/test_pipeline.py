@@ -23,7 +23,7 @@ from amfpmc import pipeline
 from amfpmc.formats import report_to_dict
 from amfpmc.graph import PAIR_CHUNK_ROWS, Roster, TypedInteractionGraph, build_graph
 from amfpmc.metrics import multiclass_report
-from amfpmc.model import Hyperparameters, init_model, predict_batch, softmax
+from amfpmc.model import Hyperparameters, ModelParameters, init_model, predict_batch, softmax
 from amfpmc.propagation import propagate_targets
 from amfpmc.pipeline import (
     GridSpec,
@@ -235,6 +235,31 @@ class TestTrain:
         (m1, p1), (m2, p2) = peaks.items()
         # measured 50 B/row; a (rows, K) target matrix alone is 296
         assert p2 - p1 <= 10 * 8 * (m2 - m1), peaks
+
+    @pytest.mark.parametrize("epochs", [1, 6])
+    def test_one_gradient_holder_serves_every_step(self, monkeypatch, epochs):
+        # the parameters and one gradient holder, however many steps run
+        g = build_graph(12, 3, "holdout", [(0, 1, 1), (2, 3, 2), (4, 5, 0), (6, 7, 1), (8, 9, 2)])
+        pairs = attach_targets(g.edge_list(), g, alpha=0.5)
+        made = []
+        real = ModelParameters.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(args)
+            real(self, *args, **kwargs)
+
+        holders = []
+        real_backward = pipeline.backward
+
+        def recorded(*args):
+            holders.append(args[-1])
+            return real_backward(*args)
+
+        monkeypatch.setattr(pipeline, "backward", recorded)
+        monkeypatch.setattr(ModelParameters, "__init__", counted)
+        train(pairs, quick_hp(epochs=epochs, batch_size=2), 12, 3)
+        assert len(holders) == 3 * epochs and all(holder is holders[0] for holder in holders)
+        assert made == [(12, 3, quick_hp().embedding_dim)] * 2
 
     def test_retrospective_targets_released_before_scoring(self, monkeypatch):
         data = generate_synthetic(SyntheticConfig(n_drugs=300, n_blocks=6, n_classes=37,

@@ -7,11 +7,11 @@ inputs are generated once, with PARENT's perfbench/workloads.py, into a
 temporary directory. Each pair then runs PARENT's and CHANGE's own
 perfbench/worker.py once each, in fresh processes: parent first in even
 pairs, change first in odd ones, after one discarded warm-up iteration of
-each. Prints, for setup_s, run_s, cpu_s and peak_rss_mb, each side's median
-and quartiles and the number of pairs in which the change is lower, and
-whether the report digests agree. cpu_s is the user plus system time of the
-whole worker process, set-up included. Nothing is written under either
-checkout.
+each. Prints, for setup_s, run_s, cpu_s, minflt and peak_rss_mb, each
+side's median and quartiles and the number of pairs in which the change is
+lower, and whether the report digests agree. cpu_s is the user plus system
+time of the whole worker process, set-up included, and minflt its minor
+page faults. Nothing is written under either checkout.
 
 Each worker gets the BLAS thread variables set to the number of usable cores,
 as perfbench/run.py sets them. A tree whose amfpmc pins one BLAS thread on
@@ -32,11 +32,11 @@ import subprocess
 import sys
 import tempfile
 
-METRICS = ("setup_s", "run_s", "cpu_s", "peak_rss_mb")
+METRICS = ("setup_s", "run_s", "cpu_s", "minflt", "peak_rss_mb")
 
 
 def worker(root: str, manifest: str, workload: str, work_dir: str) -> dict:
-    """One untraced iteration of root's worker; its result JSON, with the worker's cpu_s."""
+    """One untraced iteration of root's worker; its result JSON, with the worker's cpu_s and minflt."""
     result_path = os.path.join(work_dir, "result.json")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     threads = str(len(os.sched_getaffinity(0)))
@@ -54,6 +54,7 @@ def worker(root: str, manifest: str, workload: str, work_dir: str) -> dict:
         result = json.load(fh)
     os.remove(result_path)
     result["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    result["minflt"] = after.ru_minflt - before.ru_minflt
     src = os.path.join(root, "src") + os.sep
     if not os.path.realpath(result["amfpmc_file"]).startswith(src):
         raise RuntimeError(f"worker of {root} imported amfpmc from {result['amfpmc_file']}")
@@ -119,7 +120,8 @@ def main(argv=None) -> int:
         change = [r[name] for r in runs["change"]]
         wins = sum(c < q for q, c in zip(parent, change))
         (pm, p1, p3), (cm, c1, c3) = summary(parent), summary(change)
-        print(f"{name:<12} {pm:>12.4f} [{p1:.4f}, {p3:.4f}] {cm:>12.4f} [{c1:.4f}, {c3:.4f}] "
+        f = ".0f" if name == "minflt" else ".4f"
+        print(f"{name:<12} {pm:>12{f}} [{p1:{f}}, {p3:{f}}] {cm:>12{f}} [{c1:{f}}, {c3:{f}}] "
               f"{wins:>7d} of {args.pairs}")
         out[name] = {"parent": parent, "change": change, "change_lower": wins}
     print(json.dumps(out))
