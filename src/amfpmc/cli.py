@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import formats
-from .errors import AmfpmcError, InvalidConfigError, ParseError, ShapeMismatchError
+from .errors import AmfpmcError, InvalidConfigError, ParseError
 from .graph import HOLDOUT, MODES, RETROSPECTIVE
 from .model import Hyperparameters
 from .phrases import build_vocabulary, check_grouping, extract_phrase, load_stoplist, load_verb_forms
@@ -110,16 +109,6 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", default=None, help="write the structured report here")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True)
-    p.add_argument("--roster", default=None, help="roster sidecar (default: <model>.roster)")
-
-
-def _roster_path(model: str, roster: Optional[str]) -> str:
-    """A model file's roster sidecar: roster when given, else <model>.roster."""
-    return roster or model + ".roster"
-
-
 def _class_names_from_vocab(path: Optional[str], graph) -> Optional[dict[int, str]]:
     """The class labels of the vocabulary file at path, refused unless it names every class
     of graph in graph's mode."""
@@ -131,17 +120,6 @@ def _class_names_from_vocab(path: Optional[str], graph) -> Optional[dict[int, st
             f"{path}: a {vocab.mode} vocabulary of class count {vocab.n_classes} cannot name "
             f"the classes 0..{graph.n_classes - 1} of a {graph.mode} run")
     return dict(enumerate(vocab.labels))
-
-
-def _model_and_roster(args: argparse.Namespace):
-    """The model and its roster, refused here if their drug counts disagree."""
-    params = formats.read_model(args.model)
-    roster = formats.read_roster(_roster_path(args.model, args.roster))
-    if len(roster) != params.n_drugs:
-        raise ShapeMismatchError(
-            f"roster lists {len(roster)} drugs but the model has {params.n_drugs} rows"
-        )
-    return params, roster
 
 
 def _read_graphs(paths, mode: str, n_classes: Optional[int]):
@@ -209,13 +187,7 @@ def cmd_train(args) -> int:
     if graph.mode == RETROSPECTIVE:
         fitted += f" and {len(rows) - graph.num_edges} sampled no-interaction pairs"
     params = train(attach_targets(rows, graph, hp.alpha), hp, graph.n_drugs, graph.n_classes)
-    formats.write_model(params, args.out)
-    try:
-        formats.write_roster(graph.roster, _roster_path(args.out, args.out_roster))
-    except BaseException:
-        # a model without its roster cannot be read back, so none is left behind
-        os.remove(args.out)
-        raise
+    formats.write_model(params, graph.roster, args.out)
     print(
         f"trained on {fitted}: n={graph.n_drugs} K={graph.n_classes} "
         f"d={hp.embedding_dim} -> {args.out}"
@@ -247,7 +219,9 @@ def cmd_evaluate_retrospective(args) -> int:
         subset = {g0.roster.index_of(ext) for ext in wanted if ext in g0.roster}
         print(f"subset: {len(subset)} of {len(wanted)} listed drugs are in both snapshots")
     report = retrospective_evaluate(split, hp, subset=subset)
-    print(f"train pairs: {len(split.train_items)}  test pairs: {len(split.test_items)}")
+    # the pairs the report scored: with --subset, fewer than the split's
+    scored = sum(r.support for r in report.per_class)
+    print(f"train pairs: {len(split.train_items)}  test pairs: {scored}")
     _emit_report(report, args, class_names)
     return 0
 
@@ -277,7 +251,7 @@ def cmd_gridsearch(args) -> int:
 def cmd_predict(args) -> int:
     if args.top_k < 1:
         raise InvalidConfigError(f"--top-k must be >= 1, got {args.top_k}")
-    params, roster = _model_and_roster(args)
+    params, roster = formats.read_model(args.model)
     pairs = formats.read_pairs(args.pairs, roster)
     ids = roster.external_ids
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
@@ -299,12 +273,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    params, roster = _model_and_roster(args)
+    params, roster = formats.read_model(args.model)
     with open(args.out, "w", encoding="utf-8") as fh:
         header = ["drug_id"] + [f"e{t}" for t in range(params.embedding_dim)]
         fh.write(",".join(header) + "\n")
-        for ext, row in zip(roster.external_ids, params.embeddings):
-            fh.write(ext + "," + ",".join(formats.FLOAT_FMT % v for v in row) + "\n")
+        formats.write_float_rows(fh, params.embeddings, ",", roster.external_ids)
     print(f"wrote {len(roster)} x {params.embedding_dim} embeddings to {args.out}")
     return 0
 
@@ -352,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_flags(p)
     _add_hp_flags(p)
     p.add_argument("--out", required=True, help="model file")
-    p.add_argument("--out-roster", default=None, help="roster sidecar (default: <out>.roster)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="holdout or retrospective evaluation")
@@ -387,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("predict", help="score drug pairs with a trained model")
-    _add_model_flags(p)
+    p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True, help="TSV: drug_a, drug_b")
     p.add_argument("--top-k", type=int, default=1)
     p.add_argument("--out", default=None, help="default: stdout")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("export-embeddings", help="write drug embeddings as CSV")
-    _add_model_flags(p)
+    p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_embeddings)
 

@@ -23,6 +23,7 @@ from .errors import (
     InvalidConfigError,
     InvalidDimensionsError,
     ParseError,
+    ShapeMismatchError,
     VocabularyError,
 )
 from .graph import Roster, TypedInteractionGraph, check_dimensions, check_mode
@@ -31,8 +32,9 @@ from .model import Hyperparameters, ModelParameters, check_model_dimensions, par
 from .phrases import ClassVocabulary, InteractionSentence
 from .pipeline import GRID_FIELDS, GridSpec
 
-MODEL_MAGIC = "AMFPMC1"
-#: A model file's section names, in the order of ModelParameters.arrays().
+MODEL_MAGIC = "AMFPMC2"
+#: A model file's float sections, in the order of ModelParameters.arrays(); the
+#: ids section, the drug id of each row, comes before them.
 MODEL_SECTIONS = "EbWcu"
 #: 17 significant digits, so every float64 round-trips exactly.
 FLOAT_FMT = "%.17g"
@@ -308,8 +310,9 @@ def parse_interactions_file(path: str, mode: str):
     gives IndexRecords (_id_rows). Sentence mode expects 3 columns, or 5
     when the two drug surface forms are given, and gives (drug_a, drug_b,
     InteractionSentence, line_no) rows; a missing or empty surface takes the
-    sentence's default. A drug id may not begin with '#', which marks a
-    comment in the roster sidecar.
+    sentence's default. A drug id may not begin with '#': first on a line of
+    an interactions or pairs file, where the id may stand too, it marks a
+    comment.
     """
     if mode not in ("indices", "sentences"):
         raise InvalidConfigError(f"mode must be 'indices' or 'sentences', got {mode!r}")
@@ -395,37 +398,53 @@ def load_drug_subset(path: str) -> set[str]:
     return {line.strip() for _, line in _data_lines(path)}
 
 
-# -- roster sidecar ----------------------------------------------------------
-
-
-def write_roster(roster: Roster, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ext in roster:
-            fh.write(ext + "\n")
-
-
-def read_roster(path: str) -> Roster:
-    ids = [line for _, line in _data_lines(path)]
-    if not ids:
-        raise FormatError(f"empty roster file {path}")
-    return Roster(ids)
-
-
 # -- model persistence -------------------------------------------------------
 
 
-def write_model(params: ModelParameters, path: str) -> None:
-    """Text format: 'AMFPMC1 n K d' header, then sections E, b, W, c, u."""
+def write_float_rows(fh, rows: np.ndarray, sep: str = " ", labels: Optional[list[str]] = None) -> None:
+    """Each row of the 2-D array rows as one line: its values at FLOAT_FMT joined by sep,
+    after labels[r] and sep when labels is given. A whole row is formatted at once."""
+    fmt = sep.join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    for r, row in enumerate(rows):
+        line = fmt % tuple(row.tolist())
+        fh.write(line if labels is None else labels[r] + sep + line)
+
+
+def write_model(params: ModelParameters, roster: Roster, path: str) -> None:
+    """Text format: 'AMFPMC2 n K d' header, section ids (the drug id of each row of E,
+    verbatim, one a line), then sections E, b, W, c, u."""
     n, K, d = params.n_drugs, params.n_classes, params.embedding_dim
+    if len(roster) != n:
+        raise ShapeMismatchError(f"roster lists {len(roster)} drugs but the model has {n} rows")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MODEL_MAGIC} {n} {K} {d}\n")
+        fh.write(f"{MODEL_MAGIC} {n} {K} {d}\nids\n")
+        fh.writelines(ext + "\n" for ext in roster)
         for name, arr in zip(MODEL_SECTIONS, params.arrays()):
             fh.write(name + "\n")
-            for row in np.atleast_2d(arr):
-                fh.write(" ".join(FLOAT_FMT % v for v in row) + "\n")
+            write_float_rows(fh, np.atleast_2d(arr))
 
 
-def read_model(path: str) -> ModelParameters:
+def _model_roster(path: str, ids: list[str]) -> Roster:
+    """The roster of a model file's ids section, refused at an empty or a repeated id."""
+    seen: set[str] = set()
+    for line_no, ext in enumerate(ids, 3):
+        if not ext.strip():
+            raise FormatError(f"{path}: empty drug id at line {line_no}")
+        if ext in seen:
+            raise FormatError(f"{path}: drug id {ext!r} repeated at line {line_no}")
+        seen.add(ext)
+    return Roster(ids)
+
+
+def read_model(path: str) -> tuple[ModelParameters, Roster]:
+    """The parameters and the row roster of a model file as write_model writes it.
+
+    Every refusal is one error naming path: a header other than 'AMFPMC2 n K d'
+    within the dimension rule, an ids section shorter than n (the file ends,
+    or section E begins, inside it), an empty or repeated id, a missing
+    section, a row of the wrong width, a value that is not a finite float,
+    and anything after section u.
+    """
     lines = (line for _, line in _data_lines(path, keep_all=True))
     first = next(lines, None)
     if first is None:
@@ -441,12 +460,18 @@ def read_model(path: str) -> ModelParameters:
         check_model_dimensions(n, K, d)
     except InvalidDimensionsError as exc:
         raise InvalidDimensionsError(f"{path}: {exc}") from None
+    if next(lines, "").strip() != "ids":
+        raise FormatError(f"{path}: expected section 'ids' at line 2")
+    ids = list(itertools.islice(lines, n))
 
-    line_no = 1
+    line_no = 2 + len(ids)
     parts: list[np.ndarray] = []
     for name, shape in zip(MODEL_SECTIONS, parameter_shapes(n, K, d)):
         line_no += 1
         if next(lines, "").strip() != name:
+            if name == "E" and (len(ids) < n or "E" in ids):
+                # the file ended inside the ids section, or section E began there
+                raise FormatError(f"{path}: truncated section 'ids'")
             raise FormatError(f"{path}: expected section {name!r} at line {line_no}")
         n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
         rows = []
@@ -471,7 +496,7 @@ def read_model(path: str) -> ModelParameters:
         raise FormatError(f"{path}: trailing content after section 'u'")
     # allocated only once every section has parsed: a header larger than its
     # file fails at a row, not at an allocation
-    return ModelParameters(n, K, d, np.concatenate(parts))
+    return ModelParameters(n, K, d, np.concatenate(parts)), _model_roster(path, ids)
 
 
 # -- vocabulary persistence ----------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from . import cores
 from . import metrics as metrics_mod
 from .errors import (
+    DegenerateLabelsError,
     EmptyDatasetError,
     EmptyGridError,
     EmptyIntersectionError,
@@ -299,7 +300,10 @@ def holdout_evaluate(
     scalar metrics over folds; its per-class table is computed from pooled
     out-of-fold predictions (each edge scored exactly once) and sorted by
     support, descending. A fold's probabilities are dropped once reported
-    and pooled, so the next fold trains without them.
+    and pooled, so the next fold trains without them. Folds the reports would
+    refuse are refused before any fold trains: an empty fold
+    (stratified_kfold), and a fold of one class, which a second-largest
+    class of fewer than k pairs leaves.
     """
     if graph.mode != HOLDOUT:
         raise InvalidConfigError("holdout evaluation needs a holdout-mode graph")
@@ -308,6 +312,11 @@ def holdout_evaluate(
         raise EmptyDatasetError("graph has no edges")
     labels = items[:, 2]
     folds = stratified_kfold(labels, k, seed)
+    # fold f holds each class of more than f pairs
+    second = int(np.sort(np.bincount(labels, minlength=2))[-2])
+    if second < k:
+        raise DegenerateLabelsError(f"the second-largest class has {second} pairs, fewer than "
+                                    f"k = {k}: fold {second} would hold one class only")
 
     n, K = graph.n_drugs, graph.n_classes
     pooled = np.zeros((len(items), K), dtype=np.float64)
@@ -462,7 +471,8 @@ def retrospective_evaluate(
 
     subset, when given, restricts scoring to pairs with both endpoints in
     the set (drug indices), and is applied before training; class 0 acts as
-    the no-interaction class.
+    the no-interaction class. Test pairs whose truths are all one class,
+    which the report would refuse, are refused before training.
     """
     test_items = split.test_items
     if subset is not None:
@@ -470,6 +480,10 @@ def retrospective_evaluate(
         test_items = test_items[np.isin(test_items[:, :2], members).all(axis=1)]
         if not len(test_items):
             raise EmptySubsetError("drug subset leaves no test pairs")
+    truths = test_items[:, 2]
+    if not (truths != truths[0]).any():
+        raise DegenerateLabelsError(f"all {len(truths)} test pairs are class {truths[0]}: "
+                                    "the report needs two classes")
     train_graph = training_graph(split.n_drugs, split.n_classes, RETROSPECTIVE, split.train_items)
     probs = fit_and_score(split.train_items, train_graph, test_items[:, :2], hp)
     return multiclass_report(probs, test_items[:, 2])

@@ -54,6 +54,10 @@ class SyntheticConfig:
     def class_offset(self) -> int:
         return 1 if self.mode == RETROSPECTIVE else 0
 
+    def planted_class(self, g, h):
+        """Planted class of block pair (g, h), order-insensitive; ints or int arrays."""
+        return np.minimum(g, h) * self.n_blocks + np.maximum(g, h) + self.class_offset
+
 
 @dataclass
 class SyntheticData:
@@ -69,11 +73,6 @@ class SyntheticData:
     block_of: np.ndarray
     held_out: np.ndarray
 
-    def block_pair_class(self, g: int, h: int) -> int:
-        """Planted class of block pair (g, h), order-insensitive."""
-        g, h = min(g, h), max(g, h)
-        return g * self.config.n_blocks + h + self.config.class_offset
-
 
 def synthetic_roster(n_drugs: int) -> Roster:
     return Roster([f"D{i:04d}" for i in range(n_drugs)])
@@ -88,17 +87,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> SyntheticData:
     iu, ju = np.triu_indices(n, k=1)
     sampled = rng.random(iu.size) < cfg.edge_probability
     iu, ju = iu[sampled], ju[sampled]
-    g = np.minimum(block_of[iu], block_of[ju])
-    h = np.maximum(block_of[iu], block_of[ju])
-    classes = g * B + h + cfg.class_offset
+    classes = cfg.planted_class(block_of[iu], block_of[ju])
 
     if cfg.label_noise > 0.0 and iu.size:
         # corrupt between planted classes only, never into indices the block
         # map does not use
-        used = np.array(
-            sorted({g_ * B + h_ + cfg.class_offset for g_ in range(B) for h_ in range(g_, B)}),
-            dtype=np.int64,
-        )
+        used = np.unique(cfg.planted_class(*np.triu_indices(B)))
         noisy = rng.random(iu.size) < cfg.label_noise
         current_pos = np.searchsorted(used, classes[noisy])
         wrong_pos = rng.integers(0, used.size - 1, size=int(noisy.sum()))

@@ -100,8 +100,9 @@ def test_train_predict_export_flow(synth_files, tmp_path, capsys):
                "--dim", "8", "--epochs", "5", "--batch", "64", "--lr", "0.01",
                "--alpha", "0.5", "--seed", "0", "--out", str(model)])
     assert rc == 0
-    assert model.exists() and (tmp_path / "model.txt.roster").exists()
-    params = read_model(str(model))
+    # one file: the model carries its drug ids
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("model")) == ["model.txt"]
+    params, roster = read_model(str(model))
     assert params.embedding_dim == 8
 
     pairs = tmp_path / "pairs.tsv"
@@ -121,9 +122,9 @@ def test_train_predict_export_flow(synth_files, tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0].split(",")[:2] == ["drug_id", "e0"]
     assert len(lines) == 41
-    # row k + 1 is roster drug k and embedding row k
+    # row k + 1 is the model's drug k and embedding row k
     rows = [line.split(",") for line in lines[1:]]
-    assert [row[0] for row in rows] == formats.read_roster(str(model) + ".roster").external_ids
+    assert [row[0] for row in rows] == roster.external_ids == [f"D{t:04d}" for t in range(40)]
     values = np.array([[float(v) for v in row[1:]] for row in rows])
     assert np.array_equal(values, params.embeddings)
 
@@ -207,6 +208,58 @@ def test_fold_left_empty_is_refused_before_training(tmp_path, capsys, monkeypatc
     assert calls == []
 
 
+def test_fold_of_one_class_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    # classes of 5, 1 and 1 edges: folds 1 to 4 of 5 would hold class 1 alone,
+    # which no fold report can score
+    edges = [("D1", f"D{t}", 1) for t in range(2, 7)] + [("D2", "D3", 2), ("D2", "D4", 3)]
+    path = tmp_path / "t0.tsv"
+    path.write_text("".join(f"{a}\t{b}\t{c}\n" for a, b, c in edges))
+    calls = []
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert main(["evaluate", "holdout", "--interactions", str(path), "--k", "5",
+                 "--dim", "8", "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: DegenerateLabelsError: the second-largest class has 1 pairs, fewer than k = 5: "
+        "fold 1 would hold one class only\n")
+    assert calls == []
+
+
+@pytest.fixture()
+def subset_snapshots(tmp_path):
+    t0, t1 = tmp_path / "s0.tsv", tmp_path / "s1.tsv"
+    assert main(["synth", "--n", "60", "--blocks", "2", "--k", "5", "--p", "0.2",
+                 "--holdout", "0.3", "--mode", "retrospective", "--seed", "1",
+                 "--out-t0", str(t0), "--out-t1", str(t1)]) == 0
+    return ["--t0", str(t0), "--t1", str(t1), "--dim", "8", "--epochs", "1"]
+
+
+def test_subset_run_prints_the_test_pairs_it_scored(subset_snapshots, tmp_path, capsys):
+    subset, report = tmp_path / "even.txt", tmp_path / "report.json"
+    subset.write_text("".join(f"D{t:04d}\n" for t in range(0, 60, 2)))
+    capsys.readouterr()
+    assert main(["evaluate", "retrospective", *subset_snapshots, "--subset", str(subset),
+                 "--json", str(report)]) == 0
+    out = capsys.readouterr().out
+    # the split holds 1,300 test pairs; 332 of them join two listed drugs
+    assert sum(row["support"] for row in json.loads(report.read_text())["per_class"]) == 332
+    assert "train pairs: 470  test pairs: 332\n" in out
+
+
+def test_subset_of_one_class_is_refused_before_training(subset_snapshots, tmp_path, capsys,
+                                                        monkeypatch):
+    subset = tmp_path / "few.txt"
+    subset.write_text("".join(f"D{t:04d}\n" for t in range(1, 9)))
+    calls = []
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert main(["evaluate", "retrospective", *subset_snapshots, "--subset", str(subset)]) == 1
+    assert capsys.readouterr().err == (
+        "error: DegenerateLabelsError: all 19 test pairs are class 0: the report needs two "
+        "classes\n")
+    assert calls == []
+
+
 def test_retrospective_train_and_gridsearch_fit_sampled_negatives(tmp_path, capsys, monkeypatch):
     # as evaluate retrospective does, both fit T0's edges plus as many class-0
     # pairs unlabeled in T0, so a trained model scores most of those pairs class 0
@@ -220,7 +273,7 @@ def test_retrospective_train_and_gridsearch_fit_sampled_negatives(tmp_path, caps
                                              "retrospective")
     I, J = np.triu_indices(graph.n_drugs, k=1)
     unlabeled = graph.edge_classes(I, J) < 0
-    probs = pipeline.score_pairs(read_model(str(model)), np.column_stack([I, J])[unlabeled])
+    probs = pipeline.score_pairs(read_model(str(model))[0], np.column_stack([I, J])[unlabeled])
     assert np.mean(probs.argmax(axis=1) == 0) > 0.5
 
     seen = []
@@ -535,10 +588,10 @@ def test_predict_top_k_below_one_is_refused(model_and_pairs, capsys, top_k):
 def test_predict_ties_list_the_lowest_class_first(model_and_pairs, capsys):
     # zero W, c and u make every logit 0, so all K probabilities tie at 1/K
     model, pairs = model_and_pairs
-    params = read_model(str(model))
+    params, roster = read_model(str(model))
     for arr in (params.class_proj, params.class_bias, params.bias_coupling):
         arr[...] = 0.0
-    formats.write_model(params, str(model))
+    formats.write_model(params, roster, str(model))
     pairs.write_text("D0000\tD0001\nD0002\tD0000\n")
     capsys.readouterr()
     rc = main(["predict", "--model", str(model), "--pairs", str(pairs), "--top-k", "3"])
@@ -549,33 +602,33 @@ def test_predict_ties_list_the_lowest_class_first(model_and_pairs, capsys):
                     for k in range(3)]
 
 
-def test_duplicate_roster_id_exits_with_one_line(model_and_pairs, tmp_path, capsys):
+def test_duplicate_model_id_exits_with_one_line(model_and_pairs, tmp_path, capsys):
     model, pairs = model_and_pairs
-    roster = tmp_path / "dup.roster"
-    lines = (tmp_path / "model.txt.roster").read_text().splitlines()
-    roster.write_text("\n".join([lines[0]] + lines[:-1]) + "\n")
+    lines = model.read_text().splitlines()
+    # the ids section starts at line 3: its last id becomes a second D0000
+    lines[41] = lines[2]
+    model.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    rc = main(["predict", "--model", str(model), "--roster", str(roster), "--pairs", str(pairs)])
+    rc = main(["predict", "--model", str(model), "--pairs", str(pairs)])
     assert rc == 1
-    _assert_one_line_error(capsys.readouterr().err, "DuplicateIdError")
+    assert capsys.readouterr().err == (
+        f"error: FormatError: {model}: drug id 'D0000' repeated at line 42\n")
 
 
-def test_roster_size_mismatch_is_one_error_for_both_model_readers(model_and_pairs, tmp_path,
-                                                                   capsys):
+def test_short_ids_section_is_one_error_for_both_model_readers(model_and_pairs, tmp_path,
+                                                                capsys):
     model, pairs = model_and_pairs
-    roster = tmp_path / "short.roster"
-    roster.write_text("".join(f"D{i:04d}\n" for i in range(5)))
+    lines = model.read_text().splitlines()
+    del lines[7:42]
+    model.write_text("\n".join(lines) + "\n")
     commands = [
-        ["predict", "--model", str(model), "--roster", str(roster), "--pairs", str(pairs)],
-        ["export-embeddings", "--model", str(model), "--roster", str(roster),
-         "--out", str(tmp_path / "emb.csv")],
+        ["predict", "--model", str(model), "--pairs", str(pairs)],
+        ["export-embeddings", "--model", str(model), "--out", str(tmp_path / "emb.csv")],
     ]
     for command in commands:
         capsys.readouterr()
         assert main(command) == 1
-        assert capsys.readouterr().err == (
-            "error: ShapeMismatchError: roster lists 5 drugs but the model has 40 rows\n"
-        )
+        assert capsys.readouterr().err == f"error: FormatError: {model}: truncated section 'ids'\n"
     assert not (tmp_path / "emb.csv").exists()
 
 
@@ -585,12 +638,11 @@ def _model_file_commands(tmp_path, n, K, d):
         return [" ".join(["0.5"] * max(width, 0))] * max(count, 0)
 
     sections = {"E": rows(n, d), "b": rows(1, n), "W": rows(K, d), "c": rows(1, K), "u": rows(1, K)}
-    lines = [f"AMFPMC1 {n} {K} {d}"]
+    lines = [f"AMFPMC2 {n} {K} {d}", "ids", *(f"D{i}" for i in range(max(n, 0)))]
     for name, body in sections.items():
         lines += [name, *body]
     model = tmp_path / "degenerate.txt"
     model.write_text("\n".join(lines) + "\n")
-    (tmp_path / "degenerate.txt.roster").write_text("".join(f"D{i}\n" for i in range(max(n, 0))))
     (tmp_path / "pairs.tsv").write_text("D0\tD1\n")
     return model, [
         ["predict", "--model", str(model), "--pairs", str(tmp_path / "pairs.tsv")],
@@ -834,18 +886,6 @@ def test_impossible_allocation_is_one_error(synth_files, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_leaves_no_model_without_its_roster(synth_files, tmp_path, capsys):
-    # a model whose roster could not be written is removed: predict could not read it
-    t0, _, _ = synth_files
-    out = tmp_path / "m.txt"
-    capsys.readouterr()
-    assert main(["train", "--interactions", str(t0), "--mode", "holdout", "--dim", "4",
-                 "--epochs", "1", "--out", str(out),
-                 "--out-roster", str(tmp_path / "missing" / "m.roster")]) == 1
-    _assert_one_line_error(capsys.readouterr().err, "IoError")
-    assert not out.exists()
-
-
 def _parameter_default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
@@ -889,7 +929,8 @@ def test_flag_defaults_come_from_the_library(tmp_path):
     ("extract", "Drug a may increase the bleeding activities of Drug b"),
 ])
 def test_hash_leading_drug_id_is_one_error_naming_its_line(tmp_path, capsys, command, payload):
-    # '#x' would be written to a roster sidecar or indexed TSV and read back as a comment
+    # '#x' could never stand first on a line of an interactions or pairs file,
+    # where '#' marks a comment
     tsv = tmp_path / "in.tsv"
     tsv.write_text(f"D1\tD2\t{payload}\nD1\t#x\t{payload}\n")
     out = str(tmp_path / "out")
@@ -905,12 +946,11 @@ def test_hash_leading_drug_id_is_one_error_naming_its_line(tmp_path, capsys, com
 
 
 def _random_model(tmp_path, n=50, K=5, d=8):
-    """A model file with its roster sidecar, drugs D0000..; parameters from init_model."""
+    """A model file of drugs D0000..; parameters from init_model."""
     model = tmp_path / "model.txt"
     params = init_model(n, K, Hyperparameters(embedding_dim=d, seed=11))
     params.drug_bias[:] = np.random.default_rng(12).normal(size=n)
-    formats.write_model(params, str(model))
-    formats.write_roster(Roster([f"D{t:04d}" for t in range(n)]), str(model) + ".roster")
+    formats.write_model(params, Roster([f"D{t:04d}" for t in range(n)]), str(model))
     return model
 
 
@@ -932,7 +972,7 @@ def test_predict_is_bitwise_one_piece_scoring(tmp_path, capsys, n_pairs):
     rc = main(["predict", "--model", str(model), "--pairs", str(pairs), "--top-k", "2",
                "--out", str(out)])
     assert rc == 0
-    probs = predict_batch(read_model(str(model)), ends[:, 0], ends[:, 1])
+    probs = predict_batch(read_model(str(model))[0], ends[:, 0], ends[:, 1])
     top = np.argsort(-probs, axis=1, kind="stable")[:, :2]
     values = np.take_along_axis(probs, top, axis=1)
     expected = "".join(

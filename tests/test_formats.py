@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import tracemalloc
@@ -15,10 +16,12 @@ from amfpmc.errors import (
     InvalidConfigError,
     InvalidDimensionsError,
     ParseError,
+    ShapeMismatchError,
     UnknownDrugError,
 )
 from amfpmc import formats
 from amfpmc.formats import (
+    FLOAT_FMT,
     IndexRecords,
     class_count,
     format_report_text,
@@ -27,13 +30,12 @@ from amfpmc.formats import (
     parse_interactions_file,
     read_pairs,
     read_model,
-    read_roster,
     read_vocabulary,
     report_to_dict,
     write_interactions_file,
+    write_float_rows,
     write_model,
     write_report,
-    write_roster,
     write_vocabulary,
 )
 from amfpmc.graph import Roster, TypedInteractionGraph, check_dimensions, check_mode
@@ -128,7 +130,7 @@ class TestStreamingReader:
 
     @pytest.mark.parametrize("mode, payload", [("indices", "1"), ("sentences", SENTENCE)])
     def test_hash_leading_drug_id_is_refused(self, tmp_path, mode, payload):
-        # a roster sidecar would read such an id back as a comment
+        # first on a line, as the first column of any TSV, such an id is a comment
         p = tmp_path / "edges.tsv"
         p.write_text(f"#x\tD1\t{payload}\nD1\tD2\t{payload}\nD1\t#x\t{payload}\n")
         with pytest.raises(ParseError) as err:
@@ -705,46 +707,103 @@ class TestBlockReader:
             read_pairs(str(p), roster)
 
 
+def _model_file(tmp_path, n=3, K=2, d=4, ids=None):
+    """A model file of init_model parameters, rows named ids (default D0, D1, ...)."""
+    params = init_model(n, K, Hyperparameters(embedding_dim=d))
+    path = tmp_path / "model.txt"
+    write_model(params, Roster(ids or [f"D{t}" for t in range(n)]), str(path))
+    return params, path
+
+
 class TestModelFile:
     def test_exact_roundtrip(self, tmp_path):
         params = init_model(7, 4, Hyperparameters(embedding_dim=5, seed=3))
         params.drug_bias[:] = np.random.default_rng(0).uniform(-1, 1, 7)
         path = tmp_path / "model.txt"
-        write_model(params, str(path))
-        back = read_model(str(path))
+        write_model(params, Roster(["DB7", "DB1", "DB3", "DB2", "DB6", "DB5", "DB4"]), str(path))
+        back, roster = read_model(str(path))
         for a, b in zip(params.arrays(), back.arrays()):
             assert np.array_equal(a, b)
+        assert roster.external_ids == ["DB7", "DB1", "DB3", "DB2", "DB6", "DB5", "DB4"]
 
-    def test_header_line(self, tmp_path):
+    def test_header_and_ids_section(self, tmp_path):
+        _, path = _model_file(tmp_path)
+        assert path.read_text().splitlines()[:6] == ["AMFPMC2 3 2 4", "ids", "D0", "D1", "D2", "E"]
+
+    @pytest.mark.parametrize("ext", ["#x", "E", "ids", "a b", "-1", "é"])
+    def test_any_id_reads_back_verbatim(self, tmp_path, ext):
+        # ids are lines, not tokens: no comment, no section name, no split
+        _, path = _model_file(tmp_path, ids=["D0", ext, "D2"])
+        assert read_model(str(path))[1].external_ids == ["D0", ext, "D2"]
+
+    def test_roster_of_another_length_is_refused(self, tmp_path):
         params = init_model(3, 2, Hyperparameters(embedding_dim=4))
-        path = tmp_path / "model.txt"
-        write_model(params, str(path))
-        assert path.read_text().splitlines()[0] == "AMFPMC1 3 2 4"
+        with pytest.raises(ShapeMismatchError, match="roster lists 2 drugs but the model has 3 rows"):
+            write_model(params, Roster(["D0", "D1"]), str(tmp_path / "model.txt"))
+        assert not (tmp_path / "model.txt").exists()
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_short_ids_section_is_refused(self, tmp_path, cut):
+        # cut of the 3 ids removed: section E begins inside the ids section,
+        # and with it cut off too, the file ends there
+        _, path = _model_file(tmp_path)
+        lines = path.read_text().splitlines()
+        del lines[2:2 + cut]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated section 'ids'$"):
+            read_model(str(path))
+        path.write_text("\n".join(lines[:5 - cut]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated section 'ids'$"):
+            read_model(str(path))
+
+    @pytest.mark.parametrize("ids, message", [
+        (["D0", "", "D2"], "empty drug id at line 4"),
+        (["D0", "  ", "D2"], "empty drug id at line 4"),
+        (["D0", "D1", "D0"], "drug id 'D0' repeated at line 5"),
+    ])
+    def test_empty_or_repeated_id_is_refused(self, tmp_path, ids, message):
+        _, path = _model_file(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2:5] = ids
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_model(str(path))
+
+    def test_missing_ids_section_is_refused(self, tmp_path):
+        _, path = _model_file(tmp_path)
+        lines = path.read_text().splitlines()
+        del lines[1:5]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="expected section 'ids' at line 2"):
+            read_model(str(path))
+
+    def test_sidecar_format_is_refused(self, tmp_path):
+        # an AMFPMC1 file, with no ids section, and its sidecar are not read
+        _, path = _model_file(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["AMFPMC1 3 2 4"] + lines[5:]) + "\n")
+        (tmp_path / "model.txt.roster").write_text("D0\nD1\nD2\n")
+        with pytest.raises(FormatError, match="bad header 'AMFPMC1 3 2 4'"):
+            read_model(str(path))
 
     def test_truncated_file(self, tmp_path):
-        params = init_model(3, 2, Hyperparameters(embedding_dim=4))
-        path = tmp_path / "model.txt"
-        write_model(params, str(path))
+        _, path = _model_file(tmp_path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(FormatError):
             read_model(str(path))
 
     def test_header_mismatch(self, tmp_path):
-        params = init_model(3, 2, Hyperparameters(embedding_dim=4))
-        path = tmp_path / "model.txt"
-        write_model(params, str(path))
-        body = path.read_text().replace("AMFPMC1 3 2 4", "AMFPMC1 4 2 4")
+        _, path = _model_file(tmp_path)
+        body = path.read_text().replace("AMFPMC2 3 2 4", "AMFPMC2 4 2 4")
         path.write_text(body)
         with pytest.raises(FormatError):
             read_model(str(path))
 
     def test_row_width_mismatch(self, tmp_path):
-        params = init_model(3, 2, Hyperparameters(embedding_dim=4))
-        path = tmp_path / "model.txt"
-        write_model(params, str(path))
+        _, path = _model_file(tmp_path)
         lines = path.read_text().splitlines()
-        lines[2] = lines[2] + " 0.5"
+        lines[6] = lines[6] + " 0.5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DimensionMismatchError):
             read_model(str(path))
@@ -758,9 +817,21 @@ class TestModelFile:
     def test_huge_header_is_refused_before_allocating(self, tmp_path):
         # the header asks for a 75 GiB parameter vector; the first row is read first
         path = tmp_path / "model.txt"
-        path.write_text("AMFPMC1 100000 1000 100000\nE\n0.5 0.25\n")
+        path.write_text("AMFPMC2 100000 1000 100000\nids\n"
+                        + "".join(f"D{t}\n" for t in range(100000)) + "E\n0.5 0.25\n")
         with pytest.raises(DimensionMismatchError, match="section 'E' row has 2 values, expected 100000"):
             read_model(str(path))
+
+    @pytest.mark.parametrize("sep, labels", [(" ", None), (",", ["a", "b#", "c d"])])
+    def test_float_rows_format_a_row_as_its_values_did(self, sep, labels):
+        rows = np.random.default_rng(5).normal(size=(3, 4)) * np.array([1e-300, 1.0, 1e300, -0.0])
+        fh = io.StringIO()
+        write_float_rows(fh, rows, sep, labels)
+        heads = [""] * 3 if labels is None else [label + sep for label in labels]
+        assert fh.getvalue() == "".join(
+            head + sep.join(FLOAT_FMT % v for v in row) + "\n" for head, row in zip(heads, rows))
+        assert [[float(v) for v in line.split(sep)[-4:]] for line in fh.getvalue().splitlines()] \
+            == rows.tolist()
 
 
 class TestVocabularyFile:
@@ -917,20 +988,6 @@ class TestReportFiles:
             write_report(sample_report(), str(tmp_path / "r.xml"), "xml")
         with pytest.raises(InvalidConfigError):
             parse_interactions_file(str(tmp_path / "unread.tsv"), "pairs")
-
-
-class TestRosterFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "model.roster"
-        write_roster(Roster(["DB1", "DB2", "DB3"]), str(path))
-        back = read_roster(str(path))
-        assert back.external_ids == ["DB1", "DB2", "DB3"]
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "model.roster"
-        path.write_text("# nothing\n")
-        with pytest.raises(FormatError):
-            read_roster(str(path))
 
 
 class TestGridFile:

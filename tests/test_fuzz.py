@@ -3,7 +3,8 @@
 Each case mutates one input file (bytes deleted, inserted or replaced, lines
 duplicated or dropped, the file truncated, or one number replaced with a huge
 integer) and runs one subcommand through main(); the stop list and verb table
-start as copies of the packaged files.
+start as copies of the packaged files. Kind "model ids" mutates the ids
+section of the model file alone.
 The run must succeed, or exit 1 with exactly one stderr line that
 starts with 'error: '; an exception escaping main() fails the test.
 """
@@ -64,7 +65,6 @@ def base(tmp_path_factory):
                  "--out-t0", str(f["t0.tsv"]), "--out-t1", str(f["t1.tsv"])]) == 0
     assert main(["train", "--interactions", str(f["holdout.tsv"]), "--mode", "holdout",
                  *TINY, "--out", str(f["model.txt"])]) == 0
-    f["roster"] = d / "model.txt.roster"
     f["pairs.tsv"].write_text("D0000\tD0001\nD0002\tD0015\n")
     f["grid.txt"].write_text("alpha 0.0 0.5\ndropout 0.0\n")
     f["subset.txt"].write_text("# drugs\n" + "".join(f"D{i:04d}\n" for i in range(0, 16, 2)))
@@ -100,14 +100,11 @@ def commands(f, mutated, out):
         "subset.txt": [[*retro, "--t0", f["t0.tsv"], "--t1", f["t1.tsv"], "--subset", mutated]],
         "grid.txt": [["gridsearch", "--interactions", f["holdout.tsv"], "--mode", "holdout",
                       "--grid", mutated, *TINY]],
-        "model.txt": [["predict", "--model", mutated, "--roster", f["roster"],
-                       "--pairs", f["pairs.tsv"], "--out", out],
-                      ["export-embeddings", "--model", mutated, "--roster", f["roster"],
+        "model.txt": [["predict", "--model", mutated, "--pairs", f["pairs.tsv"], "--out", out],
+                      ["export-embeddings", "--model", mutated, "--out", out]],
+        "model ids": [["predict", "--model", mutated, "--pairs", f["pairs.tsv"], "--top-k", "2",
                        "--out", out]],
-        "roster": [["predict", "--model", f["model.txt"], "--roster", mutated,
-                    "--pairs", f["pairs.tsv"], "--top-k", "2", "--out", out]],
-        "pairs.tsv": [["predict", "--model", f["model.txt"], "--roster", f["roster"],
-                       "--pairs", mutated, "--out", out]],
+        "pairs.tsv": [["predict", "--model", f["model.txt"], "--pairs", mutated, "--out", out]],
         "vocab.tsv": [["evaluate", "holdout", "--interactions", f["holdout.tsv"], "--k", "2",
                        *TINY, "--vocab", mutated]],
         "sentences.tsv": [["extract", "--input", mutated, "--mode", "retrospective",
@@ -117,8 +114,18 @@ def commands(f, mutated, out):
     }
 
 
-KINDS = ["holdout.tsv", "t0.tsv", "t1.tsv", "subset.txt", "grid.txt", "model.txt", "roster",
+KINDS = ["holdout.tsv", "t0.tsv", "t1.tsv", "subset.txt", "grid.txt", "model.txt", "model ids",
          "pairs.tsv", "vocab.tsv", "sentences.tsv", "stoplist.txt", "verb_forms.txt"]
+
+
+def regions(base, kind):
+    """(before, region, after): kind's file cut around the bytes its cases mutate."""
+    if kind != "model ids":
+        return b"", base[kind].read_bytes(), b""
+    data = base["model.txt"].read_bytes()
+    start = data.index(b"\nids\n") + len(b"\nids\n")
+    end = data.index(b"\nE\n", start) + 1
+    return data[:start], data[start:end], data[end:]
 
 
 def check_cases(base, tmp_path, capsys, kind, cases):
@@ -139,19 +146,20 @@ def check_cases(base, tmp_path, capsys, kind, cases):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_mutated_input_exits_cleanly(base, tmp_path, capsys, kind):
-    original = base[kind].read_bytes()
+    before, original, after = regions(base, kind)
     check_cases(base, tmp_path, capsys, kind, (
-        (f"seed {seed}", mutate(original, np.random.default_rng([seed, KINDS.index(kind)])))
+        (f"seed {seed}",
+         before + mutate(original, np.random.default_rng([seed, KINDS.index(kind)])) + after)
         for seed in SEEDS
     ))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_huge_integer_exits_cleanly(base, tmp_path, capsys, kind):
-    original = base[kind].read_bytes()
+    before, original, after = regions(base, kind)
     rng = np.random.default_rng([99, KINDS.index(kind)])
     check_cases(base, tmp_path, capsys, kind, (
-        (f"{value.decode()}, draw {draw}", replace_number(original, value, rng))
+        (f"{value.decode()}, draw {draw}", before + replace_number(original, value, rng) + after)
         for draw in range(8)
         for value in HUGE
     ))

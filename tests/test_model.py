@@ -35,7 +35,7 @@ from amfpmc.model import (
     predict_batch,
     softmax,
 )
-from amfpmc.graph import build_graph
+from amfpmc.graph import Roster, build_graph
 from amfpmc.pipeline import LabeledPairs, attach_targets, train
 from amfpmc.propagation import check_alpha, propagate_targets
 from amfpmc.synth import SyntheticConfig
@@ -155,8 +155,9 @@ class TestParameterVector:
         if how == "deepcopy":
             got = copy.deepcopy(params)
         elif how == "read_model":
-            formats.write_model(params, str(tmp_path / "model.txt"))
-            got = formats.read_model(str(tmp_path / "model.txt"))
+            roster = Roster([f"D{t}" for t in range(params.n_drugs)])
+            formats.write_model(params, roster, str(tmp_path / "model.txt"))
+            got, _ = formats.read_model(str(tmp_path / "model.txt"))
         else:
             got = pickle.loads(pickle.dumps(params))
         assert got.flat.tobytes() == params.flat.tobytes()

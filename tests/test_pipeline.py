@@ -129,6 +129,21 @@ class TestStratifiedKfold:
             holdout_evaluate(g, quick_hp(), k=5, seed=0)
         assert calls == []
 
+    @pytest.mark.parametrize("edges, second", [
+        ([(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1), (1, 2, 2), (1, 3, 3)], 1),
+        ([(0, t, 2) for t in range(1, 6)], 0),
+        ([(0, t, 1) for t in range(1, 6)] + [(1, t, 2) for t in range(2, 6)], 4),
+    ])
+    def test_holdout_with_a_fold_of_one_class_trains_nothing(self, monkeypatch, edges, second):
+        # fold f holds each class of more than f pairs: from fold `second` on, one
+        g = build_graph(6, 4, "holdout", edges)
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+        with pytest.raises(DegenerateLabelsError, match=f"the second-largest class has {second} "
+                           f"pairs, fewer than k = 5: fold {second} would hold one class only"):
+            holdout_evaluate(g, quick_hp(), k=5, seed=0)
+        assert calls == []
+
 
 class TestTrain:
     def test_two_drug_instance_converges(self):
@@ -558,13 +573,17 @@ class TestRetrospectiveEvaluate:
         subset = retrospective_evaluate(split, hp, subset=set(range(8)))
         assert report_to_dict(full) == report_to_dict(subset)
 
-    def test_isolated_subset_degenerates(self):
+    def test_isolated_subset_degenerates(self, monkeypatch):
         t0, t1 = two_snapshots()
         # drugs 6 and 7 are isolated in both snapshots; with no sampled
-        # negatives their only test truth is class 0 everywhere
+        # negatives their only test truth is class 0 everywhere, which is
+        # refused before training
         split = retrospective_split(t0, t1, negative_ratio=0.0, seed=0)
-        with pytest.raises(DegenerateLabelsError):
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+        with pytest.raises(DegenerateLabelsError, match="all 1 test pairs are class 0"):
             retrospective_evaluate(split, quick_hp(epochs=2), subset={6, 7})
+        assert calls == []
 
     def test_empty_subset(self):
         t0, t1 = two_snapshots()
@@ -577,7 +596,7 @@ class TestRetrospectiveEvaluate:
                               label_noise=0.0, holdout_fraction=0.3, seed=5, mode="retrospective")
         data = generate_synthetic(cfg)
         t0 = data.graph_t0
-        target_class = data.block_pair_class(0, 0)
+        target_class = data.config.planted_class(0, 0)
         t1 = build_graph(cfg.n_drugs, cfg.n_classes, "retrospective",
                          np.concatenate([t0.edge_list(),
                                          data.held_out[data.held_out[:, 2] == target_class]]),

@@ -36,11 +36,11 @@ def test_complete_noiseless_graph_is_fully_determined():
     data = generate_synthetic(cfg)
     assert data.graph_t1.num_edges == 20 * 19 // 2
     for i, j, c in data.graph_t1.edge_list():
-        assert c == data.block_pair_class(int(data.block_of[i]), int(data.block_of[j]))
+        assert c == data.config.planted_class(int(data.block_of[i]), int(data.block_of[j]))
     # reading the block map scores the held-out edges perfectly
     probs = np.zeros((len(data.held_out), cfg.n_classes))
     for row, (i, j, _) in enumerate(data.held_out):
-        probs[row, data.block_pair_class(int(data.block_of[i]), int(data.block_of[j]))] = 1.0
+        probs[row, data.config.planted_class(int(data.block_of[i]), int(data.block_of[j]))] = 1.0
     rep = multiclass_report(probs, [c for _, _, c in data.held_out])
     assert rep.accuracy == 1.0 and rep.macro_auroc == 1.0
 
@@ -59,11 +59,11 @@ def test_noise_stays_among_planted_classes():
     cfg = SyntheticConfig(n_drugs=60, n_blocks=3, n_classes=9, edge_probability=0.5,
                           label_noise=0.3, holdout_fraction=0.0, seed=13)
     data = generate_synthetic(cfg)
-    planted = {data.block_pair_class(g, h) for g in range(3) for h in range(g, 3)}
+    planted = {data.config.planted_class(g, h) for g in range(3) for h in range(g, 3)}
     flipped = 0
     for i, j, c in data.graph_t1.edge_list():
         assert c in planted
-        if c != data.block_pair_class(int(data.block_of[i]), int(data.block_of[j])):
+        if c != data.config.planted_class(int(data.block_of[i]), int(data.block_of[j])):
             flipped += 1
     m = data.graph_t1.num_edges
     assert abs(flipped / m - 0.3) < 0.05
@@ -75,7 +75,7 @@ def test_retrospective_mode_reserves_class_zero():
     data = generate_synthetic(cfg)
     assert data.graph_t0.mode == "retrospective"
     assert all(c >= 1 for _, _, c in data.graph_t1.edge_list())
-    assert data.block_pair_class(0, 0) == 1
+    assert data.config.planted_class(0, 0) == 1
 
 
 def test_config_validation():
