@@ -133,7 +133,8 @@ def _read_graphs(paths, mode: str, n_classes: Optional[int]):
 
 def _training_rows(graph, seed: int) -> np.ndarray:
     """The (i, j, label) rows train and gridsearch fit: the graph's edges, and in retrospective
-    mode the sampled no-interaction pairs evaluate retrospective adds to them, drawn the same way."""
+    mode the sampled no-interaction pairs evaluate retrospective adds to them, drawn the same way
+    (every unlabeled pair when there are fewer than the edges)."""
     if graph.mode == HOLDOUT:
         return graph.edge_list()
     return retrospective_split(graph, graph, seed=seed, test_pair_cap=1).train_items
@@ -213,6 +214,12 @@ def cmd_evaluate_retrospective(args) -> int:
     split = retrospective_split(
         g0, g1, negative_ratio=args.negative_ratio, seed=args.seed, test_pair_cap=args.test_cap
     )
+    if not len(split.test_items):
+        unlabeled = len(split.train_items) - g0.num_edges  # each one a training negative
+        raise InvalidConfigError(
+            f"no test pair is left: T0 leaves {unlabeled} pairs unlabeled and negative_ratio "
+            f"{args.negative_ratio} samples {unlabeled} of them as training negatives"
+        )
     subset = None
     if args.subset:
         wanted = formats.load_drug_subset(args.subset)
@@ -277,7 +284,10 @@ def cmd_export_embeddings(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         header = ["drug_id"] + [f"e{t}" for t in range(params.embedding_dim)]
         fh.write(",".join(header) + "\n")
-        formats.write_float_rows(fh, params.embeddings, ",", roster.external_ids)
+        # RFC 4180: an id holding a comma or a quote is quoted, each inner quote doubled
+        ids = ['"' + ext.replace('"', '""') + '"' if "," in ext or '"' in ext else ext
+               for ext in roster.external_ids]
+        formats.write_float_rows(fh, params.embeddings, ",", ids)
     print(f"wrote {len(roster)} x {params.embedding_dim} embeddings to {args.out}")
     return 0
 

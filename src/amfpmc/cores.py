@@ -1,23 +1,33 @@
 """One helper thread beside the caller, and the one rule for when to start it.
 
-A Helper runs tasks on one thread, in the order they were submitted. The
-caller runs any task the helper has not begun by the time its result is
-needed, so a busy or slow helper costs no more than doing the work in
-line. Every task runs under the numpy error state of the thread that
-submitted it, and an exception is raised in the caller. Work is placed by
-the caller, never split inside a numpy call, so results do not depend on
-which thread ran what. start, run_beside and ahead hand work to the
-helper of the innermost open helper() block on this thread, and run it in
-line when there is none, so a caller writes one path for both.
+helper() starts one thread that runs the tasks of a queue.SimpleQueue in
+the order they were put on it. The caller runs any task the helper has not
+begun by the time its result is needed, so a busy or slow helper costs no
+more than doing the work in line. Every task runs under the numpy error
+state of the thread that made it, and an exception is raised in the
+caller. Work is placed by the caller, never split inside a numpy call, so
+results do not depend on which thread ran what. start, run_beside and
+ahead put work on the queue of the innermost open helper() block on this
+thread, and run it in line when there is none, so a caller writes one path
+for both.
+
+A task is guarded by one lock, which the thread that runs it holds while
+it runs. When the helper reaches a task the caller has taken, it waits on
+that lock and then skips the task, so the tasks queued behind it wait too.
+Training queues "prepare step s + 1", then the step's head branch, then its
+Adam half, and the caller takes a task only when it needs its result, when
+every task queued behind it has run: no work waits that would not wait
+anyway. A task never waits on another task, so one lock per task cannot
+deadlock.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
+from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -36,27 +46,24 @@ class _Task:
     def __init__(self, fn, args):
         self.fn, self.args = fn, args
         self.errstate = dict(np.geterr(), call=np.geterrcall())
-        self._taken = threading.Lock()
-        self._done = threading.Event()
+        self._lock = threading.Lock()
         self.value = self.error = None
 
     def run(self) -> None:
-        """Run the call here, unless another thread has taken it, then drop the call and its arguments."""
-        if not self._taken.acquire(blocking=False):
-            return
-        try:
-            with np.errstate(**self.errstate):
-                self.value = self.fn(*self.args)
-        except BaseException as exc:  # raised again by result(), in the caller
-            self.error = exc
-        finally:
-            self.fn = self.args = None
-            self._done.set()
+        """Run the call here unless it has run, waiting while another thread runs it; then drop
+        the call and its arguments."""
+        with self._lock:
+            if self.fn is None:
+                return
+            try:
+                with np.errstate(**self.errstate):
+                    self.value = self.fn(*self.args)
+            except BaseException as exc:  # raised again by result(), in the caller
+                self.error = exc
+            finally:
+                self.fn = self.args = None
 
-    def wait(self) -> None:
-        """Return once the call has run: here, if the helper has not begun it."""
-        self.run()
-        self._done.wait()
+    wait = run
 
     def result(self):
         self.wait()
@@ -65,55 +72,15 @@ class _Task:
         return self.value
 
 
-class Helper:
-    """One helper thread, which runs submitted tasks in order until close(); helper() opens one.
-
-    A task writes its arrays into buffers its caller made; of its own it
-    allocates only vectors of batch or drug length, such as index arrays,
-    so the helper thread's memory stays small. A task should not call a
-    name the benchmark's tracer wraps (perfbench/spans.py), whose spans nest
-    by call order on one thread.
-    """
-
-    def __init__(self):
-        self._tasks: deque = deque()
-        self._queued = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="amfpmc-helper", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self._queued.acquire()
-            task = self._tasks.popleft()
-            if task is None:
-                return
-            task.run()
-
-    def _put(self, task: Optional[_Task]) -> None:
-        self._tasks.append(task)
-        self._queued.release()
-
-    def submit(self, fn, *args) -> _Task:
-        """Queue fn(*args) for the helper; the task's result() runs it here if the helper has not begun it."""
-        task = _Task(fn, args)
-        self._put(task)
-        return task
-
-    def close(self) -> None:
-        """Finish every task submitted and end the thread."""
-        self._put(None)
-        self._thread.join()
-
-
-#: The helper of the innermost open helper() block on this thread, or None.
-_CURRENT: ContextVar[Optional[Helper]] = ContextVar("amfpmc_helper", default=None)
+#: The task queue of the innermost open helper() block on this thread, or None.
+_CURRENT: ContextVar[Optional[SimpleQueue]] = ContextVar("amfpmc_helper", default=None)
 
 
 class _Ran:
     """A call run in line, with the wait() and result() of a _Task.
 
-    It takes no lock, event or error state: a _Task's cost a few percent of
-    a small training step.
+    It takes no lock or error state: a _Task's cost a few percent of a
+    small training step.
     """
 
     def __init__(self, fn, args):
@@ -130,13 +97,17 @@ class _Ran:
 
 
 def start(fn, *args):
-    """fn(*args) as a task of the open helper() block's helper, or run here and now when there is none.
+    """fn(*args) as a task on the open helper() block's queue, or run here and now when there is none.
 
     Either way the returned task's result() returns or raises what the call
     did, once it has run.
     """
-    beside = _CURRENT.get()
-    return _Ran(fn, args) if beside is None else beside.submit(fn, *args)
+    tasks = _CURRENT.get()
+    if tasks is None:
+        return _Ran(fn, args)
+    task = _Task(fn, args)
+    tasks.put(task)
+    return task
 
 
 def run_beside(fn, helper_args: tuple, own_args: tuple) -> None:
@@ -179,22 +150,36 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _serve(tasks: SimpleQueue) -> None:
+    for task in iter(tasks.get, None):
+        task.run()
+
+
 @contextmanager
 def helper(wanted: bool):
-    """A Helper, which takes this thread's start() tasks while the block is open, or None.
+    """A block in which one helper thread takes this thread's start() tasks.
 
-    None unless the caller wants one and the process may run on two CPUs:
-    on one CPU a second thread only takes turns with the first. On exit the
-    helper finishes its tasks and its thread ends, before any exception of
-    the block is passed on.
+    The thread is started only if the caller wants one and the process may
+    run on two CPUs: on one CPU a second thread only takes turns with the
+    first. On exit the helper runs every task left on its queue and its
+    thread ends, before any exception of the block is passed on.
+
+    A task writes its arrays into buffers its caller made; of its own it
+    allocates only vectors of batch or drug length, such as index arrays,
+    so the helper thread's memory stays small. A task should not call a
+    name the benchmark's tracer wraps (perfbench/spans.py), whose spans nest
+    by call order on one thread.
     """
     if not wanted or usable_cpus() < 2:
-        yield None
+        yield
         return
-    beside = Helper()
-    token = _CURRENT.set(beside)
+    tasks = SimpleQueue()
+    thread = threading.Thread(target=_serve, args=(tasks,), name="amfpmc-helper", daemon=True)
+    thread.start()
+    token = _CURRENT.set(tasks)
     try:
-        yield beside
+        yield
     finally:
         _CURRENT.reset(token)
-        beside.close()
+        tasks.put(None)
+        thread.join()

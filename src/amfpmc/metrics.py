@@ -255,36 +255,29 @@ def multiclass_report(prob_matrix, truths) -> MultiClassReport:
         onehot[np.arange(n_rows), t] = True
         scalars["micro_auroc"], scalars["micro_aupr"] = _ranked(P.reshape(-1), onehot.reshape(-1))
 
+    support = np.bincount(t, minlength=n_classes)
+    predicted = np.bincount(preds, minlength=n_classes)
+    hits = np.bincount(t[preds == t], minlength=n_classes)
+    # a class never predicted has precision 0, and one with neither precision nor recall F1 0
+    precision = np.divide(hits, predicted, out=np.zeros(n_classes), where=predicted > 0)
+    recall = np.divide(hits, support, out=np.zeros(n_classes), where=support > 0)
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(n_classes),
+                   where=precision + recall > 0)
     per_class: list[PerClassMetrics] = []
-    support = np.bincount(t, minlength=n_classes).tolist()
-    hits = np.bincount(t[preds == t], minlength=n_classes).tolist()
-    predicted = np.bincount(preds, minlength=n_classes).tolist()
-    precisions, recalls, f1s, aurocs, auprs = [], [], [], [], []
-    for k in range(n_classes):
-        if support[k] == 0:
-            per_class.append(PerClassMetrics(k, 0, None, None))
-            continue
-        prec = hits[k] / predicted[k] if predicted[k] > 0 else 0.0
-        rec = hits[k] / support[k]
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+    for k, n_k in enumerate(support.tolist()):
         # one contiguous copy of the column serves both rankings
-        auroc_k, aupr_k = _ranked(np.ascontiguousarray(P[:, k]), t == k,
-                                  auroc=support[k] < n_rows)
-        per_class.append(PerClassMetrics(k, support[k], auroc_k, aupr_k))
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
-        if auroc_k is not None:
-            aurocs.append(auroc_k)
-        auprs.append(aupr_k)
+        ranked = _ranked(np.ascontiguousarray(P[:, k]), t == k, auroc=n_k < n_rows) if n_k else (None, None)
+        per_class.append(PerClassMetrics(k, n_k, *ranked))
+    aurocs = [row.auroc for row in per_class if row.auroc is not None]
     if not aurocs:
         raise DegenerateLabelsError("no class has both positives and negatives")
+    supported = support > 0
     scalars.update(
-        macro_precision=float(np.mean(precisions)),
-        macro_recall=float(np.mean(recalls)),
-        macro_f1=float(np.mean(f1s)),
+        macro_precision=float(np.mean(precision[supported])),
+        macro_recall=float(np.mean(recall[supported])),
+        macro_f1=float(np.mean(f1[supported])),
         macro_auroc=float(np.mean(aurocs)),
-        macro_aupr=float(np.mean(auprs)),
+        macro_aupr=float(np.mean([row.aupr for row in per_class if row.support])),
     )
 
     return MultiClassReport(**scalars, per_class=per_class)

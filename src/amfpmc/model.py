@@ -15,9 +15,10 @@ hand-written gradients and a plain Adam optimizer, all in float64 so runs are
 bitwise reproducible given a seed. backward takes a step's keep masks (and,
 if made ahead, its scatter plan) from its caller, and fills the gradient
 holder it is handed, one per training run. Through cores, a helper
-thread may compute backward's head gradients and loss while the caller
-computes the embedding gradients, and run half of each Adam update; none of
-it changes a bit, and every matrix product runs whole on one thread.
+thread, which runs the tasks of one queue, each under its own lock, may
+compute backward's head gradients and loss while the caller computes the
+embedding gradients, and run half of each Adam update; none of it changes a
+bit, and every matrix product runs whole on one thread.
 """
 
 from __future__ import annotations
@@ -326,9 +327,10 @@ def backward(
     to every step; grads defaults to fresh zeros.
 
     Once the logit gradient G is known, the head branch (the W, c, u and b
-    gradients and the loss) runs as a cores.start task, on the helper inside
-    an open cores.helper block and in line before the embedding branch
-    otherwise, while this thread computes the embedding gradients. The two
+    gradients and the loss) runs as a cores.start task, on the helper's
+    queue inside an open cores.helper block and in line before the
+    embedding branch otherwise, while this thread computes the embedding
+    gradients. The two
     write disjoint parts of the gradients and are joined before returning.
     """
     I, J = check_pairs(i, j, params.n_drugs)
@@ -419,8 +421,8 @@ def adam_step(
     elementwise and runs in the order of
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result does not
     depend on the block size, nor on which thread updates which half: the
-    upper half is a cores.run_beside task, which the helper of an open
-    cores.helper block takes.
+    upper half is a cores.run_beside task, which goes on the helper's queue
+    inside an open cores.helper block.
     """
     p, g, m, v = params.flat, grads.flat, state.m, state.v
     if not p.shape == g.shape == m.shape == v.shape:

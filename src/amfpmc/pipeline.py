@@ -402,8 +402,10 @@ def retrospective_split(
     unlabeled there. Beyond test_pair_cap the test universe is subsampled
     with the same seed. Sampled positions index the unlabeled pairs in
     row-by-row order and are mapped to pairs by counting the labeled ones
-    below them, so the triangle itself is never enumerated. A split that
-    leaves no test pair is refused, before anything is sampled.
+    below them, so the triangle itself is never enumerated. When the
+    negatives take every unlabeled pair the test set is empty, which the
+    CLI's train and gridsearch accept, as they fit the training rows alone,
+    and retrospective_evaluate refuses.
     """
     if graph_t0.mode != RETROSPECTIVE or graph_t1.mode != RETROSPECTIVE:
         raise InvalidConfigError("retrospective split needs retrospective-mode graphs")
@@ -428,11 +430,6 @@ def retrospective_split(
     universe = n * (n - 1) // 2 - len(labeled)
 
     n_neg = int(round(min(negative_ratio * len(edges0), universe)))
-    if n_neg == universe:
-        raise InvalidConfigError(
-            f"no test pair is left: T0 leaves {universe} pairs unlabeled and negative_ratio "
-            f"{negative_ratio} samples {n_neg} of them as training negatives"
-        )
     neg_at = np.empty(0, dtype=np.int64)
     if n_neg > 0:
         neg_at = np.sort(rng.choice(universe, size=n_neg, replace=False))
@@ -471,10 +468,12 @@ def retrospective_evaluate(
 
     subset, when given, restricts scoring to pairs with both endpoints in
     the set (drug indices), and is applied before training; class 0 acts as
-    the no-interaction class. Test pairs whose truths are all one class,
-    which the report would refuse, are refused before training.
+    the no-interaction class. No test pair, or test pairs whose truths are
+    all one class, which the report would refuse, are refused before training.
     """
     test_items = split.test_items
+    if not len(test_items):
+        raise EmptyDatasetError("the split leaves no test pair")
     if subset is not None:
         members = np.fromiter(subset, dtype=np.int64, count=len(subset))
         test_items = test_items[np.isin(test_items[:, :2], members).all(axis=1)]

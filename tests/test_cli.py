@@ -1,3 +1,4 @@
+import csv
 import inspect
 import itertools
 import json
@@ -116,10 +117,10 @@ def test_train_predict_export_flow(synth_files, tmp_path, capsys):
     assert first[0] == "D0000" and first[1] == "D0001"
     assert 0.0 <= float(first[3]) <= 1.0
 
-    csv = tmp_path / "emb.csv"
-    rc = main(["export-embeddings", "--model", str(model), "--out", str(csv)])
+    embeddings = tmp_path / "emb.csv"
+    rc = main(["export-embeddings", "--model", str(model), "--out", str(embeddings)])
     assert rc == 0
-    lines = csv.read_text().splitlines()
+    lines = embeddings.read_text().splitlines()
     assert lines[0].split(",")[:2] == ["drug_id", "e0"]
     assert len(lines) == 41
     # row k + 1 is the model's drug k and embedding row k
@@ -127,6 +128,26 @@ def test_train_predict_export_flow(synth_files, tmp_path, capsys):
     assert [row[0] for row in rows] == roster.external_ids == [f"D{t:04d}" for t in range(40)]
     values = np.array([[float(v) for v in row[1:]] for row in rows])
     assert np.array_equal(values, params.embeddings)
+
+
+def test_exported_ids_with_commas_and_quotes_read_back_as_csv(tmp_path):
+    # RFC 4180: an id holding a comma or a quote is quoted, each inner quote
+    # doubled; every other id keeps its bytes
+    ids = ["D,1", "D2", 'D"4', '"D5"', "D 6"]
+    data, model, out = tmp_path / "t0.tsv", tmp_path / "m.txt", tmp_path / "emb.csv"
+    data.write_text("".join(f"{a}\t{b}\t1\n" for a, b in itertools.combinations(ids, 2)))
+    assert main(["train", "--interactions", str(data), "--mode", "holdout", "--dim", "3",
+                 "--epochs", "1", "--out", str(model)]) == 0
+    assert main(["export-embeddings", "--model", str(model), "--out", str(out)]) == 0
+    params, roster = read_model(str(model))
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["drug_id", "e0", "e1", "e2"]
+    assert [len(row) for row in rows[1:]] == [4] * len(ids)
+    assert [row[0] for row in rows[1:]] == roster.external_ids and sorted(roster.external_ids) == sorted(ids)
+    assert np.array_equal(np.array([row[1:] for row in rows[1:]], dtype=float), params.embeddings)
+    plain = out.read_text().splitlines()[1 + roster.external_ids.index("D2")]
+    assert plain.startswith("D2,")
 
 
 def test_evaluate_holdout_cli(synth_files, tmp_path, capsys):
@@ -289,6 +310,30 @@ def test_retrospective_train_and_gridsearch_fit_sampled_negatives(tmp_path, caps
     assert len(negatives) == graph.num_edges
     assert np.all(graph.edge_classes(negatives[:, 0], negatives[:, 1]) < 0)
     assert np.array_equal(rows[rows[:, 2] != 0], graph.edge_list())
+
+
+def test_retrospective_train_and_gridsearch_fit_every_unlabeled_pair_of_a_dense_t0(tmp_path, capsys):
+    # 18 drugs, T0 labels 90 of the 153 pairs: the 90 negatives of the
+    # default ratio would take all 63 pairs left, which evaluate retrospective
+    # refuses for want of a test pair; train and gridsearch fit them all
+    iu, ju = np.triu_indices(18, k=1)
+    t0, model, grid = tmp_path / "t0.tsv", tmp_path / "m.txt", tmp_path / "grid.txt"
+    t0.write_text("".join(f"D{i:02d}\tD{j:02d}\t{1 + t % 3}\n" for t, (i, j) in enumerate(zip(iu[:90], ju[:90]))))
+    grid.write_text("alpha 0.5\n")
+    capsys.readouterr()
+    assert main(["train", "--interactions", str(t0), "--mode", "retrospective", "--dim", "4",
+                 "--epochs", "1", "--out", str(model)]) == 0
+    assert "trained on 90 edges and 63 sampled no-interaction pairs" in capsys.readouterr().out
+    assert read_model(str(model))[0].n_drugs == 18
+    assert main(["gridsearch", "--interactions", str(t0), "--mode", "retrospective",
+                 "--grid", str(grid), "--dim", "4", "--epochs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("best:")
+    assert main(["evaluate", "retrospective", "--t0", str(t0), "--t1", str(t0),
+                 "--dim", "4", "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidConfigError: no test pair is left: T0 leaves 63 pairs unlabeled and "
+        "negative_ratio 1.0 samples 63 of them as training negatives\n"
+    )
 
 
 def test_train_names_what_it_fitted(tmp_path, capsys):

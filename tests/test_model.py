@@ -340,8 +340,8 @@ class TestBackward:
         want_loss, want = backward(params, I, J, T, w, 0.3, masks)
         others = np.setdiff1d(np.arange(n), np.r_[I, J])[: 2 * B]
         holder = ModelParameters(n, K, d)
-        with cores.helper(with_helper) as beside:
-            assert (beside is not None) == with_helper
+        with cores.helper(with_helper):
+            assert isinstance(cores.start(int), cores._Ran) != with_helper  # in line without a helper
             backward(params, others[:B], others[B:], T, w, 0.3, keep_masks(6, (B, d), 0.3), None, holder)
             assert holder.embeddings[others].any() and holder.drug_bias[others].any()
             got_loss, got = backward(params, I, J, T, w, 0.3, masks, None, holder)

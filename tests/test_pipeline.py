@@ -450,25 +450,26 @@ class TestRetrospectiveSplit:
                     assert np.array_equal(split.train_items, train_items)
                     assert np.array_equal(split.test_items, test_items)
 
-    def test_split_leaving_no_test_pair_is_refused(self):
+    def test_split_leaving_no_test_pair_trains_on_every_unlabeled_pair(self):
         # 18 drugs, T1 holds 120 pairs and T0 90 of them: the 90 negatives of
-        # ratio 1.0 would take all 63 pairs unlabeled in T0
+        # ratio 1.0 take all 63 pairs unlabeled in T0, and evaluation refuses
+        # the empty test set before training
         iu, ju = np.triu_indices(18, k=1)
         rows = np.column_stack([iu, ju, 1 + np.arange(iu.size) % 3])[:120]
         t0, t1 = (build_graph(18, 4, "retrospective", rows[:size]) for size in (90, 120))
+        unlabeled = np.column_stack([iu, ju, np.zeros(iu.size, dtype=np.int64)])[90:]
         for ratio in (1.0, 63 / 90):
-            with pytest.raises(InvalidConfigError) as refused:
-                retrospective_split(t0, t1, negative_ratio=ratio, seed=0)
-            assert str(refused.value) == (
-                f"no test pair is left: T0 leaves 63 pairs unlabeled and negative_ratio {ratio} "
-                "samples 63 of them as training negatives"
-            )
+            split = retrospective_split(t0, t1, negative_ratio=ratio, seed=0)
+            assert np.array_equal(split.train_items, np.concatenate([rows[:90], unlabeled]))
+            assert split.test_items.shape == (0, 3)
+            with pytest.raises(EmptyDatasetError, match="the split leaves no test pair"):
+                retrospective_evaluate(split, Hyperparameters(embedding_dim=4, epochs=1))
         split = retrospective_split(t0, t1, negative_ratio=62 / 90, seed=0)
         assert (len(split.train_items), len(split.test_items)) == (152, 1)
         # a T0 that labels every pair leaves nothing to test at any ratio
         complete = build_graph(4, 2, "retrospective", [(a, b, 1) for a, b in itertools.combinations(range(4), 2)])
-        with pytest.raises(InvalidConfigError, match="T0 leaves 0 pairs unlabeled"):
-            retrospective_split(complete, complete, negative_ratio=0.0, seed=0)
+        split = retrospective_split(complete, complete, negative_ratio=0.0, seed=0)
+        assert np.array_equal(split.train_items, complete.edge_list()) and len(split.test_items) == 0
 
     def test_t0_edges_all_in_train(self):
         t0, t1 = two_snapshots()

@@ -162,8 +162,8 @@ def test_backward_gives_the_same_loss_and_gradients_with_a_helper():
     masks = [rng.random((I.size, 64)) >= 0.3 for _ in range(2)]
     runs = []
     for wanted in (False, True):
-        with cores.helper(wanted) as beside:
-            assert (beside is None) != wanted
+        with cores.helper(wanted):
+            assert isinstance(cores.start(int), cores._Ran) != wanted  # in line without a helper
             runs.append(backward(params, I, J, T, weights, dropout=0.3, masks=masks))
     (loss, grads), (helper_loss, helper_grads) = runs
     assert isinstance(helper_loss, float) and helper_loss.hex() == loss.hex()
