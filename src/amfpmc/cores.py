@@ -19,6 +19,11 @@ Adam half, and the caller takes a task only when it needs its result, when
 every task queued behind it has run: no work waits that would not wait
 anyway. A task never waits on another task, so one lock per task cannot
 deadlock.
+
+helper() also places its two threads: where the calling thread may run on
+two or more CPUs, the helper runs on the highest of them and the caller on
+the rest until the block ends, when the caller gets its own mask back. Left
+to the kernel, the two threads can share one CPU for a whole training run.
 """
 
 from __future__ import annotations
@@ -150,7 +155,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _serve(tasks: SimpleQueue) -> None:
+def _pin(cpus) -> bool:
+    """Limit the calling thread to the CPUs in cpus; False, with nothing changed, if refused."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # forbidden by a sandbox, or a CPU gone from the cpuset since the mask was read
+        return False
+    return True
+
+
+def _serve(tasks: SimpleQueue, cpus) -> None:
+    if cpus:
+        _pin(cpus)
     for task in iter(tasks.get, None):
         task.run()
 
@@ -164,6 +180,16 @@ def helper(wanted: bool):
     first. On exit the helper runs every task left on its queue and its
     thread ends, before any exception of the block is passed on.
 
+    Where the calling thread's affinity mask holds two or more CPUs, the
+    helper pins itself to the highest of them and the caller narrows its
+    own mask to the rest for the block; after the helper has ended, the
+    caller's mask is set back to what it was, also when the block raises.
+    A thread the caller starts inside the block inherits the narrowed mask.
+    Nothing is pinned where the platform has no sched_setaffinity, where
+    the mask holds one CPU, or for the thread whose call the kernel
+    refuses: there the threads run where the kernel puts them. Placing
+    threads changes no result.
+
     A task writes its arrays into buffers its caller made; of its own it
     allocates only vectors of batch or drug length, such as index arrays,
     so the helper thread's memory stays small. A task should not call a
@@ -173,9 +199,12 @@ def helper(wanted: bool):
     if not wanted or usable_cpus() < 2:
         yield
         return
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    top = {max(mask)} if len(mask) >= 2 else set()
     tasks = SimpleQueue()
-    thread = threading.Thread(target=_serve, args=(tasks,), name="amfpmc-helper", daemon=True)
+    thread = threading.Thread(target=_serve, args=(tasks, top), name="amfpmc-helper", daemon=True)
     thread.start()
+    narrowed = bool(top) and _pin(mask - top)
     token = _CURRENT.set(tasks)
     try:
         yield
@@ -183,3 +212,5 @@ def helper(wanted: bool):
         _CURRENT.reset(token)
         tasks.put(None)
         thread.join()
+        if narrowed:
+            _pin(mask)

@@ -1,5 +1,7 @@
-"""The helper thread module: task order, who runs what, errors and the one-CPU rule."""
+"""The helper thread module: task order, who runs what, errors, the one-CPU rule and thread placement."""
 
+import contextlib
+import errno
 import os
 import subprocess
 import sys
@@ -193,6 +195,77 @@ def test_helper_takes_tasks_inside_its_block_only(monkeypatch):
         assert seen == [True]
     assert in_line()
     assert threading.active_count() == before
+
+
+def _helpers_view():
+    """The ident and affinity mask of the thread that ran a task the caller did not take."""
+    started = threading.Event()
+
+    def read():
+        seen = threading.get_ident(), os.sched_getaffinity(0)
+        started.set()
+        return seen
+
+    task = cores.start(read)
+    assert started.wait(10)  # the caller asks for the result only once the task has begun
+    return task.result()
+
+
+can_pin = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call on this platform")
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="placing the threads needs two CPUs in the affinity mask",
+)
+
+
+@needs_two_cpus
+def test_the_helper_runs_on_the_highest_cpu_and_the_caller_on_the_rest():
+    before = os.sched_getaffinity(0)
+    with cores.helper(True):
+        ident, helpers = _helpers_view()
+        own = os.sched_getaffinity(0)
+    assert ident != threading.get_ident()
+    assert helpers == {max(before)}
+    assert own == before - helpers and not own & helpers
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("raises", [False, True])
+def test_the_callers_mask_is_given_back_after_the_block(raises):
+    before = os.sched_getaffinity(0)
+    with contextlib.suppress(KeyError), cores.helper(True):
+        assert os.sched_getaffinity(0) < before
+        if raises:
+            raise KeyError("inside the block")
+    assert os.sched_getaffinity(0) == before
+
+
+def _refused(pid, cpus):
+    raise OSError(errno.EINVAL, "refused")
+
+
+@can_pin
+@pytest.mark.parametrize("case", ["one CPU", "refused", "no affinity call"])
+def test_where_nothing_is_pinned_both_threads_keep_the_callers_mask(monkeypatch, case):
+    # a one-CPU mask, as under taskset -c 0, with usable_cpus patched to 2;
+    # a kernel that refuses the call; a platform without it
+    before = os.sched_getaffinity(0)
+    mask = {min(before)} if case == "one CPU" else before
+    os.sched_setaffinity(0, mask)
+    try:
+        if case == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", _refused)
+        elif case == "no affinity call":
+            monkeypatch.delattr(os, "sched_setaffinity")
+        with _open_helper(monkeypatch):
+            ident, helpers = _helpers_view()
+            own = os.sched_getaffinity(0)
+        after = os.sched_getaffinity(0)
+    finally:
+        monkeypatch.undo()
+        os.sched_setaffinity(0, before)
+    assert ident != threading.get_ident()
+    assert helpers == own == after == mask
 
 
 def test_importing_the_cli_loads_no_logging_or_futures():

@@ -22,7 +22,7 @@ from amfpmc import cores, pipeline
 from amfpmc.errors import NonFiniteError
 from amfpmc.graph import HOLDOUT, RETROSPECTIVE
 from amfpmc.model import HELPER_MIN_PARAMETERS, Hyperparameters, backward, init_model
-from amfpmc.pipeline import attach_targets, train, training_graph
+from amfpmc.pipeline import attach_targets, holdout_evaluate, train, training_graph
 
 SRC = os.path.dirname(os.path.dirname(amfpmc.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -180,17 +180,41 @@ def test_no_thread_outlives_train(monkeypatch):
 
 
 @needs_two_cpus
+def test_train_and_holdout_evaluate_give_back_the_callers_mask(monkeypatch):
+    # each step runs with the caller on the CPUs the helper leaves it
+    before = os.sched_getaffinity(0)
+    masks = []
+    backward = pipeline.backward
+
+    def recording(*args, **kwargs):
+        masks.append(frozenset(os.sched_getaffinity(0)))
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "backward", recording)
+    _run(HOLDOUT, 300, 64, 0.3)
+    assert os.sched_getaffinity(0) == before
+    rng = np.random.default_rng(6)
+    i, j = np.triu_indices(N_DRUGS, 1)
+    keep = rng.choice(i.size, 200, replace=False)
+    rows = np.column_stack([i[keep], j[keep], rng.integers(0, N_CLASSES, keep.size)])
+    hp = Hyperparameters(embedding_dim=DIM, epochs=1, batch_size=64, seed=6)
+    holdout_evaluate(training_graph(N_DRUGS, N_CLASSES, HOLDOUT, rows), hp, k=2, seed=6)
+    assert os.sched_getaffinity(0) == before
+    assert set(masks) == {frozenset(before - {max(before)})}
+
+
+@needs_two_cpus
 def test_helper_errors_reach_the_caller_after_the_helper_stops(monkeypatch):
     # a diverged run raises what a run on one thread raises, and its helper
     # has ended by then
-    before = threading.active_count(), _task_count()
+    before = threading.active_count(), _task_count(), os.sched_getaffinity(0)
     raised = []
     for threshold in (pipeline.HELPER_MIN_PARAMETERS, np.inf):
         monkeypatch.setattr(pipeline, "HELPER_MIN_PARAMETERS", threshold)
         with np.errstate(all="raise"), pytest.raises(ArithmeticError) as info:
             _run(HOLDOUT, 300, 64, 0.3, learning_rate=1e200)
         raised.append(type(info.value))
-        assert (threading.active_count(), _task_count()) == before
+        assert (threading.active_count(), _task_count(), os.sched_getaffinity(0)) == before
     assert raised[0] is raised[1] is FloatingPointError
 
 
