@@ -41,7 +41,7 @@ FLOAT_FMT = "%.17g"
 
 
 #: Characters decoded per read: files are checked for UTF-8 and read in
-#: blocks of whole lines this many characters at a time.
+#: blocks of this many characters and the rest of the line the read stopped in.
 _DECODE_CHUNK = 1 << 16
 #: Longest drug id, in bytes, that a block may hold and still be parsed by
 #: numpy, which pads every id of the block to the longest one.
@@ -49,7 +49,8 @@ _PLAIN_ID_BYTES = 64
 
 
 def _blocks(path: str):
-    """(first_line, block) for each run of whole lines of path, about _DECODE_CHUNK characters.
+    """(first_line, block) for each run of whole lines of path: one read of
+    _DECODE_CHUNK characters and the rest of the line it stopped in.
 
     first_line numbers the block's first line, and every line of a block ends
     in '\\n': lines end where a text-mode read ends them ('\\n', '\\r\\n' or a
@@ -57,29 +58,19 @@ def _blocks(path: str):
     is decoded once before the first block is given, so a file that is not
     UTF-8 is refused as such whatever its earlier lines hold.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             while fh.read(_DECODE_CHUNK):
                 pass
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not UTF-8 text") from None
-    with open(path, encoding="utf-8") as fh:
-        line_no, parts = 1, []
-        while chunk := fh.read(_DECODE_CHUNK):
-            cut = chunk.rfind("\n") + 1
-            if not cut:
-                parts.append(chunk)
-                continue
-            parts.append(chunk[:cut])
-            block = "".join(parts)
-            parts = [chunk[cut:]]
-            # the block is the one copy of its text held while it is parsed
-            del chunk
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
+        fh.seek(0)
+        line_no = 1
+        while block := fh.read(_DECODE_CHUNK) + fh.readline():
+            if block[-1] != "\n":
+                block += "\n"
             yield line_no, block
             line_no += block.count("\n")
-        tail = "".join(parts)
-        if tail:
-            yield line_no, tail + "\n"
 
 
 def _block_lines(first_line: int, block: str, keep_all: bool = False):
@@ -555,8 +546,7 @@ def format_report_text(
     """Aligned key-value block, 4 decimals, per-class table by support desc."""
     out = []
     for name, value in report.scalar_items():
-        rendered = "n/a" if value is None else f"{value:.4f}"
-        out.append(f"{name:<16} {rendered}")
+        out.append(f"{name:<16} {value:.4f}")
     if report.per_class:
         out.append("")
         header = f"{'class':>6} {'support':>8} {'auroc':>8} {'aupr':>8}"

@@ -174,39 +174,33 @@ class MultiClassReport:
     For single-label multiclass over pooled one-vs-rest confusion counts,
     micro precision, recall, and F1 all equal accuracy; the fields are kept
     separate because the text report mirrors published table layouts. Every
-    field but per_class is a scalar of the report, in report order; a scalar
-    a report does not have is None.
+    field but per_class is a scalar of the report, in report order.
     """
 
     accuracy: float
     micro_precision: float
     micro_recall: float
     micro_f1: float
-    micro_auroc: Optional[float] = None
-    micro_aupr: Optional[float] = None
-    macro_precision: Optional[float] = None
-    macro_recall: Optional[float] = None
-    macro_f1: Optional[float] = None
-    macro_auroc: Optional[float] = None
-    macro_aupr: Optional[float] = None
+    micro_auroc: float
+    micro_aupr: float
+    macro_precision: float
+    macro_recall: float
+    macro_f1: float
+    macro_auroc: float
+    macro_aupr: float
     per_class: list[PerClassMetrics] = field(default_factory=list)
 
-    def scalar_items(self) -> list[tuple[str, Optional[float]]]:
+    def scalar_items(self) -> list[tuple[str, float]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "per_class"]
 
 
 def mean_report(reports: Sequence[MultiClassReport],
                 per_class: Optional[list[PerClassMetrics]] = None) -> MultiClassReport:
-    """Field-wise mean of each scalar over the reports that have it.
-
-    A scalar that no report has stays None; per-class rows are passed through.
-    """
+    """Field-wise mean of each scalar over every report; per-class rows are passed through."""
     if not reports:
         raise EmptyDatasetError("no reports to average")
-    means = {}
-    for name, _ in reports[0].scalar_items():
-        present = [v for v in (getattr(r, name) for r in reports) if v is not None]
-        means[name] = float(np.mean(present)) if present else None
+    means = {name: float(np.mean([getattr(r, name) for r in reports]))
+             for name, _ in reports[0].scalar_items()}
     return MultiClassReport(per_class=list(per_class or []), **means)
 
 
@@ -243,17 +237,18 @@ def multiclass_report(prob_matrix, truths) -> MultiClassReport:
     """
     P, t = _check_prob_matrix(prob_matrix, truths)
     n_rows, n_classes = P.shape
+    if n_classes < 2:
+        raise DegenerateLabelsError("no class has both positives and negatives")
     preds = np.argmax(P, axis=1)
     accuracy = float(np.mean(preds == t))
     # pooled one-vs-rest confusion counts collapse to the accuracy identity
     scalars = dict(accuracy=accuracy, micro_precision=accuracy, micro_recall=accuracy,
                    micro_f1=accuracy)
 
-    # each row holds one positive, so the pooled labels have a negative when K > 1
-    if n_classes > 1:
-        onehot = np.zeros((n_rows, n_classes), dtype=bool)
-        onehot[np.arange(n_rows), t] = True
-        scalars["micro_auroc"], scalars["micro_aupr"] = _ranked(P.reshape(-1), onehot.reshape(-1))
+    # each row holds one positive, so with K > 1 the pooled labels have a negative
+    onehot = np.zeros((n_rows, n_classes), dtype=bool)
+    onehot[np.arange(n_rows), t] = True
+    scalars["micro_auroc"], scalars["micro_aupr"] = _ranked(P.reshape(-1), onehot.reshape(-1))
 
     support = np.bincount(t, minlength=n_classes)
     predicted = np.bincount(preds, minlength=n_classes)

@@ -409,11 +409,10 @@ def retrospective_split(
     """
     if graph_t0.mode != RETROSPECTIVE or graph_t1.mode != RETROSPECTIVE:
         raise InvalidConfigError("retrospective split needs retrospective-mode graphs")
-    if graph_t0.n_drugs != graph_t1.n_drugs or graph_t0.n_classes != graph_t1.n_classes:
+    if (graph_t0.n_drugs != graph_t1.n_drugs or graph_t0.n_classes != graph_t1.n_classes
+            or graph_t0.roster is not None and graph_t1.roster is not None
+            and graph_t0.roster.external_ids != graph_t1.roster.external_ids):
         raise InvalidConfigError("snapshots must be reconciled to a common roster first")
-    if graph_t0.roster is not None and graph_t1.roster is not None:
-        if graph_t0.roster.external_ids != graph_t1.roster.external_ids:
-            raise EmptyIntersectionError("snapshot rosters disagree; reconcile first")
     if not (math.isfinite(negative_ratio) and negative_ratio >= 0):
         raise InvalidConfigError(f"negative_ratio must be finite and >= 0, got {negative_ratio}")
     if test_pair_cap < 1:

@@ -508,6 +508,11 @@ def _plain_lines(n):
     return [f"D{t % 97:04d}\tD{(t * 7 + 1) % 89 + 97:04d}\t{t % 37}\n" for t in range(n)]
 
 
+#: A short index file, its lines without endings, and the same with one bad line.
+_SHORT_LINES = ["D1\tD2\t0", "# note", "", "Dlonger\tD3\t12", "D2\tD3\t1", "D4\tD1\t3"]
+_SHORT_BAD = _SHORT_LINES[:4] + ["D3\tD3\t1"] + _SHORT_LINES[5:]
+
+
 def _write(tmp_path, text, name="input.tsv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -540,6 +545,22 @@ class TestBlockReader:
             parse_interactions_file(str(p), "indices")
         assert err.value.line_no == 21
         self.same_as_reference(p)
+
+    # reads of 1 character up to one more than the longest line, its '\n' included
+    @pytest.mark.parametrize("chars", range(1, max(map(len, _SHORT_LINES + _SHORT_BAD)) + 3))
+    def test_every_read_boundary(self, tmp_path, monkeypatch, chars):
+        # a read may stop anywhere in a line, '\r' and '\r\n' included, and
+        # readline finishes that line
+        monkeypatch.setattr(formats, "_DECODE_CHUNK", chars)
+        p = tmp_path / "edges.tsv"
+        for lines, failure in ((_SHORT_LINES, None), (_SHORT_BAD, ParseError)):
+            for ending in ("\n", "\r\n", "\r", None):
+                ends = [ending or ("\n", "\r\n", "\r")[t % 3] for t in range(len(lines))]
+                text = "".join(map(str.__add__, lines, ends))
+                for final in (True, False):
+                    p.write_bytes((text if final else text[:-len(ends[-1])]).encode())
+                    got = self.same_as_reference(p)
+                    assert (got[0] if isinstance(got[0], type) else None) is failure, (ending, final)
 
     def test_no_final_newline(self, tmp_path, block_chars):
         p = tmp_path / "edges.tsv"

@@ -510,6 +510,12 @@ class TestRetrospectiveSplit:
         split = retrospective_split(t0, t1, negative_ratio=0.0, seed=4, test_pair_cap=5)
         assert len(split.test_items) == 5
 
+    def test_snapshots_on_different_rosters_are_refused(self):
+        g0 = build_graph(3, 3, "retrospective", [(0, 1, 1), (1, 2, 2)], roster=Roster(["A", "B", "C"]))
+        g1 = build_graph(3, 3, "retrospective", [(0, 1, 1)], roster=Roster(["A", "B", "D"]))
+        with pytest.raises(InvalidConfigError, match="snapshots must be reconciled to a common roster first"):
+            retrospective_split(g0, g1)
+
     def test_reconcile_rosters(self):
         r0 = Roster(["A", "B", "C"])
         r1 = Roster(["B", "C", "D"])
