@@ -42,20 +42,15 @@ def _as_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 def midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank.
 
-    A run of equal sorted values at positions start..stop-1 gets the rank
-    (start + 1 + stop) / 2 = (2 * stop + 1 - length) / 2, computed once per
-    run in exact integers and spread over the run. Every member of a run gets
-    the same rank, so the order the sort leaves ties in does not matter.
-    The package itself does not call it; the benchmark's trace wraps it by
-    name, so it stays.
+    Over the sorted scores, searchsorted counts the values below each score
+    (left) and at or below it (right), the start and stop of its run of
+    equal values; the run's rank is (start + 1 + stop) / 2, a half-integer
+    exact in float64, as roc_auc counts U from the same two searches. Every
+    member of a run gets the same rank. The package itself does not call
+    it; the benchmark's trace wraps it by name, so it stays.
     """
-    order = np.argsort(scores)
-    s = scores[order]
-    stops = np.flatnonzero(np.r_[s[1:] != s[:-1], True]) + 1
-    lengths = np.diff(stops, prepend=0)
-    ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (2 * stops + 1 - lengths), lengths)
-    return ranks
+    s = np.sort(scores)
+    return (np.searchsorted(s, scores, "left") + np.searchsorted(s, scores, "right") + 1) / 2.0
 
 
 def _sorted_negatives(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -220,11 +215,10 @@ def _check_prob_matrix(prob_matrix, truths) -> tuple[np.ndarray, np.ndarray]:
     return P, t
 
 
-def _ranked(s: np.ndarray, y: np.ndarray, auroc: bool = True) -> tuple[Optional[float], float]:
-    """AUROC (None unless auroc) and average precision, ranked against negatives sorted once."""
+def _ranked(s: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """AUROC and average precision, ranked against negatives sorted once."""
     neg = _sorted_negatives(s, y)
-    area = roc_auc(s, y, sorted_negatives=neg) if auroc else None
-    return area, average_precision(s, y, sorted_negatives=neg)
+    return roc_auc(s, y, sorted_negatives=neg), average_precision(s, y, sorted_negatives=neg)
 
 
 def multiclass_report(prob_matrix, truths) -> MultiClassReport:
@@ -233,19 +227,20 @@ def multiclass_report(prob_matrix, truths) -> MultiClassReport:
     Predictions are per-row argmax (ties to the lowest index). Macro metrics
     average one-vs-rest values over classes with nonzero support; micro AUROC
     and AUPR pool all row-class (score, label) pairs; micro P/R/F1 pool
-    confusion counts.
+    confusion counts. Truths of one class (so every K < 2) are refused
+    before any ranking; after that every supported class has negatives.
     """
     P, t = _check_prob_matrix(prob_matrix, truths)
-    n_rows, n_classes = P.shape
-    if n_classes < 2:
+    if t.min() == t.max():
         raise DegenerateLabelsError("no class has both positives and negatives")
+    n_rows, n_classes = P.shape
     preds = np.argmax(P, axis=1)
     accuracy = float(np.mean(preds == t))
     # pooled one-vs-rest confusion counts collapse to the accuracy identity
     scalars = dict(accuracy=accuracy, micro_precision=accuracy, micro_recall=accuracy,
                    micro_f1=accuracy)
 
-    # each row holds one positive, so with K > 1 the pooled labels have a negative
+    # each row holds one positive and two classes are present, so the pooled labels have a negative
     onehot = np.zeros((n_rows, n_classes), dtype=bool)
     onehot[np.arange(n_rows), t] = True
     scalars["micro_auroc"], scalars["micro_aupr"] = _ranked(P.reshape(-1), onehot.reshape(-1))
@@ -261,17 +256,14 @@ def multiclass_report(prob_matrix, truths) -> MultiClassReport:
     per_class: list[PerClassMetrics] = []
     for k, n_k in enumerate(support.tolist()):
         # one contiguous copy of the column serves both rankings
-        ranked = _ranked(np.ascontiguousarray(P[:, k]), t == k, auroc=n_k < n_rows) if n_k else (None, None)
+        ranked = _ranked(np.ascontiguousarray(P[:, k]), t == k) if n_k else (None, None)
         per_class.append(PerClassMetrics(k, n_k, *ranked))
-    aurocs = [row.auroc for row in per_class if row.auroc is not None]
-    if not aurocs:
-        raise DegenerateLabelsError("no class has both positives and negatives")
     supported = support > 0
     scalars.update(
         macro_precision=float(np.mean(precision[supported])),
         macro_recall=float(np.mean(recall[supported])),
         macro_f1=float(np.mean(f1[supported])),
-        macro_auroc=float(np.mean(aurocs)),
+        macro_auroc=float(np.mean([row.auroc for row in per_class if row.support])),
         macro_aupr=float(np.mean([row.aupr for row in per_class if row.support])),
     )
 

@@ -34,7 +34,6 @@ from .graph import (
     Roster,
     TypedInteractionGraph,
     build_graph,
-    check_pairs,
     pair_rows,
     row_chunks,
 )
@@ -50,8 +49,7 @@ from .model import (
     init_model,
     predict_batch,
 )
-from .propagation import (_blend_labels, _distribution_rows, check_alpha, check_labels,
-                          neighborhood_distributions)
+from .propagation import LabeledPairs, attach_targets, neighborhood_distributions
 
 #: Full enumeration of the retrospective test universe is the default; only
 #: beyond this many pairs is a seeded subsample taken.
@@ -60,62 +58,9 @@ DEFAULT_TEST_PAIR_CAP = 5_000_000
 MASK_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class LabeledPairs:
-    """A training set: (m, 3) rows (i, j, label) with i < j, and what their soft targets are propagated from.
-
-    own[r] is the class the graph stores for row r's pair (-1 if none);
-    batch(idx) builds the rows idx asks for, so no (m, n_classes) matrix is
-    held. Build it with attach_targets, which checks the rows once.
-    """
-
-    items: np.ndarray
-    graph: TypedInteractionGraph
-    alpha: float
-    own: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def batch(self, idx, out=None, scratch=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I, J, targets) of the rows idx, in that order, with no check.
-
-        The rows are gathered once. targets is built in out, with scratch
-        for the distributions' second gather, as propagation's
-        _distribution_rows takes them. Row r depends on row r alone, so any
-        subset of rows, in any order, gets the bits of the same rows of
-        propagate_targets over all of them.
-        """
-        I, J, labels = self.items[idx].T
-        dist = _distribution_rows(self.graph, I, J, self.own[idx], out, scratch)
-        return I, J, _blend_labels(dist, labels, self.alpha)
-
-
-def _canonical_rows(items) -> np.ndarray:
-    """(i, j, label) rows as a new (m, 3) int64 array with i < j in every row."""
-    rows = pair_rows(items).copy()
-    rows[:, :2].sort(axis=1)
-    return rows
-
-
-def attach_targets(items, graph: TypedInteractionGraph, alpha: float) -> LabeledPairs:
-    """Pair the (i, j, label) rows with the graph their targets are propagated over.
-
-    The graph passed here decides what the propagation can see; hand it the
-    training-fold graph, never the full one. alpha, the labels and the drug
-    indices are checked and each row's own edge is found here, once, so train
-    builds each batch's targets with no check or lookup.
-    """
-    rows = _canonical_rows(items)
-    alpha = check_alpha(alpha)
-    check_labels(rows[:, 2], graph.n_classes)
-    I, J = check_pairs(rows[:, 0], rows[:, 1], graph.n_drugs)
-    return LabeledPairs(rows, graph, alpha, graph.edge_classes(I, J))
-
-
 def one_hot_pairs(items, n_classes: int) -> LabeledPairs:
     """LabeledPairs with plain one-hot targets: alpha 0 over a graph with no edge."""
-    rows = _canonical_rows(items)
+    rows = pair_rows(items)
     n_drugs = int(rows[:, :2].max(initial=0)) + 1
     return attach_targets(rows, build_graph(n_drugs, n_classes, HOLDOUT, []), 0.0)
 

@@ -8,10 +8,12 @@ bitwise, alpha = 1 is the pure neighborhood distribution.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import InvalidClassError, InvalidConfigError, ShapeMismatchError
-from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph, check_pairs, row_chunks
+from .errors import InvalidClassError, InvalidConfigError
+from .graph import NO_INTERACTION, RETROSPECTIVE, TypedInteractionGraph, check_pairs, pair_rows, row_chunks
 
 
 def check_labels(labels, n_classes: int) -> np.ndarray:
@@ -84,23 +86,62 @@ def neighborhood_distributions(graph: TypedInteractionGraph, I, J) -> np.ndarray
     return dist
 
 
-def propagate_targets(graph: TypedInteractionGraph, I, J, labels, alpha: float) -> np.ndarray:
-    """(B, n_classes) targets (1 - alpha) * onehot(labels[r]) + alpha * dist(I[r], J[r]).
+@dataclass(frozen=True)
+class LabeledPairs:
+    """A training set: (m, 3) rows (i, j, label) with i < j, and what their soft targets are propagated from.
 
-    Built in place on the distributions as alpha * dist plus (1 - alpha) at
-    each row's label; every entry is the same float the formula gives.
-    label 0 is a legal training label in retrospective mode (sampled
-    no-interaction pairs) even though it never appears as a stored edge.
+    own[r] is the class the graph stores for row r's pair (-1 if none);
+    batch(idx) builds the rows idx asks for, so no (m, n_classes) matrix is
+    held. Build it with attach_targets, which checks the rows once.
     """
+
+    items: np.ndarray
+    graph: TypedInteractionGraph
+    alpha: float
+    own: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def batch(self, idx, out=None, scratch=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(I, J, targets) of the rows idx, in that order, with no check.
+
+        targets[r] is (1 - alpha) * onehot(label) + alpha * dist(I[r], J[r]),
+        built in place on the distributions as alpha * dist plus (1 - alpha)
+        at the row's label; label 0 is a legal training label in
+        retrospective mode (sampled no-interaction pairs) even though it never
+        appears as a stored edge. The rows are gathered once, and targets is
+        built in out, with scratch for the distributions' second gather, as
+        _distribution_rows takes them. Row r depends on row r alone, so any
+        subset of rows, in any order, gets the bits of the same rows of the
+        whole set.
+        """
+        I, J, labels = self.items[idx].T
+        dist = _distribution_rows(self.graph, I, J, self.own[idx], out, scratch)
+        return I, J, _blend_labels(dist, labels, self.alpha)
+
+
+def attach_targets(items, graph: TypedInteractionGraph, alpha: float) -> LabeledPairs:
+    """Pair the (i, j, label) rows with the graph their targets are propagated over.
+
+    The rows are copied, each pair's ends sorted so i < j. The graph passed
+    here decides what the propagation can see; hand it the training-fold
+    graph, never the full one. alpha, the labels and the drug indices are
+    checked and each row's own edge is found here, once, so train builds
+    each batch's targets with no check or lookup.
+    """
+    rows = pair_rows(items).copy()
+    rows[:, :2].sort(axis=1)
     alpha = check_alpha(alpha)
-    y = check_labels(labels, graph.n_classes)
-    if y.shape != np.shape(I):
-        raise ShapeMismatchError("labels must align with the pairs")
-    return _blend_labels(neighborhood_distributions(graph, I, J), y, alpha)
+    check_labels(rows[:, 2], graph.n_classes)
+    I, J = check_pairs(rows[:, 0], rows[:, 1], graph.n_drugs)
+    return LabeledPairs(rows, graph, alpha, graph.edge_classes(I, J))
 
 
 def propagate_target(
     graph: TypedInteractionGraph, a: int, b: int, label: int, alpha: float
 ) -> np.ndarray:
-    """propagate_targets for the single pair (a, b)."""
-    return propagate_targets(graph, [a], [b], [label], alpha)[0]
+    """The soft target of the single pair (a, b), as LabeledPairs.batch builds it."""
+    alpha = check_alpha(alpha)
+    y = check_labels([label], graph.n_classes)
+    return _blend_labels(neighborhood_distributions(graph, [a], [b]), y, alpha)[0]

@@ -414,6 +414,30 @@ def test_extract_cli(tmp_path, capsys):
     assert rows[2] == ["D2", "D3", "2"]  # rare phrase grouped as other
 
 
+def test_holdout_extract_drops_the_records_whose_phrase_has_no_class(tmp_path, capsys):
+    # the increase phrase appears once, below --min-count 2
+    sentences = tmp_path / "sentences.tsv"
+    sentences.write_text(SENTENCES)
+    indexed = tmp_path / "indexed.tsv"
+    capsys.readouterr()
+    assert main(["extract", "--input", str(sentences), "--mode", "holdout", "--min-count", "2",
+                 "--out-vocab", str(tmp_path / "vocab.tsv"), "--out-indexed", str(indexed)]) == 0
+    assert "classes: 1  records: 3  dropped: 1\n" in capsys.readouterr().out
+    assert indexed.read_text() == "D1\tD2\t0\nD1\tD3\t0\n"
+
+
+def test_sentence_with_no_phrase_is_a_parse_error_at_its_line(tmp_path, capsys):
+    # stop words and drug names only: nothing is left to extract
+    sentences = tmp_path / "sentences.tsv"
+    sentences.write_text(SENTENCES + "D1\tD4\tDrug a and the Drug b\n")
+    capsys.readouterr()
+    assert main(["extract", "--input", str(sentences), "--mode", "holdout", "--min-count", "1",
+                 "--out-vocab", str(tmp_path / "v.tsv"), "--out-indexed", str(tmp_path / "x.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ParseError: {sentences}:4: nothing left of 'Drug a and the Drug b'\n")
+    assert not (tmp_path / "v.tsv").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--mode", "retrospective", "--top-n", "0"], "retrospective grouping needs top_n >= 1"),
     (["--mode", "retrospective", "--min-count", "2"], "retrospective grouping needs top_n >= 1"),
@@ -511,6 +535,15 @@ def test_vocabulary_that_cannot_name_the_run_is_refused_before_training(
     assert f": {vocab}: a {mode} vocabulary of class count {len(vocab_lines) - 1} cannot name " in err
     assert err.endswith(f" of a {command} run\n")
     assert calls == []
+
+
+def test_empty_vocabulary_file_is_one_error(synth_files, tmp_path, capsys):
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("# no data line\n")
+    capsys.readouterr()
+    assert main(["evaluate", "holdout", "--interactions", str(synth_files[0]), "--k", "2",
+                 "--vocab", str(vocab), "--dim", "4"]) == 1
+    assert capsys.readouterr().err == f"error: FormatError: {vocab}: empty vocabulary file\n"
 
 
 def test_vocabulary_with_classes_the_run_lacks_is_accepted(synth_files, tmp_path, capsys):
@@ -702,6 +735,22 @@ def test_model_file_within_the_dimension_rule_is_read(tmp_path, capsys):
         assert main(command) == 0
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [], "empty model file"),
+    (lambda lines: ["AMFPMC2 3 3 two", *lines[1:]], "non-integer dimensions in header"),
+    (lambda lines: [*lines, "0.5"], "trailing content after section 'u'"),
+], ids=["empty", "non-integer-dimension", "content-after-u"])
+def test_unreadable_model_file_is_one_error_for_both_model_readers(tmp_path, capsys, edit,
+                                                                   message):
+    model, commands = _model_file_commands(tmp_path, 3, 3, 2)
+    model.write_text("".join(line + "\n" for line in edit(model.read_text().splitlines())))
+    for command in commands:
+        capsys.readouterr()
+        assert main(command) == 1
+        assert capsys.readouterr().err == f"error: FormatError: {model}: {message}\n"
+    assert not (tmp_path / "emb.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     (field, value) for field in ("n", "K", "d") for value in (0, 1, -1)
     if (field, value) != ("d", 1)
@@ -788,6 +837,45 @@ def test_diverged_grid_candidate_exits_with_one_line(synth_files, tmp_path):
     _assert_one_line_error(proc.stderr, "NonFiniteError")
     assert "learning_rate=1e+200" in proc.stderr
     assert "best:" not in proc.stdout
+
+
+@pytest.mark.parametrize("grid_line, named, nan_probabilities, cause", [
+    ("learning_rate 1e300", "learning_rate=1e+300", False, "training diverged"),
+    ("alpha 0.5", "alpha=0.5", True, "gives non-finite validation probabilities"),
+], ids=["diverged-training", "non-finite-probabilities"])
+def test_grid_candidate_without_a_finite_score_is_named_in_one_line(
+        synth_files, tmp_path, capsys, monkeypatch, grid_line, named, nan_probabilities, cause):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(grid_line + "\n")
+    if nan_probabilities:
+        monkeypatch.setattr(pipeline, "fit_and_score",
+                            lambda items, graph, pairs, hp: np.full((len(pairs), 4), np.nan))
+    capsys.readouterr()
+    assert main(["gridsearch", "--interactions", str(synth_files[0]), "--mode", "holdout",
+                 "--grid", str(grid), "--dim", "8", "--epochs", "3", "--batch", "64"]) == 1
+    captured = capsys.readouterr()
+    _assert_one_line_error(captured.err, "NonFiniteError")
+    assert captured.err.startswith("error: NonFiniteError: candidate Hyperparameters(")
+    assert named in captured.err and cause in captured.err
+    assert "best:" not in captured.out
+
+
+@pytest.mark.parametrize("fraction, message", [
+    ("0", "validation fraction must be in (0, 1)"),
+    ("1.5", "validation fraction must be in (0, 1)"),
+    ("0.001", "validation fraction too small for this dataset"),
+])
+def test_validation_fraction_that_takes_no_row_is_one_error(synth_files, tmp_path, capsys,
+                                                            monkeypatch, fraction, message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha 0.5\n")
+    calls = []
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(1))
+    capsys.readouterr()
+    assert main(["gridsearch", "--interactions", str(synth_files[0]), "--mode", "holdout",
+                 "--grid", str(grid), "--validation-fraction", fraction]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfigError: {message}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -896,6 +984,27 @@ def test_non_finite_learning_rate_is_one_error_everywhere(lr, synth_files, retro
     errors = _refused_everywhere("--lr", lr, f"learning_rate 0.01 {lr}", synth_files, retro_files,
                                  tmp_path, capsys, monkeypatch)
     assert errors == {"error: InvalidDimensionsError: learning_rate must be positive and finite\n"}
+
+
+@pytest.mark.parametrize("flag, value, grid_line, message", [
+    ("--epochs", "-1", "epochs 3 -1", "epochs must be >= 0"),
+    ("--batch", "0", "batch_size 64 0", "batch_size must be >= 1"),
+])
+def test_negative_epochs_or_empty_batch_is_one_error_everywhere(
+        flag, value, grid_line, message, synth_files, retro_files, tmp_path, capsys, monkeypatch):
+    errors = _refused_everywhere(flag, value, grid_line, synth_files, retro_files, tmp_path, capsys,
+                                 monkeypatch)
+    assert errors == {f"error: InvalidDimensionsError: {message}\n"}
+
+
+def test_label_noise_without_two_planted_classes_is_one_error(tmp_path, capsys):
+    out = tmp_path / "t0.tsv"
+    capsys.readouterr()
+    assert main(["synth", "--n", "20", "--blocks", "1", "--k", "1", "--noise", "0.1",
+                 "--out-t0", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidConfigError: label noise needs at least 2 planted classes\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "holdout", "retrospective", "gridsearch", "synth"])

@@ -16,6 +16,7 @@ from amfpmc.graph import (
     Roster,
     TypedInteractionGraph,
     build_graph,
+    pair_rows,
     row_chunks,
 )
 from amfpmc.propagation import neighborhood_distributions
@@ -48,6 +49,19 @@ def test_self_loop_and_unknown_drug():
     g = TypedInteractionGraph(3, 4, "holdout")
     with pytest.raises(UnknownDrugError):
         g.has_edge(0, -1)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: TypedInteractionGraph(0, 3, "holdout"), InvalidDimensionsError, "n_drugs must be >= 1"),
+    (lambda: TypedInteractionGraph(3, 0, "holdout"), InvalidDimensionsError, "n_classes must be >= 1"),
+    (lambda: TypedInteractionGraph(3, 2, "holdout", roster=Roster(["A", "B"])), ShapeMismatchError,
+     "roster size must equal n_drugs"),
+    (lambda: pair_rows([(0, 1), (1, 2)]), ShapeMismatchError,
+     r"expected rows of 3 integers, got shape \(2, 2\)"),
+], ids=["no-drug", "no-class", "roster-length", "row-width"])
+def test_shapes_the_graph_cannot_hold_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @pytest.mark.parametrize("m", [0, 1, 511, 1_023, 1_024, 1_025, 1_536, 2_048, 2_049, 2_559, 40_000])

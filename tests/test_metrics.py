@@ -361,6 +361,11 @@ class TestMulticlassReport:
             multiclass_report(np.ones((2, 3)) / 3, [0])
         with pytest.raises(ShapeMismatchError):
             multiclass_report(np.ones((2, 3)) / 3, [0, 5])
+        with pytest.raises(ShapeMismatchError, match="prob_matrix must be 2-d"):
+            multiclass_report(np.ones(3) / 3, [0, 1, 2])
+        for ranking in (roc_auc, average_precision):
+            with pytest.raises(ShapeMismatchError, match="equal-length 1-d arrays"):
+                ranking([0.1, 0.2, 0.3], [True, False])
 
     def test_non_finite_scores_raise(self):
         with pytest.raises(NonFiniteError):
@@ -526,7 +531,7 @@ def test_each_column_ranked_once_with_the_lengths_it_had(monkeypatch):
     assert report_bits(got) == report_bits(reference_multiclass_report(probs, truths))
 
 
-def test_column_without_negatives_gets_no_auroc_call(monkeypatch):
+def test_one_class_truths_refused_before_any_ranking(monkeypatch):
     probs = np.random.default_rng(45).dirichlet(np.ones(2), size=30)
     truths = np.zeros(30, dtype=np.int64)
     calls = []
@@ -540,5 +545,5 @@ def test_column_without_negatives_gets_no_auroc_call(monkeypatch):
         monkeypatch.setattr(metrics_mod, name, recorded)
     with pytest.raises(DegenerateLabelsError, match="no class has both"):
         multiclass_report(probs, truths)
-    # the pooled column is ranked both ways; class 0 has no negatives, class 1 no support
-    assert calls == ["roc_auc", "average_precision", "average_precision"]
+    # truths of one class are refused before the pooled column or any class is ranked
+    assert calls == []

@@ -37,7 +37,7 @@ from amfpmc.model import (
 )
 from amfpmc.graph import Roster, build_graph
 from amfpmc.pipeline import LabeledPairs, attach_targets, train
-from amfpmc.propagation import check_alpha, propagate_targets
+from amfpmc.propagation import check_alpha
 from amfpmc.synth import SyntheticConfig
 
 
@@ -212,6 +212,16 @@ class TestForward:
         params = init_model(4, 3, tiny_hp())
         with pytest.raises(error, match=message):
             call(params, i, j)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda params: loss(np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3), np.ones(2)),
+         "class_weights length must equal the class count"),
+        (lambda params: backward(params, [0, 1], [1, 2], np.full((2, 2), 0.5), np.ones(3)),
+         r"targets shape \(2, 2\), expected \(2, 3\)"),
+    ], ids=["loss-class-weights", "backward-targets"])
+    def test_operands_of_the_wrong_shape_are_refused(self, call, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            call(init_model(4, 3, tiny_hp()))
 
 
 class TestPredict:
@@ -645,7 +655,7 @@ class TestBitwiseReferences:
     @pytest.mark.parametrize("n, K, d, batch", [(40, 5, 16, 32), (300, 7, 128, 64)])
     def test_train_equals_reference_steps(self, monkeypatch, n, K, d, batch):
         # per-batch targets propagated over the graph, against reference steps
-        # fed rows gathered from the whole propagate_targets matrix
+        # fed rows gathered from one batch of every row, built before the run
         rng = np.random.default_rng(n)
         I = rng.integers(0, n, 5 * batch)
         J = (I + 1 + rng.integers(0, n - 1, I.size)) % n
@@ -658,7 +668,7 @@ class TestBitwiseReferences:
         hp = Hyperparameters(embedding_dim=d, dropout=0.3, epochs=2, batch_size=batch,
                              learning_rate=0.01, alpha=0.37, seed=7)
         fast = train(pairs, hp, n, K)
-        eager = propagate_targets(graph, *pairs.items.T, 0.37)
+        eager = attach_targets(rows, graph, 0.37).batch(np.arange(len(pairs)))[2]
         batched = []
 
         def eager_batch(self, idx, out=None, scratch=None):

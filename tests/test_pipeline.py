@@ -9,6 +9,7 @@ import pytest
 
 from amfpmc.errors import (
     EmptyDatasetError,
+    EmptyGridError,
     EmptyIntersectionError,
     EmptySubsetError,
     DegenerateLabelsError,
@@ -24,7 +25,6 @@ from amfpmc.formats import report_to_dict
 from amfpmc.graph import PAIR_CHUNK_ROWS, Roster, TypedInteractionGraph, build_graph
 from amfpmc.metrics import multiclass_report
 from amfpmc.model import Hyperparameters, ModelParameters, init_model, predict_batch, softmax
-from amfpmc.propagation import propagate_targets
 from amfpmc.pipeline import (
     GridSpec,
     attach_targets,
@@ -210,8 +210,8 @@ class TestTrain:
         items = np.concatenate([stored, isolated, others, stored[:10], isolated[:1]])
         labeled = attach_targets(items, g, alpha)
         assert (labeled.own >= 0).any() and (labeled.own < 0).any()
-        whole = propagate_targets(g, *labeled.items.T, alpha)
         m = len(items)
+        whole = attach_targets(labeled.items, g, alpha).batch(np.arange(m))[2]
         # the isolated pairs take their mode's fallback distribution
         dist = np.eye(K)[0] if mode == "retrospective" else np.full(K, 1.0 / K)
         want = alpha * dist + (1.0 - alpha) * np.eye(K)[isolated[:, 2]]
@@ -532,6 +532,19 @@ class TestRetrospectiveSplit:
             )
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: holdout_evaluate(TypedInteractionGraph(4, 3, "holdout"), quick_hp()),
+     EmptyDatasetError, "graph has no edges"),
+    (lambda: reconcile_rosters(*[build_graph(3, 3, "retrospective", [(0, 1, 1)])] * 2),
+     InvalidConfigError, "reconciling snapshots requires rosters"),
+    (lambda: retrospective_split(*[build_graph(3, 3, "holdout", [(0, 1, 1)])] * 2),
+     InvalidConfigError, "retrospective split needs retrospective-mode graphs"),
+], ids=["edgeless-holdout", "no-rosters", "holdout-snapshots"])
+def test_graphs_a_harness_cannot_use_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("m", [1_023, 1_024, 1_025, 2_559, 40_000])
 def test_chunked_scoring_equals_one_batch(m):
     # holds on a BLAS build whose row results do not depend on the row count
@@ -663,6 +676,9 @@ class TestGridSearch:
                 GridSpec(values).candidates(quick_hp())
             with pytest.raises(error):
                 grid_search(items, 30, 4, "holdout", quick_hp(), GridSpec(values), seed=0)
+        with pytest.raises(InvalidConfigError, match="objective must be one of"):
+            grid_search(items, 30, 4, "holdout", quick_hp(), GridSpec({"alpha": [0.5]}), seed=0,
+                        objective="f1")
         assert calls == []
 
     @pytest.mark.parametrize("objective", ["accuracy", "auroc"])
@@ -699,6 +715,14 @@ class TestGridSearch:
             else:
                 want = multiclass_report(probs, val_rows[:, 2]).macro_auroc
             assert score == want
+
+    @pytest.mark.parametrize("values, error, message", [
+        ({"alpha": [0.5], "momentum": [0.9]}, InvalidConfigError, "unknown grid dimension 'momentum'"),
+        ({"alpha": []}, EmptyGridError, "grid dimension 'alpha' is empty"),
+    ], ids=["unknown", "empty"])
+    def test_grid_of_an_unknown_or_empty_dimension_is_refused(self, values, error, message):
+        with pytest.raises(error, match=message):
+            GridSpec(values)
 
     def test_validation_split_stratified(self):
         items = [(i, i + 10, i % 3) for i in range(9)] * 5

@@ -4,15 +4,17 @@ import pytest
 from amfpmc.errors import InvalidClassError, InvalidConfigError, SelfLoopError, UnknownDrugError
 from amfpmc import graph as graph_mod
 from amfpmc.graph import TypedInteractionGraph, build_graph
-from amfpmc.propagation import (
-    neighborhood_distributions,
-    propagate_target,
-    propagate_targets,
-)
+from amfpmc.propagation import attach_targets, neighborhood_distributions, propagate_target
 
 
 def neighborhood_distribution(g, a, b):
     return neighborhood_distributions(g, [a], [b])[0]
+
+
+def training_targets(g, I, J, labels, alpha):
+    """Every row's target as training builds it: attach_targets, then one batch of all rows."""
+    pairs = attach_targets(np.column_stack([I, J, labels]), g, alpha)
+    return pairs.batch(np.arange(len(pairs)))[2]
 
 
 def test_distribution_normalizes_histogram():
@@ -44,7 +46,7 @@ def test_self_loop_rejected():
 def test_every_route_checks_the_drug_indices(a, b, error):
     g = build_graph(4, 4, "holdout", [(0, 1, 2), (1, 2, 3)])
     for route in (lambda: neighborhood_distributions(g, [a], [b]),
-                  lambda: propagate_targets(g, [a], [b], [1], 0.5),
+                  lambda: training_targets(g, [a], [b], [1], 0.5),
                   lambda: propagate_target(g, a, b, 1, 0.5)):
         with pytest.raises(error):
             route()
@@ -78,14 +80,14 @@ def test_invalid_label_and_alpha():
     # the batched form: one bad row fails the whole batch with the same type
     for labels in ([1, 4], [-1, 2]):
         with pytest.raises(InvalidClassError):
-            propagate_targets(g, [0, 1], [1, 2], labels, alpha=0.5)
+            training_targets(g, [0, 1], [1, 2], labels, alpha=0.5)
     with pytest.raises(InvalidConfigError):
-        propagate_targets(g, [0], [1], [1], alpha=-0.1)
+        training_targets(g, [0], [1], [1], alpha=-0.1)
     for I, J in (([0, 4], [1, 2]), ([0, 1], [1, -1])):
         with pytest.raises(UnknownDrugError):
-            propagate_targets(g, I, J, [1, 1], alpha=0.5)
+            training_targets(g, I, J, [1, 1], alpha=0.5)
     with pytest.raises(SelfLoopError):
-        propagate_targets(g, [0, 2], [1, 2], [1, 1], alpha=0.5)
+        training_targets(g, [0, 2], [1, 2], [1, 1], alpha=0.5)
 
 
 def test_label_zero_is_legal_retrospective_target():
@@ -191,7 +193,7 @@ def test_batched_targets_bitwise_equal_per_pair_formula(mode):
                 pairs.append((a, b, int(rng.integers(0, 6))))  # includes label 0
         I, J, y = (np.array(col) for col in zip(*pairs))
         for alpha in (0.0, 0.3, 1.0):
-            batched = propagate_targets(g, I, J, y, alpha)
+            batched = training_targets(g, I, J, y, alpha)
             reference = np.stack([_reference_target(g, *p, alpha) for p in pairs])
             assert batched.tobytes() == reference.tobytes()
 
@@ -251,4 +253,4 @@ def test_in_place_targets_bitwise_equal_int64_formula(monkeypatch, mode, chunk):
     assert neighborhood_distributions(g, I, J).tobytes() == dist.tobytes()
     for alpha in (0.0, 0.3, 0.6, 1.0):
         want = int64_targets(g, I, J, y, alpha)
-        assert propagate_targets(g, I, J, y, alpha).tobytes() == want.tobytes()
+        assert training_targets(g, I, J, y, alpha).tobytes() == want.tobytes()
