@@ -3,9 +3,9 @@
 AUROC is the Mann-Whitney statistic (Hanley & McNeil 1982) counted from the
 sorted negatives (ties count one half), which equals exhaustive
 positive-negative pair counting exactly. AUPR is step-wise average precision
-with stable tie handling, the conservative convention for imbalanced link
-prediction. Macro averages skip zero-support classes instead of imputing
-zeros.
+with each score a threshold: tied scores share one precision, as they share
+one half in AUROC, so neither metric depends on the order of the rows.
+Macro averages skip zero-support classes instead of imputing zeros.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .errors import (
     NoPositivesError,
     ShapeMismatchError,
 )
-
-#: Negatives per tie lookup in average_precision; any value gives the same bits.
-TIE_CHUNK = 1 << 16
-
 
 def _as_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64)
@@ -81,59 +77,28 @@ def roc_auc(scores, labels, sorted_negatives: Optional[np.ndarray] = None) -> fl
     return float((twice_u / 2.0) / (n_pos * n_neg))
 
 
-def _tied_negatives_before(s: np.ndarray, y: np.ndarray, pos: np.ndarray,
-                           pos_at: np.ndarray) -> np.ndarray:
-    """Negatives of equal score earlier in the input, per positive (score pos, position pos_at).
-
-    Each negative whose score some positive shares gets the key
-    group * m + position, group being that score's index among the shared
-    scores; a positive's count is the number of keys in
-    [group * m, group * m + its position). The negatives are looked up one
-    chunk at a time in score order, which keeps searchsorted's probes
-    predictable; the chunk size does not change the keys.
-    """
-    m = s.size
-    shared = np.unique(pos)
-    neg_at = np.flatnonzero(~y)
-    keys = []
-    for lo in range(0, neg_at.size, TIE_CHUNK):
-        at = neg_at[lo : lo + TIE_CHUNK]
-        at = at[np.argsort(s[at])]
-        score = s[at]
-        group = np.searchsorted(shared, score)
-        tied = shared[np.minimum(group, shared.size - 1)] == score
-        keys.append(group[tied] * m + at[tied])
-    keys = np.sort(np.concatenate(keys))
-    base = np.searchsorted(shared, pos) * m
-    return np.searchsorted(keys, base + pos_at) - np.searchsorted(keys, base)
-
-
 def average_precision(scores, labels, sorted_negatives: Optional[np.ndarray] = None) -> float:
-    """Mean of precision at each positive's rank, descending score order.
+    """Mean over the positives of the precision at each one's score, as a threshold.
 
-    Ties are broken by stable input order. With the positives in that order
-    (score descending, then position), the r-th sits at rank r plus the
-    negatives ranked above it: those of higher score, counted from the sorted
-    negatives, and those of equal score earlier in the input. The precisions
-    r / rank are the same array, in the same order, as the whole ranked list
-    gives, so the same sum. sorted_negatives is as in roc_auc.
+    Each positive counts the positives and the negatives scored at or above
+    it, one searchsorted each, so tied scores share one threshold, as
+    roc_auc's one-half rule treats them, and no row order can move the
+    result, which is scikit-learn's average_precision_score up to float
+    rounding. The precisions are summed from the highest positive down;
+    where no positive's score ties another score, positive or negative, the
+    r-th is r / (r + negatives above), the array of a stable ranking of the
+    whole list, so the same bits. sorted_negatives is as in roc_auc.
     """
     s, y = _as_scores_labels(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NoPositivesError("need at least one positive")
     neg = _sorted_negatives(s, y) if sorted_negatives is None else sorted_negatives
-    pos = np.sort(s[y])[::-1]
-    at_or_below = np.searchsorted(neg, pos, "right")
-    above = neg.size - at_or_below
-    ties = np.searchsorted(neg, pos, "left") != at_or_below
-    if ties.any():
-        # equal scores keep input order, so the positions come from a stable sort
-        pos_at = np.flatnonzero(y)
-        pos_at = pos_at[np.argsort(-s[pos_at], kind="stable")]
-        above[ties] += _tied_negatives_before(s, y, pos[ties], pos_at[ties])
-    hits_so_far = np.arange(1, n_pos + 1)
-    return float((hits_so_far / (hits_so_far + above)).sum() / n_pos)
+    pos = np.sort(s[y])
+    # highest positive first: the positives, then all scores, at or above each one's score
+    hits = n_pos - np.searchsorted(pos, pos[::-1], "left")
+    ranked = hits + neg.size - np.searchsorted(neg, pos[::-1], "left")
+    return float((hits / ranked).sum() / n_pos)
 
 
 def class_weights(counts) -> np.ndarray:

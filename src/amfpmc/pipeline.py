@@ -496,8 +496,9 @@ def grid_search(
     """Exhaustive grid search over (i, j, label) rows, scored on a stratified validation split.
 
     The objective is validation accuracy by default; 'auroc' switches to
-    macro AUROC. Ties keep the first candidate in enumeration order. Grids
-    beyond MAX_GRID_CANDIDATES are refused unless allow_large is set.
+    macro AUROC, and refuses validation rows of one class before training.
+    Ties keep the first candidate in enumeration order. Grids beyond
+    MAX_GRID_CANDIDATES are refused unless allow_large is set.
     """
     if objective not in OBJECTIVES:
         raise InvalidConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -508,8 +509,11 @@ def grid_search(
             "pass allow_large to proceed"
         )
     train_items, val_items = stratified_validation_split(items, validation_fraction, seed)
-    train_graph = training_graph(n_drugs, n_classes, mode, train_items)
     val_pairs, val_truths = val_items[:, :2], val_items[:, 2]
+    if objective == "auroc" and not (val_truths != val_truths[0]).any():
+        raise DegenerateLabelsError(f"all {len(val_truths)} validation pairs are class "
+                                    f"{val_truths[0]}: macro AUROC needs two classes")
+    train_graph = training_graph(n_drugs, n_classes, mode, train_items)
 
     results: list[tuple[Hyperparameters, float]] = []
     for hp_c in candidates:

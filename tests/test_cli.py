@@ -246,6 +246,26 @@ def test_fold_of_one_class_is_refused_before_training(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+def test_auroc_grid_on_one_class_validation_is_refused_before_training(tmp_path, capsys,
+                                                                      monkeypatch):
+    # 12 class-1 edges among D0-D5 and 2 of class 2: the default validation
+    # fraction 0.2 takes two class-1 rows and no class-2 row
+    edges = [(f"D{a}", f"D{b}", 1) for a, b in itertools.combinations(range(6), 2)][:12]
+    edges += [("D6", "D7", 2), ("D8", "D9", 2)]
+    path, grid = tmp_path / "t0.tsv", tmp_path / "grid.txt"
+    path.write_text("".join(f"{a}\t{b}\t{c}\n" for a, b, c in edges))
+    grid.write_text("alpha 0.2 0.4\n")
+    calls = []
+    monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert main(["gridsearch", "--interactions", str(path), "--mode", "holdout",
+                 "--objective", "auroc", "--grid", str(grid), "--dim", "8", "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: DegenerateLabelsError: all 2 validation pairs are class 1: macro AUROC needs "
+        "two classes\n")
+    assert calls == []
+
+
 @pytest.fixture()
 def subset_snapshots(tmp_path):
     t0, t1 = tmp_path / "s0.tsv", tmp_path / "s1.tsv"

@@ -38,21 +38,37 @@ def brute_force_auc(scores, labels):
 
 
 def whole_list_average_precision(scores, labels):
-    """Average precision read off the whole ranked list, ties in input order.
+    """Average precision read off the whole ranked list, each score a threshold.
 
-    An unstable argsort of -s, then the keys run * m + position sorted, which
-    restores input order within each run of equal scores.
+    Ranked by descending score, each positive takes the precision at the end
+    of its run of equal scores: the hits over the rows up to that run's last.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=bool)
     order = np.argsort(-s)
-    ranked = s[order]
-    ties = ranked[1:] == ranked[:-1]
-    if ties.any():
-        order = order[np.argsort(np.r_[0, np.cumsum(~ties)] * s.size + order)]
-    hits = y[order]
-    precision_at = (np.cumsum(hits) / np.arange(1, s.size + 1))[hits]
+    ranked, hits = s[order], y[order]
+    starts_run = np.r_[True, ranked[1:] != ranked[:-1]]
+    run_end = np.flatnonzero(np.r_[starts_run[1:], True])[np.cumsum(starts_run) - 1]
+    precision_at = (np.cumsum(hits) / np.arange(1, s.size + 1))[run_end][hits]
     return float(precision_at.sum() / y.sum())
+
+
+def brute_force_average_precision(scores, labels):
+    """O(m^2) oracle: each positive's share of positives among the scores at or above its own."""
+    precisions = []
+    for p, y in zip(scores, labels):
+        if y:
+            at_or_above = [y_q for q, y_q in zip(scores, labels) if q >= p]
+            precisions.append(sum(at_or_above) / len(at_or_above))
+    return sum(precisions) / len(precisions)
+
+
+def stable_sort_average_precision(scores, labels):
+    """Average precision with ties broken by input order, as a stable sort ranks them."""
+    order = np.argsort(-scores, kind="mergesort")
+    hits = labels[order]
+    precision_at = np.cumsum(hits) / np.arange(1, scores.size + 1)
+    return float(precision_at[hits].sum() / labels.sum())
 
 
 def random_scored(rng, m=None, tie_prone=True):
@@ -94,7 +110,7 @@ def bitwise_draws(rng):
     grid = rng.integers(0, 20, 5000)
     grid_labels = rng.random(5000) < 0.3
     draws += [
-        # large and tie-heavy: the tie order decides where each positive ranks
+        # large and tie-heavy: many positives share a threshold with negatives
         (rng.integers(0, 40, big) / 8.0, rng.random(big) < 0.1),
         (np.round(rng.random(big), 3), rng.random(big) < 0.02),
         (rng.choice([0.0, -0.0, 0.5, -0.5], 5000), rng.random(5000) < 0.3),
@@ -198,31 +214,25 @@ class TestAveragePrecision:
         with pytest.raises(NoPositivesError):
             average_precision([0.4, 0.2], [False, False])
 
-    def test_bitwise_equal_to_stable_sort(self):
-        def reference(scores, labels):
-            order = np.argsort(-scores, kind="mergesort")
-            hits = labels[order]
-            precision_at = np.cumsum(hits) / np.arange(1, scores.size + 1)
-            return float(precision_at[hits].sum() / labels.sum())
-
+    def test_bitwise_equal_to_threshold_oracle(self):
+        untied = 0
         for scores, labels in bitwise_draws(np.random.default_rng(29)):
             got = np.float64(average_precision(scores, labels))
-            assert got.tobytes() == np.float64(reference(scores, labels)).tobytes()
             whole_list = whole_list_average_precision(scores, labels)
             assert got.tobytes() == np.float64(whole_list).tobytes()
+            if np.unique(scores).size == scores.size:
+                # no score ties another: the bits a stable sort's ranking gives
+                untied += 1
+                stable = stable_sort_average_precision(scores, labels)
+                assert got.tobytes() == np.float64(stable).tobytes()
+        assert untied > 50
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096])
-    def test_tie_counts_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
-        rng = np.random.default_rng(chunk)
-        draws = [
-            (rng.integers(0, 30, 20_000) / 8.0, rng.random(20_000) < 0.1),
-            (rng.choice([0.0, -0.0, 0.25, -0.25], 3000), rng.random(3000) < 0.4),
-            (np.round(rng.random(20_000), 2), rng.random(20_000) < 0.03),
-        ]
-        expected = [np.float64(whole_list_average_precision(s, y)).tobytes() for s, y in draws]
-        monkeypatch.setattr(metrics_mod, "TIE_CHUNK", chunk)
-        for (scores, labels), want in zip(draws, expected):
-            assert np.float64(average_precision(scores, labels)).tobytes() == want
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            scores, labels = random_scored(rng, m=int(rng.integers(2, 60)))
+            assert average_precision(scores, labels) == pytest.approx(
+                brute_force_average_precision(scores, labels), abs=1e-12)
 
     def test_floor_when_top_is_positive(self):
         # a positive in first place contributes precision 1, so AP >= 1/n_pos
@@ -242,10 +252,13 @@ class TestAveragePrecision:
         labels = rng.random(m) < 0.3
         assert average_precision(scores, labels) == pytest.approx(labels.mean(), abs=1e-2)
 
-    def test_stable_tie_order(self):
-        # equal scores keep input order: the earlier positive sees precision 1
-        assert average_precision([0.5, 0.5], [True, False]) == 1.0
+    def test_tied_scores_share_one_threshold(self):
+        # a tied positive and negative read the same in either row order
+        assert average_precision([0.5, 0.5], [True, False]) == 0.5
         assert average_precision([0.5, 0.5], [False, True]) == 0.5
+        # thresholds 0.7, 0.5 and 0.2: precision 1/3 at recall 1/2, then 2/4 at recall 1
+        assert average_precision([0.5, 0.5, 0.2, 0.7], [True, False, True, False]) == \
+            pytest.approx(5 / 12, abs=1e-12)
 
 
 def test_sorted_negatives_keyword_gives_the_same_bits():
@@ -480,6 +493,14 @@ def test_report_matches_reference_bitwise():
         got = multiclass_report(probs, truths)
         want = reference_multiclass_report(probs, truths)
         assert report_bits(got) == report_bits(want)
+
+
+def test_report_does_not_depend_on_row_order():
+    rng = np.random.default_rng(46)
+    for probs, truths in report_inputs(np.random.default_rng(41)):
+        perm = rng.permutation(len(truths))
+        want = report_bits(multiclass_report(probs, truths))
+        assert report_bits(multiclass_report(probs[perm], truths[perm])) == want
 
 
 def test_report_of_one_class_or_one_present_class_is_degenerate():

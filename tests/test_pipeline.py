@@ -681,6 +681,23 @@ class TestGridSearch:
                         objective="f1")
         assert calls == []
 
+    def test_auroc_refuses_one_class_validation_before_training(self, monkeypatch):
+        # 12 class-1 edges give 2 validation rows; the 2 class-2 edges give none
+        items = [(i, j, 1) for i, j in itertools.combinations(range(6), 2)][:12]
+        items += [(6, 7, 2), (8, 9, 2)]
+        calls = []
+        real_train = pipeline.train
+        monkeypatch.setattr(pipeline, "train",
+                            lambda *a, **k: calls.append(a) or real_train(*a, **k))
+        grid = GridSpec({"alpha": [0.2, 0.4]})
+        with pytest.raises(DegenerateLabelsError, match="^all 2 validation pairs are class 1: "
+                                                        "macro AUROC needs two classes$"):
+            grid_search(items, 10, 3, "holdout", quick_hp(epochs=1), grid, objective="auroc")
+        assert calls == []
+        # validation accuracy is defined on one class, so that objective still trains
+        _, results = grid_search(items, 10, 3, "holdout", quick_hp(epochs=1), grid)
+        assert len(calls) == len(results) == 2
+
     @pytest.mark.parametrize("objective", ["accuracy", "auroc"])
     def test_retrospective_graph_stores_no_class_0_row_training_sees_them(self, objective,
                                                                          monkeypatch):
